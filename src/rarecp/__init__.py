@@ -5,6 +5,7 @@ from rarecp.conformal import (
     PredictionInterval,
     WeightedSupport,
     aci_update,
+    baseline_interval,
     baseline_weights,
     build_interval,
     weighted_cdf,
@@ -52,6 +53,7 @@ __all__ = [
     "TrainConfig",
     "WeightedSupport",
     "aci_update",
+    "baseline_interval",
     "baseline_weights",
     "build_context",
     "build_interval",

@@ -14,11 +14,13 @@ so the intervals are asymmetric whenever the residual distribution is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from rarecp.errors import DataError
+from rarecp.errors import DataError, NumericError
 from rarecp.validation import check_unit_interval
 
 WEIGHT_SUM_TOL = 1e-9
@@ -99,30 +101,52 @@ def weighted_cdf(support: WeightedSupport, rho: float) -> float:
     return float(support.weights[support.residuals <= rho].sum())
 
 
-def weighted_quantile(support: WeightedSupport, tau: float) -> float:
-    """Smallest support residual whose cumulative weight reaches ``tau``.
+def _sorted_cumulative(support: WeightedSupport) -> tuple[np.ndarray, np.ndarray]:
+    """Support residuals in ascending (stable) order with their cumulative weights."""
+    order = np.argsort(support.residuals, kind="stable")
+    return support.residuals[order], np.cumsum(support.weights[order])
+
+
+def _quantiles(values: np.ndarray, cum: np.ndarray, taus) -> np.ndarray:
+    """Smallest sorted value whose cumulative weight reaches each level.
 
     The infimum over the discrete support is taken literally: an exact hit
     on a cumulative-weight boundary includes that item. If rounding leaves
-    the total marginally below ``tau`` the largest residual is returned.
+    the total marginally below a level the largest residual is returned.
     """
+    idx = np.searchsorted(cum, taus, side="left")
+    return values[np.minimum(idx, cum.size - 1)]
+
+
+def _interval(
+    forecast: float, values: np.ndarray, cum: np.ndarray, alpha: float
+) -> PredictionInterval:
+    """Interval from sorted residuals and their cumulative weights.
+
+    Both quantile levels are found by one ``searchsorted``.
+    """
+    alpha = check_unit_interval(alpha, "alpha")
+    taus = [check_unit_interval(tau, "tau") for tau in (alpha / 2.0, 1.0 - alpha / 2.0)]
+    if not math.isfinite(forecast):
+        raise DataError(f"forecast must be finite, got {forecast}")
+    lo, hi = _quantiles(values, cum, taus).tolist()
+    lower, upper = forecast + lo, forecast + hi
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise NumericError(f"interval bounds overflow: [{lower}, {upper}]")
+    return PredictionInterval(lower=lower, upper=upper, alpha_used=alpha)
+
+
+def weighted_quantile(support: WeightedSupport, tau: float) -> float:
+    """Smallest support residual whose cumulative weight reaches ``tau``."""
     tau = check_unit_interval(tau, "tau")
-    order = np.argsort(support.residuals, kind="stable")
-    cum = np.cumsum(support.weights[order])
-    idx = int(np.searchsorted(cum, tau, side="left"))
-    if idx >= cum.size:
-        idx = cum.size - 1
-    return float(support.residuals[order[idx]])
+    return float(_quantiles(*_sorted_cumulative(support), tau))
 
 
 def build_interval(
     forecast: float, support: WeightedSupport, alpha: float
 ) -> PredictionInterval:
     """Two-sided interval from the weighted residual quantiles."""
-    alpha = check_unit_interval(alpha, "alpha")
-    lower = forecast + weighted_quantile(support, alpha / 2.0)
-    upper = forecast + weighted_quantile(support, 1.0 - alpha / 2.0)
-    return PredictionInterval(lower=lower, upper=upper, alpha_used=alpha)
+    return _interval(forecast, *_sorted_cumulative(support), alpha)
 
 
 def winkler_score(lower: float, upper: float, y: float, alpha: float) -> float:
@@ -212,3 +236,49 @@ def baseline_weights(
     else:
         raise DataError(f"unknown weighting mode {mode!r}")
     return WeightedSupport(residuals, weights)
+
+
+@lru_cache(maxsize=8)
+def _uniform_cumulative(n: int) -> np.ndarray:
+    cum = np.cumsum(np.full(n, 1.0 / n))
+    cum.flags.writeable = False
+    return cum
+
+
+@lru_cache(maxsize=8)
+def _nexcp_weights(n: int, nexcp_lambda: float) -> np.ndarray:
+    """Normalized lambda**age weights indexed by chronological position."""
+    raw = nexcp_lambda ** np.arange(n - 1, -1, -1, dtype=np.float64)
+    weights = raw / raw.sum()
+    weights.flags.writeable = False
+    return weights
+
+
+def baseline_interval(
+    forecast: float,
+    store,
+    alpha: float,
+    mode: str = "uniform",
+    nexcp_lambda: float = 0.99,
+) -> PredictionInterval:
+    """Uniform or NexCP interval over a calibration store's window, without a sort.
+
+    Equal, bit for bit, to ``build_interval(forecast, baseline_weights(
+    store.residuals(), mode, nexcp_lambda), alpha)``. It reads the store's
+    incrementally sorted residual window: uniform cumulative weights depend
+    on the window length alone, and NexCP weights are gathered by
+    chronological position, so both cumulative sums match the full sort's.
+    """
+    values, positions = store.sorted_residuals()
+    n = values.size
+    if n == 0:
+        raise DataError("cannot build an interval from an empty store")
+    if mode == "uniform":
+        cum = _uniform_cumulative(n)
+    elif mode == "nexcp":
+        if not 0.0 < nexcp_lambda <= 1.0:
+            raise DataError("nexcp_lambda must lie in (0, 1]")
+        cum = np.cumsum(_nexcp_weights(n, float(nexcp_lambda))[positions])
+    else:
+        raise DataError(f"unknown weighting mode {mode!r}")
+    return _interval(forecast, values, cum, alpha)

@@ -138,8 +138,15 @@ class CalibrationStore:
 
     Entries arrive in time order, only after their target is observed;
     once full, the oldest entry is evicted first. Backed by ring buffers so
-    eviction is O(1); the ordered context/residual views used by retrieval
-    are cached until the next mutation.
+    eviction is O(1). Each array has its own chronological view, built on
+    request and cached until the next mutation, so asking for residuals
+    never copies the contexts.
+
+    ``sorted_residuals`` keeps the window in ascending order as well. It is
+    built by one stable argsort on first request and from then on updated
+    by every ``append`` (one ``searchsorted`` and one slice shift each for
+    the evicted and the new value), so a store that never asks for it
+    never pays for it.
     """
 
     def __init__(self, capacity: int, context_dim: int):
@@ -155,7 +162,11 @@ class CalibrationStore:
         self._start = 0
         self._size = 0
         self._version = 0
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._views: dict[str, object] = {}
+        # ascending residuals and the arrival number of each (the count of
+        # entries appended before it); None until first requested
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None
+        self._arrivals = 0
 
     def __len__(self) -> int:
         return self._size
@@ -175,7 +186,8 @@ class CalibrationStore:
             raise DataError(
                 f"entry context has shape {context.shape}, expected ({self._dim},)"
             )
-        if not np.isfinite(entry.residual):
+        residual = float(entry.residual)
+        if not np.isfinite(residual):
             raise DataError("entry residual must be finite")
         if self._size > 0:
             last = self._times[(self._start + self._size - 1) % self.capacity]
@@ -184,41 +196,100 @@ class CalibrationStore:
                     f"time_index {entry.time_index} does not increase past {last}"
                 )
         pos = (self._start + self._size) % self.capacity
+        if self._sorted is not None:
+            self._update_sorted(residual)
         if self._size == self.capacity:
             self._start = (self._start + 1) % self.capacity
         else:
             self._size += 1
         self._contexts[pos] = context
-        self._residuals[pos] = float(entry.residual)
+        self._residuals[pos] = residual
         self._times[pos] = int(entry.time_index)
+        self._arrivals += 1
         self._version += 1
-        self._cache = None
+        self._views.clear()
 
-    def _ordered(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._cache is None:
-            idx = (self._start + np.arange(self._size)) % self.capacity
-            self._cache = (
-                self._contexts[idx].copy(),
-                self._residuals[idx].copy(),
-                self._times[idx].copy(),
-            )
-        return self._cache
+    def _update_sorted(self, residual: float) -> None:
+        """Evict the oldest value from the sorted window and insert ``residual``.
+
+        Equal values sit in arrival order, so the evicted (oldest) value is
+        the leftmost of its equals and the new one goes right of all of them.
+        """
+        values, arrivals = self._sorted
+        n = self._size
+        if n == self.capacity:
+            i = int(np.searchsorted(values[:n], self._residuals[self._start], side="left"))
+            values[i : n - 1] = values[i + 1 : n]
+            arrivals[i : n - 1] = arrivals[i + 1 : n]
+            n -= 1
+        j = int(np.searchsorted(values[:n], residual, side="right"))
+        values[j + 1 : n + 1] = values[j:n]
+        arrivals[j + 1 : n + 1] = arrivals[j:n]
+        values[j] = residual
+        arrivals[j] = self._arrivals
+
+    def _chronological(self, key: str, buffer: np.ndarray) -> np.ndarray:
+        view = self._views.get(key)
+        if view is None:
+            if self._start == 0:
+                view = buffer[: self._size].copy()
+            else:
+                view = np.concatenate((buffer[self._start :], buffer[: self._start]))
+            view.flags.writeable = False
+            self._views[key] = view
+        return view
 
     def contexts(self) -> np.ndarray:
-        return self._ordered()[0]
+        return self._chronological("contexts", self._contexts)
 
     def residuals(self) -> np.ndarray:
-        return self._ordered()[1]
+        return self._chronological("residuals", self._residuals)
 
     def time_indices(self) -> np.ndarray:
-        return self._ordered()[2]
+        return self._chronological("times", self._times)
+
+    def sorted_residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Residuals in ascending order and each one's chronological position.
+
+        Position 0 is the oldest entry. Ties keep arrival order, so this is
+        exactly ``residuals()[order], order`` for a stable argsort ``order``.
+        """
+        view = self._views.get("sorted")
+        if view is None:
+            n = self._size
+            if self._sorted is None:
+                order = np.argsort(self.residuals(), kind="stable")
+                values = np.zeros(self.capacity)
+                arrivals = np.zeros(self.capacity, dtype=np.int64)
+                values[:n] = self.residuals()[order]
+                arrivals[:n] = order + (self._arrivals - n)
+                self._sorted = (values, arrivals)
+            values, arrivals = self._sorted
+            view = (values[:n].copy(), arrivals[:n] - (self._arrivals - n))
+            for arr in view:
+                arr.flags.writeable = False
+            self._views["sorted"] = view
+        return view
 
     def entries(self) -> list[CalibrationEntry]:
-        ctx, res, times = self._ordered()
+        ctx, res, times = self.contexts(), self.residuals(), self.time_indices()
         return [
             CalibrationEntry(context=ctx[i], residual=float(res[i]), time_index=int(times[i]))
             for i in range(self._size)
         ]
+
+    @classmethod
+    def from_arrays(
+        cls, X, y, capacity: int | None = None, start_time: int = 0
+    ) -> "CalibrationStore":
+        """Store holding the last ``capacity`` rows of contexts ``X`` and residuals ``y``.
+
+        Row ``i`` gets time index ``start_time + i``; ``capacity`` defaults
+        to the number of rows.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        start_time = int(start_time)
+        return cls._from_columns(X, y, start_time + np.arange(y.size), capacity)
 
     @classmethod
     def from_entries(
@@ -227,10 +298,37 @@ class CalibrationStore:
         entries = list(entries)
         if not entries:
             raise DataError("cannot build a store from zero entries")
-        dim = np.asarray(entries[0].context).size
-        store = cls(capacity or len(entries), dim)
-        for entry in entries[-store.capacity :]:
-            store.append(entry)
+        contexts = [np.asarray(entry.context, dtype=np.float64) for entry in entries]
+        shape = contexts[0].shape
+        if len(shape) != 1 or any(c.shape != shape for c in contexts):
+            raise DataError("entry contexts must all be 1-D vectors of one length")
+        return cls._from_columns(
+            np.stack(contexts),
+            np.array([entry.residual for entry in entries], dtype=np.float64),
+            np.array([entry.time_index for entry in entries], dtype=np.int64),
+            capacity,
+        )
+
+    @classmethod
+    def _from_columns(cls, X, y, times, capacity) -> "CalibrationStore":
+        """Validate once, then write the most recent rows into the ring."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
+            raise DataError(
+                f"store needs (n, p) contexts and n residuals, got shapes {X.shape} and {y.shape}"
+            )
+        if y.size == 0:
+            raise DataError("cannot build a store from zero entries")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+            raise DataError("store contexts and residuals must be finite")
+        if np.any(np.diff(times) <= 0):
+            raise DataError("store time indices must strictly increase")
+        store = cls(capacity or y.size, X.shape[1])
+        n = min(y.size, store.capacity)
+        store._contexts[:n] = X[-n:]
+        store._residuals[:n] = y[-n:]
+        store._times[:n] = times[-n:]
+        store._size = store._arrivals = store._version = n
         return store
 
 

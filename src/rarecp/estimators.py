@@ -22,8 +22,8 @@ from rarecp.checkpoint import (
 from rarecp.conformal import (
     PredictionInterval,
     WeightedSupport,
+    baseline_interval,
     baseline_weights,
-    build_interval,
 )
 from rarecp.data import CalibrationEntry, CalibrationStore, compute_descriptor
 from rarecp.errors import DataError
@@ -67,15 +67,7 @@ class SplitConformal(BaseEstimator):
         y = check_vector(y, "y")
         if X is None:
             X = np.zeros((y.size, 1))
-        X = check_matrix(X, "X")
-        if X.shape[0] != y.size:
-            raise DataError("X and y must have the same number of rows")
-        capacity = self.capacity or y.size
-        store = CalibrationStore(capacity, X.shape[1])
-        start = max(0, y.size - capacity)
-        for i in range(start, y.size):
-            store.append(CalibrationEntry(context=X[i], residual=float(y[i]), time_index=i))
-        self.store_ = store
+        self.store_ = CalibrationStore.from_arrays(X, y, self.capacity)
         self._next_time = y.size
         return self
 
@@ -88,7 +80,10 @@ class SplitConformal(BaseEstimator):
     def predict_interval(self, forecast: float, alpha: float | None = None) -> PredictionInterval:
         check_fitted(self, "store_")
         alpha = check_unit_interval(self.alpha if alpha is None else alpha, "alpha")
-        return build_interval(float(forecast), self.weighted_support(), alpha)
+        return baseline_interval(
+            float(forecast), self.store_, alpha, mode=self.weighting,
+            nexcp_lambda=self.nexcp_lambda,
+        )
 
     def observe(self, residual: float, context=None, time_index: int | None = None) -> None:
         """Append one observed residual to the FIFO window."""
@@ -234,17 +229,9 @@ class RareCP(BaseEstimator):
         self.train_log_ = trainer.log
         self._dataset_id = int(dataset_id)
         self.descriptor_ = dataset.descriptor
-        self._seed_store(X, y)
-        return self
-
-    def _seed_store(self, X: np.ndarray, y: np.ndarray) -> None:
-        capacity = self.capacity or y.size
-        store = CalibrationStore(capacity, X.shape[1])
-        start = max(0, y.size - capacity)
-        for i in range(start, y.size):
-            store.append(CalibrationEntry(context=X[i], residual=float(y[i]), time_index=i))
-        self.store_ = store
+        self.store_ = CalibrationStore.from_arrays(X, y, self.capacity)
         self._next_time = y.size
+        return self
 
     @classmethod
     def from_checkpoint(cls, path, dataset_id: int = 0) -> "RareCP":
@@ -280,13 +267,12 @@ class RareCP(BaseEstimator):
         which is the initial calibration set of the run being started.
         """
         check_fitted(self, "components_")
-        X = check_matrix(X, "X")
         y = check_vector(y, "y")
-        capacity = self.capacity or y.size
-        store = CalibrationStore(capacity, X.shape[1])
-        for i in range(max(0, y.size - capacity), y.size):
-            store.append(
-                CalibrationEntry(context=X[i], residual=float(y[i]), time_index=start_time + i)
+        store = CalibrationStore.from_arrays(X, y, self.capacity, start_time)
+        if store.context_dim != self.components_.model.context_dim:
+            raise DataError(
+                f"X has {store.context_dim} features, expected "
+                f"{self.components_.model.context_dim}"
             )
         self.store_ = store
         self.descriptor_ = compute_descriptor(store.contexts(), self._dataset_id)
@@ -299,11 +285,19 @@ class RareCP(BaseEstimator):
             return self.descriptor_
         return self.components_.descriptor_for(self._dataset_id)
 
-    def weighted_support(self, x) -> WeightedSupport:
-        """Gate-mixed residual support for one query context."""
+    def _query(self, x) -> np.ndarray:
         check_fitted(self, "components_")
         check_fitted(self, "store_")
         x = check_vector(x, "x")
+        if x.size != self.store_.context_dim:
+            raise DataError(
+                f"query x has {x.size} features, expected {self.store_.context_dim}"
+            )
+        return x
+
+    def weighted_support(self, x) -> WeightedSupport:
+        """Gate-mixed residual support for one query context."""
+        x = self._query(x)
         support, _, _ = mixed_support(
             self.store_,
             self.components_.experts,
@@ -317,9 +311,7 @@ class RareCP(BaseEstimator):
     def predict_interval(
         self, x, forecast: float, alpha: float | None = None
     ) -> PredictionInterval:
-        check_fitted(self, "components_")
-        check_fitted(self, "store_")
-        x = check_vector(x, "x")
+        x = self._query(x)
         alpha = check_unit_interval(self.alpha if alpha is None else alpha, "alpha")
         return rarecp_interval(
             float(forecast),

@@ -21,8 +21,7 @@ from rarecp.checkpoint import RareCPComponents, checkpoint_sha256, load_checkpoi
 from rarecp.conformal import (
     AciState,
     aci_update,
-    baseline_weights,
-    build_interval,
+    baseline_interval,
     winkler_score,
 )
 from rarecp.data import (
@@ -173,15 +172,7 @@ def run_chronological_eval(
         context = build_context(history, forecast, window, include_forecast)
         alpha_t = aci.alpha_t if aci is not None else cfg.alpha
 
-        if method in ("uniform", "aci_uniform"):
-            support = baseline_weights(store.residuals(), mode="uniform")
-            interval = build_interval(forecast, support, alpha_t)
-        elif method == "nexcp":
-            support = baseline_weights(
-                store.residuals(), mode="nexcp", nexcp_lambda=cfg.nexcp_lambda
-            )
-            interval = build_interval(forecast, support, alpha_t)
-        else:
+        if method == "rarecp_checkpoint":
             interval = rarecp_interval(
                 forecast,
                 context,
@@ -191,6 +182,11 @@ def run_chronological_eval(
                 descriptor,
                 alpha_t,
                 normalize=components.model.normalize_contexts,
+            )
+        else:
+            mode = "nexcp" if method == "nexcp" else "uniform"
+            interval = baseline_interval(
+                forecast, store, alpha_t, mode=mode, nexcp_lambda=cfg.nexcp_lambda
             )
 
         y = float(values[t])

@@ -8,13 +8,15 @@ from rarecp.conformal import (
     PredictionInterval,
     WeightedSupport,
     aci_update,
+    baseline_interval,
     baseline_weights,
     build_interval,
     weighted_cdf,
     weighted_quantile,
     winkler_score,
 )
-from rarecp.errors import DataError
+from rarecp.data import CalibrationEntry, CalibrationStore
+from rarecp.errors import DataError, NumericError
 
 
 def oracle_cdf(residuals, weights, rho):
@@ -133,6 +135,16 @@ class TestBuildInterval:
             interval = build_interval(0.0, support, 0.999)
             assert interval.lower <= interval.upper
 
+    @pytest.mark.parametrize("forecast", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_forecast_rejected(self, three_point_support, forecast):
+        with pytest.raises(DataError, match="forecast"):
+            build_interval(forecast, three_point_support, 0.2)
+
+    def test_overflowing_bound_raises(self):
+        support = WeightedSupport(np.array([-1e308, 1e308]), np.array([0.5, 0.5]))
+        with pytest.raises(NumericError):
+            build_interval(1e308, support, 0.2)
+
     def test_ordering_invariant_random(self):
         rng = np.random.default_rng(15)
         for _ in range(200):
@@ -246,3 +258,41 @@ class TestWeightedSupportValidation:
         interval = PredictionInterval(lower=1.0, upper=2.0, alpha_used=0.2)
         assert interval.covers(1.0) and interval.covers(2.0)
         assert not interval.covers(2.0000001)
+
+
+class TestBaselineInterval:
+    """The sorted-window path gives exactly the full-sort intervals."""
+
+    @given(
+        st.integers(1, 8),
+        st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 3.0]), min_size=1, max_size=40),
+        st.sampled_from([0.5, 0.9, 0.99, 1.0]),
+        st.floats(0.01, 0.99),
+        st.sampled_from([-3.0, 0.0, 1.25]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_sort_after_every_append(self, capacity, values, lam, alpha, forecast):
+        store = CalibrationStore(capacity, 1)
+        for t, value in enumerate(values):
+            store.append(CalibrationEntry(np.zeros(1), value, t))
+            residuals = store.residuals()
+            for mode, a in (("uniform", 0.2), ("uniform", alpha), ("nexcp", alpha)):
+                got = baseline_interval(forecast, store, a, mode=mode, nexcp_lambda=lam)
+                expected = build_interval(
+                    forecast, baseline_weights(residuals, mode=mode, nexcp_lambda=lam), a
+                )
+                assert (got.lower, got.upper, got.alpha_used) == (
+                    expected.lower, expected.upper, expected.alpha_used
+                )
+
+    def test_rejects_bad_arguments(self):
+        store = CalibrationStore(3, 1)
+        with pytest.raises(DataError):
+            baseline_interval(0.0, store, 0.2)
+        store.append(CalibrationEntry(np.zeros(1), 1.0, 0))
+        with pytest.raises(DataError):
+            baseline_interval(0.0, store, 0.2, mode="magic")
+        with pytest.raises(DataError):
+            baseline_interval(0.0, store, 0.2, mode="nexcp", nexcp_lambda=1.5)
+        with pytest.raises(DataError):
+            baseline_interval(float("inf"), store, 0.2)

@@ -181,6 +181,77 @@ class TestCalibrationStore:
         store.append(CalibrationEntry(np.array([1.0]), 0.5, 0))
         assert store.version == v0 + 1
 
+    def test_views_are_read_only(self):
+        store = CalibrationStore.from_entries([_entry(i) for i in range(4)])
+        for view in (store.contexts(), store.residuals(), *store.sorted_residuals()):
+            with pytest.raises(ValueError):
+                view[0] = 99
+
+    def test_from_arrays_keeps_last_capacity_rows(self):
+        X = np.arange(20.0).reshape(10, 2)
+        y = np.arange(10.0) * 0.5
+        store = CalibrationStore.from_arrays(X, y, capacity=4, start_time=100)
+        np.testing.assert_array_equal(store.time_indices(), [106, 107, 108, 109])
+        np.testing.assert_array_equal(store.residuals(), y[6:])
+        np.testing.assert_array_equal(store.contexts(), X[6:])
+        assert store.version == 4
+        store.append(CalibrationEntry(np.zeros(2), -1.0, 110))
+        np.testing.assert_array_equal(store.residuals(), [3.5, 4.0, 4.5, -1.0])
+
+    def test_from_arrays_matches_appends(self):
+        rng = np.random.default_rng(3)
+        X, y = rng.standard_normal((9, 3)), rng.standard_normal(9)
+        for capacity in (None, 4, 20):
+            bulk = CalibrationStore.from_arrays(X, y, capacity=capacity)
+            looped = CalibrationStore(capacity or 9, 3)
+            for i in range(9):
+                looped.append(CalibrationEntry(X[i], float(y[i]), i))
+            np.testing.assert_array_equal(bulk.contexts(), looped.contexts())
+            np.testing.assert_array_equal(bulk.residuals(), looped.residuals())
+            np.testing.assert_array_equal(bulk.time_indices(), looped.time_indices())
+
+    @pytest.mark.parametrize(
+        "X, y",
+        [
+            (np.zeros((3, 2)), np.zeros(4)),
+            (np.zeros(3), np.zeros(3)),
+            (np.zeros((0, 2)), np.zeros(0)),
+            (np.array([[0.0], [np.inf]]), np.zeros(2)),
+            (np.zeros((2, 1)), np.array([0.0, np.nan])),
+        ],
+    )
+    def test_from_arrays_rejects_bad_input(self, X, y):
+        with pytest.raises(DataError):
+            CalibrationStore.from_arrays(X, y)
+
+    def test_from_entries_rejects_ragged_and_unordered(self):
+        with pytest.raises(DataError):
+            CalibrationStore.from_entries([_entry(0), _entry(1, dim=3)])
+        with pytest.raises(DataError):
+            CalibrationStore.from_entries([_entry(2), _entry(1)])
+
+    @given(
+        st.integers(1, 8),
+        st.lists(st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0]), min_size=1, max_size=40),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_view_is_stable_argsort(self, capacity, values, first_request):
+        """The incrementally kept view equals a fresh stable argsort after every append."""
+        store = CalibrationStore(capacity, 1)
+        for t, value in enumerate(values):
+            store.append(CalibrationEntry(np.zeros(1), value, t))
+            if t < first_request:
+                continue  # the view is built lazily on its first request
+            residuals = store.residuals()
+            order = np.argsort(residuals, kind="stable")
+            sorted_values, positions = store.sorted_residuals()
+            np.testing.assert_array_equal(positions, order)
+            # bitwise, so -0.0 and 0.0 keep their own places
+            np.testing.assert_array_equal(
+                sorted_values.view(np.uint64), residuals[order].view(np.uint64)
+            )
+
 
 class TestForecastSources:
     def test_naive(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rarecp.conformal import build_interval
 from rarecp.errors import DataError, NotFittedError
 from rarecp.estimators import RareCP, SplitConformal
 
@@ -44,6 +45,23 @@ class TestSplitConformal:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             SplitConformal().fit(np.zeros((3, 2)), np.zeros(4))
+
+    @pytest.mark.parametrize("forecast", [float("inf"), float("nan")])
+    def test_non_finite_forecast_rejected(self, forecast):
+        est = SplitConformal().fit(None, np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(DataError, match="forecast"):
+            est.predict_interval(forecast)
+
+    @pytest.mark.parametrize("weighting", ["uniform", "nexcp"])
+    def test_interval_matches_weighted_support(self, weighting):
+        rng = np.random.default_rng(2)
+        est = SplitConformal(weighting=weighting, nexcp_lambda=0.9, capacity=40)
+        est.fit(None, rng.choice([-1.0, 0.0, 2.0], size=60))
+        for residual in rng.standard_normal(50):
+            expected = build_interval(1.0, est.weighted_support(), 0.2)
+            got = est.predict_interval(1.0)
+            assert (got.lower, got.upper) == (expected.lower, expected.upper)
+            est.observe(residual)
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +111,27 @@ class TestRareCP:
         a = est2.predict_interval(X[2], forecast=1.0)
         b = loaded.predict_interval(X[2], forecast=1.0)
         assert (a.lower, a.upper) == (b.lower, b.upper)
+
+    def test_wrong_length_query_rejected(self, fitted):
+        est, X, _ = fitted
+        for x in (X[0][:-1], np.append(X[0], 0.0)):
+            with pytest.raises(DataError, match="expected 7"):
+                est.predict_interval(x, forecast=0.0)
+            with pytest.raises(DataError, match="expected 7"):
+                est.weighted_support(x)
+
+    def test_seed_store_keeps_time_indices(self, fitted):
+        est, X, y = fitted
+        est2 = RareCP(**{**est.get_params(), "capacity": 50})
+        est2.components_ = est.components_
+        est2._dataset_id = 0
+        est2.seed_store(X, y, start_time=1000)
+        np.testing.assert_array_equal(est2.store_.time_indices(), np.arange(1070, 1120))
+        np.testing.assert_array_equal(est2.store_.residuals(), y[70:])
+        est2.observe(X[0], residual=0.0)
+        assert est2.store_.time_indices()[-1] == 1120
+        with pytest.raises(DataError, match="expected 7"):
+            est2.seed_store(X[:, :-1], y)
 
     def test_dimension_mismatch_rejected(self):
         est = RareCP(window=6, include_forecast=True, epochs=1, teacher_epochs=1)

@@ -8,6 +8,7 @@ from rarecp.data import (
     SplitSpec,
     TimeSeries,
 )
+from rarecp.conformal import AciState, aci_update, baseline_weights, build_interval
 from rarecp.errors import DataError, NumericError
 from rarecp.harness import (
     EvalConfig,
@@ -105,6 +106,37 @@ class TestChronologicalEval:
         )
         for r in records:
             assert r.covered == (r.lower <= r.y <= r.upper)
+
+
+    @pytest.mark.parametrize("capacity", [5, 60])
+    def test_baselines_match_bruteforce_recomputation(self, capacity):
+        """Every baseline record equals a full-sort interval over the preceding window."""
+        rng = np.random.default_rng(4)
+        values = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=90)
+        split = SplitIndices(train=range(0, 5), cal=range(5, 35), test=range(35, 90))
+        forecasts = {i: float(v) for i, v in enumerate(rng.choice([0.0, 0.5], size=90))}
+        cfg = EvalConfig(window=3, capacity=capacity, alpha=0.3, aci_gamma=0.05,
+                         nexcp_lambda=0.9)
+        series = TimeSeries(values=values)
+        residuals = values - np.array([forecasts[i] for i in range(90)])
+        for method in ("uniform", "aci_uniform", "nexcp"):
+            records = run_chronological_eval(
+                series, split, PrecomputedForecast(forecasts), method, cfg
+            )
+            aci = AciState.initial(cfg.alpha, cfg.aci_gamma)
+            for r in records:
+                window = residuals[max(split.cal.start, r.time_index - capacity):r.time_index]
+                alpha = aci.alpha_t if method == "aci_uniform" else cfg.alpha
+                mode = "nexcp" if method == "nexcp" else "uniform"
+                expected = build_interval(
+                    forecasts[r.time_index],
+                    baseline_weights(window, mode=mode, nexcp_lambda=cfg.nexcp_lambda),
+                    alpha,
+                )
+                assert (r.lower, r.upper, r.alpha_used) == (
+                    expected.lower, expected.upper, alpha
+                )
+                aci = aci_update(aci, r.covered)
 
 
 class TestLeakageGuard:
