@@ -29,7 +29,9 @@ early collapse onto one expert.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -741,6 +743,41 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np
     return [positions[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
+# glibc mallopt parameters and the values training sets
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 256 << 20
+_heap_kept = False
+
+
+def keep_freed_heap() -> bool:
+    """Keep memory that training frees in the process instead of returning it.
+
+    One fit allocates and frees gigabytes of short-lived arrays of 0.5 to
+    17 MB. Under glibc's adaptive defaults the freed top of the heap is
+    handed back to the OS over and over and faulted in again on the next
+    allocation: about 230 000 page faults per fit of 600 rows, whose cost
+    follows the host's load. Fixing the mmap threshold at 32 MiB and the
+    trim threshold at 256 MiB keeps that memory for reuse; peak RSS does
+    not change. The setting is process-wide, applied once, and skipped off
+    glibc. Returns whether it is in effect.
+    """
+    global _heap_kept
+    if not _heap_kept:
+        try:
+            os.confstr("CS_GNU_LIBC_VERSION")
+            mallopt = ctypes.CDLL(None).mallopt
+        except (AttributeError, OSError, ValueError):
+            return False
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        _heap_kept = bool(
+            mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+            and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+        )
+    return _heap_kept
+
+
 class Trainer:
     """Three-stage fitting: teachers -> experts (anchored) -> gate (frozen experts)."""
 
@@ -1007,6 +1044,7 @@ class Trainer:
         self.gate = gate
 
     def run(self) -> "Trainer":
+        keep_freed_heap()
         self.fit_teachers()
         self.fit_experts()
         self.fit_gate()
