@@ -174,10 +174,25 @@ def save_checkpoint(components: RareCPComponents, path) -> None:
 
 
 def load_checkpoint(path) -> RareCPComponents:
+    """Components saved by ``save_checkpoint``.
+
+    A missing, truncated or malformed file raises ``DataError``.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise DataError("checkpoint is not a JSON object")
+        return _components_from_doc(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(
+            f"checkpoint {path} is truncated or malformed: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _components_from_doc(doc: dict) -> RareCPComponents:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint format version {version!r}")

@@ -147,6 +147,11 @@ class CalibrationStore:
     by every ``append`` (one ``searchsorted`` and one slice shift each for
     the evicted and the new value), so a store that never asks for it
     never pays for it.
+
+    ``key_inputs`` holds the contexts as retrieval sees them, z-scored with
+    one descriptor and laid out as (p, capacity) columns in ring order. It
+    follows the same pattern: built on first request for a descriptor, then
+    kept by every ``append`` with one z-scored column.
     """
 
     def __init__(self, capacity: int, context_dim: int):
@@ -167,6 +172,9 @@ class CalibrationStore:
         # entries appended before it); None until first requested
         self._sorted: tuple[np.ndarray, np.ndarray] | None = None
         self._arrivals = 0
+        # (descriptor or None for raw contexts, (p, capacity) key inputs in
+        # ring order); None until first requested
+        self._keyed: tuple[DatasetDescriptor | None, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self._size
@@ -196,6 +204,8 @@ class CalibrationStore:
                     f"time_index {entry.time_index} does not increase past {last}"
                 )
         pos = (self._start + self._size) % self.capacity
+        if self._keyed is not None:
+            column = _key_rows(context, self._keyed[0])
         if self._sorted is not None:
             self._update_sorted(residual)
         if self._size == self.capacity:
@@ -205,6 +215,8 @@ class CalibrationStore:
         self._contexts[pos] = context
         self._residuals[pos] = residual
         self._times[pos] = int(entry.time_index)
+        if self._keyed is not None:
+            self._keyed[1][:, pos] = column
         self._arrivals += 1
         self._version += 1
         self._views.clear()
@@ -271,6 +283,35 @@ class CalibrationStore:
             self._views["sorted"] = view
         return view
 
+    def key_inputs(self, descriptor: DatasetDescriptor | None = None) -> np.ndarray:
+        """Contexts as retrieval key inputs: one column per entry, in ring order.
+
+        Columns are z-scored with ``descriptor``, or raw contexts when it is
+        None; the read-only result has shape (p, len(store)). Ring position
+        ``j`` holds chronological entry ``(j - start) % capacity``, and
+        ``chronological`` puts arrays laid out this way oldest first. The
+        array behind the view is built on first request for a descriptor
+        (compared by identity) and then kept by ``append`` at O(p) each; it
+        is rebuilt only when another descriptor is asked for.
+        """
+        if self._keyed is None or self._keyed[0] is not descriptor:
+            if descriptor is not None and descriptor.dim != self._dim:
+                raise DataError(
+                    f"descriptor has dimension {descriptor.dim}, store contexts have {self._dim}"
+                )
+            columns = np.zeros((self._dim, self.capacity))
+            columns[:, : self._size] = _key_rows(self._contexts[: self._size], descriptor).T
+            self._keyed = (descriptor, columns)
+        view = self._keyed[1][:, : self._size]
+        view.flags.writeable = False
+        return view
+
+    def chronological(self, ring: np.ndarray) -> np.ndarray:
+        """``ring``, laid out along its last axis like ``key_inputs``, oldest first."""
+        if self._start == 0:
+            return ring
+        return np.concatenate((ring[..., self._start :], ring[..., : self._start]), axis=-1)
+
     def entries(self) -> list[CalibrationEntry]:
         ctx, res, times = self.contexts(), self.residuals(), self.time_indices()
         return [
@@ -330,6 +371,16 @@ class CalibrationStore:
         store._times[:n] = times[-n:]
         store._size = store._arrivals = store._version = n
         return store
+
+
+def _key_rows(contexts: np.ndarray, descriptor: DatasetDescriptor | None) -> np.ndarray:
+    """Contexts z-scored with ``descriptor`` (unchanged if None); must stay finite."""
+    if descriptor is None:
+        return contexts
+    z = normalize_context(contexts, descriptor)
+    if not np.all(np.isfinite(z)):
+        raise DataError("a z-scored store context is not finite")
+    return z
 
 
 def store_update(store: CalibrationStore, entry: CalibrationEntry) -> CalibrationStore:

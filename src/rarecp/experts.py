@@ -7,10 +7,11 @@ cosine-normalized, so retrieval is nearest-neighbor on the unit sphere:
 ``|u - v|^2 = 2 - 2 u.v``. The expert keeps the top-k calibration keys by
 dot product and puts temperature-softmax weights on exactly that support.
 
-Calibration keys are recomputed under the current query's map on every
-call — raw contexts and residuals are cached, keys are not. The one
-exception is the fixed-affine encoder, whose dataset-level keys may be
-cached until the store mutates.
+``retrieve_supports`` serves all M experts of a query at once: it stacks
+their maps into one (M*L, p) matrix and keys the store's z-scored
+contexts (kept by the store itself, see ``CalibrationStore.key_inputs``)
+with a single GEMM. Calibration keys depend on the query's map, so they
+are recomputed for every query and never cached.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from rarecp import autodiff as ad
-from rarecp.autodiff import Tensor
+from rarecp.autodiff import EPS_NORM, Tensor
 from rarecp.conformal import WeightedSupport
 from rarecp.data import CalibrationStore, DatasetDescriptor, normalize_context
-from rarecp.errors import DataError
+from rarecp.errors import DataError, NumericError
 
 
 @dataclass(frozen=True)
@@ -210,28 +211,48 @@ def emit_expert_map(
 # ---------------------------------------------------------------------------
 
 
-def normalize_key(A, b, context_z: np.ndarray) -> Tensor:
-    """Unit-sphere key for one context under the map (A, b)."""
-    return ad.l2_normalize(ad.affine(ad.as_tensor(A), ad.constant(context_z), ad.as_tensor(b)))
+def normalize_keys(A, b, columns: np.ndarray) -> np.ndarray:
+    """Unit keys ``(A x + b) / |A x + b|`` for each column ``x`` of a (p, n) block.
 
-
-def normalize_keys(A, b, contexts_z: np.ndarray) -> Tensor:
-    """Columnwise unit keys for a (n, p) block of contexts -> (latent, n)."""
-    block = ad.constant(np.ascontiguousarray(contexts_z.T))
-    return ad.l2_normalize(ad.affine(ad.as_tensor(A), block, ad.as_tensor(b)))
+    ``A`` is one (L, p) map with bias (L,), giving (L, n) keys, or a stack of
+    M maps (M, L, p) with biases (M, L), giving (M, L, n): the stack runs as
+    one GEMM and each map's keys are normalised on their own. A single
+    query is a one-column block. Raises ``NumericError`` when a key's
+    squared norm is not finite, so an overflowing key never scores 0.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    keys = (A.reshape(-1, A.shape[-1]) @ columns).reshape(A.shape[:-1] + (columns.shape[1],))
+    keys += b[..., None]
+    sq = np.einsum("...ln,...ln->...n", keys, keys)
+    if not np.all(np.isfinite(sq)):
+        raise NumericError("a retrieval key overflowed: its squared norm is not finite")
+    keys *= (1.0 / np.sqrt(sq + EPS_NORM))[..., None, :]
+    return keys
 
 
 def topk_retrieve(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores; ties broken by smaller index.
+    """Indices of the k largest scores, largest first; ties go to the smaller index.
 
-    If fewer than k scores exist, all indices are returned. The selection
-    is a constant of the forward pass — gradients never flow through it.
+    Exactly ``np.lexsort((np.arange(n), -scores))[:k]`` in O(n + k log k):
+    ``argpartition`` finds the k-th largest score, every index scoring above
+    it is kept, the smallest indices tied with it fill the remaining places,
+    and only the k winners are sorted. If fewer than k scores exist, all
+    indices are returned. The selection is a constant of the forward pass —
+    gradients never flow through it.
     """
     scores = np.asarray(scores, dtype=np.float64)
     n = scores.size
     k = min(int(k), n)
-    order = np.lexsort((np.arange(n), -scores))
-    return order[:k]
+    if 0 < k < n:
+        top = np.argpartition(scores, n - k)[n - k :]
+        kth = scores[top[0]]
+        above = top[scores[top] > kth]
+        tied = np.flatnonzero(scores == kth)[: k - above.size]
+        top = np.concatenate((above, tied))
+    else:
+        top = np.arange(k)
+    return top[np.lexsort((top, -scores[top]))]
 
 
 def support_weights(scores, temperature: float) -> Tensor:
@@ -271,27 +292,10 @@ class RetrievalExpert:
 
     encoder: HypernetworkParams | FixedAffineMap
     config: ExpertConfig
-    cache_keys: bool = False
     projections: ProjectionCounter = field(default_factory=ProjectionCounter)
-    _key_cache: tuple[int, np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.cache_keys and not isinstance(self.encoder, FixedAffineMap):
-            raise DataError("key caching is only valid for fixed_affine encoders")
 
     def parameters(self) -> list[Tensor]:
         return self.encoder.parameters()
-
-    def _calibration_keys(self, store: CalibrationStore, A, b, contexts_z) -> np.ndarray:
-        if self.cache_keys:
-            if self._key_cache is not None and self._key_cache[0] == store.version:
-                return self._key_cache[1]
-            keys = normalize_keys(A, b, contexts_z).data
-            self.projections.add(len(store))
-            self._key_cache = (store.version, keys)
-            return keys
-        self.projections.add(len(store))
-        return normalize_keys(A, b, contexts_z).data
 
     def retrieve(
         self,
@@ -301,28 +305,70 @@ class RetrievalExpert:
         normalize: bool = True,
     ) -> RetrievalResult:
         """Top-k weighted support from the current store for one query."""
-        if len(store) == 0:
-            raise DataError("cannot retrieve from an empty calibration store")
-        contexts = store.contexts()
-        if normalize:
-            query_z = normalize_context(query, descriptor)
-            contexts_z = normalize_context(contexts, descriptor)
-        else:
-            query_z = np.asarray(query, dtype=np.float64)
-            contexts_z = contexts
-        feats = descriptor_features(descriptor)
-        A, b = self.encoder.emit(query_z, feats)
-        keys = self._calibration_keys(store, A, b, contexts_z)
-        q = normalize_key(A, b, query_z).data
-        scores = q @ keys
-        sel = topk_retrieve(scores, self.config.top_k)
-        weights = support_weights(scores[sel], self.config.weight_temperature)
-        return RetrievalResult(
-            support_indices=sel,
-            scores=scores[sel],
-            weights=weights.data,
-            residuals=store.residuals()[sel],
+        query_z, feats = query_features(query, descriptor, normalize)
+        (result,) = retrieve_supports(
+            [self], store, query_z, feats, descriptor if normalize else None
         )
+        return result
+
+
+def query_features(
+    query: np.ndarray, descriptor: DatasetDescriptor, normalize: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """The query as encoders and gate read it, and the descriptor features.
+
+    The query is z-scored with the descriptor unless ``normalize`` is False.
+    """
+    if normalize:
+        query_z = normalize_context(query, descriptor)
+    else:
+        query_z = np.asarray(query, dtype=np.float64)
+    return query_z, descriptor_features(descriptor)
+
+
+def retrieve_supports(
+    experts: list[RetrievalExpert],
+    store: CalibrationStore,
+    query_z: np.ndarray,
+    feats: np.ndarray,
+    descriptor: DatasetDescriptor | None,
+) -> list[RetrievalResult]:
+    """Every expert's top-k weighted support for one query, from one key pass.
+
+    ``query_z`` is the query as the encoders read it, z-scored with
+    ``descriptor``; with ``descriptor=None`` both the query and the store's
+    contexts are used raw. The M emitted maps are stacked and keyed against
+    the store's ring-order key inputs in one GEMM. Only the (M, n) scores
+    are put in chronological order, so ties still go to the older entry.
+    """
+    if len(store) == 0:
+        raise DataError("cannot retrieve from an empty calibration store")
+    if not np.all(np.isfinite(query_z)):
+        raise NumericError("the z-scored query is not finite")
+    maps = [expert.encoder.emit(query_z, feats) for expert in experts]
+    if len({A.data.shape for A, _ in maps}) != 1:
+        raise DataError("experts retrieved together must share one key dimension")
+    A = np.stack([A.data for A, _ in maps])
+    b = np.stack([b.data for _, b in maps])
+    q = normalize_keys(A, b, query_z[:, None])[..., 0]
+    keys = normalize_keys(A, b, store.key_inputs(descriptor))
+    scores = store.chronological(np.stack([q_m @ keys_m for q_m, keys_m in zip(q, keys)]))
+    residuals = store.residuals()
+    results = []
+    for expert, expert_scores in zip(experts, scores):
+        expert.projections.add(len(store))
+        sel = topk_retrieve(expert_scores, expert.config.top_k)
+        top = expert_scores[sel]
+        weights = support_weights(top, expert.config.weight_temperature)
+        results.append(
+            RetrievalResult(
+                support_indices=sel,
+                scores=top,
+                weights=weights.data,
+                residuals=residuals[sel],
+            )
+        )
+    return results
 
 
 def expert_support(

@@ -14,7 +14,7 @@ import numpy as np
 from rarecp import autodiff as ad
 from rarecp.autodiff import Tensor
 from rarecp.conformal import PredictionInterval, WeightedSupport, build_interval
-from rarecp.data import CalibrationStore, DatasetDescriptor, normalize_context
+from rarecp.data import CalibrationStore, DatasetDescriptor
 from rarecp.errors import DataError
 from rarecp.experts import (
     RetrievalExpert,
@@ -22,7 +22,8 @@ from rarecp.experts import (
     _mlp_forward,
     _mlp_init,
     descriptor_feature_dim,
-    descriptor_features,
+    query_features,
+    retrieve_supports,
 )
 
 
@@ -66,15 +67,13 @@ class GateParams:
         return _mlp_forward(self.layers, ad.constant(inputs), self.activation)
 
 
-def gate_weights(
-    params: GateParams,
-    query: np.ndarray,
-    descriptor: DatasetDescriptor,
-    normalize: bool = True,
-) -> np.ndarray:
-    """Softmax simplex weights over experts for one query."""
-    query_z = normalize_context(query, descriptor) if normalize else np.asarray(query)
-    logits = params.logits(query_z, descriptor_features(descriptor))
+def gate_weights(params: GateParams, query_z: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """Softmax simplex weights over experts for one query.
+
+    ``query_z`` and ``feats`` are the query and descriptor features as the
+    experts read them (see ``query_features``).
+    """
+    logits = params.logits(query_z, feats)
     return ad.softmax_with_temperature(logits, 1.0).data
 
 
@@ -113,12 +112,16 @@ def mixed_support(
     query: np.ndarray,
     normalize: bool = True,
 ) -> tuple[WeightedSupport, np.ndarray, np.ndarray]:
-    """Full mixture pipeline: per-expert retrieval, gate, weight-space merge."""
-    retrievals = [
-        expert.retrieve(store, query, descriptor, normalize=normalize)
-        for expert in experts
-    ]
-    pi = gate_weights(gate, query, descriptor, normalize=normalize)
+    """Full mixture pipeline: stacked expert retrieval, gate, weight-space merge.
+
+    The query is z-scored and the descriptor features are built once per
+    call, and the experts and the gate share them.
+    """
+    query_z, feats = query_features(query, descriptor, normalize)
+    retrievals = retrieve_supports(
+        experts, store, query_z, feats, descriptor if normalize else None
+    )
+    pi = gate_weights(gate, query_z, feats)
     support, union = mix_supports(pi, retrievals)
     return support, union, pi
 

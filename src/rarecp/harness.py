@@ -36,6 +36,7 @@ from rarecp.data import (
     compute_descriptor,
 )
 from rarecp.errors import DataError, NumericError
+from rarecp.experts import topk_retrieve
 from rarecp.gate import rarecp_interval
 
 METHODS = ("uniform", "aci_uniform", "nexcp", "rarecp_checkpoint")
@@ -303,7 +304,7 @@ def topk_consistency_probe(
             q = queries[qi]
             q = q / np.sqrt(float(q @ q) + 1e-12)
             scores = keys @ q
-            sel = np.lexsort((np.arange(n), -scores))[:k]
+            sel = topk_retrieve(scores, k)
             if weight_mode == "uniform":
                 weights = np.full(k, 1.0 / k)
             else:

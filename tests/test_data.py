@@ -183,7 +183,9 @@ class TestCalibrationStore:
 
     def test_views_are_read_only(self):
         store = CalibrationStore.from_entries([_entry(i) for i in range(4)])
-        for view in (store.contexts(), store.residuals(), *store.sorted_residuals()):
+        views = (store.contexts(), store.residuals(), *store.sorted_residuals(),
+                 store.key_inputs())
+        for view in views:
             with pytest.raises(ValueError):
                 view[0] = 99
 
@@ -251,6 +253,66 @@ class TestCalibrationStore:
             np.testing.assert_array_equal(
                 sorted_values.view(np.uint64), residuals[order].view(np.uint64)
             )
+
+
+class TestKeyInputs:
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 10),
+        st.integers(0, 30),
+        st.integers(0, 30),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_kept_in_ring_order_by_appends(self, capacity, n_seed, n_appends, first_request,
+                                           normalize):
+        """Lazily built, then kept per append: equals z-scoring the chronological contexts."""
+        rng = np.random.default_rng(capacity * 1000 + n_seed * 31 + n_appends)
+        X = rng.standard_normal((n_seed + n_appends, 3))
+        store = CalibrationStore.from_arrays(X[:n_seed], np.zeros(n_seed), capacity)
+        descriptor = compute_descriptor(X[:n_seed]) if normalize else None
+        for t in range(n_seed, n_seed + n_appends + 1):
+            if t > n_seed:
+                store.append(CalibrationEntry(X[t - 1], 0.0, t - 1))
+            if t - n_seed < first_request:
+                continue
+            view = store.key_inputs(descriptor)
+            expected = store.contexts()
+            if normalize:
+                expected = normalize_context(expected, descriptor)
+            assert view.shape == (3, len(store))
+            np.testing.assert_array_equal(store.chronological(view), expected.T)
+
+    def test_rebuilt_only_for_another_descriptor(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((6, 2))
+        store = CalibrationStore.from_arrays(X, np.zeros(6), capacity=4)
+        d1 = compute_descriptor(X)
+        d2 = compute_descriptor(3.0 * X + 1.0)
+        first = store.key_inputs(d1)
+        assert np.shares_memory(store.key_inputs(d1), first)
+        np.testing.assert_array_equal(store.key_inputs(d2), normalize_context(X[2:], d2).T)
+        assert not np.shares_memory(store.key_inputs(d2), first)
+        np.testing.assert_array_equal(store.key_inputs(None), X[2:].T)
+
+    def test_non_finite_z_column_rejected_before_append(self):
+        d = compute_descriptor(np.zeros((4, 2)))  # sigma at the floor, 1e-6
+        store = CalibrationStore.from_arrays(np.zeros((4, 2)), np.arange(4.0))
+        store.key_inputs(d)
+        with pytest.raises(DataError, match="not finite"), np.errstate(over="ignore"):
+            store.append(CalibrationEntry(np.array([0.0, 1e303]), 9.0, 10))
+        assert len(store) == 4 and store.version == 4
+        np.testing.assert_array_equal(store.residuals(), np.arange(4.0))
+        # a store that never keys its contexts takes the entry
+        plain = CalibrationStore.from_arrays(np.zeros((4, 2)), np.arange(4.0))
+        plain.append(CalibrationEntry(np.array([0.0, 1e303]), 9.0, 10))
+        with pytest.raises(DataError, match="not finite"), np.errstate(over="ignore"):
+            plain.key_inputs(d)
+
+    def test_descriptor_dimension_checked(self):
+        store = CalibrationStore.from_arrays(np.zeros((4, 2)), np.zeros(4))
+        with pytest.raises(DataError, match="dimension"):
+            store.key_inputs(compute_descriptor(np.zeros((4, 3))))
 
 
 class TestForecastSources:

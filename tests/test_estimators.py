@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rarecp.conformal import build_interval
-from rarecp.errors import DataError, NotFittedError
+from rarecp.errors import DataError, NotFittedError, NumericError
 from rarecp.estimators import RareCP, SplitConformal
 
 
@@ -119,6 +119,17 @@ class TestRareCP:
                 est.predict_interval(x, forecast=0.0)
             with pytest.raises(DataError, match="expected 7"):
                 est.weighted_support(x)
+
+    def test_overflowing_query_raises(self, fitted):
+        # the query keys' squared norms overflow; the interval must not be
+        # built from all-zero keys, i.e. from the k oldest entries
+        est, X, _ = fitted
+        with pytest.raises(NumericError):
+            est.predict_interval(1e200 * X[0], forecast=0.0)
+        with pytest.raises(NumericError):
+            est.weighted_support(1e200 * X[0])
+        interval = est.predict_interval(X[0], forecast=0.0)
+        assert np.isfinite(interval.lower) and np.isfinite(interval.upper)
 
     def test_seed_store_keeps_time_indices(self, fitted):
         est, X, y = fitted

@@ -1,13 +1,17 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rarecp.checkpoint import load_checkpoint, save_checkpoint
+from rarecp.conformal import WeightedSupport, build_interval
 from rarecp.data import (
     CalibrationEntry,
     CalibrationStore,
     compute_descriptor,
+    normalize_context,
 )
 from rarecp.errors import DataError
 from rarecp.experts import (
@@ -19,10 +23,11 @@ from rarecp.experts import (
     emit_expert_map,
     expert_support,
     identity_map,
-    normalize_key,
+    normalize_keys,
     support_weights,
     topk_retrieve,
 )
+from rarecp.gate import GateParams, mixed_support, rarecp_interval
 
 
 def make_store(rng, n=40, dim=6, residuals=None):
@@ -46,16 +51,16 @@ def make_expert(dim, latent=4, k=8, beta=12.0, seed=0, kind="hypernetwork", **kw
 
 class TestNormalizeKey:
     def test_identity_map_normalizes(self):
-        key = normalize_key(np.eye(2), np.zeros(2), np.array([3.0, 4.0]))
-        np.testing.assert_allclose(key.data, [0.6, 0.8], atol=1e-9)
+        key = normalize_keys(np.eye(2), np.zeros(2), np.array([[3.0], [4.0]]))[:, 0]
+        np.testing.assert_allclose(key, [0.6, 0.8], atol=1e-9)
 
     def test_unit_norm_and_sphere_identity(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((4, 6))
         b = rng.standard_normal(4)
         for _ in range(50):
-            u = normalize_key(A, b, rng.standard_normal(6)).data
-            v = normalize_key(A, b, rng.standard_normal(6)).data
+            u = normalize_keys(A, b, rng.standard_normal((6, 1)))[:, 0]
+            v = normalize_keys(A, b, rng.standard_normal((6, 1)))[:, 0]
             assert abs(np.linalg.norm(u) - 1.0) < 1e-9
             lhs = np.sum((u - v) ** 2)
             rhs = 2.0 - 2.0 * float(u @ v)
@@ -65,9 +70,9 @@ class TestNormalizeKey:
         rng = np.random.default_rng(1)
         A = rng.standard_normal((3, 5))
         b = rng.standard_normal(3)
-        x = rng.standard_normal(5)
-        u1 = normalize_key(A, b, x).data
-        u2 = normalize_key(5.0 * A, 5.0 * b, x).data
+        x = rng.standard_normal((5, 1))
+        u1 = normalize_keys(A, b, x)[:, 0]
+        u2 = normalize_keys(5.0 * A, 5.0 * b, x)[:, 0]
         np.testing.assert_allclose(u1, u2, atol=1e-12)
 
 
@@ -86,6 +91,19 @@ class TestTopkRetrieve:
         np.testing.assert_array_equal(
             sorted(topk_retrieve(np.array([3.0, 1.0, 2.0]), 10)), [0, 1, 2]
         )
+
+    @given(
+        st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), min_size=1, max_size=60),
+        st.integers(1, 70),
+    )
+    @example([-0.0, 0.0, -1.0, -0.0, 0.0], 3)  # signed zeros tie
+    @example([0.3] * 40, 1)  # all equal
+    @example([-0.0] * 7, 9)  # all equal, k >= n
+    @settings(max_examples=300, deadline=None)
+    def test_equals_lexsort_under_heavy_ties(self, values, k):
+        scores = np.array(values)
+        oracle = np.lexsort((np.arange(scores.size), -scores))[:k]
+        np.testing.assert_array_equal(topk_retrieve(scores, k), oracle)
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(2)
@@ -212,25 +230,27 @@ class TestExpertSupport:
         total = sum(e.projections.count for e in experts)
         assert total == len(experts) * n_queries * len(store)
 
-    def test_fixed_affine_cache_counts_once_per_store_version(self):
+    def test_equal_version_stores_retrieve_their_own_neighbours(self):
+        # retrieval state never outlives a call: two stores at the same
+        # version each get the brute-force neighbours of their own contexts
         rng = np.random.default_rng(7)
-        store = make_store(rng, n=11, dim=4)
-        descriptor = compute_descriptor(store.contexts())
-        expert = make_expert(4, kind="fixed_affine", cache_keys=True)
-        for _ in range(4):
-            expert.retrieve(store, rng.standard_normal(4), descriptor)
-        assert expert.projections.count == len(store)
-        store.append(CalibrationEntry(rng.standard_normal(4), 0.1, 100))
-        expert.retrieve(store, rng.standard_normal(4), descriptor)
-        assert expert.projections.count == 11 + len(store)
-
-    def test_cache_forbidden_for_hypernetwork(self):
-        with pytest.raises(DataError):
-            RetrievalExpert(
-                encoder=HypernetworkParams(4, 4, hidden_dim=8, hidden_layers=1),
-                config=ExpertConfig(latent_dim=4),
-                cache_keys=True,
-            )
+        stores = [
+            CalibrationStore.from_arrays(rng.standard_normal((10, 4)), rng.standard_normal(10))
+            for _ in range(2)
+        ]
+        assert stores[0].version == stores[1].version
+        descriptor = compute_descriptor(np.vstack([s.contexts() for s in stores]))
+        expert = make_expert(4, k=3, kind="fixed_affine")
+        query = rng.standard_normal(4)
+        A, b = expert.encoder.as_arrays()
+        for store in stores:
+            result = expert.retrieve(store, query, descriptor)
+            keys = A @ normalize_context(store.contexts(), descriptor).T + b[:, None]
+            keys /= np.linalg.norm(keys, axis=0)
+            q = A @ normalize_context(query, descriptor) + b
+            brute = np.argsort(-(q @ keys), kind="stable")[:3]
+            np.testing.assert_array_equal(result.support_indices, brute)
+            np.testing.assert_array_equal(result.residuals, store.residuals()[brute])
 
     def test_scale_invariance_of_supports(self):
         # scaling (A, b) jointly by c > 0 leaves keys, hence supports, unchanged
@@ -245,6 +265,132 @@ class TestExpertSupport:
         after = expert.retrieve(store, query, descriptor)
         np.testing.assert_array_equal(before.support_indices, after.support_indices)
         np.testing.assert_allclose(before.weights, after.weights, atol=1e-9)
+
+
+GEMM_TIE = 1e-12  # oracle score gap the stacked GEMM's rounding may reorder
+
+
+def _oracle_retrieval(expert, contexts, query, descriptor, normalize):
+    """One expert by brute force: full normalisation, per-expert keys, full sort."""
+    if normalize:
+        qz = (query - descriptor.mu) / descriptor.sigma
+        cz = (contexts - descriptor.mu) / descriptor.sigma
+    else:
+        qz, cz = query, contexts
+    A, b = (t.data for t in expert.encoder.emit(qz, descriptor_features(descriptor)))
+    keys = A @ cz.T + b[:, None]
+    keys = keys / np.sqrt((keys * keys).sum(axis=0) + 1e-12)
+    q = A @ qz + b
+    q = q / np.sqrt(q @ q + 1e-12)
+    scores = q @ keys
+    order = np.lexsort((np.arange(scores.size), -scores))
+    k = min(expert.config.top_k, scores.size)
+    sel = order[:k]
+    z = scores[sel] * expert.config.beta
+    weights = np.exp(z - z.max())
+    tied = k < scores.size and scores[order[k - 1]] - scores[order[k]] <= GEMM_TIE
+    return scores, sel, weights / weights.sum(), tied
+
+
+def _check_retrieval(result, oracle, residuals):
+    scores, sel, weights, tied = oracle
+    np.testing.assert_array_equal(result.residuals, residuals[result.support_indices])
+    if tied:
+        # a GEMM-rounding tie at the k-th place: any of the tied entries may win
+        np.testing.assert_allclose(
+            np.sort(scores[result.support_indices]), np.sort(scores[sel]),
+            rtol=0, atol=GEMM_TIE,
+        )
+        return False
+    # GEMM rounding may also reorder exact ties inside the support, so the
+    # support is compared as a set (by index) and must be ranked by score
+    assert np.all(np.diff(result.scores) <= 0.0)
+    got, want = np.argsort(result.support_indices), np.argsort(sel)
+    np.testing.assert_array_equal(result.support_indices[got], sel[want])
+    np.testing.assert_allclose(result.weights[got], weights[want], rtol=1e-12, atol=0)
+    return True
+
+
+@st.composite
+def retrieval_cases(draw):
+    """A store, its appends and a set of experts, with ties and sigma-floor features."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(2, 4))
+    capacity = draw(st.integers(1, 9))
+    n_seed = draw(st.integers(1, 12))
+    n_rows = n_seed + draw(st.integers(0, 24))  # up to several wrap-arounds
+    kind = draw(st.sampled_from(["random", "duplicates", "constant"]))
+    if kind == "duplicates":
+        rows = rng.standard_normal((3, dim))[rng.integers(0, 3, size=n_rows)]
+    else:
+        rows = rng.standard_normal((n_rows, dim))
+    if kind == "constant":
+        rows[:n_seed, 0] = 2.5  # seeded constant: sigma sits at the floor
+        rows[n_seed:, 0] = 2.5 + 1e-3 * rng.integers(-1, 2, size=n_rows - n_seed)
+    residuals = rng.choice([-1.0, 0.0, 0.5, 2.0], size=n_rows) + 0.01 * np.arange(n_rows)
+    experts = []
+    for m in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, 6))  # capacity < k is common
+        encoder = draw(st.sampled_from(["hypernetwork", "fixed_affine"]))
+        experts.append(make_expert(dim, latent=3, k=k, beta=draw(st.sampled_from([1.0, 12.0])),
+                                   seed=m, kind=encoder))
+    return dict(rows=rows, residuals=residuals, capacity=capacity, n_seed=n_seed,
+                experts=experts, normalize=draw(st.booleans()),
+                first_request=draw(st.integers(0, n_rows - n_seed)),
+                queries=rng.standard_normal((n_rows, dim)))
+
+
+class TestStackedRetrievalOracle:
+    """The stacked GEMM, ring-order store keys and linear top-k change no result."""
+
+    @given(retrieval_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_retrieve_and_mixed_support_match_brute_force(self, case):
+        rows, residuals, n_seed = case["rows"], case["residuals"], case["n_seed"]
+        experts, normalize = case["experts"], case["normalize"]
+        store = CalibrationStore.from_arrays(rows[:n_seed], residuals[:n_seed], case["capacity"])
+        descriptor = compute_descriptor(rows[:n_seed])
+        gate = GateParams(rows.shape[1], len(experts), hidden_dim=3, seed=1)
+        gate.layers[-1][0].data = np.random.default_rng(2).standard_normal(
+            gate.layers[-1][0].data.shape)
+        for t in range(n_seed, rows.shape[0] + 1):
+            if t > n_seed:
+                store.append(CalibrationEntry(rows[t - 1], float(residuals[t - 1]), t - 1))
+            if t - n_seed < case["first_request"]:
+                continue  # the key inputs are built lazily on first request
+            query = case["queries"][t - 1]
+            contexts, stored = store.contexts(), store.residuals()
+            oracles = [_oracle_retrieval(e, contexts, query, descriptor, normalize)
+                       for e in experts]
+            exact = [
+                _check_retrieval(e.retrieve(store, query, descriptor, normalize=normalize),
+                                 oracle, stored)
+                for e, oracle in zip(experts, oracles)
+            ]
+            support, union, pi = mixed_support(store, experts, gate, descriptor, query,
+                                               normalize=normalize)
+            if not all(exact):
+                continue
+            qz = (query - descriptor.mu) / descriptor.sigma if normalize else query
+            logits = gate.logits(qz, descriptor_features(descriptor)).data
+            oracle_pi = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
+            merged = np.zeros(len(stored))
+            for p, (_, sel, weights, _) in zip(oracle_pi, oracles):
+                merged[sel] += p * weights
+            oracle_union = np.flatnonzero(merged > 0)
+            np.testing.assert_allclose(pi, oracle_pi, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(union, oracle_union)
+            np.testing.assert_array_equal(support.residuals, stored[union])
+            np.testing.assert_allclose(support.weights, merged[union], rtol=1e-12, atol=0)
+            alpha = 0.3
+            cum = np.cumsum(merged[union][np.argsort(stored[union], kind="stable")])
+            if np.any(np.abs(cum[:, None] - [alpha / 2, 1 - alpha / 2]) < 1e-12):
+                continue  # a weight boundary sits on a quantile level
+            got = rarecp_interval(0.0, query, store, experts, gate, descriptor, alpha,
+                                  normalize=normalize)
+            want = build_interval(0.0, WeightedSupport(stored[union], merged[union]), alpha)
+            np.testing.assert_allclose([got.lower, got.upper], [want.lower, want.upper],
+                                       rtol=1e-12, atol=0)
 
 
 class TestDescriptorFeatures:
@@ -293,6 +439,29 @@ class TestCheckpointRoundtrip:
         save_checkpoint(small_trained["components"], p1)
         save_checkpoint(small_trained["components"], p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_truncated_file_raises_data_error(self, small_trained, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(small_trained["components"], path)
+        payload = path.read_bytes()
+        path.write_bytes(payload[: len(payload) // 2])
+        with pytest.raises(DataError, match="truncated or malformed"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["drop_experts", "mistype_gate", "not_an_object"])
+    def test_malformed_document_raises_data_error(self, small_trained, tmp_path, edit):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(small_trained["components"], path)
+        doc = json.loads(path.read_text())
+        if edit == "drop_experts":
+            del doc["experts"]
+        elif edit == "mistype_gate":
+            doc["gate"]["tensors"]["w0"]["shape"] = "wide"
+        else:
+            doc = [doc]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
+            load_checkpoint(path)
 
     def test_version_guard(self, small_trained, tmp_path):
         path = tmp_path / "ckpt.json"

@@ -11,6 +11,7 @@ from rarecp.experts import (
     FixedAffineMap,
     RetrievalExpert,
     RetrievalResult,
+    query_features,
 )
 from rarecp.gate import GateParams, gate_weights, mix_supports, rarecp_interval
 
@@ -39,7 +40,7 @@ class TestGateWeights:
         contexts = rng.standard_normal((20, 5))
         descriptor = compute_descriptor(contexts)
         gate = GateParams(5, 3, hidden_dim=4, seed=0)
-        pi = gate_weights(gate, contexts[0], descriptor)
+        pi = gate_weights(gate, *query_features(contexts[0], descriptor))
         np.testing.assert_allclose(pi, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_dominant_logit(self):
@@ -51,7 +52,7 @@ class TestGateWeights:
         w_last, b_last = gate.layers[-1]
         w_last.data = np.zeros_like(w_last.data)
         b_last.data = np.array([10.0, 0.0, 0.0])
-        pi = gate_weights(gate, contexts[0], descriptor)
+        pi = gate_weights(gate, *query_features(contexts[0], descriptor))
         assert pi[0] > 0.9999
 
     def test_single_expert(self):
@@ -59,7 +60,7 @@ class TestGateWeights:
         contexts = rng.standard_normal((10, 4))
         descriptor = compute_descriptor(contexts)
         gate = GateParams(4, 1, hidden_dim=2, seed=0)
-        pi = gate_weights(gate, contexts[0], descriptor)
+        pi = gate_weights(gate, *query_features(contexts[0], descriptor))
         np.testing.assert_allclose(pi, [1.0])
 
     def test_logit_shift_invariance(self):
@@ -69,9 +70,9 @@ class TestGateWeights:
         gate = GateParams(4, 3, hidden_dim=4, seed=1)
         w_last, b_last = gate.layers[-1]
         b_last.data = np.array([0.3, -0.2, 0.8])
-        pi1 = gate_weights(gate, contexts[0], descriptor)
+        pi1 = gate_weights(gate, *query_features(contexts[0], descriptor))
         b_last.data = b_last.data + 5.0
-        pi2 = gate_weights(gate, contexts[0], descriptor)
+        pi2 = gate_weights(gate, *query_features(contexts[0], descriptor))
         np.testing.assert_allclose(pi1, pi2, atol=1e-12)
 
 

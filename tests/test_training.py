@@ -317,6 +317,7 @@ class TestGateTraining:
         dataset = tiny_dataset(rng, n=24)
         model = tiny_model()
         trainer = self._trained_experts(rng, dataset, model)
+        from rarecp.experts import query_features
         from rarecp.gate import GateParams, gate_weights
 
         gate = GateParams(5, model.n_experts, hidden_dim=2, seed=3)
@@ -330,7 +331,7 @@ class TestGateTraining:
             )
         entropies = []
         for i in range(24):
-            pi = gate_weights(gate, dataset.contexts[i], dataset.descriptor)
+            pi = gate_weights(gate, *query_features(dataset.contexts[i], dataset.descriptor))
             entropies.append(-np.sum(pi * np.log(pi + 1e-30)))
             assert 0.0 <= entropies[-1] <= np.log(model.n_experts) + 1e-12
         assert np.mean(entropies) > 0.9 * np.log(model.n_experts)
@@ -426,7 +427,7 @@ class TestBatchedEquivalence:
         """The episode-parallel path must reproduce literal leave-one-out
         retrieval: emit the query's map, key every candidate, take top-k,
         softmax the selected scores."""
-        from rarecp.experts import emit_expert_map, normalize_key, normalize_keys, topk_retrieve
+        from rarecp.experts import emit_expert_map, normalize_keys, topk_retrieve
         from rarecp.training import _expert_retrieval_batch, loo_episodes
         from rarecp import autodiff as ad
 
@@ -443,8 +444,8 @@ class TestBatchedEquivalence:
             cand = episode.candidate_positions
             query_z = dataset.contexts_z[j]
             A, b = encoder.emit(query_z, dataset.feats)
-            keys = normalize_keys(A.data, b.data, dataset.contexts_z[cand]).data
-            q = normalize_key(A.data, b.data, query_z).data
+            keys = normalize_keys(A.data, b.data, dataset.contexts_z[cand].T)
+            q = normalize_keys(A.data, b.data, query_z[:, None])[:, 0]
             scores = q @ keys
             naive_sel = cand[topk_retrieve(scores, k)]
             naive_weights = ad.softmax_with_temperature(
