@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from rarecp import gradcheck as gradcheck_suite
 from rarecp.checkpoint import components_from_trainer, save_checkpoint
@@ -29,7 +28,7 @@ from rarecp.harness import (
     eval_split_std,
     run_chronological_eval,
     topk_consistency_probe,
-    calibration_entries,
+    calibration_block,
 )
 from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
 from rarecp.training import (
@@ -117,18 +116,18 @@ def train(config_path, series_path, column, checkpoint_path, log_path, seed):
     series = _load_series(cfg)
     source = _forecast_source(cfg)
     split = chronological_split(len(series), _split_spec(cfg))
-    entries = calibration_entries(
+    contexts, residuals, _ = calibration_block(
         series, split.cal, source, cfg.window, cfg.include_forecast
     )
     if cfg.strict_split:
         # learn on the earlier half; the later half stays a pure residual pool
-        learn_count = len(entries) // 2
+        learn_count = residuals.size // 2
         if learn_count < 3:
             raise DataError("strict_split needs at least 6 calibration points")
-        entries = entries[:learn_count]
+        contexts, residuals = contexts[:learn_count], residuals[:learn_count]
     dataset = CalibrationDataset.from_arrays(
-        np.stack([e.context for e in entries]),
-        np.array([e.residual for e in entries]),
+        contexts,
+        residuals,
         dataset_id=cfg.dataset_id,
         sigma_floor=cfg.sigma_floor,
         normalize=cfg.normalize_contexts,

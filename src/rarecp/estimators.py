@@ -10,6 +10,8 @@ calibration window.
 
 from __future__ import annotations
 
+from dataclasses import asdict, fields
+
 import numpy as np
 
 from rarecp.base import BaseEstimator
@@ -175,20 +177,8 @@ class RareCP(BaseEstimator):
     # -- configuration ------------------------------------------------------
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            n_experts=self.n_experts,
-            latent_dim=self.latent_dim,
-            top_k=self.top_k,
-            beta=self.beta,
-            hidden_dim=self.hidden_dim,
-            hidden_layers=self.hidden_layers,
-            activation=self.activation,
-            encoder_kind=self.encoder_kind,
-            gate_hidden_dim=self.gate_hidden_dim,
-            window=self.window,
-            include_forecast=self.include_forecast,
-            normalize_contexts=self.normalize_contexts,
-        )
+        # every ModelConfig field is a constructor argument of the same name
+        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(
@@ -237,21 +227,7 @@ class RareCP(BaseEstimator):
     def from_checkpoint(cls, path, dataset_id: int = 0) -> "RareCP":
         """Rebuild an estimator around saved components (store left empty)."""
         components = load_checkpoint(path)
-        model = components.model
-        est = cls(
-            n_experts=model.n_experts,
-            top_k=model.top_k,
-            beta=model.beta,
-            latent_dim=model.latent_dim,
-            hidden_dim=model.hidden_dim,
-            hidden_layers=model.hidden_layers,
-            activation=model.activation,
-            encoder_kind=model.encoder_kind,
-            gate_hidden_dim=model.gate_hidden_dim,
-            window=model.window,
-            include_forecast=model.include_forecast,
-            normalize_contexts=model.normalize_contexts,
-        )
+        est = cls(**asdict(components.model))
         est.components_ = components
         est._dataset_id = int(dataset_id)
         return est

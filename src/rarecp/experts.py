@@ -7,8 +7,9 @@ cosine-normalized, so retrieval is nearest-neighbor on the unit sphere:
 ``|u - v|^2 = 2 - 2 u.v``. The expert keeps the top-k calibration keys by
 dot product and puts temperature-softmax weights on exactly that support.
 
-``retrieve_supports`` serves all M experts of a query at once: it stacks
-their maps into one (M*L, p) matrix and keys the store's z-scored
+``retrieve_supports`` serves all M experts of a query at once, in plain
+numpy: an ``ExpertStack`` holds their weights stacked, so the M maps come
+from one batched matmul per layer and key the store's z-scored
 contexts (kept by the store itself, see ``CalibrationStore.key_inputs``)
 with a single GEMM. Calibration keys depend on the query's map, so they
 are recomputed for every query and never cached.
@@ -16,6 +17,7 @@ are recomputed for every query and never cached.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +96,30 @@ def _mlp_forward(layers, x: Tensor, activation: str) -> Tensor:
     return ad.affine(w, h, b)
 
 
+def mlp_arrays(layers, x: np.ndarray, activation: str) -> np.ndarray:
+    """``_mlp_forward`` in plain numpy, with the same arithmetic, for one input ``x``.
+
+    Weights stacked as (M, out, in) with (M, out) biases run M networks on
+    ``x``, one row each, bit-identical to running them one at a time.
+    """
+    h = x
+    for i, (w, b) in enumerate(layers):
+        h = np.matmul(w, h[..., None])[..., 0] + b
+        if i < len(layers) - 1:
+            h = np.tanh(h) if activation == "tanh" else np.where(h > 0, h, 0.0)
+    return h
+
+
+def _wrap_layers(cls, layers, activation: str):
+    """A ``cls`` whose layers wrap given (weight, bias) arrays; nothing is drawn or copied."""
+    self = cls.__new__(cls)
+    self.layers = [
+        (Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)) for w, b in layers
+    ]
+    self.activation = activation
+    return self
+
+
 def identity_map(latent_dim: int, context_dim: int) -> np.ndarray:
     """Identity-like (latent_dim, context_dim) matrix on the most recent features.
 
@@ -129,8 +155,6 @@ class HypernetworkParams:
             raise DataError("hypernetwork needs at least one hidden layer")
         self.context_dim = int(context_dim)
         self.latent_dim = int(latent_dim)
-        self.hidden_dim = int(hidden_dim)
-        self.hidden_layers = int(hidden_layers)
         self.activation = activation
         input_dim = context_dim + descriptor_feature_dim(context_dim)
         out_dim = latent_dim * (context_dim + 1)
@@ -153,20 +177,27 @@ class HypernetworkParams:
             A0, b0 = final_bias_map
         b_last.data = np.concatenate([np.asarray(A0).reshape(-1), np.asarray(b0)])
 
+    @classmethod
+    def from_arrays(cls, layers, activation: str) -> "HypernetworkParams":
+        """A hypernetwork wrapping given (weight, bias) arrays, uncopied."""
+        self = _wrap_layers(cls, layers, activation)
+        self.context_dim = (layers[0][0].shape[1] - 2) // 2  # input: 2 p + 2
+        self.latent_dim = layers[-1][0].shape[0] // (self.context_dim + 1)
+        return self
+
     def parameters(self) -> list[Tensor]:
         return [t for pair in self.layers for t in pair]
 
     def emit(self, query_z: np.ndarray, feats: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Forward pass producing the affine map (A, b) for one query."""
-        x = ad.constant(np.concatenate([query_z, feats]))
-        out = _mlp_forward(self.layers, x, self.activation)
-        split = self.latent_dim * self.context_dim
-        A = ad.reshape(
-            ad.index_select(out, np.arange(split)),
-            (self.latent_dim, self.context_dim),
+        """The affine map (A, b) for one query, as constant tensors."""
+        out = mlp_arrays(
+            [(w.data, b.data) for w, b in self.layers],
+            np.concatenate([query_z, feats]),
+            self.activation,
         )
-        b = ad.index_select(out, np.arange(split, split + self.latent_dim))
-        return A, b
+        split = self.latent_dim * self.context_dim
+        A = out[:split].reshape(self.latent_dim, self.context_dim)
+        return ad.constant(A), ad.constant(out[split:])
 
     def emit_batch(self, inputs: np.ndarray) -> Tensor:
         """Flat (A, b) stack for a whole (input_dim, B) query block."""
@@ -189,6 +220,14 @@ class FixedAffineMap:
         A0 = identity_map(latent_dim, context_dim)
         self.A = ad.parameter(A0 + init_noise * rng.standard_normal(A0.shape))
         self.b = ad.parameter(init_noise * rng.standard_normal(latent_dim))
+
+    @classmethod
+    def from_arrays(cls, A: np.ndarray, b: np.ndarray) -> "FixedAffineMap":
+        """A fixed map wrapping the given (L, p) ``A`` and (L,) ``b``, uncopied."""
+        self = cls.__new__(cls)
+        self.A, self.b = Tensor(A, requires_grad=True), Tensor(b, requires_grad=True)
+        self.latent_dim, self.context_dim = A.shape
+        return self
 
     def parameters(self) -> list[Tensor]:
         return [self.A, self.b]
@@ -255,9 +294,11 @@ def topk_retrieve(scores: np.ndarray, k: int) -> np.ndarray:
     return top[np.lexsort((top, -scores[top]))]
 
 
-def support_weights(scores, temperature: float) -> Tensor:
-    """Temperature softmax over the retained support scores only."""
-    return ad.softmax_with_temperature(scores, temperature)
+def support_weights(scores: np.ndarray, temperature: float) -> np.ndarray:
+    """Temperature softmax, as ``autodiff.softmax_with_temperature`` computes it."""
+    z = np.asarray(scores, dtype=np.float64) / temperature
+    e = np.exp(z - z.max())
+    return e / e.sum()
 
 
 @dataclass
@@ -326,8 +367,77 @@ def query_features(
     return query_z, descriptor_features(descriptor)
 
 
+class ExpertStack(Sequence):
+    """A model's M retrieval experts, with their weights stacked once for serving.
+
+    ``layers`` stacks each layer of the hypernetwork experts, which share
+    one architecture, as (H, out, in) weights and (H, out) biases. ``flat``
+    holds each fixed-affine expert's map ``[A.ravel(), b]`` as one row, in
+    the layout a hypernetwork emits, or is None without such experts. The
+    experts' tensors are views of these arrays. Indexing gives the experts.
+    """
+
+    def __init__(self, experts, layers, flat: np.ndarray | None = None):
+        self.experts, self.layers, self.flat = list(experts), list(layers), flat
+        encoders = [e.encoder for e in self.experts]
+        self.hyper = [m for m, enc in enumerate(encoders) if isinstance(enc, HypernetworkParams)]
+        self.activation = encoders[self.hyper[0]].activation if self.hyper else None
+        self.shape = (len(encoders), encoders[0].latent_dim, encoders[0].context_dim)
+
+    def __getitem__(self, i):
+        return self.experts[i]
+
+    def __len__(self) -> int:
+        return len(self.experts)
+
+    @classmethod
+    def of(cls, experts) -> "ExpertStack":
+        """Copy the weights of ``experts`` into a stack and point their tensors at it.
+
+        The experts must share one key map shape, and the hypernetworks
+        among them one architecture. A stack is returned as it is.
+        """
+        if isinstance(experts, ExpertStack):
+            return experts
+        encoders = [e.encoder for e in experts]
+        if len({(enc.latent_dim, enc.context_dim) for enc in encoders}) != 1:
+            raise DataError("experts retrieved together must share one key dimension")
+        hyper = [enc for enc in encoders if isinstance(enc, HypernetworkParams)]
+        if len({(enc.activation, *(w.shape for w, _ in enc.layers)) for enc in hyper}) > 1:
+            raise DataError("hypernetwork experts stacked together must share one architecture")
+        layers = [
+            tuple(np.stack([t.data for t in tensors]) for tensors in zip(*pairs))
+            for pairs in zip(*(enc.layers for enc in hyper))
+        ]
+        for h, enc in enumerate(hyper):
+            for (w, b), (w_all, b_all) in zip(enc.layers, layers):
+                w.data, b.data = w_all[h], b_all[h]
+        flat = None
+        if len(hyper) < len(encoders):
+            L, p = encoders[0].latent_dim, encoders[0].context_dim
+            flat = np.zeros((len(encoders), L * (p + 1)))
+            for row, enc in zip(flat, encoders):
+                if isinstance(enc, FixedAffineMap):
+                    row[: L * p], row[L * p :] = enc.A.data.reshape(-1), enc.b.data
+                    enc.A.data, enc.b.data = row[: L * p].reshape(L, p), row[L * p :]
+        return cls(experts, layers, flat)
+
+    def maps(self, query_z: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The M key maps of one query: A as (M, L, p) and b as (M, L)."""
+        flat = self.flat
+        if self.layers:
+            emitted = mlp_arrays(self.layers, np.concatenate([query_z, feats]), self.activation)
+            if flat is None:
+                flat = emitted
+            else:
+                flat = flat.copy()
+                flat[self.hyper] = emitted
+        M, L, p = self.shape
+        return flat[:, : L * p].reshape(M, L, p), flat[:, L * p :]
+
+
 def retrieve_supports(
-    experts: list[RetrievalExpert],
+    experts: ExpertStack | list[RetrievalExpert],
     store: CalibrationStore,
     query_z: np.ndarray,
     feats: np.ndarray,
@@ -335,36 +445,33 @@ def retrieve_supports(
 ) -> list[RetrievalResult]:
     """Every expert's top-k weighted support for one query, from one key pass.
 
-    ``query_z`` is the query as the encoders read it, z-scored with
+    ``experts`` is a model's ``ExpertStack``, or a list stacked for this
+    call. ``query_z`` is the query as the encoders read it, z-scored with
     ``descriptor``; with ``descriptor=None`` both the query and the store's
-    contexts are used raw. The M emitted maps are stacked and keyed against
-    the store's ring-order key inputs in one GEMM. Only the (M, n) scores
-    are put in chronological order, so ties still go to the older entry.
+    contexts are used raw. The M maps are keyed against the store's
+    ring-order key inputs in one GEMM. Only the (M, n) scores are put in
+    chronological order, so ties still go to the older entry.
     """
     if len(store) == 0:
         raise DataError("cannot retrieve from an empty calibration store")
     if not np.all(np.isfinite(query_z)):
         raise NumericError("the z-scored query is not finite")
-    maps = [expert.encoder.emit(query_z, feats) for expert in experts]
-    if len({A.data.shape for A, _ in maps}) != 1:
-        raise DataError("experts retrieved together must share one key dimension")
-    A = np.stack([A.data for A, _ in maps])
-    b = np.stack([b.data for _, b in maps])
+    stack = ExpertStack.of(experts)
+    A, b = stack.maps(query_z, feats)
     q = normalize_keys(A, b, query_z[:, None])[..., 0]
     keys = normalize_keys(A, b, store.key_inputs(descriptor))
-    scores = store.chronological(np.stack([q_m @ keys_m for q_m, keys_m in zip(q, keys)]))
+    scores = store.chronological(np.matmul(q[:, None, :], keys)[:, 0])
     residuals = store.residuals()
     results = []
-    for expert, expert_scores in zip(experts, scores):
+    for expert, expert_scores in zip(stack, scores):
         expert.projections.add(len(store))
         sel = topk_retrieve(expert_scores, expert.config.top_k)
         top = expert_scores[sel]
-        weights = support_weights(top, expert.config.weight_temperature)
         results.append(
             RetrievalResult(
                 support_indices=sel,
                 scores=top,
-                weights=weights.data,
+                weights=support_weights(top, expert.config.weight_temperature),
                 residuals=residuals[sel],
             )
         )

@@ -17,13 +17,17 @@ from rarecp.conformal import PredictionInterval, WeightedSupport, build_interval
 from rarecp.data import CalibrationStore, DatasetDescriptor
 from rarecp.errors import DataError
 from rarecp.experts import (
+    ExpertStack,
     RetrievalExpert,
     RetrievalResult,
     _mlp_forward,
     _mlp_init,
+    _wrap_layers,
     descriptor_feature_dim,
+    mlp_arrays,
     query_features,
     retrieve_supports,
+    support_weights,
 )
 
 
@@ -44,9 +48,6 @@ class GateParams:
     ):
         if n_experts < 1:
             raise DataError("gate needs at least one expert")
-        self.context_dim = int(context_dim)
-        self.n_experts = int(n_experts)
-        self.hidden_dim = int(hidden_dim)
         self.activation = activation
         input_dim = context_dim + descriptor_feature_dim(context_dim)
         rng = np.random.default_rng([seed, 303])
@@ -55,12 +56,17 @@ class GateParams:
         w_last.data = np.zeros_like(w_last.data)
         b_last.data = np.zeros_like(b_last.data)
 
+    @classmethod
+    def from_arrays(cls, layers, activation: str) -> "GateParams":
+        """A gate wrapping given (weight, bias) arrays, uncopied."""
+        return _wrap_layers(cls, layers, activation)
+
     def parameters(self) -> list[Tensor]:
         return [t for pair in self.layers for t in pair]
 
     def logits(self, query_z: np.ndarray, feats: np.ndarray) -> Tensor:
-        x = ad.constant(np.concatenate([query_z, feats]))
-        return _mlp_forward(self.layers, x, self.activation)
+        """Expert logits for one query, as a constant tensor."""
+        return ad.constant(_logits(self, query_z, feats))
 
     def logits_batch(self, inputs: np.ndarray) -> Tensor:
         """Logit columns for a whole (input_dim, B) query block."""
@@ -73,8 +79,12 @@ def gate_weights(params: GateParams, query_z: np.ndarray, feats: np.ndarray) -> 
     ``query_z`` and ``feats`` are the query and descriptor features as the
     experts read them (see ``query_features``).
     """
-    logits = params.logits(query_z, feats)
-    return ad.softmax_with_temperature(logits, 1.0).data
+    return support_weights(_logits(params, query_z, feats), 1.0)
+
+
+def _logits(params: GateParams, query_z: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    layers = [(w.data, b.data) for w, b in params.layers]
+    return mlp_arrays(layers, np.concatenate([query_z, feats]), params.activation)
 
 
 def mix_supports(
@@ -106,7 +116,7 @@ def mix_supports(
 
 def mixed_support(
     store: CalibrationStore,
-    experts: list[RetrievalExpert],
+    experts: ExpertStack | list[RetrievalExpert],
     gate: GateParams,
     descriptor: DatasetDescriptor,
     query: np.ndarray,
@@ -130,7 +140,7 @@ def rarecp_interval(
     forecast: float,
     query: np.ndarray,
     store: CalibrationStore,
-    experts: list[RetrievalExpert],
+    experts: ExpertStack | list[RetrievalExpert],
     gate: GateParams,
     descriptor: DatasetDescriptor,
     alpha: float,

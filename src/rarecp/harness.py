@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from rarecp.checkpoint import RareCPComponents, checkpoint_sha256, load_checkpoint
 from rarecp.conformal import (
@@ -90,6 +91,31 @@ def _resolve_components(cfg: EvalConfig) -> RareCPComponents:
     return load_checkpoint(cfg.checkpoint)
 
 
+def calibration_block(
+    series: TimeSeries,
+    indices,
+    source: ForecastSource,
+    window: int,
+    include_forecast: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Contexts (n, p), residuals (n,) and time indices (n,) for the given time indices.
+
+    Row ``j`` equals ``build_context(values[:i], forecast, ...)`` for ``i =
+    indices[j]``; the forecast source is asked once per index, in order.
+    """
+    values, times = series.values, np.asarray(indices, dtype=np.int64)
+    if window < 1 or (times.size and times.min() < 1):
+        raise DataError("calibration needs window >= 1 and at least one past value per index")
+    forecasts = np.array([source.point_forecast(values[:i], i) for i in times.tolist()], float)
+    padded = np.concatenate([np.full(window, values[0]), values])
+    contexts = sliding_window_view(padded, window)[times]
+    if include_forecast:
+        contexts = np.column_stack([contexts, forecasts])
+    if not np.all(np.isfinite(contexts)):
+        raise DataError("context contains non-finite values")
+    return contexts, values[times] - forecasts, times
+
+
 def calibration_entries(
     series: TimeSeries,
     indices,
@@ -97,21 +123,14 @@ def calibration_entries(
     window: int,
     include_forecast: bool,
 ) -> list[CalibrationEntry]:
-    """Build (context, residual) entries for the given time indices."""
-    values = series.values
-    entries = []
-    for i in indices:
-        if i < 1:
-            raise DataError("calibration indices need at least one past value")
-        history = values[:i]
-        forecast = source.point_forecast(history, i)
-        context = build_context(history, forecast, window, include_forecast)
-        entries.append(
-            CalibrationEntry(
-                context=context, residual=float(values[i] - forecast), time_index=int(i)
-            )
-        )
-    return entries
+    """(context, residual) entries for the given time indices, one per ``calibration_block`` row."""
+    contexts, residuals, times = calibration_block(
+        series, indices, source, window, include_forecast
+    )
+    return [
+        CalibrationEntry(context=x, residual=float(r), time_index=int(t))
+        for x, r, t in zip(contexts, residuals, times)
+    ]
 
 
 def run_chronological_eval(
@@ -150,9 +169,12 @@ def run_chronological_eval(
             raise DataError("checkpoint descriptor does not match its model dimensions")
 
     indices = split if isinstance(split, SplitIndices) else chronological_split(len(series), split)
-    entries = calibration_entries(series, indices.cal, source, window, include_forecast)
-    capacity = cfg.capacity or len(entries)
-    store = CalibrationStore.from_entries(entries, capacity=capacity)
+    contexts, residuals, times = calibration_block(
+        series, indices.cal, source, window, include_forecast
+    )
+    store = CalibrationStore.from_arrays(
+        contexts, residuals, cfg.capacity or times.size, start_time=indices.cal.start
+    )
 
     if method == "rarecp_checkpoint":
         # the descriptor characterizes the initial calibration set of THIS
@@ -213,7 +235,7 @@ def run_chronological_eval(
     if debug_state is not None:
         debug_state["store"] = store
         debug_state["final_alpha"] = aci.alpha_t if aci is not None else cfg.alpha
-        debug_state["seed_entries"] = len(entries)
+        debug_state["seed_entries"] = times.size
     return records
 
 

@@ -62,3 +62,33 @@ def small_trained(small_regime_problem, small_model_config):
         "entries": entries,
         "train_cfg": train_cfg,
     }
+
+
+@pytest.fixture
+def rewrite_checkpoint():
+    """Edit a saved checkpoint in place: ``rewrite(path, manifest_edit, blob_edit)``.
+
+    ``manifest_edit`` gets the decoded manifest and returns the one to write
+    (any JSON value); ``blob_edit`` gets the blob bytes and returns new ones.
+    The manifest is re-padded so the blob stays 8-byte aligned.
+    """
+    import json
+    import struct
+
+    from rarecp.checkpoint import MAGIC
+
+    def rewrite(path, manifest_edit=None, blob_edit=None):
+        data = path.read_bytes()
+        (length,) = struct.unpack_from("<Q", data, len(MAGIC))
+        start = len(MAGIC) + 8
+        manifest = json.loads(data[start : start + length])
+        blob = data[start + length :]
+        if manifest_edit is not None:
+            manifest = manifest_edit(manifest)
+        if blob_edit is not None:
+            blob = blob_edit(blob)
+        text = json.dumps(manifest).encode()
+        text += b" " * (-len(text) % 8)
+        path.write_bytes(MAGIC + struct.pack("<Q", len(text)) + text + blob)
+
+    return rewrite

@@ -1,0 +1,183 @@
+"""The binary checkpoint: exact round trips, views of one read, and every corruption refused."""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from rarecp.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
+from rarecp.data import PrecomputedForecast
+from rarecp.errors import DataError
+from rarecp.estimators import RareCP
+from rarecp.experts import ExpertConfig, ExpertStack, HypernetworkParams, RetrievalExpert
+from rarecp.harness import calibration_block
+from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
+
+WINDOW = 8
+FIT_N, SEED_N, STREAM_N = 60, 80, 200
+
+
+@pytest.fixture(scope="module")
+def regime_rows():
+    """Contexts and residuals of a two-regime stream with exact forecasts."""
+    config = two_regime_config(block_length=40, n_blocks=10, levels=(0.0, 12.0))
+    series, _ = synth_regime_series(config, seed=3)
+    source = PrecomputedForecast(dict(enumerate(clean_component(config))))
+    X, r, _ = calibration_block(
+        series, range(WINDOW, WINDOW + FIT_N + SEED_N + STREAM_N), source, WINDOW, True
+    )
+    forecasts = X[:, -1]
+    return X, r, forecasts
+
+
+def _small_rarecp(**kw):
+    return RareCP(n_experts=2, top_k=6, latent_dim=4, hidden_dim=8, hidden_layers=1,
+                  window=WINDOW, epochs=1, teacher_epochs=1, batch_size=32, seed=4, **kw)
+
+
+@pytest.mark.parametrize("encoder_kind", ["hypernetwork", "fixed_affine"])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_reloaded_model_serves_identical_intervals(regime_rows, tmp_path, encoder_kind,
+                                                   normalize):
+    X, r, forecasts = regime_rows
+    fitted = _small_rarecp(encoder_kind=encoder_kind, normalize_contexts=normalize)
+    fitted.fit(X[:FIT_N], r[:FIT_N])
+    path = tmp_path / "model.bin"
+    fitted.save(path)
+    loaded = RareCP.from_checkpoint(path)
+    seed_rows = slice(FIT_N, FIT_N + SEED_N)
+    for est in (fitted, loaded):
+        est.set_params(capacity=SEED_N)
+        est.seed_store(X[seed_rows], r[seed_rows], start_time=FIT_N)
+    for i in range(FIT_N + SEED_N, FIT_N + SEED_N + STREAM_N):
+        a = fitted.predict_interval(X[i], forecasts[i])
+        b = loaded.predict_interval(X[i], forecasts[i])
+        assert (a.lower, a.upper) == (b.lower, b.upper)
+        for est in (fitted, loaded):
+            est.observe(X[i], r[i])
+
+
+def test_loaded_experts_are_views_of_the_stacked_weights(small_trained, tmp_path):
+    path = tmp_path / "ckpt"
+    save_checkpoint(small_trained["components"], path)
+    loaded = load_checkpoint(path)
+    stack = loaded.experts
+    assert isinstance(stack, ExpertStack) and len(stack) == 2
+    for m, expert in enumerate(stack):
+        for (w, b), (w_all, b_all) in zip(expert.encoder.layers, stack.layers):
+            assert np.shares_memory(w.data, w_all) and np.shares_memory(b.data, b_all)
+            np.testing.assert_array_equal(w.data, w_all[m])
+    assert sum(w.nbytes + b.nbytes for w, b in stack.layers) < path.stat().st_size
+
+
+def test_stacking_rejects_hypernetworks_of_two_architectures():
+    experts = [
+        RetrievalExpert(HypernetworkParams(4, 3, hidden_dim=h, hidden_layers=1), ExpertConfig(3))
+        for h in (8, 9)
+    ]
+    with pytest.raises(DataError, match="one architecture"):
+        ExpertStack.of(experts)
+
+
+# ---------------------------------------------------------------------------
+# every corruption raises DataError
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def saved(small_trained, tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(small_trained["components"], path)
+    return path
+
+
+def _entry(doc, name):
+    return next(t for t in doc["tensors"] if t["name"] == name)
+
+
+def test_truncated_blob(saved):
+    saved.write_bytes(saved.read_bytes()[:-8])
+    with pytest.raises(DataError, match="the blob has .* bytes where its tensor table needs"):
+        load_checkpoint(saved)
+
+
+def test_truncated_header(saved):
+    saved.write_bytes(saved.read_bytes()[: len(MAGIC) + 4])
+    with pytest.raises(DataError, match="truncated or malformed"):
+        load_checkpoint(saved)
+
+
+def test_table_offset_past_the_end(saved, rewrite_checkpoint):
+    def edit(doc):
+        _entry(doc, "gate.b1")["offset"] = 1 << 40
+        return doc
+
+    rewrite_checkpoint(saved, edit)
+    with pytest.raises(DataError, match="tensor table differs"):
+        load_checkpoint(saved)
+
+
+@pytest.mark.parametrize("shape", [[4, 18], [20, 4]])
+def test_tensor_of_wrong_size_or_shape(saved, rewrite_checkpoint, shape):
+    # gate.w0 is (gate_hidden_dim, 2 p + 2) = (4, 20) for the small model
+    def edit(doc):
+        _entry(doc, "gate.w0")["shape"] = shape
+        return doc
+
+    rewrite_checkpoint(saved, edit)
+    with pytest.raises(DataError, match="tensor table differs"):
+        load_checkpoint(saved)
+
+
+def test_shapes_inconsistent_with_model_config(saved, rewrite_checkpoint):
+    def edit(doc):
+        doc["model"]["hidden_dim"] += 1
+        return doc
+
+    rewrite_checkpoint(saved, edit)
+    with pytest.raises(DataError, match="tensor table differs"):
+        load_checkpoint(saved)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight(saved, rewrite_checkpoint, value):
+    def edit(blob):
+        return blob[:-16] + struct.pack("<d", value) + blob[-8:]
+
+    rewrite_checkpoint(saved, blob_edit=edit)
+    with pytest.raises(DataError, match="not finite"):
+        load_checkpoint(saved)
+
+
+def test_bad_magic(saved):
+    saved.write_bytes(b"NOTRARE!" + saved.read_bytes()[len(MAGIC):])
+    with pytest.raises(DataError, match="bad magic"):
+        load_checkpoint(saved)
+
+
+def test_version_one_json_names_its_version(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"format_version": 1, "n_experts": 2}, separators=(",", ":")))
+    with pytest.raises(DataError, match=f"format version 1;.*only version {FORMAT_VERSION}"):
+        load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# file-system errors
+# ---------------------------------------------------------------------------
+
+
+def test_loading_a_directory_raises_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read checkpoint"):
+        RareCP.from_checkpoint(tmp_path)
+
+
+def test_loading_a_missing_file_raises_data_error(tmp_path):
+    with pytest.raises(DataError, match="cannot read checkpoint"):
+        load_checkpoint(tmp_path / "missing.bin")
+
+
+def test_saving_into_a_missing_directory_raises_data_error(small_trained, tmp_path):
+    with pytest.raises(DataError, match="cannot write checkpoint"):
+        save_checkpoint(small_trained["components"], tmp_path / "missing" / "model.json")

@@ -133,7 +133,7 @@ class TestCliFlows:
         assert (report / "manifest.json").exists()
 
     def test_strict_split_trains_on_first_half(self, tmp_path, fast_config):
-        import json
+        from rarecp.checkpoint import load_checkpoint
 
         data = tmp_path / "data"
         run_cli("synth", "--config", str(fast_config), "--out", str(data))
@@ -146,9 +146,8 @@ class TestCliFlows:
         )
         ckpt = tmp_path / "strict.json"
         assert run_cli("train", "--config", str(cfg), "--out", str(ckpt)) == 0
-        doc = json.loads(ckpt.read_text())
         # 480 points, cal split = 72, learning half = 36
-        log_n = doc["descriptors"]["0"]["log_n"]
+        log_n = load_checkpoint(ckpt).descriptor_for(0).log_n
         assert log_n == pytest.approx(np.log(36))
         report = tmp_path / "strict_report"
         assert (

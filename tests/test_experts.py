@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -117,23 +115,23 @@ class TestTopkRetrieve:
 
 class TestSupportWeights:
     def test_single_element(self):
-        np.testing.assert_allclose(support_weights(np.array([0.3]), 0.1).data, [1.0])
+        np.testing.assert_allclose(support_weights(np.array([0.3]), 0.1), [1.0])
 
     def test_equal_scores(self):
         np.testing.assert_allclose(
-            support_weights(np.array([0.7, 0.7]), 0.5).data, [0.5, 0.5]
+            support_weights(np.array([0.7, 0.7]), 0.5), [0.5, 0.5]
         )
 
     def test_sharp_temperature(self):
-        w = support_weights(np.array([1.0, 0.0]), 0.1).data
+        w = support_weights(np.array([1.0, 0.0]), 0.1)
         assert w[0] > 0.9999
 
     @given(st.floats(-3, 3))
     @settings(max_examples=50, deadline=None)
     def test_shift_invariance(self, shift):
         scores = np.array([0.1, -0.4, 0.9])
-        a = support_weights(scores, 0.3).data
-        b = support_weights(scores + shift, 0.3).data
+        a = support_weights(scores, 0.3)
+        b = support_weights(scores + shift, 0.3)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -449,24 +447,28 @@ class TestCheckpointRoundtrip:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", ["drop_experts", "mistype_gate", "not_an_object"])
-    def test_malformed_document_raises_data_error(self, small_trained, tmp_path, edit):
+    def test_malformed_document_raises_data_error(self, small_trained, tmp_path, edit,
+                                                  rewrite_checkpoint):
         path = tmp_path / "ckpt.json"
         save_checkpoint(small_trained["components"], path)
-        doc = json.loads(path.read_text())
-        if edit == "drop_experts":
-            del doc["experts"]
-        elif edit == "mistype_gate":
-            doc["gate"]["tensors"]["w0"]["shape"] = "wide"
-        else:
-            doc = [doc]
-        path.write_text(json.dumps(doc))
+
+        def edit_manifest(doc):
+            if edit == "drop_experts":
+                doc["tensors"] = [t for t in doc["tensors"]
+                                  if not t["name"].startswith("experts.")]
+            elif edit == "mistype_gate":
+                next(t for t in doc["tensors"] if t["name"] == "gate.w0")["shape"] = "wide"
+            else:
+                doc = [doc]
+            return doc
+
+        rewrite_checkpoint(path, edit_manifest)
         with pytest.raises(DataError):
             load_checkpoint(path)
 
-    def test_version_guard(self, small_trained, tmp_path):
+    def test_version_guard(self, small_trained, tmp_path, rewrite_checkpoint):
         path = tmp_path / "ckpt.json"
         save_checkpoint(small_trained["components"], path)
-        doc = path.read_text().replace('"format_version":1', '"format_version":99', 1)
-        path.write_text(doc)
+        rewrite_checkpoint(path, lambda doc: {**doc, "format_version": 99})
         with pytest.raises(DataError):
             load_checkpoint(path)

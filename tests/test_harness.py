@@ -2,17 +2,21 @@ import numpy as np
 import pytest
 
 from rarecp.data import (
+    ForecastSource,
     NaiveForecast,
     PrecomputedForecast,
     SplitIndices,
     SplitSpec,
     TimeSeries,
+    build_context,
 )
 from rarecp.conformal import AciState, aci_update, baseline_weights, build_interval
 from rarecp.errors import DataError, NumericError
 from rarecp.harness import (
     EvalConfig,
     EvalRecord,
+    calibration_block,
+    calibration_entries,
     compute_metrics,
     emit_report,
     eval_split_std,
@@ -292,3 +296,46 @@ class TestSplitIndicesPath:
         )
         assert [r.time_index for r in records] == list(range(35, 50))
         assert eval_split_std(series, split) > 0
+
+
+class _RecordingForecast(ForecastSource):
+    """Seasonal-ish forecasts that log each (history length, index) request."""
+
+    def __init__(self):
+        self.calls = []
+
+    def point_forecast(self, history, time_index):
+        self.calls.append((history.size, time_index))
+        return float(history[-1] * 0.5 + history[0] * 0.25)
+
+
+class TestCalibrationBlock:
+    @pytest.mark.parametrize("include_forecast", [True, False])
+    def test_rows_equal_build_context_and_forecasts_asked_in_order(self, include_forecast):
+        rng = np.random.default_rng(6)
+        series = TimeSeries(values=rng.standard_normal(40))
+        indices = range(1, 30)  # early indices are edge-padded
+        source = _RecordingForecast()
+        contexts, residuals, times = calibration_block(series, indices, source, 6,
+                                                       include_forecast)
+        assert source.calls == [(i, i) for i in indices]
+        np.testing.assert_array_equal(times, list(indices))
+        for row, i in enumerate(indices):
+            history = series.values[:i]
+            forecast = source.point_forecast(history, i)
+            want = build_context(history, forecast, 6, include_forecast)
+            assert contexts[row].tobytes() == want.tobytes()
+            assert residuals[row] == series.values[i] - forecast
+        entries = calibration_entries(series, indices, _RecordingForecast(), 6, include_forecast)
+        assert [e.time_index for e in entries] == list(indices)
+        np.testing.assert_array_equal(np.stack([e.context for e in entries]), contexts)
+        np.testing.assert_array_equal([e.residual for e in entries], residuals)
+
+    def test_bad_inputs_raise_data_error(self):
+        series = TimeSeries(values=np.arange(10.0))
+        with pytest.raises(DataError, match="past value"):
+            calibration_block(series, range(0, 5), NaiveForecast(), 3, True)
+        nan_source = PrecomputedForecast({i: 0.0 for i in range(10)})
+        nan_source._forecasts[4] = float("nan")
+        with pytest.raises(DataError, match="non-finite"):
+            calibration_block(series, range(1, 6), nan_source, 3, True)
