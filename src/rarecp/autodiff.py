@@ -239,10 +239,9 @@ def reduce_mean(x) -> Tensor:
 
 
 def l2_normalize(x) -> Tensor:
-    """Normalize a vector (or each column of a matrix / 3-D batch) to unit length.
+    """Normalize a vector (or each column of a matrix) to unit length.
 
-    ``u = x / sqrt(sum(x**2) + EPS_NORM)``, with the sum over the vector
-    axis (axis 0 for 2-D, axis 1 for a batch of key matrices). The epsilon
+    ``u = x / sqrt(sum(x**2) + EPS_NORM)``, with the sum over axis 0. The epsilon
     keeps the all-zero input well defined; away from zero it perturbs the
     norm by O(1e-12).
     """
@@ -262,14 +261,6 @@ def l2_normalize(x) -> Tensor:
         def vjp(g):
             dots = np.einsum("ij,ij->j", X, g)
             return (g * inv[None, :] - X * (dots * inv**3)[None, :],)
-
-    elif X.ndim == 3:
-        inv = 1.0 / np.sqrt(np.einsum("jdi,jdi->ji", X, X) + EPS_NORM)
-        out = X * inv[:, None, :]
-
-        def vjp(g):
-            dots = np.einsum("jdi,jdi->ji", X, g)
-            return (g * inv[:, None, :] - X * (dots * inv**3)[:, None, :],)
 
     else:
         raise ValueError(f"l2_normalize: unsupported shape {X.shape}")
@@ -293,14 +284,20 @@ def softmax_with_temperature(x, temperature: float) -> Tensor:
     return _finish(y, (tx,), vjp)
 
 
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-z))``, as ``e / (1 + e)`` with ``e = exp(z)`` where z < 0."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """``log(1 + exp(z))`` in overflow-safe form."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
 def sigmoid(x) -> Tensor:
     tx = as_tensor(x)
-    X = tx.data
-    y = np.empty_like(X)
-    pos = X >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-X[pos]))
-    ex = np.exp(X[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    y = _logistic(tx.data)
     return _finish(y, (tx,), lambda g: (g * y * (1.0 - y),))
 
 
@@ -310,13 +307,8 @@ def softplus_with_temperature(x, tau: float) -> Tensor:
         raise ValueError("softplus temperature must be positive")
     tx = as_tensor(x)
     z = tx.data / tau
-    out = tau * (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
-    s = np.empty_like(z)
-    pos = z >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    s[~pos] = ez / (1.0 + ez)
-    return _finish(out, (tx,), lambda g: (g * s,))
+    s = _logistic(z)
+    return _finish(tau * _softplus(z), (tx,), lambda g: (g * s,))
 
 
 def tanh(x) -> Tensor:
@@ -419,58 +411,175 @@ def transpose(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def emit_keys(out, contexts_t, latent_dim: int) -> Tensor:
-    """Apply per-episode affine maps to a shared context block.
+def loo_select(scores: np.ndarray, top_k: int) -> np.ndarray:
+    """Leave-one-out top-k columns of each row of a square score block.
 
-    ``out`` is a (latent_dim*(p+1), B) stack of flattened (A, b) maps, one
-    column per episode; ``contexts_t`` is the constant (p, n) context
-    block. Returns keys of shape (B, latent_dim, n):
-    ``keys[j] = A_j @ contexts_t + b_j[:, None]``.
+    Row j's own column j is masked (in place, to -inf) and the
+    ``min(top_k, B - 1)`` largest scores kept, largest first, ties to the
+    smaller column: exactly ``argsort(-scores, kind="stable")[:, :k]``.
+    ``argpartition`` finds each row's k winners and only those are sorted;
+    a tie across the k-th place falls back to the full stable sort. The
+    selection is a constant of the forward pass.
     """
-    t_out = as_tensor(out)
+    np.fill_diagonal(scores, -np.inf)
+    k = min(int(top_k), scores.shape[0] - 1)
+    neg = -scores
+    part = np.argpartition(neg, k, axis=1)
+    top = np.sort(part[:, :k], axis=1)
+    vals = np.take_along_axis(neg, top, axis=1)
+    if np.any(vals.max(axis=1) >= neg[np.arange(neg.shape[0]), part[:, k]]):
+        return np.argsort(neg, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(top, np.argsort(vals, axis=1, kind="stable"), axis=1)
+
+
+def loo_retrieval_scores(maps, contexts_t, top_k: int) -> tuple[np.ndarray, Tensor]:
+    """Leave-one-out retrieval of B episodes from one shared context block.
+
+    ``maps`` is a (L*(p+1), B) stack of flattened per-episode (A, b) maps,
+    ``contexts_t`` the constant (p, B) block whose column j is episode j's
+    query and whose other columns are its candidates. Episode j keys every
+    column with its own map, ``A_j @ contexts_t + b_j``, normalises each key
+    as ``l2_normalize`` does and scores it against its own query key; then
+    ``loo_select`` picks its top-k candidates. Returns ``sel`` (B, k) and the
+    (B, k) selected cosine scores.
+
+    Only the selected columns and the query columns, with their inverse
+    norms, are kept for the backward pass, so it works on B x (k+1)
+    columns instead of B x B.
+    """
+    t_maps = as_tensor(maps)
     C = np.asarray(contexts_t, dtype=np.float64)
-    p, n = C.shape
-    d = int(latent_dim)
-    D, B = t_out.data.shape
-    if D != d * (p + 1):
-        raise ValueError(f"emit_keys: output rows {D} != latent*(p+1) = {d * (p + 1)}")
-    A_all = t_out.data[: d * p].T.reshape(B, d, p)
-    b_all = t_out.data[d * p :].T
-    keys = (A_all.reshape(B * d, p) @ C).reshape(B, d, n) + b_all[:, :, None]
+    p, B = C.shape
+    D = t_maps.data.shape[0]
+    L = D // (p + 1)
+    if t_maps.data.shape != (L * (p + 1), B):
+        raise ValueError(f"loo_retrieval_scores: maps {t_maps.data.shape} do not fit {C.shape}")
+    A_all = t_maps.data[: L * p].T.reshape(B, L, p)
+    keys = (A_all.reshape(B * L, p) @ C).reshape(B, L, B)
+    keys += t_maps.data[L * p :].T[:, :, None]
+    inv = 1.0 / np.sqrt(np.einsum("jdi,jdi->ji", keys, keys) + EPS_NORM)
+    keys *= inv[:, None, :]  # unit keys from here on
+    rows = np.arange(B)
+    scores = np.einsum("jd,jdi->ji", keys[rows, :, rows], keys)
+    sel = loo_select(scores, top_k)
+    # row 0 of each episode's (k+1, L) block is its query key, rows 1..k its selection
+    cols = np.concatenate([rows[:, None], sel], axis=1)
+    kept = keys.transpose(0, 2, 1)[rows[:, None], cols]
+    kept_inv = np.take_along_axis(inv, cols, axis=1)[:, :, None]
+    del keys
 
     def vjp(g):
-        dA = (g.reshape(B * d, n) @ C.T).reshape(B, d, p)
-        db = g.sum(axis=2)
+        g_unit = np.empty_like(kept)
+        g_unit[:, 0] = (g[:, None, :] @ kept[:, 1:])[:, 0]
+        g_unit[:, 1:] = g[:, :, None] * kept[:, :1]
+        # through the normalisation: inv * (g - u (u . g)) for unit key u
+        g_keys = g_unit - kept * np.einsum("jcd,jcd->jc", kept, g_unit)[:, :, None]
+        g_keys *= kept_inv
         grad = np.empty((D, B))
-        grad[: d * p] = dA.reshape(B, d * p).T
-        grad[d * p :] = db.T
+        grad[: L * p] = (g_keys.transpose(0, 2, 1) @ C.T[cols]).reshape(B, L * p).T
+        grad[L * p :] = g_keys.sum(axis=1).T
         return (grad,)
 
-    return _finish(keys, (t_out,), vjp)
+    return sel, _finish(np.take_along_axis(scores, sel, axis=1), (t_maps,), vjp)
 
 
-def query_key_scores(normalized_keys, query_columns) -> Tensor:
-    """Per-episode dot products of the query key against all keys.
+_SATURATED = 40.0
 
-    ``normalized_keys`` has shape (B, d, n); episode j's query key is its
-    own column ``query_columns[j]``. Returns (B, n) cosine scores.
+
+def _edge_sigmoids(gaps: np.ndarray, tau_q: float) -> np.ndarray:
+    """``sigmoid(gaps / tau_q)`` in the form ``sigmoid`` uses, computed in ``gaps``.
+
+    Where |z| > 40, exp(-|z|) < 2**-57 is taken as 0: 1 / (1 + e) is then
+    exactly 1, and e / (1 + e) moves by under 5e-18. Without that, the
+    saturated tails at low ``tau_q`` fill the arrays with subnormal
+    numbers, which slow exp and every later operation on them tenfold.
     """
-    t_nk = as_tensor(normalized_keys)
-    NK = t_nk.data
-    B, d, n = NK.shape
-    cols = np.asarray(query_columns, dtype=np.int64)
-    rows = np.arange(B)
-    Q = NK[rows, :, cols]  # (B, d)
-    scores = np.einsum("jd,jdi->ji", Q, NK)
+    pos = gaps >= 0
+    e = np.abs(gaps, out=gaps)
+    e *= -1.0 / tau_q
+    saturated = e < -_SATURATED
+    np.maximum(e, -_SATURATED, out=e)
+    np.exp(e, out=e)
+    np.copyto(e, 0.0, where=saturated)
+    den = e + 1.0
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, den, out=e)
+
+
+def smooth_quantiles(weights: np.ndarray, residuals: np.ndarray, levels, tau_q: float):
+    """Sigmoid-CDF relaxed quantiles of B sorted supports at L levels at once.
+
+    ``weights`` and ``residuals`` are (B, s), each row a support sorted by
+    its residuals. One cumulative sum gives the CDF edges C_0 = 0, ..., C_s;
+    bin i at level q is ``relu(sigmoid((q - C_{i-1}) / tau_q) -
+    sigmoid((q - C_i) / tau_q))`` and the quantile is the bin-weighted mean
+    of the residuals, so zero-weight padding columns get an empty bin.
+    Returns the (B, L) quantiles with the edge sigmoids S (B, L, s+1), the
+    active-bin mask and the bin masses (B, L), which the VJP of
+    ``smooth_winkler_grid`` reads. Raises ``NumericError`` when a bin mass
+    vanishes.
+    """
+    B, s = weights.shape
+    edges = np.zeros((B, 1, s + 1))
+    np.cumsum(weights, axis=1, out=edges[:, 0, 1:])
+    levels = np.asarray(levels, dtype=np.float64)
+    S = _edge_sigmoids(levels[:, None] - edges, tau_q)
+    bins = S[:, :, :-1] - S[:, :, 1:]
+    active = bins > 0
+    bins *= active
+    mass = bins.sum(axis=2)
+    if np.any(mass <= 0.0):
+        raise NumericError("smooth quantile bin mass vanished (tau_q > 0 violated?)")
+    quantiles = (bins @ residuals[:, :, None])[:, :, 0] / mass
+    return quantiles, S, active, mass
+
+
+def smooth_winkler_grid(weights, residuals, targets, alphas, tau_q: float, tau_p: float) -> Tensor:
+    """Per-episode mean smooth Winkler score over a miscoverage grid.
+
+    ``weights`` is a (B, s) tensor of supports sorted by the constant (B, s)
+    ``residuals``; ``targets`` (B,) are the held-out residuals. With
+    ``smooth_quantiles`` lo_a = Qs(a/2) and hi_a = Qs(1 - a/2), row j is
+
+        mean_a [hi_a - lo_a + (2/a) * (softplus_tp(lo_a - r_j) + softplus_tp(r_j - hi_a))]
+
+    with ``softplus_tp`` the ``softplus_with_temperature`` at ``tau_p``. All
+    2|alphas| levels are computed together over (B, 2|alphas|, s+1) edges,
+    and the VJP returns to the weights through one reverse cumulative sum.
+    """
+    tw = as_tensor(weights)
+    R = np.asarray(residuals, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.float64)[:, None]
+    alphas = np.asarray(alphas, dtype=np.float64)
+    n = alphas.size
+    Q, S, active, mass = smooth_quantiles(
+        tw.data, R, np.concatenate([alphas / 2.0, 1.0 - alphas / 2.0]), tau_q
+    )
+    lo, hi = Q[:, :n], Q[:, n:]
+    z_lo, z_hi = (lo - t) / tau_p, (t - hi) / tau_p
+    penalties = tau_p * _softplus(z_lo) + tau_p * _softplus(z_hi)
+    out = (hi - lo + penalties * (2.0 / alphas)).sum(axis=1) * (1.0 / n)
+    # d out / d (lo, hi) per unit of upstream gradient
+    dQ = np.concatenate(
+        [-1.0 + (2.0 / alphas) * _logistic(z_lo), 1.0 - (2.0 / alphas) * _logistic(z_hi)],
+        axis=1,
+    ) * (1.0 / n)
 
     def vjp(g):
-        dNK = Q[:, :, None] * g[:, None, :]
-        dQ = np.einsum("ji,jdi->jd", g, NK)
-        # row/query-column pairs are unique, so fancy += accumulates safely
-        dNK[rows, :, cols] += dQ
-        return (dNK,)
+        c = (g[:, None] * dQ) / mass
+        g_bins = R[:, None, :] - Q[:, :, None]
+        g_bins *= c[:, :, None]
+        g_bins *= active
+        slope = 1.0 - S[:, :, 1:]
+        slope *= S[:, :, 1:]
+        # edges C_1..C_s end bins 0..s-1 and start bins 1..s-1 (C_0 = 0 is fixed)
+        g_edges = np.einsum("bls,bls->bs", g_bins, slope)
+        g_edges[:, :-1] -= np.einsum("bls,bls->bs", g_bins[:, :, 1:], slope[:, :, :-1])
+        g_edges *= 1.0 / tau_q
+        # C_i sums weights 0..i-1, so weight j collects edges j+1..s
+        return (np.cumsum(g_edges[:, ::-1], axis=1)[:, ::-1],)
 
-    return _finish(scores, (t_nk,), vjp)
+    return _finish(out, (tw,), vjp)
 
 
 def gather_rows(x, indices) -> Tensor:

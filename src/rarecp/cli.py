@@ -254,7 +254,7 @@ def gradcheck(seed):
         status = "ok" if err < tol else "FAIL"
         if status == "FAIL":
             failures += 1
-        click.echo(f"{status:4s} {name:28s} max_rel_err={err:.3e} tol={tol:.0e}")
+        click.echo(f"{status:4s} {name:32s} max_rel_err={err:.3e} tol={tol:.0e}")
     if failures:
         raise NumericError(f"{failures} gradient check(s) exceeded tolerance")
     click.echo("all gradient checks passed")

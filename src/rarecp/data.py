@@ -364,7 +364,7 @@ class CalibrationStore:
             raise DataError("store contexts and residuals must be finite")
         if np.any(np.diff(times) <= 0):
             raise DataError("store time indices must strictly increase")
-        store = cls(capacity or y.size, X.shape[1])
+        store = cls(y.size if capacity is None else capacity, X.shape[1])
         n = min(y.size, store.capacity)
         store._contexts[:n] = X[-n:]
         store._residuals[:n] = y[-n:]

@@ -214,12 +214,13 @@ class RareCP(BaseEstimator):
         dataset = CalibrationDataset.from_arrays(
             X, y, dataset_id=dataset_id, normalize=self.normalize_contexts
         )
+        store = CalibrationStore.from_arrays(X, y, self.capacity)
         trainer = Trainer([dataset], model, self.train_config()).run()
         self.components_ = components_from_trainer(trainer)
         self.train_log_ = trainer.log
         self._dataset_id = int(dataset_id)
         self.descriptor_ = dataset.descriptor
-        self.store_ = CalibrationStore.from_arrays(X, y, self.capacity)
+        self.store_ = store
         self._next_time = y.size
         return self
 

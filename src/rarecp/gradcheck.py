@@ -18,7 +18,6 @@ from rarecp.gate import GateParams
 from rarecp.training import (
     CalibrationDataset,
     _prepare_gate_batch,
-    _traced_alpha_grid_winkler,
     default_alpha_grid,
     expert_batch_loss,
     gate_batch_loss,
@@ -103,16 +102,17 @@ def primitive_checks(seed: int = 0, h: float = 1e-5) -> list[tuple[str, float]]:
           lambda X: ad.reduce_sum(ad.square(ad.matmul(ad.transpose(X), X))))
 
     # batched episode-parallel primitives
-    ctx_t = rng.standard_normal((3, 4))  # p=3, n=4 candidates
-    check("emit_keys", lambda: [ad.parameter(rng.standard_normal((2 * (3 + 1), 4)))],
-          lambda out: ad.reduce_sum(ad.square(ad.emit_keys(out, ctx_t, 2))))
-    probe_l3 = rng.standard_normal((4, 2, 4))
-    check("l2_normalize_3d", lambda: [ad.parameter(rng.standard_normal((4, 2, 4)) + 0.1)],
-          lambda X: ad.reduce_sum(ad.mul(ad.l2_normalize(X), ad.constant(probe_l3))))
-    probe_qs = rng.standard_normal((4, 4))
-    check("query_key_scores", lambda: [ad.parameter(rng.standard_normal((4, 2, 4)))],
-          lambda NK: ad.reduce_sum(
-              ad.mul(ad.query_key_scores(NK, np.arange(4)), ad.constant(probe_qs))))
+    ctx_t = rng.standard_normal((3, 6))  # p=3, B=6 episodes
+    probe_loo = rng.standard_normal((6, 3))
+    check("loo_retrieval_scores", lambda: [ad.parameter(rng.standard_normal((2 * (3 + 1), 6)))],
+          lambda maps: ad.reduce_sum(ad.mul(
+              ad.loo_retrieval_scores(maps, ctx_t, 3)[1], ad.constant(probe_loo))))
+    res_sw = np.sort(rng.standard_normal((3, 5)), axis=1)
+    targets_sw = rng.standard_normal(3)
+    w_sw = vec(15, low=0.1).reshape(3, 5)
+    check("smooth_winkler_grid", lambda: [ad.parameter(w_sw / w_sw.sum(axis=1, keepdims=True))],
+          lambda W: ad.reduce_sum(ad.smooth_winkler_grid(
+              W, res_sw, targets_sw, [0.1, 0.2, 0.3], 0.1, 0.05)))
     rows_idx = rng.integers(0, 5, size=(3, 4))
     check("gather_rows", lambda: [ad.parameter(rng.standard_normal((3, 5)))],
           lambda X: ad.reduce_sum(ad.square(ad.gather_rows(X, rows_idx))))
@@ -136,8 +136,9 @@ def smooth_pipeline_check(
     alphas = np.asarray(default_alpha_grid())
 
     def f():
-        weights = ad.softmax_with_temperature(scores, 0.25)
-        return _traced_alpha_grid_winkler(weights, residuals, target, alphas, 0.05, 5e-3)
+        weights = ad.reshape(ad.softmax_with_temperature(scores, 0.25), (1, n_support))
+        loss = ad.smooth_winkler_grid(weights, residuals[None, :], [target], alphas, 0.05, 5e-3)
+        return ad.reduce_sum(loss)
 
     return finite_diff_check(f, [scores], h=h)
 

@@ -173,7 +173,7 @@ def run_chronological_eval(
         series, indices.cal, source, window, include_forecast
     )
     store = CalibrationStore.from_arrays(
-        contexts, residuals, cfg.capacity or times.size, start_time=indices.cal.start
+        contexts, residuals, cfg.capacity, start_time=indices.cal.start
     )
 
     if method == "rarecp_checkpoint":

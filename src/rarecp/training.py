@@ -121,8 +121,12 @@ class TrainConfig:
             raise DataError("regularization weights must be >= 0")
         if min(self.student_lr, self.gate_lr, self.teacher_lr) <= 0:
             raise DataError("learning rates must be positive")
-        if min(self.epochs, self.teacher_epochs, self.batch_size, self.n_cycles) < 1:
-            raise DataError("epochs, batch size and cycle count must be >= 1")
+        if min(self.epochs, self.teacher_epochs, self.n_cycles) < 1:
+            raise DataError("epochs and cycle count must be >= 1")
+        if self.batch_size < 3:
+            raise DataError("batch_size must be >= 3: an episode needs 2 other candidates")
+        if not min(self.tau_start, self.tau_end, self.tau_p) > 0:
+            raise DataError("loss temperatures must be positive")
 
 
 @dataclass(frozen=True)
@@ -143,8 +147,12 @@ class ModelConfig:
     normalize_contexts: bool = True
 
     def __post_init__(self):
-        if self.n_experts < 1:
-            raise DataError("need at least one expert")
+        if min(self.n_experts, self.latent_dim, self.top_k, self.hidden_layers) < 1:
+            raise DataError("n_experts, latent_dim, top_k and hidden_layers must be >= 1")
+        if not (0.0 < self.beta < math.inf):
+            raise DataError(f"beta must be positive and finite, got {self.beta!r}")
+        if self.activation not in ("tanh", "relu"):
+            raise DataError(f"unknown activation {self.activation!r}: use 'tanh' or 'relu'")
         if self.encoder_kind not in ("hypernetwork", "fixed_affine"):
             raise DataError(f"unknown encoder kind {self.encoder_kind!r}")
 
@@ -222,75 +230,14 @@ def loo_episodes(dataset: "CalibrationDataset", batch: np.ndarray) -> list[LooEp
 
 
 # ---------------------------------------------------------------------------
-# smooth losses (single traced implementation, vectorized over alpha levels)
+# smooth losses: one implementation, ``autodiff.smooth_winkler_grid``
 # ---------------------------------------------------------------------------
 
-_CUM_MATRICES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-
-def _cumulative_matrices(s: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _CUM_MATRICES.get(s)
-    if cached is None:
-        incl = np.tril(np.ones((s, s)))
-        prev = np.tril(np.ones((s, s)), k=-1)
-        cached = (incl, prev)
-        if s <= 4096:
-            _CUM_MATRICES[s] = cached
-    return cached
-
-
-def _smooth_quantiles(
-    weights: Tensor,
-    residuals_sorted: np.ndarray,
-    q_levels: np.ndarray,
-    tau_q: float,
-) -> Tensor:
-    """Differentiable quantiles of the sorted support at all levels at once."""
-    s = residuals_sorted.size
-    incl, prev = _cumulative_matrices(s)
-    c_incl = ad.matmul(ad.constant(incl), weights)
-    c_prev = ad.matmul(ad.constant(prev), weights)
-    ones_col = ad.constant(np.ones((q_levels.size, 1)))
-    q_mat = np.broadcast_to(q_levels[:, None], (q_levels.size, s))
-    m_prev = ad.matmul(ones_col, ad.reshape(c_prev, (1, s)))
-    m_incl = ad.matmul(ones_col, ad.reshape(c_incl, (1, s)))
-    s_prev = ad.sigmoid(ad.scale(ad.add_const(ad.scale(m_prev, -1.0), q_mat), 1.0 / tau_q))
-    s_incl = ad.sigmoid(ad.scale(ad.add_const(ad.scale(m_incl, -1.0), q_mat), 1.0 / tau_q))
-    bins = ad.relu(ad.add(s_prev, ad.scale(s_incl, -1.0)))
-    num = ad.matmul(bins, ad.constant(residuals_sorted))
-    den = ad.matmul(bins, ad.constant(np.ones(s)))
-    if np.any(den.data <= 0.0):
-        raise NumericError("smooth quantile bin mass vanished (tau_q > 0 violated?)")
-    return ad.mul(num, ad.reciprocal(den))
-
-
-def _traced_alpha_grid_winkler(
-    weights_sorted: Tensor,
-    residuals_sorted: np.ndarray,
-    target_residual: float,
-    alpha_grid: np.ndarray,
-    tau_q: float,
-    tau_p: float,
-) -> Tensor:
-    """Mean smooth Winkler over the alpha grid for one sorted support."""
-    alphas = np.asarray(alpha_grid, dtype=np.float64)
-    n_alpha = alphas.size
-    q_levels = np.concatenate([alphas / 2.0, 1.0 - alphas / 2.0])
-    qs = _smooth_quantiles(weights_sorted, residuals_sorted, q_levels, tau_q)
-    q_lo = ad.index_select(qs, np.arange(n_alpha))
-    q_hi = ad.index_select(qs, n_alpha + np.arange(n_alpha))
-    width = ad.add(q_hi, ad.scale(q_lo, -1.0))
-    pen_lo = ad.softplus_with_temperature(ad.add_const(q_lo, -target_residual), tau_p)
-    pen_hi = ad.softplus_with_temperature(
-        ad.add_const(ad.scale(q_hi, -1.0), target_residual), tau_p
-    )
-    penalties = ad.mul(ad.add(pen_lo, pen_hi), ad.constant(2.0 / alphas))
-    return ad.reduce_mean(ad.add(width, penalties))
-
-
-def _sorted_support(support: WeightedSupport) -> tuple[Tensor, np.ndarray]:
+def _sorted_support(support: WeightedSupport) -> tuple[np.ndarray, np.ndarray]:
+    """The support as one (1, s) episode row of weights and residuals, sorted."""
     order = np.argsort(support.residuals, kind="stable")
-    return ad.constant(support.weights[order]), support.residuals[order]
+    return support.weights[order][None, :], support.residuals[order][None, :]
 
 
 def smooth_weighted_quantile(support: WeightedSupport, q: float, tau_q: float) -> float:
@@ -300,7 +247,15 @@ def smooth_weighted_quantile(support: WeightedSupport, q: float, tau_q: float) -
     if tau_q <= 0:
         raise DataError("tau_q must be positive")
     weights, residuals = _sorted_support(support)
-    out = _smooth_quantiles(weights, residuals, np.asarray([q]), tau_q)
+    quantiles, *_ = ad.smooth_quantiles(weights, residuals, [q], tau_q)
+    return float(quantiles[0, 0])
+
+
+def _support_loss(support, target_residual, alphas, tau_q, tau_p) -> float:
+    weights, residuals = _sorted_support(support)
+    out = ad.smooth_winkler_grid(
+        weights, residuals, [float(target_residual)], alphas, tau_q, tau_p
+    )
     return float(out.data[0])
 
 
@@ -312,78 +267,21 @@ def smooth_winkler(
     tau_p: float,
 ) -> float:
     """Smooth residual-space Winkler loss at a single miscoverage level."""
-    weights, residuals = _sorted_support(support)
-    out = _traced_alpha_grid_winkler(
-        weights, residuals, float(target_residual), np.asarray([alpha]), tau_q, tau_p
-    )
-    return float(out.data)
+    return _support_loss(support, target_residual, [alpha], tau_q, tau_p)
 
 
 def alpha_grid_loss(
     support: WeightedSupport, target_residual: float, config: SmoothLossConfig
 ) -> float:
     """Mean smooth Winkler over the configured miscoverage grid."""
-    weights, residuals = _sorted_support(support)
-    out = _traced_alpha_grid_winkler(
-        weights,
-        residuals,
-        float(target_residual),
-        np.asarray(config.alpha_grid),
-        config.tau_q,
-        config.tau_p,
+    return _support_loss(
+        support, target_residual, config.alpha_grid, config.tau_q, config.tau_p
     )
-    return float(out.data)
 
 
 # ---------------------------------------------------------------------------
 # episode-parallel batch losses
 # ---------------------------------------------------------------------------
-
-
-def _batched_alpha_grid_winkler(
-    weights_sorted: Tensor,
-    residuals_sorted: np.ndarray,
-    targets: np.ndarray,
-    alpha_grid: np.ndarray,
-    tau_q: float,
-    tau_p: float,
-) -> Tensor:
-    """Mean smooth Winkler over the alpha grid, one value per episode row.
-
-    ``weights_sorted`` is (B, s) with each row a support sorted by its
-    (constant) residuals; zero-weight padding columns contribute nothing.
-    """
-    s = residuals_sorted.shape[1]
-    c_incl = ad.matmul(weights_sorted, ad.constant(np.triu(np.ones((s, s)))))
-    c_prev = ad.matmul(weights_sorted, ad.constant(np.triu(np.ones((s, s)), 1)))
-    ones_s = ad.constant(np.ones(s))
-    res_const = ad.constant(residuals_sorted)
-
-    quantiles: dict[float, Tensor] = {}
-    alphas = np.asarray(alpha_grid, dtype=np.float64)
-    levels = sorted({float(q) for a in alphas for q in (a / 2.0, 1.0 - a / 2.0)})
-    for q in levels:
-        s_prev = ad.sigmoid(ad.scale(ad.add_const(ad.scale(c_prev, -1.0), q), 1.0 / tau_q))
-        s_incl = ad.sigmoid(ad.scale(ad.add_const(ad.scale(c_incl, -1.0), q), 1.0 / tau_q))
-        bins = ad.relu(ad.add(s_prev, ad.scale(s_incl, -1.0)))
-        num = ad.matmul(ad.mul(bins, res_const), ones_s)
-        den = ad.matmul(bins, ones_s)
-        if np.any(den.data <= 0.0):
-            raise NumericError("smooth quantile bin mass vanished (tau_q > 0 violated?)")
-        quantiles[q] = ad.mul(num, ad.reciprocal(den))
-
-    total: Tensor | None = None
-    for a in alphas:
-        lo = quantiles[float(a / 2.0)]
-        hi = quantiles[float(1.0 - a / 2.0)]
-        width = ad.add(hi, ad.scale(lo, -1.0))
-        pen_lo = ad.softplus_with_temperature(ad.add_const(lo, -targets), tau_p)
-        pen_hi = ad.softplus_with_temperature(
-            ad.add_const(ad.scale(hi, -1.0), targets), tau_p
-        )
-        per_alpha = ad.add(width, ad.scale(ad.add(pen_lo, pen_hi), 2.0 / a))
-        total = per_alpha if total is None else ad.add(total, per_alpha)
-    return ad.scale(total, 1.0 / alphas.size)
 
 
 def _valid_batch(batch: np.ndarray) -> bool:
@@ -411,10 +309,12 @@ def _expert_retrieval_batch(
 
     Each batch member is a query; its candidates are the other members.
     Self-retrieval is excluded by masking the query's own score before the
-    (constant) top-k selection. Returns the selected candidate columns
-    ``sel`` (B, k), the softmax weight rows (Tensor), and the emitted map
-    stack for anchoring (the raw map output for hypernetworks, the (A, b)
-    tensors for a fixed affine encoder).
+    (constant) top-k selection, ``autodiff.loo_select``. Returns the
+    selected candidate columns ``sel`` (B, k), the softmax weight rows
+    (Tensor), and the emitted map stack for anchoring (the raw map output
+    for hypernetworks, the (A, b) tensors for a fixed affine encoder).
+    A hypernetwork's per-episode maps are scored by one fused primitive
+    that keeps only the selected and query columns for the backward pass.
     """
     B = batch.size
     ctx_block = dataset.contexts_z[batch]
@@ -423,24 +323,15 @@ def _expert_retrieval_batch(
         inputs = np.concatenate(
             [ctx_block, np.tile(dataset.feats, (B, 1))], axis=1
         ).T
-        out = encoder.emit_batch(inputs)
-        keys = ad.emit_keys(out, contexts_t, encoder.latent_dim)
-        normalized = ad.l2_normalize(keys)
-        scores = ad.query_key_scores(normalized, np.arange(B))
-        emitted = out
+        emitted = encoder.emit_batch(inputs)
+        sel, sel_scores = ad.loo_retrieval_scores(emitted, contexts_t, top_k)
     else:
         keys2d = ad.l2_normalize(ad.affine(encoder.A, ad.constant(contexts_t), encoder.b))
         scores = ad.matmul(ad.transpose(keys2d), keys2d)
+        sel = ad.loo_select(scores.data.copy(), top_k)
+        sel_scores = ad.gather_rows(scores, sel)
         emitted = (encoder.A, encoder.b)
-
-    masked = scores.data.copy()
-    np.fill_diagonal(masked, -np.inf)
-    k_eff = min(int(top_k), B - 1)
-    order = np.argsort(-masked, axis=1, kind="stable")  # stable: ties -> smaller index
-    sel = order[:, :k_eff]
-    sel_scores = ad.gather_rows(scores, sel)
-    weights = ad.softmax_rows(sel_scores, temperature)
-    return sel, weights, emitted
+    return sel, ad.softmax_rows(sel_scores, temperature), emitted
 
 
 def _expert_batch_term(
@@ -467,7 +358,7 @@ def _expert_batch_term(
     perm = np.argsort(res_sel, axis=1, kind="stable")
     res_sorted = np.take_along_axis(res_sel, perm, axis=1)
     weights_sorted = ad.gather_rows(weights, perm)
-    loss_vec = _batched_alpha_grid_winkler(
+    loss_vec = ad.smooth_winkler_grid(
         weights_sorted,
         res_sorted,
         dataset.residuals[batch],
@@ -666,7 +557,7 @@ def gate_batch_loss(
         pi = ad.softmax_rows(ad.transpose(logits), 1.0)
         mixed = ad.batched_mix(ad.constant(prep.weight_cube), pi)
         mixed_sorted = ad.gather_rows(mixed, prep.sort_perm)
-        loss_vec = _batched_alpha_grid_winkler(
+        loss_vec = ad.smooth_winkler_grid(
             mixed_sorted,
             prep.residuals_sorted,
             prep.targets,
@@ -713,7 +604,11 @@ def gate_training_step(
         prepared.append(_prepare_gate_batch(experts, dataset, batch, audit))
     if not prepared:
         return float("nan")
+    return _gate_step(gate, prepared, optimizer, alpha_grid, tau_q, tau_p, lambda_entropy)
 
+
+def _gate_step(gate, prepared, optimizer, alpha_grid, tau_q, tau_p, lambda_entropy) -> float:
+    """One optimizer step of the gate on prepared batches."""
     optimizer.zero_grad()
     with Tape() as tape:
         total = gate_batch_loss(gate, prepared, alpha_grid, tau_q, tau_p, lambda_entropy)
@@ -1019,18 +914,9 @@ class Trainer:
             losses = []
             for prepared in prepared_rounds:
                 tau_q = temperature_at(step, schedule)
-                opt.zero_grad()
-                with Tape() as tape:
-                    total = gate_batch_loss(
-                        gate, prepared, self.alpha_grid, tau_q, cfg.tau_p,
-                        cfg.lambda_entropy,
-                    )
-                value = float(total.data)
-                if not np.isfinite(value):
-                    raise NumericError("gate training loss is not finite")
-                tape.backward(total)
-                opt.step()
-                losses.append(value)
+                losses.append(_gate_step(
+                    gate, prepared, opt, self.alpha_grid, tau_q, cfg.tau_p, cfg.lambda_entropy
+                ))
                 step += 1
             if losses:
                 self.log.append(

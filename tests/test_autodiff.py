@@ -116,6 +116,19 @@ class TestPrimitiveValues:
         assert out[0] == pytest.approx(1e4)
         assert out[1] == pytest.approx(0.0, abs=1e-12)
 
+    def test_sigmoid_and_softplus_keep_the_branch_form(self):
+        x = np.concatenate([np.random.default_rng(3).standard_normal(200) * 30,
+                            [0.0, -0.0, 745.0, -745.0, 1e4, -1e4]])
+        expected = np.empty_like(x)
+        pos = x >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        expected[~pos] = ex / (1.0 + ex)
+        assert np.array_equal(ad.sigmoid(x).data, expected)
+        z = x / 0.3
+        softplus = 0.3 * (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
+        assert np.array_equal(ad.softplus_with_temperature(x, 0.3).data, softplus)
+
     def test_index_select_accumulates_duplicates(self):
         x = ad.parameter(np.array([1.0, 2.0, 3.0]))
         with ad.Tape() as tape:
@@ -139,16 +152,18 @@ class TestPrimitiveValues:
         finally:
             ad.set_debug_checks(False)
 
-    def test_emit_keys_matches_per_episode_maps(self):
+    def test_loo_retrieval_scores_match_per_episode_maps(self):
         rng = np.random.default_rng(4)
-        d_z, p, B, n = 3, 4, 5, 6
+        d_z, p, B = 3, 4, 6
         out = rng.standard_normal((d_z * (p + 1), B))
-        ctx_t = rng.standard_normal((p, n))
-        keys = ad.emit_keys(ad.constant(out), ctx_t, d_z).data
+        ctx_t = rng.standard_normal((p, B))
+        sel, scores = ad.loo_retrieval_scores(ad.constant(out), ctx_t, B - 1)
         for j in range(B):
             A = out[: d_z * p, j].reshape(d_z, p)
             b = out[d_z * p :, j]
-            np.testing.assert_allclose(keys[j], A @ ctx_t + b[:, None])
+            keys = ad.l2_normalize(A @ ctx_t + b[:, None]).data
+            np.testing.assert_allclose(scores.data[j], keys[:, j] @ keys[:, sel[j]])
+            assert sorted(sel[j]) == [c for c in range(B) if c != j]
 
     def test_gather_rows_values(self):
         x = np.arange(12.0).reshape(3, 4)

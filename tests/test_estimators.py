@@ -158,3 +158,70 @@ class TestRareCP:
         est = RareCP(top_k=16, beta=6.0)
         clone = RareCP(**est.get_params())
         assert clone.top_k == 16 and clone.beta == 6.0
+
+
+SMALL = dict(
+    n_experts=2, top_k=8, latent_dim=4, hidden_dim=8, hidden_layers=1,
+    gate_hidden_dim=2, window=6, include_forecast=True,
+    epochs=2, teacher_epochs=1, batch_size=32, seed=3,
+)
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fail the test if any training starts."""
+    from rarecp.training import Trainer
+
+    def refuse(self):
+        raise AssertionError("training started before the settings were rejected")
+
+    monkeypatch.setattr(Trainer, "run", refuse)
+
+
+class TestBadSettings:
+    @pytest.mark.parametrize(
+        "setting",
+        [{"top_k": 0}, {"beta": 0.0}, {"beta": -1.0}, {"beta": float("nan")},
+         {"beta": float("inf")}, {"activation": "gelu"}, {"latent_dim": 0},
+         {"hidden_layers": 0}],
+        ids=repr,
+    )
+    def test_rarecp_rejects_model_setting_before_training(self, setting, no_training):
+        rng = np.random.default_rng(4)
+        with pytest.raises(DataError):
+            RareCP(**{**SMALL, **setting}).fit(
+                rng.standard_normal((40, 7)), rng.standard_normal(40)
+            )
+
+    @pytest.mark.parametrize(
+        "setting", [{"batch_size": 2}, {"tau_p": 0.0}, {"tau_end": -1e-4}], ids=repr
+    )
+    def test_rarecp_rejects_train_setting_before_training(self, setting, no_training):
+        rng = np.random.default_rng(4)
+        with pytest.raises(DataError):
+            RareCP(**{**SMALL, **setting}).fit(
+                rng.standard_normal((40, 7)), rng.standard_normal(40)
+            )
+
+    def test_rarecp_zero_capacity_rejected_before_training(self, no_training):
+        rng = np.random.default_rng(5)
+        with pytest.raises(DataError, match="capacity"):
+            RareCP(**SMALL, capacity=0).fit(rng.standard_normal((40, 7)), rng.standard_normal(40))
+
+    def test_split_conformal_zero_capacity_rejected(self):
+        with pytest.raises(DataError, match="capacity"):
+            SplitConformal(capacity=0).fit(None, np.arange(10.0))
+
+    def test_relu_activation_is_accepted(self):
+        rng = np.random.default_rng(6)
+        est = RareCP(**{**SMALL, "activation": "relu"})
+        est.fit(rng.standard_normal((40, 7)), rng.standard_normal(40))
+        assert est.components_.model.activation == "relu"
+
+
+def test_same_seed_fits_write_identical_checkpoints(tmp_path):
+    rng = np.random.default_rng(7)
+    X, y = rng.standard_normal((70, 7)), rng.standard_normal(70)
+    RareCP(**SMALL).fit(X, y).save(tmp_path / "a.ckpt")
+    RareCP(**SMALL).fit(X, y).save(tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()

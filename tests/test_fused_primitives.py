@@ -1,0 +1,348 @@
+"""The fused training primitives against per-level and full-tape oracles.
+
+``smooth_winkler_grid`` must reproduce the per-level tape loss (one chain
+of ~10 primitives per quantile level) and ``loo_retrieval_scores`` the
+four-primitive retrieval chain (keys, 3-D normalisation, query scores,
+row gather), both kept here as test-local oracles.
+"""
+
+import numpy as np
+import pytest
+
+from rarecp import autodiff as ad
+from rarecp.errors import NumericError
+from rarecp.training import default_alpha_grid
+
+ALPHAS = np.asarray(default_alpha_grid())
+REL = 1e-10
+
+
+def fourth_order_grad(f, x, h=1e-3):
+    """Central differences of a scalar ``f`` at ``x`` with O(h^4) error."""
+    grad = np.empty_like(x)
+    for i in np.ndindex(x.shape):
+        step = np.zeros_like(x)
+        step[i] = h
+        grad[i] = (8 * (f(x + step) - f(x - step)) - (f(x + 2 * step) - f(x - 2 * step))) / (12 * h)
+    return grad
+
+
+def rel_err(new, old):
+    """Largest difference relative to the larger of the oracle's size and 1.
+
+    The floor of 1 matters only where the exact gradient is zero (a support
+    with a single weighted atom), which both sides compute as 1e-15 noise.
+    """
+    new, old = np.asarray(new), np.asarray(old)
+    return float(np.max(np.abs(new - old)) / max(np.max(np.abs(old)), 1.0))
+
+
+# ---------------------------------------------------------------------------
+# oracle: the per-level tape loss
+# ---------------------------------------------------------------------------
+
+
+def per_level_winkler(weights_sorted, residuals_sorted, targets, alpha_grid, tau_q, tau_p):
+    s = residuals_sorted.shape[1]
+    c_incl = ad.matmul(weights_sorted, ad.constant(np.triu(np.ones((s, s)))))
+    c_prev = ad.matmul(weights_sorted, ad.constant(np.triu(np.ones((s, s)), 1)))
+    ones_s = ad.constant(np.ones(s))
+    res_const = ad.constant(residuals_sorted)
+    quantiles = {}
+    alphas = np.asarray(alpha_grid, dtype=np.float64)
+    levels = sorted({float(q) for a in alphas for q in (a / 2.0, 1.0 - a / 2.0)})
+    for q in levels:
+        s_prev = ad.sigmoid(ad.scale(ad.add_const(ad.scale(c_prev, -1.0), q), 1.0 / tau_q))
+        s_incl = ad.sigmoid(ad.scale(ad.add_const(ad.scale(c_incl, -1.0), q), 1.0 / tau_q))
+        bins = ad.relu(ad.add(s_prev, ad.scale(s_incl, -1.0)))
+        num = ad.matmul(ad.mul(bins, res_const), ones_s)
+        den = ad.matmul(bins, ones_s)
+        quantiles[q] = ad.mul(num, ad.reciprocal(den))
+    total = None
+    for a in alphas:
+        lo = quantiles[float(a / 2.0)]
+        hi = quantiles[float(1.0 - a / 2.0)]
+        width = ad.add(hi, ad.scale(lo, -1.0))
+        pen_lo = ad.softplus_with_temperature(ad.add_const(lo, -targets), tau_p)
+        pen_hi = ad.softplus_with_temperature(ad.add_const(ad.scale(hi, -1.0), targets), tau_p)
+        per_alpha = ad.add(width, ad.scale(ad.add(pen_lo, pen_hi), 2.0 / a))
+        total = per_alpha if total is None else ad.add(total, per_alpha)
+    return ad.scale(total, 1.0 / alphas.size)
+
+
+def sorted_batch(rng, B, s, pad=0, ties=False):
+    """(B, s) softmax weight rows sorted by their residuals; ``pad`` trailing
+    slots per row get zero weight and residual 0 before sorting, as the
+    gate's padded unions do."""
+    residuals = rng.standard_normal((B, s))
+    if ties:
+        residuals = np.round(residuals * 2.0) / 2.0
+    logits = rng.standard_normal((B, s))
+    weights = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+    if pad:
+        weights[:, s - pad :] = 0.0
+        weights /= weights.sum(axis=1, keepdims=True)
+        residuals[:, s - pad :] = 0.0
+    perm = np.argsort(residuals, axis=1, kind="stable")
+    return (
+        np.take_along_axis(weights, perm, axis=1),
+        np.take_along_axis(residuals, perm, axis=1),
+        rng.standard_normal(B) * 1.5,
+    )
+
+
+def value_and_grad(loss_fn, weights, residuals, targets, tau_q, tau_p, probe):
+    w = ad.parameter(weights)
+    with ad.Tape() as tape:
+        out = loss_fn(w, residuals, targets, ALPHAS, tau_q, tau_p)
+        total = ad.reduce_sum(ad.mul(out, ad.constant(probe)))
+    tape.backward(total)
+    return out.data, w.grad
+
+
+CASES = [
+    # (B, s, pad, ties)
+    (5, 1, 0, False),
+    (6, 2, 0, False),
+    (6, 2, 1, False),
+    (8, 32, 0, False),
+    (8, 32, 7, False),
+    (8, 32, 0, True),
+    (8, 32, 5, True),
+    (3, 255, 0, False),
+    (3, 255, 40, True),
+]
+
+
+class TestSmoothWinklerGrid:
+    @pytest.mark.parametrize("tau_q", [1e-4, 1e-3, 0.01, 0.05])
+    @pytest.mark.parametrize("B,s,pad,ties", CASES)
+    def test_matches_per_level_oracle(self, B, s, pad, ties, tau_q):
+        rng = np.random.default_rng([B, s, pad, int(ties), int(1e4 * tau_q)])
+        weights, residuals, targets = sorted_batch(rng, B, s, pad, ties)
+        probe = rng.standard_normal(B)
+        for tau_p in (5e-4, 0.05):
+            new_v, new_g = value_and_grad(
+                ad.smooth_winkler_grid, weights, residuals, targets, tau_q, tau_p, probe)
+            old_v, old_g = value_and_grad(
+                per_level_winkler, weights, residuals, targets, tau_q, tau_p, probe)
+            assert new_v.shape == (B,)
+            np.testing.assert_allclose(new_v, old_v, rtol=REL, atol=0.0)
+            assert rel_err(new_g, old_g) < REL
+
+    def test_saturated_edges_are_exactly_zero_or_one(self):
+        # |z| > 40 sets exp(-|z|) to 0: no subnormal or near-zero tails remain
+        weights, residuals, _ = sorted_batch(np.random.default_rng(12), 4, 255)
+        _, S, _, _ = ad.smooth_quantiles(weights, residuals, [0.1, 0.9], 1e-4)
+        assert S.min() == 0.0 and S.max() == 1.0
+        assert not np.any((S > 0.0) & (S < np.exp(-40.0)))
+
+    def test_vanished_bin_mass_raises(self):
+        with pytest.raises(NumericError):
+            ad.smooth_winkler_grid(
+                ad.constant(np.zeros((2, 4))), np.zeros((2, 4)), np.zeros(2), ALPHAS,
+                0.05, 1e-3,
+            )
+
+    def test_rows_are_independent_episodes(self):
+        rng = np.random.default_rng(9)
+        weights, residuals, targets = sorted_batch(rng, 4, 10)
+        batched = ad.smooth_winkler_grid(
+            ad.constant(weights), residuals, targets, ALPHAS, 0.02, 1e-3).data
+        for j in range(4):
+            single = ad.smooth_winkler_grid(
+                ad.constant(weights[j : j + 1]), residuals[j : j + 1], targets[j : j + 1],
+                ALPHAS, 0.02, 1e-3).data
+            assert single[0] == pytest.approx(batched[j], rel=1e-14)
+
+    def test_one_tape_record(self):
+        rng = np.random.default_rng(10)
+        weights, residuals, targets = sorted_batch(rng, 4, 10)
+        w = ad.parameter(weights)
+        with ad.Tape() as tape:
+            ad.smooth_winkler_grid(w, residuals, targets, ALPHAS, 0.02, 1e-3)
+        assert len(tape.records) == 1
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(11)
+        weights, residuals, targets = sorted_batch(rng, 3, 6)
+        probe = rng.standard_normal(3)
+
+        def f(x):
+            out = ad.smooth_winkler_grid(x, residuals, targets, ALPHAS, 0.05, 0.02).data
+            return float(out @ probe)
+
+        _, grad = value_and_grad(
+            ad.smooth_winkler_grid, weights, residuals, targets, 0.05, 0.02, probe)
+        assert rel_err(grad, fourth_order_grad(f, weights, h=1e-4)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# oracle: the full-tape retrieval chain
+# ---------------------------------------------------------------------------
+
+
+def emit_keys(out, contexts_t, latent_dim):
+    t_out = ad.as_tensor(out)
+    C = np.asarray(contexts_t, dtype=np.float64)
+    p, n = C.shape
+    d = int(latent_dim)
+    D, B = t_out.data.shape
+    A_all = t_out.data[: d * p].T.reshape(B, d, p)
+    b_all = t_out.data[d * p :].T
+    keys = (A_all.reshape(B * d, p) @ C).reshape(B, d, n) + b_all[:, :, None]
+
+    def vjp(g):
+        dA = (g.reshape(B * d, n) @ C.T).reshape(B, d, p)
+        grad = np.empty((D, B))
+        grad[: d * p] = dA.reshape(B, d * p).T
+        grad[d * p :] = g.sum(axis=2).T
+        return (grad,)
+
+    return ad._finish(keys, (t_out,), vjp)
+
+
+def l2_normalize_3d(x):
+    tx = ad.as_tensor(x)
+    X = tx.data
+    inv = 1.0 / np.sqrt(np.einsum("jdi,jdi->ji", X, X) + ad.EPS_NORM)
+
+    def vjp(g):
+        dots = np.einsum("jdi,jdi->ji", X, g)
+        return (g * inv[:, None, :] - X * (dots * inv**3)[:, None, :],)
+
+    return ad._finish(X * inv[:, None, :], (tx,), vjp)
+
+
+def query_key_scores(normalized_keys, query_columns):
+    t_nk = ad.as_tensor(normalized_keys)
+    NK = t_nk.data
+    B = NK.shape[0]
+    cols = np.asarray(query_columns, dtype=np.int64)
+    rows = np.arange(B)
+    Q = NK[rows, :, cols]
+    scores = np.einsum("jd,jdi->ji", Q, NK)
+
+    def vjp(g):
+        dNK = Q[:, :, None] * g[:, None, :]
+        dNK[rows, :, cols] += np.einsum("ji,jdi->jd", g, NK)
+        return (dNK,)
+
+    return ad._finish(scores, (t_nk,), vjp)
+
+
+def full_tape_retrieval(out, contexts_t, top_k):
+    p, B = contexts_t.shape
+    keys = emit_keys(out, contexts_t, out.shape[0] // (p + 1))
+    scores = query_key_scores(l2_normalize_3d(keys), np.arange(B))
+    masked = scores.data.copy()
+    np.fill_diagonal(masked, -np.inf)
+    sel = np.argsort(-masked, axis=1, kind="stable")[:, : min(int(top_k), B - 1)]
+    return sel, ad.gather_rows(scores, sel)
+
+
+def retrieval_instance(rng, B, p, L, duplicates=False):
+    maps = rng.standard_normal((L * (p + 1), B))
+    contexts_t = rng.standard_normal((p, B))
+    if duplicates:
+        # repeated candidate columns tie their scores in every other episode
+        contexts_t[:, 1::3] = contexts_t[:, [0]]
+    return maps, contexts_t
+
+
+def retrieval_grad(fn, maps, contexts_t, top_k):
+    m = ad.parameter(maps)
+    with ad.Tape() as tape:
+        sel, scores = fn(m, contexts_t, top_k)
+        probe = np.random.default_rng(0).standard_normal(scores.shape)
+        total = ad.reduce_sum(ad.mul(scores, ad.constant(probe)))
+    tape.backward(total)
+    return sel, scores.data, m.grad
+
+
+class TestLooRetrievalScores:
+    @pytest.mark.parametrize(
+        "B,p,L,top_k,duplicates",
+        [
+            (12, 5, 4, 4, False),
+            (12, 5, 4, 4, True),
+            (9, 3, 2, 8, False),   # k = B - 1: every candidate
+            (9, 3, 2, 20, True),   # k > B - 1
+            (40, 8, 6, 7, True),
+            (2, 3, 2, 1, False),
+        ],
+    )
+    def test_matches_full_tape_oracle(self, B, p, L, top_k, duplicates):
+        rng = np.random.default_rng([B, p, L, top_k, int(duplicates)])
+        maps, contexts_t = retrieval_instance(rng, B, p, L, duplicates)
+        sel, scores, grad = retrieval_grad(ad.loo_retrieval_scores, maps, contexts_t, top_k)
+        sel_o, scores_o, grad_o = retrieval_grad(full_tape_retrieval, maps, contexts_t, top_k)
+        assert sel.shape == (B, min(top_k, B - 1))
+        assert np.array_equal(sel, sel_o)
+        assert np.array_equal(scores, scores_o)
+        assert rel_err(grad, grad_o) < REL
+        assert not np.any(sel == np.arange(B)[:, None])
+
+    def test_tied_scores_go_to_the_smaller_column(self):
+        rng = np.random.default_rng(5)
+        maps, contexts_t = retrieval_instance(rng, 10, 4, 3)
+        contexts_t[:] = contexts_t[:, [0]]  # every key is the same
+        sel, scores = ad.loo_retrieval_scores(ad.constant(maps), contexts_t, 4)
+        for j in range(10):
+            assert list(sel[j]) == [c for c in range(10) if c != j][:4]
+        assert np.all(scores.data == scores.data[:, :1])
+
+    def test_scores_are_per_episode_cosines(self):
+        rng = np.random.default_rng(6)
+        L, p, B = 3, 4, 7
+        maps, contexts_t = retrieval_instance(rng, B, p, L)
+        sel, scores = ad.loo_retrieval_scores(ad.constant(maps), contexts_t, 3)
+        for j in range(B):
+            A = maps[: L * p, j].reshape(L, p)
+            b = maps[L * p :, j]
+            keys = A @ contexts_t + b[:, None]
+            keys /= np.sqrt((keys**2).sum(axis=0) + ad.EPS_NORM)
+            np.testing.assert_allclose(scores.data[j], keys[:, j] @ keys[:, sel[j]], rtol=1e-13)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(7)
+        maps, contexts_t = retrieval_instance(rng, 8, 4, 3)
+        sel, _ = ad.loo_retrieval_scores(ad.constant(maps), contexts_t, 3)
+        probe = rng.standard_normal(sel.shape)
+
+        def f(x):
+            s, scores = ad.loo_retrieval_scores(x, contexts_t, 3)
+            assert np.array_equal(s, sel)  # the steps stay clear of selection flips
+            return float(np.sum(scores.data * probe))
+
+        m = ad.parameter(maps)
+        with ad.Tape() as tape:
+            _, scores = ad.loo_retrieval_scores(m, contexts_t, 3)
+            total = ad.reduce_sum(ad.mul(scores, ad.constant(probe)))
+        tape.backward(total)
+        assert rel_err(m.grad, fourth_order_grad(f, maps)) < 1e-10
+
+    def test_one_tape_record(self):
+        rng = np.random.default_rng(8)
+        maps, contexts_t = retrieval_instance(rng, 6, 3, 2)
+        m = ad.parameter(maps)
+        _, untaped = ad.loo_retrieval_scores(m, contexts_t, 2)
+        assert not untaped.requires_grad
+        with ad.Tape() as tape:
+            ad.loo_retrieval_scores(m, contexts_t, 2)
+        assert len(tape.records) == 1
+
+
+class TestLooSelect:
+    @pytest.mark.parametrize("B,top_k", [(3, 1), (3, 5), (16, 4), (16, 15), (50, 10)])
+    def test_equals_stable_argsort_with_ties(self, B, top_k):
+        rng = np.random.default_rng([B, top_k])
+        for levels in (3, 10, 0):
+            if levels:
+                scores = rng.integers(0, levels, (B, B)) / 4.0
+            else:
+                scores = rng.standard_normal((B, B))
+            expected_scores = scores.copy()
+            np.fill_diagonal(expected_scores, -np.inf)
+            expected = np.argsort(-expected_scores, axis=1, kind="stable")[:, : min(top_k, B - 1)]
+            assert np.array_equal(ad.loo_select(scores, top_k), expected)

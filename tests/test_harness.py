@@ -52,6 +52,13 @@ class TestChronologicalEval:
         )
         assert len(state["store"]) == state["seed_entries"] + len(records)
 
+    def test_zero_capacity_rejected(self):
+        series = TimeSeries(values=np.random.default_rng(2).standard_normal(80))
+        with pytest.raises(DataError, match="capacity"):
+            run_chronological_eval(
+                series, SplitSpec(), NaiveForecast(), "uniform", EvalConfig(window=4, capacity=0)
+            )
+
     def test_alpha_fixed_for_uniform_and_nexcp(self):
         rng = np.random.default_rng(1)
         series = TimeSeries(values=rng.standard_normal(80))

@@ -272,6 +272,31 @@ class TestExpertTraining:
         )
         assert float(with_teacher.data) == pytest.approx(float(without.data))
 
+    def test_step_tape_stays_fused(self, monkeypatch):
+        """One hypernetwork step records a handful of tape records; a loss
+        built from one primitive chain per quantile level records over 500."""
+        from rarecp.autodiff import Tape
+
+        recorded = []
+        backward = Tape.backward
+
+        def counting_backward(self, loss):
+            recorded.append(len(self.records))
+            return backward(self, loss)
+
+        monkeypatch.setattr(Tape, "backward", counting_backward)
+        rng = np.random.default_rng(19)
+        dataset = tiny_dataset(rng, n=40)
+        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=2, seed=0)
+        teacher = (rng.normal(0, 0.5, size=(4, 5)), rng.normal(0, 0.5, size=4))
+        expert_training_step(
+            encoder, [dataset], [np.arange(40)], [teacher],
+            Adam(encoder.parameters(), lr=1e-3), top_k=8, temperature=1 / 12,
+            alpha_grid=np.asarray(default_alpha_grid()), tau_q=0.05, tau_p=5e-4,
+            lambda_anchor=5.0,
+        )
+        assert len(recorded) == 1 and recorded[0] <= 30
+
     def test_full_loss_gradient_fidelity_small(self):
         from rarecp.gradcheck import expert_loss_check
 
