@@ -416,20 +416,12 @@ def loo_select(scores: np.ndarray, top_k: int) -> np.ndarray:
 
     Row j's own column j is masked (in place, to -inf) and the
     ``min(top_k, B - 1)`` largest scores kept, largest first, ties to the
-    smaller column: exactly ``argsort(-scores, kind="stable")[:, :k]``.
-    ``argpartition`` finds each row's k winners and only those are sorted;
-    a tie across the k-th place falls back to the full stable sort. The
-    selection is a constant of the forward pass.
+    smaller column (a stable sort). The selection is a constant of the
+    forward pass.
     """
     np.fill_diagonal(scores, -np.inf)
     k = min(int(top_k), scores.shape[0] - 1)
-    neg = -scores
-    part = np.argpartition(neg, k, axis=1)
-    top = np.sort(part[:, :k], axis=1)
-    vals = np.take_along_axis(neg, top, axis=1)
-    if np.any(vals.max(axis=1) >= neg[np.arange(neg.shape[0]), part[:, k]]):
-        return np.argsort(neg, axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(top, np.argsort(vals, axis=1, kind="stable"), axis=1)
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
 def loo_retrieval_scores(maps, contexts_t, top_k: int) -> tuple[np.ndarray, Tensor]:
