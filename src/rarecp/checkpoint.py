@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import struct
 from dataclasses import asdict, dataclass
@@ -100,7 +101,11 @@ def _tensor_table(model: ModelConfig, dataset_ids) -> list[dict]:
 
 
 def save_checkpoint(components: RareCPComponents, path) -> None:
-    """Write ``components`` to ``path`` in one call; an OS failure raises ``DataError``."""
+    """Write ``components`` to ``path``; an OS failure raises ``DataError``.
+
+    The bytes go to a temporary file beside ``path``, which then replaces
+    it, so a failed or interrupted save leaves any previous checkpoint whole.
+    """
     descriptors = sorted(components.descriptors.items())
     stack = components.experts
     arrays = [a for _, d in descriptors for a in (d.mu, d.sigma)]
@@ -122,10 +127,15 @@ def save_checkpoint(components: RareCPComponents, path) -> None:
     ).encode("utf-8")
     manifest += b" " * (-len(manifest) % 8)
     blob = b"".join(np.ascontiguousarray(a, dtype=_F64).tobytes() for a in arrays)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        Path(path).write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest + blob)
+        tmp.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest + blob)
+        os.replace(tmp, path)
     except OSError as exc:
         raise DataError(f"cannot write checkpoint {path}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> RareCPComponents:

@@ -58,12 +58,6 @@ class WeightedSupport:
         return int(self.residuals.size)
 
     @classmethod
-    def from_pairs(cls, pairs) -> "WeightedSupport":
-        residuals = [r for r, _ in pairs]
-        weights = [w for _, w in pairs]
-        return cls(np.asarray(residuals), np.asarray(weights))
-
-    @classmethod
     def uniform(cls, residuals) -> "WeightedSupport":
         residuals = np.asarray(residuals, dtype=np.float64)
         n = residuals.size

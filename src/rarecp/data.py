@@ -17,6 +17,7 @@ from rarecp.errors import (
     ForecastMissingError,
     NonNumericCellError,
 )
+from rarecp.validation import check_finite, check_int, float_array
 
 FRACTION_SUM_TOL = 1e-9
 DEFAULT_SIGMA_FLOOR = 1e-6
@@ -149,9 +150,10 @@ class CalibrationStore:
     never pays for it.
 
     ``key_inputs`` holds the contexts as retrieval sees them, z-scored with
-    one descriptor and laid out as (p, capacity) columns in ring order. It
+    one descriptor and laid out as (p + 1, capacity) columns in ring order,
+    the last row a constant 1 that folds a key map's bias into its GEMM. It
     follows the same pattern: built on first request for a descriptor, then
-    kept by every ``append`` with one z-scored column.
+    kept by every ``append`` with the column's p z-scored entries.
     """
 
     def __init__(self, capacity: int, context_dim: int):
@@ -172,8 +174,8 @@ class CalibrationStore:
         # entries appended before it); None until first requested
         self._sorted: tuple[np.ndarray, np.ndarray] | None = None
         self._arrivals = 0
-        # (descriptor or None for raw contexts, (p, capacity) key inputs in
-        # ring order); None until first requested
+        # (descriptor or None for raw contexts, (p + 1, capacity) key inputs
+        # in ring order); None until first requested
         self._keyed: tuple[DatasetDescriptor | None, np.ndarray] | None = None
 
     def __len__(self) -> int:
@@ -189,20 +191,17 @@ class CalibrationStore:
         return self._dim
 
     def append(self, entry: CalibrationEntry) -> None:
-        context = np.asarray(entry.context, dtype=np.float64)
+        context = float_array(entry.context, "entry context")
         if context.shape != (self._dim,):
             raise DataError(
                 f"entry context has shape {context.shape}, expected ({self._dim},)"
             )
-        residual = float(entry.residual)
-        if not np.isfinite(residual):
-            raise DataError("entry residual must be finite")
+        residual = check_finite(entry.residual, "entry residual")
+        time_index = check_int(entry.time_index, "time_index")
         if self._size > 0:
             last = self._times[(self._start + self._size - 1) % self.capacity]
-            if entry.time_index <= last:
-                raise DataError(
-                    f"time_index {entry.time_index} does not increase past {last}"
-                )
+            if time_index <= last:
+                raise DataError(f"time_index {time_index} does not increase past {last}")
         pos = (self._start + self._size) % self.capacity
         if self._keyed is not None:
             column = _key_rows(context, self._keyed[0])
@@ -214,9 +213,9 @@ class CalibrationStore:
             self._size += 1
         self._contexts[pos] = context
         self._residuals[pos] = residual
-        self._times[pos] = int(entry.time_index)
+        self._times[pos] = time_index
         if self._keyed is not None:
-            self._keyed[1][:, pos] = column
+            self._keyed[1][:-1, pos] = column
         self._arrivals += 1
         self._version += 1
         self._views.clear()
@@ -286,8 +285,10 @@ class CalibrationStore:
     def key_inputs(self, descriptor: DatasetDescriptor | None = None) -> np.ndarray:
         """Contexts as retrieval key inputs: one column per entry, in ring order.
 
-        Columns are z-scored with ``descriptor``, or raw contexts when it is
-        None; the read-only result has shape (p, len(store)). Ring position
+        Columns are the contexts z-scored with ``descriptor`` (raw when it is
+        None) above a row of ones, written once when the array is built, so
+        ``[A | b] @ key_inputs`` keys every entry, bias included, in one GEMM.
+        The read-only result has shape (p + 1, len(store)). Ring position
         ``j`` holds chronological entry ``(j - start) % capacity``, and
         ``chronological`` puts arrays laid out this way oldest first. The
         array behind the view is built on first request for a descriptor
@@ -299,8 +300,8 @@ class CalibrationStore:
                 raise DataError(
                     f"descriptor has dimension {descriptor.dim}, store contexts have {self._dim}"
                 )
-            columns = np.zeros((self._dim, self.capacity))
-            columns[:, : self._size] = _key_rows(self._contexts[: self._size], descriptor).T
+            columns = np.ones((self._dim + 1, self.capacity))
+            columns[:-1, : self._size] = _key_rows(self._contexts[: self._size], descriptor).T
             self._keyed = (descriptor, columns)
         view = self._keyed[1][:, : self._size]
         view.flags.writeable = False
@@ -312,13 +313,6 @@ class CalibrationStore:
             return ring
         return np.concatenate((ring[..., self._start :], ring[..., : self._start]), axis=-1)
 
-    def entries(self) -> list[CalibrationEntry]:
-        ctx, res, times = self.contexts(), self.residuals(), self.time_indices()
-        return [
-            CalibrationEntry(context=ctx[i], residual=float(res[i]), time_index=int(times[i]))
-            for i in range(self._size)
-        ]
-
     @classmethod
     def from_arrays(
         cls, X, y, capacity: int | None = None, start_time: int = 0
@@ -328,8 +322,8 @@ class CalibrationStore:
         Row ``i`` gets time index ``start_time + i``; ``capacity`` defaults
         to the number of rows.
         """
-        y = np.asarray(y, dtype=np.float64)
-        start_time = int(start_time)
+        y = float_array(y, "y")
+        start_time = check_int(start_time, "start_time")
         return cls._from_columns(X, y, start_time + np.arange(y.size), capacity)
 
     @classmethod
@@ -353,7 +347,7 @@ class CalibrationStore:
     @classmethod
     def _from_columns(cls, X, y, times, capacity) -> "CalibrationStore":
         """Validate once, then write the most recent rows into the ring."""
-        X = np.asarray(X, dtype=np.float64)
+        X = float_array(X, "X")
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
             raise DataError(
                 f"store needs (n, p) contexts and n residuals, got shapes {X.shape} and {y.shape}"
@@ -374,19 +368,11 @@ class CalibrationStore:
 
 
 def _key_rows(contexts: np.ndarray, descriptor: DatasetDescriptor | None) -> np.ndarray:
-    """Contexts z-scored with ``descriptor`` (unchanged if None); must stay finite."""
-    if descriptor is None:
-        return contexts
-    z = normalize_context(contexts, descriptor)
-    if not np.all(np.isfinite(z)):
-        raise DataError("a z-scored store context is not finite")
-    return z
-
-
-def store_update(store: CalibrationStore, entry: CalibrationEntry) -> CalibrationStore:
-    """Append ``entry``, evicting the oldest entry if the store is full."""
-    store.append(entry)
-    return store
+    """Contexts z-scored with ``descriptor`` (unchanged if None); must be finite."""
+    rows = contexts if descriptor is None else normalize_context(contexts, descriptor)
+    if not np.all(np.isfinite(rows)):
+        raise DataError("a store context is not finite as a retrieval key input")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -501,12 +487,6 @@ class PrecomputedForecast(ForecastSource):
 
     def __len__(self) -> int:
         return len(self._forecasts)
-
-
-def backbone_forecast(
-    source: ForecastSource, history: np.ndarray, time_index: int = -1
-) -> float:
-    return source.point_forecast(np.asarray(history, dtype=np.float64), time_index)
 
 
 def make_forecast_source(kind: str, path: str | None = None) -> ForecastSource:

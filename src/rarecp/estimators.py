@@ -32,7 +32,9 @@ from rarecp.errors import DataError
 from rarecp.gate import mixed_support, rarecp_interval
 from rarecp.training import CalibrationDataset, ModelConfig, TrainConfig, Trainer
 from rarecp.validation import (
+    check_finite,
     check_fitted,
+    check_int,
     check_matrix,
     check_unit_interval,
     check_vector,
@@ -83,7 +85,7 @@ class SplitConformal(BaseEstimator):
         check_fitted(self, "store_")
         alpha = check_unit_interval(self.alpha if alpha is None else alpha, "alpha")
         return baseline_interval(
-            float(forecast), self.store_, alpha, mode=self.weighting,
+            check_finite(forecast, "forecast"), self.store_, alpha, mode=self.weighting,
             nexcp_lambda=self.nexcp_lambda,
         )
 
@@ -95,8 +97,7 @@ class SplitConformal(BaseEstimator):
         if time_index is None:
             time_index = self._next_time
         self.store_.append(
-            CalibrationEntry(context=np.asarray(context, dtype=np.float64),
-                             residual=float(residual), time_index=int(time_index))
+            CalibrationEntry(context=context, residual=residual, time_index=time_index)
         )
         self._next_time = int(time_index) + 1
 
@@ -211,6 +212,7 @@ class RareCP(BaseEstimator):
                 f"X has {X.shape[1]} features but window={self.window} and "
                 f"include_forecast={self.include_forecast} imply {model.context_dim}"
             )
+        dataset_id = check_int(dataset_id, "dataset_id")
         dataset = CalibrationDataset.from_arrays(
             X, y, dataset_id=dataset_id, normalize=self.normalize_contexts
         )
@@ -218,7 +220,7 @@ class RareCP(BaseEstimator):
         trainer = Trainer([dataset], model, self.train_config()).run()
         self.components_ = components_from_trainer(trainer)
         self.train_log_ = trainer.log
-        self._dataset_id = int(dataset_id)
+        self._dataset_id = dataset_id
         self.descriptor_ = dataset.descriptor
         self.store_ = store
         self._next_time = y.size
@@ -227,10 +229,11 @@ class RareCP(BaseEstimator):
     @classmethod
     def from_checkpoint(cls, path, dataset_id: int = 0) -> "RareCP":
         """Rebuild an estimator around saved components (store left empty)."""
+        dataset_id = check_int(dataset_id, "dataset_id")
         components = load_checkpoint(path)
         est = cls(**asdict(components.model))
         est.components_ = components
-        est._dataset_id = int(dataset_id)
+        est._dataset_id = dataset_id
         return est
 
     def save(self, path) -> None:
@@ -253,7 +256,7 @@ class RareCP(BaseEstimator):
             )
         self.store_ = store
         self.descriptor_ = compute_descriptor(store.contexts(), self._dataset_id)
-        self._next_time = start_time + y.size
+        self._next_time = int(start_time) + y.size
 
     # -- prediction -------------------------------------------------------------
 
@@ -291,7 +294,7 @@ class RareCP(BaseEstimator):
         x = self._query(x)
         alpha = check_unit_interval(self.alpha if alpha is None else alpha, "alpha")
         return rarecp_interval(
-            float(forecast),
+            check_finite(forecast, "forecast"),
             x,
             self.store_,
             self.components_.experts,
@@ -307,9 +310,6 @@ class RareCP(BaseEstimator):
         if time_index is None:
             time_index = self._next_time
         self.store_.append(
-            CalibrationEntry(
-                context=check_vector(x, "x"), residual=float(residual),
-                time_index=int(time_index),
-            )
+            CalibrationEntry(context=check_vector(x, "x"), residual=residual, time_index=time_index)
         )
         self._next_time = int(time_index) + 1

@@ -5,14 +5,15 @@ emitted per query by a small hypernetwork conditioned on the query and a
 dataset descriptor, or a fixed dataset-level affine map. Keys are
 cosine-normalized, so retrieval is nearest-neighbor on the unit sphere:
 ``|u - v|^2 = 2 - 2 u.v``. The expert keeps the top-k calibration keys by
-dot product and puts temperature-softmax weights on exactly that support.
+cosine score and puts temperature-softmax weights on exactly that support.
 
 ``retrieve_supports`` serves all M experts of a query at once, in plain
 numpy: an ``ExpertStack`` holds their weights stacked, so the M maps come
-from one batched matmul per layer and key the store's z-scored
-contexts (kept by the store itself, see ``CalibrationStore.key_inputs``)
-with a single GEMM. Calibration keys depend on the query's map, so they
-are recomputed for every query and never cached.
+from one batched matmul per layer, folded as ``[A | b]``. The store keeps
+its z-scored contexts above a row of ones (``CalibrationStore.key_inputs``),
+so one GEMM keys it, bias included; ``normalize_keys`` then scales the
+(M, n) scores, not the keys, by each key's inverse norm. Keys depend on
+the query's map, so they are recomputed for every query and never cached.
 """
 
 from __future__ import annotations
@@ -239,35 +240,33 @@ class FixedAffineMap:
         return self.A.data.copy(), self.b.data.copy()
 
 
-def emit_expert_map(
-    encoder, query_z: np.ndarray, descriptor: DatasetDescriptor
-) -> tuple[Tensor, Tensor]:
-    return encoder.emit(query_z, descriptor_features(descriptor))
-
-
 # ---------------------------------------------------------------------------
 # retrieval
 # ---------------------------------------------------------------------------
 
 
-def normalize_keys(A, b, columns: np.ndarray) -> np.ndarray:
-    """Unit keys ``(A x + b) / |A x + b|`` for each column ``x`` of a (p, n) block.
+def normalize_keys(maps: np.ndarray, query_z: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Cosine scores of one query against every key input, under each of M maps.
 
-    ``A`` is one (L, p) map with bias (L,), giving (L, n) keys, or a stack of
-    M maps (M, L, p) with biases (M, L), giving (M, L, n): the stack runs as
-    one GEMM and each map's keys are normalised on their own. A single
-    query is a one-column block. Raises ``NumericError`` when a key's
-    squared norm is not finite, so an overflowing key never scores 0.
+    ``maps`` stacks M folded key maps ``[A | b]`` as (M, L, p + 1), and
+    ``columns`` is a (p + 1, n) block of key inputs whose last row is 1, so
+    one GEMM gives every key ``A x + b``. The query is keyed by the same
+    maps on ``[query_z; 1]`` and normalised; the keys are not: the (M, n)
+    scores ``q . k`` are scaled by each key's inverse norm instead. Raises
+    ``NumericError`` when a key's squared norm is not finite, so an
+    overflowing key never scores 0.
     """
-    A = np.asarray(A, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    keys = (A.reshape(-1, A.shape[-1]) @ columns).reshape(A.shape[:-1] + (columns.shape[1],))
-    keys += b[..., None]
-    sq = np.einsum("...ln,...ln->...n", keys, keys)
-    if not np.all(np.isfinite(sq)):
+    M, L, width = maps.shape
+    keys = (maps.reshape(M * L, width) @ columns).reshape(M, L, columns.shape[1])
+    sq = np.einsum("mln,mln->mn", keys, keys)
+    q = maps @ np.append(query_z, 1.0)
+    q_sq = np.einsum("ml,ml->m", q, q)
+    if not (np.all(np.isfinite(sq)) and np.all(np.isfinite(q_sq))):
         raise NumericError("a retrieval key overflowed: its squared norm is not finite")
-    keys *= (1.0 / np.sqrt(sq + EPS_NORM))[..., None, :]
-    return keys
+    q *= (1.0 / np.sqrt(q_sq + EPS_NORM))[:, None]
+    scores = np.matmul(q[:, None, :], keys)[:, 0]
+    scores *= 1.0 / np.sqrt(sq + EPS_NORM)
+    return scores
 
 
 def topk_retrieve(scores: np.ndarray, k: int) -> np.ndarray:
@@ -322,9 +321,6 @@ class ProjectionCounter:
 
     def add(self, n: int) -> None:
         self.count += int(n)
-
-    def reset(self) -> None:
-        self.count = 0
 
 
 @dataclass
@@ -422,8 +418,8 @@ class ExpertStack(Sequence):
                     enc.A.data, enc.b.data = row[: L * p].reshape(L, p), row[L * p :]
         return cls(experts, layers, flat)
 
-    def maps(self, query_z: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The M key maps of one query: A as (M, L, p) and b as (M, L)."""
+    def maps(self, query_z: np.ndarray, feats: np.ndarray) -> np.ndarray:
+        """The M key maps of one query, folded as ``[A | b]`` into (M, L, p + 1)."""
         flat = self.flat
         if self.layers:
             emitted = mlp_arrays(self.layers, np.concatenate([query_z, feats]), self.activation)
@@ -433,7 +429,7 @@ class ExpertStack(Sequence):
                 flat = flat.copy()
                 flat[self.hyper] = emitted
         M, L, p = self.shape
-        return flat[:, : L * p].reshape(M, L, p), flat[:, L * p :]
+        return np.concatenate((flat[:, : L * p].reshape(M, L, p), flat[:, L * p :, None]), 2)
 
 
 def retrieve_supports(
@@ -448,8 +444,8 @@ def retrieve_supports(
     ``experts`` is a model's ``ExpertStack``, or a list stacked for this
     call. ``query_z`` is the query as the encoders read it, z-scored with
     ``descriptor``; with ``descriptor=None`` both the query and the store's
-    contexts are used raw. The M maps are keyed against the store's
-    ring-order key inputs in one GEMM. Only the (M, n) scores are put in
+    contexts are used raw. The M folded maps key the store's ring-order
+    key inputs in one GEMM (``normalize_keys``). Only the (M, n) scores are put in
     chronological order, so ties still go to the older entry.
     """
     if len(store) == 0:
@@ -457,10 +453,8 @@ def retrieve_supports(
     if not np.all(np.isfinite(query_z)):
         raise NumericError("the z-scored query is not finite")
     stack = ExpertStack.of(experts)
-    A, b = stack.maps(query_z, feats)
-    q = normalize_keys(A, b, query_z[:, None])[..., 0]
-    keys = normalize_keys(A, b, store.key_inputs(descriptor))
-    scores = store.chronological(np.matmul(q[:, None, :], keys)[:, 0])
+    maps = stack.maps(query_z, feats)
+    scores = store.chronological(normalize_keys(maps, query_z, store.key_inputs(descriptor)))
     residuals = store.residuals()
     results = []
     for expert, expert_scores in zip(stack, scores):

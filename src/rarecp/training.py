@@ -937,16 +937,6 @@ class Trainer:
         return self
 
 
-def fit_teacher_bank(
-    datasets: list[CalibrationDataset], model: ModelConfig, train: TrainConfig
-) -> list[list[FixedAffineMap]]:
-    """Prefit dataset-level affine teacher maps, one per (expert, dataset)."""
-    trainer = Trainer(datasets, model, train)
-    trainer.fit_teachers()
-    assert trainer.teachers is not None
-    return trainer.teachers
-
-
 def train_pipeline(
     datasets: list[CalibrationDataset], model: ModelConfig, train: TrainConfig
 ) -> Trainer:

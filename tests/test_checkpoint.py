@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,3 +182,27 @@ def test_loading_a_missing_file_raises_data_error(tmp_path):
 def test_saving_into_a_missing_directory_raises_data_error(small_trained, tmp_path):
     with pytest.raises(DataError, match="cannot write checkpoint"):
         save_checkpoint(small_trained["components"], tmp_path / "missing" / "model.json")
+
+
+def test_save_failing_midway_keeps_the_previous_checkpoint(small_trained, tmp_path,
+                                                           monkeypatch):
+    path = tmp_path / "model.bin"
+    save_checkpoint(small_trained["components"], path)
+    before = path.read_bytes()
+    real_write_bytes = Path.write_bytes
+
+    def write_half_then_fail(self, data):
+        real_write_bytes(self, data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    with pytest.raises(DataError, match="cannot write checkpoint"):
+        save_checkpoint(small_trained["components"], path)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]
+    assert path.read_bytes() == before
+    load_checkpoint(path)
+    # a save that succeeds replaces the file with the same bytes
+    save_checkpoint(small_trained["components"], path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bin"]

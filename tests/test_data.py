@@ -17,7 +17,6 @@ from rarecp.data import (
     load_forecast_csv,
     load_series_csv,
     normalize_context,
-    store_update,
 )
 from rarecp.errors import (
     ColumnMissingError,
@@ -138,9 +137,25 @@ class TestCalibrationStore:
     def test_fifo_eviction(self):
         store = CalibrationStore(2, 2)
         for i in range(3):
-            store_update(store, _entry(i))
+            store.append(_entry(i))
         np.testing.assert_array_equal(store.residuals(), [1.0, 2.0])
         np.testing.assert_array_equal(store.time_indices(), [1, 2])
+
+    @pytest.mark.parametrize(
+        "entry",
+        [CalibrationEntry(np.zeros(2), 0.0, float("nan")),
+         CalibrationEntry(np.zeros(2), 0.0, 1e9 + 0.5),
+         CalibrationEntry(np.zeros(2), "a", 10),
+         CalibrationEntry("ab", 0.0, 10)],
+        ids=["time nan", "time 1e9 + 0.5", "residual 'a'", "context 'ab'"],
+    )
+    def test_bad_entry_rejected_before_the_store_changes(self, entry):
+        store = CalibrationStore.from_arrays(np.zeros((3, 2)), np.arange(3.0), capacity=3)
+        with pytest.raises(DataError):
+            store.append(entry)
+        assert len(store) == 3 and store.version == 3
+        np.testing.assert_array_equal(store.time_indices(), [0, 1, 2])
+        np.testing.assert_array_equal(store.residuals(), np.arange(3.0))
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(DataError):
@@ -280,8 +295,9 @@ class TestKeyInputs:
             expected = store.contexts()
             if normalize:
                 expected = normalize_context(expected, descriptor)
-            assert view.shape == (3, len(store))
-            np.testing.assert_array_equal(store.chronological(view), expected.T)
+            assert view.shape == (4, len(store))
+            np.testing.assert_array_equal(store.chronological(view),
+                                          np.vstack([expected.T, np.ones(len(store))]))
 
     def test_rebuilt_only_for_another_descriptor(self):
         rng = np.random.default_rng(4)
@@ -289,11 +305,41 @@ class TestKeyInputs:
         store = CalibrationStore.from_arrays(X, np.zeros(6), capacity=4)
         d1 = compute_descriptor(X)
         d2 = compute_descriptor(3.0 * X + 1.0)
+        ones = np.ones((1, 4))
         first = store.key_inputs(d1)
         assert np.shares_memory(store.key_inputs(d1), first)
-        np.testing.assert_array_equal(store.key_inputs(d2), normalize_context(X[2:], d2).T)
+        np.testing.assert_array_equal(store.key_inputs(d2),
+                                      np.vstack([normalize_context(X[2:], d2).T, ones]))
         assert not np.shares_memory(store.key_inputs(d2), first)
-        np.testing.assert_array_equal(store.key_inputs(None), X[2:].T)
+        np.testing.assert_array_equal(store.key_inputs(None), np.vstack([X[2:].T, ones]))
+
+    def test_ones_row_survives_wrap_around_and_rebuild(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((20, 3))
+        store = CalibrationStore.from_arrays(X[:3], np.zeros(3), capacity=5)
+        d1, d2 = compute_descriptor(X[:3]), compute_descriptor(2.0 * X[:3])
+        store.key_inputs(d1)
+        for t in range(3, 20):  # wraps the 5-entry ring three times
+            store.append(CalibrationEntry(X[t], 0.0, t))
+            descriptor = d1 if t < 11 else d2 if t < 16 else None
+            view = store.key_inputs(descriptor)
+            np.testing.assert_array_equal(view[-1], np.ones(len(store)))
+            np.testing.assert_array_equal(
+                store.chronological(view[:-1]),
+                store.contexts().T if descriptor is None
+                else normalize_context(store.contexts(), descriptor).T,
+            )
+
+    def test_non_finite_raw_context_rejected_before_append(self):
+        store = CalibrationStore.from_arrays(np.zeros((4, 2)), np.arange(4.0))
+        store.key_inputs(None)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DataError, match="not finite"):
+                store.append(CalibrationEntry(np.array([0.0, bad]), 9.0, 10))
+        assert len(store) == 4 and store.version == 4
+        np.testing.assert_array_equal(store.residuals(), np.arange(4.0))
+        np.testing.assert_array_equal(store.key_inputs(None), np.vstack([np.zeros((2, 4)),
+                                                                         np.ones((1, 4))]))
 
     def test_non_finite_z_column_rejected_before_append(self):
         d = compute_descriptor(np.zeros((4, 2)))  # sigma at the floor, 1e-6

@@ -219,6 +219,42 @@ class TestBadSettings:
         assert est.components_.model.activation == "relu"
 
 
+NON_NUMERIC_INPUTS = {
+    "predict_interval forecast 'abc'": lambda est, X, y, path: est.predict_interval(X[0], "abc"),
+    "predict_interval forecast None": lambda est, X, y, path: est.predict_interval(X[0], None),
+    "predict_interval alpha 'a'":
+        lambda est, X, y, path: est.predict_interval(X[0], 0.0, alpha="a"),
+    "predict_interval x of strings":
+        lambda est, X, y, path: est.predict_interval(["a"] * X.shape[1], 0.0),
+    "observe residual 'a'": lambda est, X, y, path: est.observe(X[0], "a"),
+    "observe residual None": lambda est, X, y, path: est.observe(X[0], None),
+    "observe time_index nan":
+        lambda est, X, y, path: est.observe(X[0], 0.5, time_index=float("nan")),
+    "observe time_index 1e9 + 0.5":
+        lambda est, X, y, path: est.observe(X[0], 0.5, time_index=1e9 + 0.5),
+    "seed_store ragged X":
+        lambda est, X, y, path: est.seed_store([list(X[0]), list(X[1][:-1])], y[:2]),
+    "from_checkpoint dataset_id 'a'":
+        lambda est, X, y, path: RareCP.from_checkpoint(path, dataset_id="a"),
+    "fit y of strings": lambda est, X, y, path: RareCP(**SMALL).fit(X, ["a"] * len(X)),
+    "SplitConformal.observe context 'ab'":
+        lambda est, X, y, path: SplitConformal().fit(None, y).observe(0.5, context="ab"),
+    "SplitConformal.predict_interval 'a'":
+        lambda est, X, y, path: SplitConformal().fit(None, y).predict_interval("a"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_NUMERIC_INPUTS))
+def test_non_numeric_input_raises_data_error(fitted, tmp_path, no_training, case):
+    est, X, y = fitted
+    path = tmp_path / "model.bin"
+    est.save(path)
+    store, version, next_time = est.store_, est.store_.version, est._next_time
+    with pytest.raises(DataError):
+        NON_NUMERIC_INPUTS[case](est, X, y, path)
+    assert est.store_ is store and store.version == version and est._next_time == next_time
+
+
 def test_same_seed_fits_write_identical_checkpoints(tmp_path):
     rng = np.random.default_rng(7)
     X, y = rng.standard_normal((70, 7)), rng.standard_normal(70)

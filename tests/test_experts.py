@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rarecp.autodiff import EPS_NORM
 from rarecp.checkpoint import load_checkpoint, save_checkpoint
 from rarecp.conformal import WeightedSupport, build_interval
 from rarecp.data import (
@@ -11,17 +12,17 @@ from rarecp.data import (
     compute_descriptor,
     normalize_context,
 )
-from rarecp.errors import DataError
+from rarecp.errors import DataError, NumericError
 from rarecp.experts import (
     ExpertConfig,
     FixedAffineMap,
     HypernetworkParams,
     RetrievalExpert,
     descriptor_features,
-    emit_expert_map,
     expert_support,
     identity_map,
     normalize_keys,
+    retrieve_supports,
     support_weights,
     topk_retrieve,
 )
@@ -47,31 +48,89 @@ def make_expert(dim, latent=4, k=8, beta=12.0, seed=0, kind="hypernetwork", **kw
                            config=config, **kw)
 
 
+def fold(A, b):
+    """One (L, p) map and its (L,) bias as the (1, L, p + 1) stack ``normalize_keys`` reads."""
+    return np.concatenate([A, b[:, None]], axis=1)[None]
+
+
+def with_ones(columns):
+    """A (p, n) block of key inputs with the store's constant row of ones below it."""
+    return np.vstack([columns, np.ones(columns.shape[1])])
+
+
 class TestNormalizeKey:
     def test_identity_map_normalizes(self):
-        key = normalize_keys(np.eye(2), np.zeros(2), np.array([[3.0], [4.0]]))[:, 0]
-        np.testing.assert_allclose(key, [0.6, 0.8], atol=1e-9)
+        # the query's key (3, 4) normalises to (0.6, 0.8): its scores against e1 and e2
+        scores = normalize_keys(fold(np.eye(2), np.zeros(2)), np.array([3.0, 4.0]),
+                                with_ones(np.eye(2)))[0]
+        np.testing.assert_allclose(scores, [0.6, 0.8], atol=1e-9)
 
     def test_unit_norm_and_sphere_identity(self):
         rng = np.random.default_rng(0)
         A = rng.standard_normal((4, 6))
         b = rng.standard_normal(4)
         for _ in range(50):
-            u = normalize_keys(A, b, rng.standard_normal((6, 1)))[:, 0]
-            v = normalize_keys(A, b, rng.standard_normal((6, 1)))[:, 0]
-            assert abs(np.linalg.norm(u) - 1.0) < 1e-9
-            lhs = np.sum((u - v) ** 2)
-            rhs = 2.0 - 2.0 * float(u @ v)
+            x, y = rng.standard_normal(6), rng.standard_normal(6)
+            columns = with_ones(np.column_stack([x, y]))
+            uu, uv = normalize_keys(fold(A, b), x, columns)[0]
+            vu, vv = normalize_keys(fold(A, b), y, columns)[0]
+            assert abs(np.sqrt(uu) - 1.0) < 1e-9 and abs(np.sqrt(vv) - 1.0) < 1e-9
+            lhs = uu + vv - 2.0 * uv  # |u - v|^2
+            rhs = 2.0 - 2.0 * vu
             assert abs(lhs - rhs) < 1e-9
 
     def test_positive_scale_invariance(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((3, 5))
         b = rng.standard_normal(3)
-        x = rng.standard_normal((5, 1))
-        u1 = normalize_keys(A, b, x)[:, 0]
-        u2 = normalize_keys(5.0 * A, 5.0 * b, x)[:, 0]
+        query = rng.standard_normal(5)
+        x = with_ones(rng.standard_normal((5, 1)))
+        u1 = normalize_keys(fold(A, b), query, x)[0]
+        u2 = normalize_keys(fold(5.0 * A, 5.0 * b), query, x)[0]
         np.testing.assert_allclose(u1, u2, atol=1e-12)
+
+    def test_stacked_scores_are_unit_key_products(self):
+        rng = np.random.default_rng(2)
+        maps = rng.standard_normal((3, 4, 7))
+        query, X = rng.standard_normal(6), rng.standard_normal((6, 50))
+        scores = normalize_keys(maps, query, with_ones(X))
+        for m, (A, b) in enumerate(zip(maps[..., :-1], maps[..., -1])):
+            keys = A @ X + b[:, None]
+            keys /= np.sqrt(np.sum(keys**2, axis=0) + EPS_NORM)
+            q = A @ query + b
+            np.testing.assert_allclose(scores[m], q @ keys / np.sqrt(q @ q + EPS_NORM),
+                                       rtol=0, atol=1e-14)
+
+    def test_overflowing_key_raises(self):
+        maps = fold(np.eye(2), np.zeros(2))
+        with pytest.raises(NumericError):
+            normalize_keys(maps, np.ones(2), with_ones(np.array([[1e200], [0.0]])))
+        with pytest.raises(NumericError):
+            normalize_keys(maps, np.array([1e200, 0.0]), with_ones(np.eye(2)))
+
+    def test_duplicate_contexts_score_bitwise_equal_anywhere_in_the_ring(self):
+        # a context stored at ring positions 0, 699, 700, 1001 and 1499 (the
+        # first and last, and on both sides of the oldest entry) scores the
+        # same bits at each, so top-k ranks its copies oldest first
+        rng = np.random.default_rng(3)
+        dim, capacity = 9, 1500
+        X = rng.standard_normal((capacity + 700, dim))
+        dup = rng.standard_normal(dim)
+        at = [0, 699, 700, 1001, 1499, 1500, 2199]  # chronological rows of the copies
+        X[at] = dup
+        store = CalibrationStore.from_arrays(X[:capacity], np.zeros(capacity))
+        descriptor = compute_descriptor(X[:capacity])
+        expert = make_expert(dim, latent=6, k=5, kind="fixed_affine")
+        store.key_inputs(descriptor)
+        for t in range(capacity, X.shape[0]):
+            store.append(CalibrationEntry(X[t], 0.0, t))
+        times = store.time_indices()
+        positions = np.flatnonzero(np.isin(times, at))
+        assert times[positions].tolist() == [700, 1001, 1499, 1500, 2199]
+        (result,) = retrieve_supports([expert], store, normalize_context(dup, descriptor),
+                                      descriptor_features(descriptor), descriptor)
+        np.testing.assert_array_equal(result.support_indices, positions)
+        assert np.unique(result.scores.view(np.uint64)).size == 1
 
 
 class TestTopkRetrieve:
@@ -140,7 +199,7 @@ class TestEmitExpertMap:
         encoder = HypernetworkParams(5, 3, hidden_dim=8, hidden_layers=1, seed=0,
                                      final_bias_map="zero", final_weight_scale=0.0)
         descriptor = compute_descriptor(np.random.default_rng(0).standard_normal((10, 5)))
-        A, b = emit_expert_map(encoder, np.ones(5), descriptor)
+        A, b = encoder.emit(np.ones(5), descriptor_features(descriptor))
         np.testing.assert_array_equal(A.data, 0.0)
         np.testing.assert_array_equal(b.data, 0.0)
 
@@ -151,14 +210,14 @@ class TestEmitExpertMap:
         maps = []
         for _ in range(2):
             encoder = HypernetworkParams(5, 3, hidden_dim=8, hidden_layers=1, seed=42)
-            A, b = emit_expert_map(encoder, query, descriptor)
+            A, b = encoder.emit(query, descriptor_features(descriptor))
             maps.append((A.data.tobytes(), b.data.tobytes()))
         assert maps[0] == maps[1]
 
     def test_output_dimensions(self):
         encoder = HypernetworkParams(7, 4, hidden_dim=8, hidden_layers=2, seed=1)
         descriptor = compute_descriptor(np.random.default_rng(1).standard_normal((10, 7)))
-        A, b = emit_expert_map(encoder, np.zeros(7), descriptor)
+        A, b = encoder.emit(np.zeros(7), descriptor_features(descriptor))
         assert A.data.shape == (4, 7)
         assert b.data.shape == (4,)
         assert A.data.size + b.data.size == 4 * (7 + 1)
@@ -172,7 +231,7 @@ class TestEmitExpertMap:
                                      seed=2, final_weight_scale=1e-6)
         contexts = rng.standard_normal((30, dim))
         descriptor = compute_descriptor(contexts)
-        A, b = emit_expert_map(encoder, contexts[0], descriptor)
+        A, b = encoder.emit(contexts[0], descriptor_features(descriptor))
         np.testing.assert_allclose(A.data, identity_map(latent, dim), atol=1e-3)
         np.testing.assert_allclose(b.data, 0.0, atol=1e-3)
 

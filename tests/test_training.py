@@ -452,7 +452,7 @@ class TestBatchedEquivalence:
         """The episode-parallel path must reproduce literal leave-one-out
         retrieval: emit the query's map, key every candidate, take top-k,
         softmax the selected scores."""
-        from rarecp.experts import emit_expert_map, normalize_keys, topk_retrieve
+        from rarecp.experts import normalize_keys, topk_retrieve
         from rarecp.training import _expert_retrieval_batch, loo_episodes
         from rarecp import autodiff as ad
 
@@ -469,9 +469,9 @@ class TestBatchedEquivalence:
             cand = episode.candidate_positions
             query_z = dataset.contexts_z[j]
             A, b = encoder.emit(query_z, dataset.feats)
-            keys = normalize_keys(A.data, b.data, dataset.contexts_z[cand].T)
-            q = normalize_keys(A.data, b.data, query_z[:, None])[:, 0]
-            scores = q @ keys
+            maps = np.concatenate([A.data, b.data[:, None]], axis=1)[None]
+            columns = np.vstack([dataset.contexts_z[cand].T, np.ones(cand.size)])
+            scores = normalize_keys(maps, query_z, columns)[0]
             naive_sel = cand[topk_retrieve(scores, k)]
             naive_weights = ad.softmax_with_temperature(
                 scores[topk_retrieve(scores, k)], temperature
