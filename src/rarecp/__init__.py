@@ -32,7 +32,7 @@ from rarecp.harness import (
     topk_consistency_probe,
 )
 from rarecp.synthetic import RegimeSeriesConfig, RegimeSpec, synth_regime_series
-from rarecp.training import ModelConfig, TrainConfig, train_pipeline
+from rarecp.training import ModelConfig, TrainConfig
 
 __version__ = "0.1.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "run_chronological_eval",
     "synth_regime_series",
     "topk_consistency_probe",
-    "train_pipeline",
     "weighted_cdf",
     "weighted_quantile",
     "winkler_score",

@@ -11,8 +11,7 @@ Design constraints baked in here:
 * double precision everywhere (low-temperature quantile relaxations are
   numerically delicate);
 * gradients never flow through integer index sets (top-k selections and
-  sort permutations are constants of the forward pass; ``index_select``
-  differentiates only through the gathered values);
+  sort permutations are constants of the forward pass);
 * ``l2_normalize`` adds ``EPS_NORM`` inside the square root so an all-zero
   input is well defined.
 """
@@ -27,15 +26,6 @@ import numpy as np
 from rarecp.errors import NumericError
 
 EPS_NORM = 1e-12
-
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle per-primitive finiteness checks (slow; used by tests/CLI)."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = bool(enabled)
-
 
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_produced")
@@ -53,9 +43,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -126,8 +113,6 @@ _ACTIVE: list[Tape] = []
 
 
 def _finish(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
-    if _DEBUG_CHECKS and not np.all(np.isfinite(out_data)):
-        raise NumericError("primitive produced a non-finite value")
     out = Tensor(out_data)
     if _ACTIVE and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -267,23 +252,6 @@ def l2_normalize(x) -> Tensor:
     return _finish(out, (tx,), vjp)
 
 
-def softmax_with_temperature(x, temperature: float) -> Tensor:
-    """Softmax of ``x / temperature`` with max-subtraction for stability."""
-    if temperature <= 0.0:
-        raise ValueError("softmax temperature must be positive")
-    tx = as_tensor(x)
-    z = tx.data / temperature
-    z = z - z.max()
-    e = np.exp(z)
-    y = e / e.sum()
-
-    def vjp(g):
-        dot = float(np.dot(g, y))
-        return ((y * (g - dot)) / temperature,)
-
-    return _finish(y, (tx,), vjp)
-
-
 def _logistic(z: np.ndarray) -> np.ndarray:
     """``1 / (1 + exp(-z))``, as ``e / (1 + e)`` with ``e = exp(z)`` where z < 0."""
     e = np.exp(-np.abs(z))
@@ -339,12 +307,6 @@ def square(x) -> Tensor:
     return _finish(tx.data * tx.data, (tx,), lambda g: (g * 2.0 * tx.data,))
 
 
-def sqrt(x) -> Tensor:
-    tx = as_tensor(x)
-    y = np.sqrt(tx.data)
-    return _finish(y, (tx,), lambda g: (g / (2.0 * y),))
-
-
 def concat(parts: Sequence) -> Tensor:
     tensors = [as_tensor(p) for p in parts]
     sizes = [t.data.size for t in tensors]
@@ -358,19 +320,6 @@ def concat(parts: Sequence) -> Tensor:
         )
 
     return _finish(out, tuple(tensors), vjp)
-
-
-def index_select(x, indices) -> Tensor:
-    """Gather ``x[indices]`` (1-D); backward scatter-adds into the source."""
-    tx = as_tensor(x)
-    idx = np.asarray(indices, dtype=np.int64)
-
-    def vjp(g):
-        z = np.zeros_like(tx.data)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return _finish(tx.data[idx], (tx,), vjp)
 
 
 def reshape(x, shape) -> Tensor:

@@ -123,9 +123,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
     """Defaults, then config file, then explicit overrides, then RARECP_SEED."""
     config = RunConfig()
-    typed = {f.name: f.type for f in fields(RunConfig)}
     types = {f.name: type(getattr(config, f.name)) for f in fields(RunConfig)}
-    del typed
 
     def assign(key: str, raw) -> None:
         if key not in types:

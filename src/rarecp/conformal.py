@@ -57,16 +57,6 @@ class WeightedSupport:
     def __len__(self) -> int:
         return int(self.residuals.size)
 
-    @classmethod
-    def uniform(cls, residuals) -> "WeightedSupport":
-        residuals = np.asarray(residuals, dtype=np.float64)
-        n = residuals.size
-        return cls(residuals, np.full(n, 1.0 / n))
-
-    def sorted(self) -> "WeightedSupport":
-        order = np.argsort(self.residuals, kind="stable")
-        return WeightedSupport(self.residuals[order], self.weights[order])
-
 
 @dataclass(frozen=True)
 class PredictionInterval:

@@ -168,7 +168,6 @@ class CalibrationStore:
         self._times = np.zeros(self.capacity, dtype=np.int64)
         self._start = 0
         self._size = 0
-        self._version = 0
         self._views: dict[str, object] = {}
         # ascending residuals and the arrival number of each (the count of
         # entries appended before it); None until first requested
@@ -180,11 +179,6 @@ class CalibrationStore:
 
     def __len__(self) -> int:
         return self._size
-
-    @property
-    def version(self) -> int:
-        """Mutation counter; lets callers invalidate derived caches."""
-        return self._version
 
     @property
     def context_dim(self) -> int:
@@ -217,7 +211,6 @@ class CalibrationStore:
         if self._keyed is not None:
             self._keyed[1][:-1, pos] = column
         self._arrivals += 1
-        self._version += 1
         self._views.clear()
 
     def _update_sorted(self, residual: float) -> None:
@@ -320,33 +313,11 @@ class CalibrationStore:
         """Store holding the last ``capacity`` rows of contexts ``X`` and residuals ``y``.
 
         Row ``i`` gets time index ``start_time + i``; ``capacity`` defaults
-        to the number of rows.
+        to the number of rows. Input is validated once, then the most recent
+        rows are written into the ring.
         """
         y = float_array(y, "y")
         start_time = check_int(start_time, "start_time")
-        return cls._from_columns(X, y, start_time + np.arange(y.size), capacity)
-
-    @classmethod
-    def from_entries(
-        cls, entries, capacity: int | None = None
-    ) -> "CalibrationStore":
-        entries = list(entries)
-        if not entries:
-            raise DataError("cannot build a store from zero entries")
-        contexts = [np.asarray(entry.context, dtype=np.float64) for entry in entries]
-        shape = contexts[0].shape
-        if len(shape) != 1 or any(c.shape != shape for c in contexts):
-            raise DataError("entry contexts must all be 1-D vectors of one length")
-        return cls._from_columns(
-            np.stack(contexts),
-            np.array([entry.residual for entry in entries], dtype=np.float64),
-            np.array([entry.time_index for entry in entries], dtype=np.int64),
-            capacity,
-        )
-
-    @classmethod
-    def _from_columns(cls, X, y, times, capacity) -> "CalibrationStore":
-        """Validate once, then write the most recent rows into the ring."""
         X = float_array(X, "X")
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
             raise DataError(
@@ -356,14 +327,12 @@ class CalibrationStore:
             raise DataError("cannot build a store from zero entries")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise DataError("store contexts and residuals must be finite")
-        if np.any(np.diff(times) <= 0):
-            raise DataError("store time indices must strictly increase")
         store = cls(y.size if capacity is None else capacity, X.shape[1])
         n = min(y.size, store.capacity)
         store._contexts[:n] = X[-n:]
         store._residuals[:n] = y[-n:]
-        store._times[:n] = times[-n:]
-        store._size = store._arrivals = store._version = n
+        store._times[:n] = start_time + np.arange(y.size - n, y.size)
+        store._size = store._arrivals = n
         return store
 
 

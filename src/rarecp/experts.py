@@ -19,7 +19,7 @@ the query's map, so they are recomputed for every query and never cached.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -294,7 +294,7 @@ def topk_retrieve(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def support_weights(scores: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature softmax, as ``autodiff.softmax_with_temperature`` computes it."""
+    """Temperature softmax of one score row, as ``autodiff.softmax_rows`` computes it."""
     z = np.asarray(scores, dtype=np.float64) / temperature
     e = np.exp(z - z.max())
     return e / e.sum()
@@ -313,40 +313,15 @@ class RetrievalResult:
         return WeightedSupport(self.residuals, self.weights)
 
 
-class ProjectionCounter:
-    """Counts key projections, one per calibration entry per expert query."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int) -> None:
-        self.count += int(n)
-
-
 @dataclass
 class RetrievalExpert:
     """One retrieval head: an encoder plus its retrieval hyperparameters."""
 
     encoder: HypernetworkParams | FixedAffineMap
     config: ExpertConfig
-    projections: ProjectionCounter = field(default_factory=ProjectionCounter)
 
     def parameters(self) -> list[Tensor]:
         return self.encoder.parameters()
-
-    def retrieve(
-        self,
-        store: CalibrationStore,
-        query: np.ndarray,
-        descriptor: DatasetDescriptor,
-        normalize: bool = True,
-    ) -> RetrievalResult:
-        """Top-k weighted support from the current store for one query."""
-        query_z, feats = query_features(query, descriptor, normalize)
-        (result,) = retrieve_supports(
-            [self], store, query_z, feats, descriptor if normalize else None
-        )
-        return result
 
 
 def query_features(
@@ -366,19 +341,19 @@ def query_features(
 class ExpertStack(Sequence):
     """A model's M retrieval experts, with their weights stacked once for serving.
 
-    ``layers`` stacks each layer of the hypernetwork experts, which share
-    one architecture, as (H, out, in) weights and (H, out) biases. ``flat``
-    holds each fixed-affine expert's map ``[A.ravel(), b]`` as one row, in
-    the layout a hypernetwork emits, or is None without such experts. The
-    experts' tensors are views of these arrays. Indexing gives the experts.
+    The experts are all of one encoder kind. Hypernetwork experts share one
+    architecture, and ``layers`` stacks each layer as (M, out, in) weights
+    and (M, out) biases. For fixed-affine experts ``layers`` is empty and
+    ``flat`` holds each expert's map ``[A.ravel(), b]`` as one row, in the
+    layout a hypernetwork emits. The experts' tensors are views of these
+    arrays. Indexing gives the experts.
     """
 
     def __init__(self, experts, layers, flat: np.ndarray | None = None):
         self.experts, self.layers, self.flat = list(experts), list(layers), flat
-        encoders = [e.encoder for e in self.experts]
-        self.hyper = [m for m, enc in enumerate(encoders) if isinstance(enc, HypernetworkParams)]
-        self.activation = encoders[self.hyper[0]].activation if self.hyper else None
-        self.shape = (len(encoders), encoders[0].latent_dim, encoders[0].context_dim)
+        first = self.experts[0].encoder
+        self.activation = first.activation if self.layers else None
+        self.shape = (len(self.experts), first.latent_dim, first.context_dim)
 
     def __getitem__(self, i):
         return self.experts[i]
@@ -390,44 +365,40 @@ class ExpertStack(Sequence):
     def of(cls, experts) -> "ExpertStack":
         """Copy the weights of ``experts`` into a stack and point their tensors at it.
 
-        The experts must share one key map shape, and the hypernetworks
-        among them one architecture. A stack is returned as it is.
+        The experts must be of one encoder kind and share one key map shape,
+        and hypernetworks one architecture. A stack is returned as it is.
         """
         if isinstance(experts, ExpertStack):
             return experts
         encoders = [e.encoder for e in experts]
+        if len({type(enc) for enc in encoders}) != 1:
+            raise DataError("experts stacked together must be of one encoder kind")
         if len({(enc.latent_dim, enc.context_dim) for enc in encoders}) != 1:
             raise DataError("experts retrieved together must share one key dimension")
-        hyper = [enc for enc in encoders if isinstance(enc, HypernetworkParams)]
-        if len({(enc.activation, *(w.shape for w, _ in enc.layers)) for enc in hyper}) > 1:
-            raise DataError("hypernetwork experts stacked together must share one architecture")
-        layers = [
-            tuple(np.stack([t.data for t in tensors]) for tensors in zip(*pairs))
-            for pairs in zip(*(enc.layers for enc in hyper))
-        ]
-        for h, enc in enumerate(hyper):
-            for (w, b), (w_all, b_all) in zip(enc.layers, layers):
-                w.data, b.data = w_all[h], b_all[h]
-        flat = None
-        if len(hyper) < len(encoders):
+        if isinstance(encoders[0], FixedAffineMap):
             L, p = encoders[0].latent_dim, encoders[0].context_dim
             flat = np.zeros((len(encoders), L * (p + 1)))
             for row, enc in zip(flat, encoders):
-                if isinstance(enc, FixedAffineMap):
-                    row[: L * p], row[L * p :] = enc.A.data.reshape(-1), enc.b.data
-                    enc.A.data, enc.b.data = row[: L * p].reshape(L, p), row[L * p :]
-        return cls(experts, layers, flat)
+                row[: L * p], row[L * p :] = enc.A.data.reshape(-1), enc.b.data
+                enc.A.data, enc.b.data = row[: L * p].reshape(L, p), row[L * p :]
+            return cls(experts, [], flat)
+        if len({(enc.activation, *(w.shape for w, _ in enc.layers)) for enc in encoders}) > 1:
+            raise DataError("hypernetwork experts stacked together must share one architecture")
+        layers = [
+            tuple(np.stack([t.data for t in tensors]) for tensors in zip(*pairs))
+            for pairs in zip(*(enc.layers for enc in encoders))
+        ]
+        for h, enc in enumerate(encoders):
+            for (w, b), (w_all, b_all) in zip(enc.layers, layers):
+                w.data, b.data = w_all[h], b_all[h]
+        return cls(experts, layers)
 
     def maps(self, query_z: np.ndarray, feats: np.ndarray) -> np.ndarray:
         """The M key maps of one query, folded as ``[A | b]`` into (M, L, p + 1)."""
-        flat = self.flat
         if self.layers:
-            emitted = mlp_arrays(self.layers, np.concatenate([query_z, feats]), self.activation)
-            if flat is None:
-                flat = emitted
-            else:
-                flat = flat.copy()
-                flat[self.hyper] = emitted
+            flat = mlp_arrays(self.layers, np.concatenate([query_z, feats]), self.activation)
+        else:
+            flat = self.flat
         M, L, p = self.shape
         return np.concatenate((flat[:, : L * p].reshape(M, L, p), flat[:, L * p :, None]), 2)
 
@@ -458,7 +429,6 @@ def retrieve_supports(
     residuals = store.residuals()
     results = []
     for expert, expert_scores in zip(stack, scores):
-        expert.projections.add(len(store))
         sel = topk_retrieve(expert_scores, expert.config.top_k)
         top = expert_scores[sel]
         results.append(
@@ -471,13 +441,3 @@ def retrieve_supports(
         )
     return results
 
-
-def expert_support(
-    store: CalibrationStore,
-    expert: RetrievalExpert,
-    query: np.ndarray,
-    descriptor: DatasetDescriptor,
-    normalize: bool = True,
-) -> WeightedSupport:
-    """Residuals of the retrieved entries paired with their softmax weights."""
-    return expert.retrieve(store, query, descriptor, normalize=normalize).support()

@@ -116,23 +116,6 @@ def calibration_block(
     return contexts, values[times] - forecasts, times
 
 
-def calibration_entries(
-    series: TimeSeries,
-    indices,
-    source: ForecastSource,
-    window: int,
-    include_forecast: bool,
-) -> list[CalibrationEntry]:
-    """(context, residual) entries for the given time indices, one per ``calibration_block`` row."""
-    contexts, residuals, times = calibration_block(
-        series, indices, source, window, include_forecast
-    )
-    return [
-        CalibrationEntry(context=x, residual=float(r), time_index=int(t))
-        for x, r, t in zip(contexts, residuals, times)
-    ]
-
-
 def run_chronological_eval(
     series: TimeSeries,
     split: SplitSpec | SplitIndices,

@@ -33,13 +33,12 @@ import ctypes
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from rarecp import autodiff as ad
 from rarecp.autodiff import Adam, Tape, Tensor
-from rarecp.conformal import WeightedSupport
 from rarecp.data import DatasetDescriptor, compute_descriptor, normalize_context
 from rarecp.errors import DataError, NumericError, RareCPError
 from rarecp.experts import (
@@ -84,19 +83,6 @@ def temperature_at(step: int, schedule: TemperatureSchedule) -> float:
     elif w > 1.0 - 1e-12:
         w = 1.0
     return schedule.tau_end + (schedule.tau_start - schedule.tau_end) * w
-
-
-@dataclass(frozen=True)
-class SmoothLossConfig:
-    tau_q: float = 0.05
-    tau_p: float = 5e-4
-    alpha_grid: tuple = field(default_factory=default_alpha_grid)
-
-    def __post_init__(self):
-        if self.tau_q <= 0 or self.tau_p <= 0:
-            raise DataError("loss temperatures must be positive")
-        if not self.alpha_grid or any(not 0 < a < 1 for a in self.alpha_grid):
-            raise DataError("alpha grid levels must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -204,79 +190,6 @@ class CalibrationDataset:
         contexts = np.asarray(contexts, dtype=np.float64)
         descriptor = compute_descriptor(contexts, dataset_id, sigma_floor)
         return cls(contexts, np.asarray(residuals, dtype=np.float64), descriptor, normalize)
-
-
-@dataclass(frozen=True)
-class LooEpisode:
-    """One leave-one-out training unit: query j retrieves from candidates \\ {j}."""
-
-    query_position: int
-    candidate_positions: np.ndarray
-    target_residual: float
-
-
-def loo_episodes(dataset: "CalibrationDataset", batch: np.ndarray) -> list[LooEpisode]:
-    """Materialize the episode view of a batch (the batched losses compute
-    the same retrievals without building these objects)."""
-    batch = np.asarray(batch, dtype=np.int64)
-    return [
-        LooEpisode(
-            query_position=int(j),
-            candidate_positions=batch[batch != j],
-            target_residual=float(dataset.residuals[j]),
-        )
-        for j in batch
-    ]
-
-
-# ---------------------------------------------------------------------------
-# smooth losses: one implementation, ``autodiff.smooth_winkler_grid``
-# ---------------------------------------------------------------------------
-
-
-def _sorted_support(support: WeightedSupport) -> tuple[np.ndarray, np.ndarray]:
-    """The support as one (1, s) episode row of weights and residuals, sorted."""
-    order = np.argsort(support.residuals, kind="stable")
-    return support.weights[order][None, :], support.residuals[order][None, :]
-
-
-def smooth_weighted_quantile(support: WeightedSupport, q: float, tau_q: float) -> float:
-    """Differentiable weighted quantile; a convex combination of the residuals."""
-    if not 0.0 < q < 1.0:
-        raise DataError("quantile level must lie in (0, 1)")
-    if tau_q <= 0:
-        raise DataError("tau_q must be positive")
-    weights, residuals = _sorted_support(support)
-    quantiles, *_ = ad.smooth_quantiles(weights, residuals, [q], tau_q)
-    return float(quantiles[0, 0])
-
-
-def _support_loss(support, target_residual, alphas, tau_q, tau_p) -> float:
-    weights, residuals = _sorted_support(support)
-    out = ad.smooth_winkler_grid(
-        weights, residuals, [float(target_residual)], alphas, tau_q, tau_p
-    )
-    return float(out.data[0])
-
-
-def smooth_winkler(
-    support: WeightedSupport,
-    target_residual: float,
-    alpha: float,
-    tau_q: float,
-    tau_p: float,
-) -> float:
-    """Smooth residual-space Winkler loss at a single miscoverage level."""
-    return _support_loss(support, target_residual, [alpha], tau_q, tau_p)
-
-
-def alpha_grid_loss(
-    support: WeightedSupport, target_residual: float, config: SmoothLossConfig
-) -> float:
-    """Mean smooth Winkler over the configured miscoverage grid."""
-    return _support_loss(
-        support, target_residual, config.alpha_grid, config.tau_q, config.tau_p
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -578,37 +491,8 @@ def gate_batch_loss(
     )
 
 
-def gate_training_step(
-    gate: GateParams,
-    experts: list[RetrievalExpert],
-    datasets: list[CalibrationDataset],
-    batches: list[np.ndarray],
-    optimizer: Adam,
-    alpha_grid: np.ndarray,
-    tau_q: float,
-    tau_p: float,
-    lambda_entropy: float,
-    audit: list | None = None,
-) -> float:
-    """One optimizer step on the gate; experts receive no gradient.
-
-    Expert supports are computed outside the tape (frozen), the gate mixes
-    them in weight space, and an entropy bonus on the simplex weights
-    discourages collapse onto a single expert.
-    """
-    prepared: list[_PreparedGateBatch] = []
-    for dataset, batch in zip(datasets, batches):
-        batch = np.asarray(batch, dtype=np.int64)
-        if not _valid_batch(batch):
-            continue
-        prepared.append(_prepare_gate_batch(experts, dataset, batch, audit))
-    if not prepared:
-        return float("nan")
-    return _gate_step(gate, prepared, optimizer, alpha_grid, tau_q, tau_p, lambda_entropy)
-
-
 def _gate_step(gate, prepared, optimizer, alpha_grid, tau_q, tau_p, lambda_entropy) -> float:
-    """One optimizer step of the gate on prepared batches."""
+    """One optimizer step of the gate on prepared batches; the frozen experts get no gradient."""
     optimizer.zero_grad()
     with Tape() as tape:
         total = gate_batch_loss(gate, prepared, alpha_grid, tau_q, tau_p, lambda_entropy)
@@ -935,13 +819,6 @@ class Trainer:
         self.fit_experts()
         self.fit_gate()
         return self
-
-
-def train_pipeline(
-    datasets: list[CalibrationDataset], model: ModelConfig, train: TrainConfig
-) -> Trainer:
-    """Run the full three-stage pipeline and return the fitted trainer."""
-    return Trainer(datasets, model, train).run()
 
 
 def write_training_log(rows: list[LogRow], path) -> None:

@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
 from rarecp.checkpoint import components_from_trainer
 from rarecp.data import PrecomputedForecast, SplitSpec, chronological_split
-from rarecp.harness import calibration_entries
+from rarecp.harness import calibration_block
 from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
 from rarecp.training import CalibrationDataset, ModelConfig, TrainConfig, Trainer
 
@@ -45,21 +44,16 @@ def small_model_config():
 def small_trained(small_regime_problem, small_model_config):
     """A quickly trained small model plus its calibration dataset."""
     prob = small_regime_problem
-    entries = calibration_entries(
+    contexts, residuals, _ = calibration_block(
         prob["series"], prob["split"].cal, prob["source"], SMALL_WINDOW, True
     )
-    dataset = CalibrationDataset.from_arrays(
-        np.stack([e.context for e in entries]),
-        np.array([e.residual for e in entries]),
-        dataset_id=0,
-    )
+    dataset = CalibrationDataset.from_arrays(contexts, residuals, dataset_id=0)
     train_cfg = TrainConfig(epochs=6, teacher_epochs=2, batch_size=64, seed=0)
     trainer = Trainer([dataset], small_model_config, train_cfg).run()
     return {
         "trainer": trainer,
         "components": components_from_trainer(trainer),
         "dataset": dataset,
-        "entries": entries,
         "train_cfg": train_cfg,
     }
 

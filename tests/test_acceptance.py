@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from rarecp.autodiff import smooth_winkler_grid
 from rarecp.cli import main as cli_main
 from rarecp.config import SEED_ENV_VAR
 from rarecp.conformal import (
@@ -26,16 +27,14 @@ from rarecp.harness import (
     eval_split_std,
     run_chronological_eval,
     topk_consistency_probe,
-    calibration_entries,
+    calibration_block,
 )
 from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
 from rarecp.training import (
     CalibrationDataset,
     ModelConfig,
-    SmoothLossConfig,
     TrainConfig,
     Trainer,
-    alpha_grid_loss,
     default_alpha_grid,
 )
 from rarecp.checkpoint import components_from_trainer
@@ -118,7 +117,6 @@ def test_criterion_3_smooth_hard_convergence():
     rng = np.random.default_rng(7)
     grid = np.asarray(default_alpha_grid())
     levels = np.concatenate([grid / 2.0, 1.0 - grid / 2.0])
-    cfg = SmoothLossConfig(tau_q=1e-4, tau_p=1e-4)
     worst = 0.0
     for _ in range(100):
         while True:
@@ -131,7 +129,10 @@ def test_criterion_3_smooth_hard_convergence():
                 break
         support = WeightedSupport(residuals, weights)
         target = float(rng.standard_normal())
-        smooth = alpha_grid_loss(support, target, cfg)
+        order = np.argsort(residuals, kind="stable")
+        smooth = float(smooth_winkler_grid(
+            weights[order][None], residuals[order][None], [target], grid, 1e-4, 1e-4
+        ).data[0])
         hard = np.mean(
             [
                 winkler_score(
@@ -231,12 +232,8 @@ def _regime_experiment(seed: int):
     clean = clean_component(config)
     source = PrecomputedForecast({i: float(v) for i, v in enumerate(clean)})
     split = chronological_split(len(series), SplitSpec())
-    entries = calibration_entries(series, split.cal, source, 64, True)
-    dataset = CalibrationDataset.from_arrays(
-        np.stack([e.context for e in entries]),
-        np.array([e.residual for e in entries]),
-        dataset_id=0,
-    )
+    contexts, residuals, _ = calibration_block(series, split.cal, source, 64, True)
+    dataset = CalibrationDataset.from_arrays(contexts, residuals, dataset_id=0)
     trainer = Trainer([dataset], ModelConfig(), TrainConfig(seed=seed)).run()
     components = components_from_trainer(trainer)
     expert_rows = [r for r in trainer.log if r.stage == "expert"]

@@ -3,7 +3,6 @@ import pytest
 
 from rarecp import autodiff as ad
 from rarecp import gradcheck
-from rarecp.errors import NumericError
 
 
 class TestBackwardBasics:
@@ -63,6 +62,13 @@ class TestPrimitiveGradients:
         name, err = name_err
         assert err < gradcheck.PRIMITIVE_TOL, f"{name}: {err:.3e}"
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_vjp_matches_finite_differences_on_seed(self, seed):
+        # the cases share one random stream, so each seed gives every case new inputs
+        failed = [(name, err) for name, err in gradcheck.primitive_checks(seed)
+                  if not err < gradcheck.PRIMITIVE_TOL]
+        assert not failed
+
     def test_quadratic_is_machine_exact(self):
         x = ad.parameter(np.array([0.3, -1.2, 2.0]))
         err = ad.finite_diff_check(lambda: ad.reduce_sum(ad.square(x)), [x], h=1e-5)
@@ -98,14 +104,12 @@ class TestPrimitiveValues:
         np.testing.assert_array_equal(out, 0.0)
 
     def test_softmax_uniform(self):
-        np.testing.assert_allclose(
-            ad.softmax_with_temperature(np.zeros(2), 1.0).data, [0.5, 0.5]
-        )
+        np.testing.assert_allclose(ad.softmax_rows(np.zeros((1, 2)), 1.0).data, [[0.5, 0.5]])
 
     def test_softmax_extreme_scores_stable(self):
-        out = ad.softmax_with_temperature(np.array([1e6, 0.0]), 1.0).data
+        out = ad.softmax_rows(np.array([[1e6, 0.0]]), 1.0).data
         assert np.all(np.isfinite(out))
-        assert out[0] == pytest.approx(1.0)
+        assert out[0, 0] == pytest.approx(1.0)
 
     def test_softplus_value(self):
         out = ad.softplus_with_temperature(np.array([0.0]), 0.5).data
@@ -129,12 +133,12 @@ class TestPrimitiveValues:
         softplus = 0.3 * (np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z))))
         assert np.array_equal(ad.softplus_with_temperature(x, 0.3).data, softplus)
 
-    def test_index_select_accumulates_duplicates(self):
-        x = ad.parameter(np.array([1.0, 2.0, 3.0]))
+    def test_gather_rows_accumulates_duplicates(self):
+        x = ad.parameter(np.array([[1.0, 2.0, 3.0]]))
         with ad.Tape() as tape:
-            loss = ad.reduce_sum(ad.index_select(x, np.array([0, 0, 2])))
+            loss = ad.reduce_sum(ad.gather_rows(x, np.array([[0, 0, 2]])))
         tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, [2.0, 0.0, 1.0])
+        np.testing.assert_array_equal(x.grad, [[2.0, 0.0, 1.0]])
 
     def test_no_nan_in_domain(self):
         rng = np.random.default_rng(2)
@@ -142,15 +146,6 @@ class TestPrimitiveValues:
         for fn in (ad.tanh, ad.sigmoid, ad.relu, ad.exp, ad.square):
             assert np.all(np.isfinite(fn(x).data))
         assert np.all(np.isfinite(ad.log(np.abs(x) + 0.1).data))
-        assert np.all(np.isfinite(ad.sqrt(np.abs(x)).data))
-
-    def test_debug_checks_catch_nonfinite(self):
-        ad.set_debug_checks(True)
-        try:
-            with np.errstate(invalid="ignore"), pytest.raises(NumericError):
-                ad.log(np.array([-1.0]))
-        finally:
-            ad.set_debug_checks(False)
 
     def test_loo_retrieval_scores_match_per_episode_maps(self):
         rng = np.random.default_rng(4)
@@ -178,8 +173,8 @@ class TestPrimitiveValues:
         x = rng.standard_normal((4, 6))
         batched = ad.softmax_rows(ad.constant(x), 0.7).data
         for j in range(4):
-            row = ad.softmax_with_temperature(x[j], 0.7).data
-            np.testing.assert_allclose(batched[j], row, atol=1e-12)
+            e = np.exp(x[j] / 0.7 - (x[j] / 0.7).max())
+            np.testing.assert_allclose(batched[j], e / e.sum(), atol=1e-12)
 
 
 class TestAdam:

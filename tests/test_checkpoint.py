@@ -8,10 +8,18 @@ import numpy as np
 import pytest
 
 from rarecp.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
-from rarecp.data import PrecomputedForecast
+from rarecp.data import PrecomputedForecast, normalize_context
 from rarecp.errors import DataError
 from rarecp.estimators import RareCP
-from rarecp.experts import ExpertConfig, ExpertStack, HypernetworkParams, RetrievalExpert
+from rarecp.experts import (
+    ExpertConfig,
+    ExpertStack,
+    FixedAffineMap,
+    HypernetworkParams,
+    RetrievalExpert,
+    descriptor_features,
+)
+from rarecp.gate import gate_weights
 from rarecp.harness import calibration_block
 from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
 
@@ -79,6 +87,34 @@ def test_stacking_rejects_hypernetworks_of_two_architectures():
     ]
     with pytest.raises(DataError, match="one architecture"):
         ExpertStack.of(experts)
+
+
+def test_stacking_rejects_experts_of_two_encoder_kinds():
+    config = ExpertConfig(3)
+    experts = [RetrievalExpert(HypernetworkParams(4, 3, hidden_dim=8, hidden_layers=1), config),
+               RetrievalExpert(FixedAffineMap(4, 3), config)]
+    with pytest.raises(DataError, match="one encoder kind"):
+        ExpertStack.of(experts)
+
+
+@pytest.mark.parametrize("encoder_kind", ["hypernetwork", "fixed_affine"])
+def test_single_query_wrappers_equal_the_serving_path_bitwise(regime_rows, encoder_kind):
+    """Each expert's ``emit`` and the gate's ``logits``, which an independent
+    reference reads one query at a time, give the bits serving computes."""
+    X, r, _ = regime_rows
+    est = _small_rarecp(encoder_kind=encoder_kind).fit(X[:FIT_N], r[:FIT_N])
+    stack, gate = est.components_.experts, est.components_.gate
+    feats = descriptor_features(est.descriptor_)
+    for x in X[FIT_N : FIT_N + 20]:
+        qz = normalize_context(x, est.descriptor_)
+        maps = stack.maps(qz, feats)
+        for m, expert in enumerate(stack):
+            A, b = expert.encoder.emit(qz, feats)
+            folded = np.concatenate([A.data, b.data[:, None]], axis=1)
+            assert folded.shape == maps[m].shape and folded.tobytes() == maps[m].tobytes()
+        logits = gate.logits(qz, feats).data
+        e = np.exp(logits - logits.max())
+        assert (e / e.sum()).tobytes() == gate_weights(gate, qz, feats).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ class TestCalibrationStore:
         store = CalibrationStore.from_arrays(np.zeros((3, 2)), np.arange(3.0), capacity=3)
         with pytest.raises(DataError):
             store.append(entry)
-        assert len(store) == 3 and store.version == 3
+        assert len(store) == 3
         np.testing.assert_array_equal(store.time_indices(), [0, 1, 2])
         np.testing.assert_array_equal(store.residuals(), np.arange(3.0))
 
@@ -185,19 +185,8 @@ class TestCalibrationStore:
         np.testing.assert_array_equal(store.time_indices(), expected)
         np.testing.assert_array_equal(store.residuals(), [float(i) for i in expected])
 
-    def test_from_entries_truncates_to_most_recent(self):
-        entries = [_entry(i) for i in range(10)]
-        store = CalibrationStore.from_entries(entries, capacity=4)
-        np.testing.assert_array_equal(store.time_indices(), [6, 7, 8, 9])
-
-    def test_version_bumps(self):
-        store = CalibrationStore(3, 1)
-        v0 = store.version
-        store.append(CalibrationEntry(np.array([1.0]), 0.5, 0))
-        assert store.version == v0 + 1
-
     def test_views_are_read_only(self):
-        store = CalibrationStore.from_entries([_entry(i) for i in range(4)])
+        store = CalibrationStore.from_arrays(np.zeros((4, 2)), np.arange(4.0))
         views = (store.contexts(), store.residuals(), *store.sorted_residuals(),
                  store.key_inputs())
         for view in views:
@@ -211,7 +200,6 @@ class TestCalibrationStore:
         np.testing.assert_array_equal(store.time_indices(), [106, 107, 108, 109])
         np.testing.assert_array_equal(store.residuals(), y[6:])
         np.testing.assert_array_equal(store.contexts(), X[6:])
-        assert store.version == 4
         store.append(CalibrationEntry(np.zeros(2), -1.0, 110))
         np.testing.assert_array_equal(store.residuals(), [3.5, 4.0, 4.5, -1.0])
 
@@ -240,12 +228,6 @@ class TestCalibrationStore:
     def test_from_arrays_rejects_bad_input(self, X, y):
         with pytest.raises(DataError):
             CalibrationStore.from_arrays(X, y)
-
-    def test_from_entries_rejects_ragged_and_unordered(self):
-        with pytest.raises(DataError):
-            CalibrationStore.from_entries([_entry(0), _entry(1, dim=3)])
-        with pytest.raises(DataError):
-            CalibrationStore.from_entries([_entry(2), _entry(1)])
 
     @given(
         st.integers(1, 8),
@@ -336,7 +318,7 @@ class TestKeyInputs:
         for bad in (np.nan, np.inf):
             with pytest.raises(DataError, match="not finite"):
                 store.append(CalibrationEntry(np.array([0.0, bad]), 9.0, 10))
-        assert len(store) == 4 and store.version == 4
+        assert len(store) == 4
         np.testing.assert_array_equal(store.residuals(), np.arange(4.0))
         np.testing.assert_array_equal(store.key_inputs(None), np.vstack([np.zeros((2, 4)),
                                                                          np.ones((1, 4))]))
@@ -347,7 +329,7 @@ class TestKeyInputs:
         store.key_inputs(d)
         with pytest.raises(DataError, match="not finite"), np.errstate(over="ignore"):
             store.append(CalibrationEntry(np.array([0.0, 1e303]), 9.0, 10))
-        assert len(store) == 4 and store.version == 4
+        assert len(store) == 4
         np.testing.assert_array_equal(store.residuals(), np.arange(4.0))
         # a store that never keys its contexts takes the entry
         plain = CalibrationStore.from_arrays(np.zeros((4, 2)), np.arange(4.0))

@@ -244,15 +244,21 @@ NON_NUMERIC_INPUTS = {
 }
 
 
+def _store_state(store):
+    """The store's length and copies of its chronological arrays, as bytes."""
+    views = (store.time_indices(), store.residuals(), store.contexts())
+    return len(store), *(view.tobytes() for view in views)
+
+
 @pytest.mark.parametrize("case", list(NON_NUMERIC_INPUTS))
 def test_non_numeric_input_raises_data_error(fitted, tmp_path, no_training, case):
     est, X, y = fitted
     path = tmp_path / "model.bin"
     est.save(path)
-    store, version, next_time = est.store_, est.store_.version, est._next_time
+    store, state, next_time = est.store_, _store_state(est.store_), est._next_time
     with pytest.raises(DataError):
         NON_NUMERIC_INPUTS[case](est, X, y, path)
-    assert est.store_ is store and store.version == version and est._next_time == next_time
+    assert est.store_ is store and _store_state(store) == state and est._next_time == next_time
 
 
 def test_same_seed_fits_write_identical_checkpoints(tmp_path):

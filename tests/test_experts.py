@@ -19,9 +19,9 @@ from rarecp.experts import (
     HypernetworkParams,
     RetrievalExpert,
     descriptor_features,
-    expert_support,
     identity_map,
     normalize_keys,
+    query_features,
     retrieve_supports,
     support_weights,
     topk_retrieve,
@@ -46,6 +46,13 @@ def make_expert(dim, latent=4, k=8, beta=12.0, seed=0, kind="hypernetwork", **kw
         return RetrievalExpert(encoder=encoder, config=config)
     return RetrievalExpert(encoder=FixedAffineMap(dim, latent, seed=seed),
                            config=config, **kw)
+
+
+def retrieve(expert, store, query, descriptor, normalize=True):
+    """One expert's support for one query, as ``mixed_support`` retrieves it with M = 1."""
+    (result,) = retrieve_supports([expert], store, *query_features(query, descriptor, normalize),
+                                  descriptor if normalize else None)
+    return result
 
 
 def fold(A, b):
@@ -242,7 +249,7 @@ class TestExpertSupport:
         store.append(CalibrationEntry(np.array([1.0, 2.0, 3.0]), 2.0, 0))
         descriptor = compute_descriptor(store.contexts())
         expert = make_expert(3)
-        support = expert_support(store, expert, np.array([1.0, 2.0, 3.0]), descriptor)
+        support = retrieve(expert, store, np.array([1.0, 2.0, 3.0]), descriptor).support()
         np.testing.assert_array_equal(support.residuals, [2.0])
         np.testing.assert_array_equal(support.weights, [1.0])
 
@@ -251,7 +258,7 @@ class TestExpertSupport:
         store = make_store(rng, n=30, dim=4)
         descriptor = compute_descriptor(store.contexts())
         sharp = make_expert(4, latent=4, k=8, beta=1e6, seed=1)
-        result = sharp.retrieve(store, rng.standard_normal(4), descriptor)
+        result = retrieve(sharp, store, rng.standard_normal(4), descriptor)
         top = np.argmax(result.scores)
         assert result.weights[top] > 0.999
 
@@ -262,7 +269,7 @@ class TestExpertSupport:
         store = make_store(rng, n=int(rng.integers(1, 25)), dim=4)
         descriptor = compute_descriptor(store.contexts())
         expert = make_expert(4, seed=seed % 5)
-        result = expert.retrieve(store, rng.standard_normal(4), descriptor)
+        result = retrieve(expert, store, rng.standard_normal(4), descriptor)
         assert abs(result.weights.sum() - 1.0) < 1e-9
         assert len(result.support_indices) == min(8, len(store))
         assert len(np.unique(result.support_indices)) == len(result.support_indices)
@@ -272,36 +279,23 @@ class TestExpertSupport:
         descriptor = compute_descriptor(np.ones((2, 3)))
         expert = make_expert(3)
         with pytest.raises(DataError):
-            expert.retrieve(store, np.ones(3), descriptor)
-
-    def test_projection_counter_linear_in_store(self):
-        rng = np.random.default_rng(6)
-        store = make_store(rng, n=17, dim=4)
-        descriptor = compute_descriptor(store.contexts())
-        experts = [make_expert(4, seed=s) for s in range(3)]
-        n_queries = 5
-        for _ in range(n_queries):
-            query = rng.standard_normal(4)
-            for expert in experts:
-                expert.retrieve(store, query, descriptor)
-        total = sum(e.projections.count for e in experts)
-        assert total == len(experts) * n_queries * len(store)
+            retrieve(expert, store, np.ones(3), descriptor)
 
     def test_equal_version_stores_retrieve_their_own_neighbours(self):
-        # retrieval state never outlives a call: two stores at the same
-        # version each get the brute-force neighbours of their own contexts
+        # retrieval state never outlives a call: two stores built by the same
+        # sequence of mutations each get the brute-force neighbours of their
+        # own contexts
         rng = np.random.default_rng(7)
         stores = [
             CalibrationStore.from_arrays(rng.standard_normal((10, 4)), rng.standard_normal(10))
             for _ in range(2)
         ]
-        assert stores[0].version == stores[1].version
         descriptor = compute_descriptor(np.vstack([s.contexts() for s in stores]))
         expert = make_expert(4, k=3, kind="fixed_affine")
         query = rng.standard_normal(4)
         A, b = expert.encoder.as_arrays()
         for store in stores:
-            result = expert.retrieve(store, query, descriptor)
+            result = retrieve(expert, store, query, descriptor)
             keys = A @ normalize_context(store.contexts(), descriptor).T + b[:, None]
             keys /= np.linalg.norm(keys, axis=0)
             q = A @ normalize_context(query, descriptor) + b
@@ -316,10 +310,10 @@ class TestExpertSupport:
         descriptor = compute_descriptor(store.contexts())
         expert = make_expert(4, kind="fixed_affine")
         query = rng.standard_normal(4)
-        before = expert.retrieve(store, query, descriptor)
+        before = retrieve(expert, store, query, descriptor)
         expert.encoder.A.data *= 3.0
         expert.encoder.b.data *= 3.0
-        after = expert.retrieve(store, query, descriptor)
+        after = retrieve(expert, store, query, descriptor)
         np.testing.assert_array_equal(before.support_indices, after.support_indices)
         np.testing.assert_allclose(before.weights, after.weights, atol=1e-9)
 
@@ -386,9 +380,9 @@ def retrieval_cases(draw):
         rows[n_seed:, 0] = 2.5 + 1e-3 * rng.integers(-1, 2, size=n_rows - n_seed)
     residuals = rng.choice([-1.0, 0.0, 0.5, 2.0], size=n_rows) + 0.01 * np.arange(n_rows)
     experts = []
+    encoder = draw(st.sampled_from(["hypernetwork", "fixed_affine"]))  # one kind per model
     for m in range(draw(st.integers(1, 3))):
         k = draw(st.integers(1, 6))  # capacity < k is common
-        encoder = draw(st.sampled_from(["hypernetwork", "fixed_affine"]))
         experts.append(make_expert(dim, latent=3, k=k, beta=draw(st.sampled_from([1.0, 12.0])),
                                    seed=m, kind=encoder))
     return dict(rows=rows, residuals=residuals, capacity=capacity, n_seed=n_seed,
@@ -420,8 +414,7 @@ class TestStackedRetrievalOracle:
             oracles = [_oracle_retrieval(e, contexts, query, descriptor, normalize)
                        for e in experts]
             exact = [
-                _check_retrieval(e.retrieve(store, query, descriptor, normalize=normalize),
-                                 oracle, stored)
+                _check_retrieval(retrieve(e, store, query, descriptor, normalize), oracle, stored)
                 for e, oracle in zip(experts, oracles)
             ]
             support, union, pi = mixed_support(store, experts, gate, descriptor, query,
@@ -485,9 +478,12 @@ class TestCheckpointRoundtrip:
             )
         descriptor = components.descriptor_for(0)
         query = rng.standard_normal(components.model.context_dim)
-        for before, after in zip(components.experts, loaded.experts):
-            r1 = before.retrieve(store, query, descriptor)
-            r2 = after.retrieve(store, query, descriptor)
+        feats = descriptor_features(descriptor)
+        query_z = normalize_context(query, descriptor)
+        for r1, r2 in zip(
+            retrieve_supports(components.experts, store, query_z, feats, descriptor),
+            retrieve_supports(loaded.experts, store, query_z, feats, descriptor),
+        ):
             np.testing.assert_array_equal(r1.support_indices, r2.support_indices)
             np.testing.assert_allclose(r1.weights, r2.weights, atol=0)
 

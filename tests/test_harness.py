@@ -16,7 +16,6 @@ from rarecp.harness import (
     EvalConfig,
     EvalRecord,
     calibration_block,
-    calibration_entries,
     compute_metrics,
     emit_report,
     eval_split_std,
@@ -333,10 +332,6 @@ class TestCalibrationBlock:
             want = build_context(history, forecast, 6, include_forecast)
             assert contexts[row].tobytes() == want.tobytes()
             assert residuals[row] == series.values[i] - forecast
-        entries = calibration_entries(series, indices, _RecordingForecast(), 6, include_forecast)
-        assert [e.time_index for e in entries] == list(indices)
-        np.testing.assert_array_equal(np.stack([e.context for e in entries]), contexts)
-        np.testing.assert_array_equal([e.residual for e in entries], residuals)
 
     def test_bad_inputs_raise_data_error(self):
         series = TimeSeries(values=np.arange(10.0))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rarecp import autodiff as ad
 from rarecp.autodiff import Adam
 from rarecp.conformal import WeightedSupport, weighted_quantile, winkler_score
 from rarecp.errors import DataError, RareCPError
@@ -8,22 +9,35 @@ from rarecp.experts import HypernetworkParams
 from rarecp.training import (
     CalibrationDataset,
     ModelConfig,
-    SmoothLossConfig,
     TemperatureSchedule,
     TrainConfig,
     Trainer,
-    alpha_grid_loss,
     default_alpha_grid,
     expert_batch_loss,
     expert_training_step,
-    gate_training_step,
-    smooth_weighted_quantile,
-    smooth_winkler,
     temperature_at,
-    train_pipeline,
     write_training_log,
+    _gate_step,
     _prepare_gate_batch,
 )
+
+
+def _sorted_row(support):
+    """The support as one (1, s) row of weights and residuals, sorted by residual."""
+    order = np.argsort(support.residuals, kind="stable")
+    return support.weights[order][None, :], support.residuals[order][None, :]
+
+
+def smooth_quantile(support, q, tau_q):
+    """The sigmoid-CDF relaxed ``q`` quantile of one support."""
+    quantiles, *_ = ad.smooth_quantiles(*_sorted_row(support), [q], tau_q)
+    return float(quantiles[0, 0])
+
+
+def smooth_loss(support, target, alphas, tau_q, tau_p):
+    """The smooth Winkler score of one support, averaged over ``alphas``."""
+    return float(ad.smooth_winkler_grid(*_sorted_row(support), [target], alphas, tau_q, tau_p)
+                 .data[0])
 
 
 def generic_support(rng, n=12, margin=5e-3):
@@ -50,21 +64,21 @@ class TestSmoothQuantile:
         support = WeightedSupport(np.array([2.5]), np.array([1.0]))
         for q in (0.1, 0.5, 0.9):
             for tau in (0.05, 1e-3):
-                assert smooth_weighted_quantile(support, q, tau) == pytest.approx(2.5)
+                assert smooth_quantile(support, q, tau) == pytest.approx(2.5)
 
     def test_converges_to_hard_off_boundary(self):
         support = WeightedSupport(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
         # 0.45 is inside the first bin, away from the 0.5 boundary
-        smooth = smooth_weighted_quantile(support, 0.45, 1e-4)
+        smooth = smooth_quantile(support, 0.45, 1e-4)
         assert abs(smooth - weighted_quantile(support, 0.45)) < 1e-3
-        smooth_hi = smooth_weighted_quantile(support, 0.55, 1e-4)
+        smooth_hi = smooth_quantile(support, 0.55, 1e-4)
         assert abs(smooth_hi - weighted_quantile(support, 0.55)) < 1e-3
 
     def test_exact_boundary_limits_to_bin_midpoint(self):
         # at q exactly on a cumulative boundary the sigmoid relaxation puts
         # half mass on each adjacent bin, so the limit is the midpoint
         support = WeightedSupport(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
-        assert smooth_weighted_quantile(support, 0.5, 1e-4) == pytest.approx(0.5)
+        assert smooth_quantile(support, 0.5, 1e-4) == pytest.approx(0.5)
 
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(0)
@@ -72,22 +86,15 @@ class TestSmoothQuantile:
             support = generic_support(rng)
             q = float(rng.uniform(0.05, 0.95))
             tau = float(rng.uniform(1e-4, 0.2))
-            value = smooth_weighted_quantile(support, q, tau)
+            value = smooth_quantile(support, q, tau)
             assert support.residuals.min() - 1e-12 <= value <= support.residuals.max() + 1e-12
 
     def test_monotone_in_level(self):
         rng = np.random.default_rng(1)
         support = generic_support(rng)
         qs = np.linspace(0.05, 0.95, 19)
-        values = [smooth_weighted_quantile(support, q, 0.01) for q in qs]
+        values = [smooth_quantile(support, q, 0.01) for q in qs]
         assert all(a <= b + 1e-9 for a, b in zip(values, values[1:]))
-
-    def test_level_validation(self):
-        support = WeightedSupport(np.array([1.0]), np.array([1.0]))
-        with pytest.raises(DataError):
-            smooth_weighted_quantile(support, 1.5, 0.1)
-        with pytest.raises(DataError):
-            smooth_weighted_quantile(support, 0.5, -0.1)
 
 
 class TestSmoothWinkler:
@@ -97,7 +104,7 @@ class TestSmoothWinkler:
             support = generic_support(rng)
             target = float(rng.standard_normal())
             alpha = 0.2
-            smooth = smooth_winkler(support, target, alpha, 1e-4, 1e-4)
+            smooth = smooth_loss(support, target, [alpha], 1e-4, 1e-4)
             lo = weighted_quantile(support, alpha / 2)
             hi = weighted_quantile(support, 1 - alpha / 2)
             hard = winkler_score(lo, hi, target, alpha)
@@ -107,9 +114,9 @@ class TestSmoothWinkler:
         support = WeightedSupport(
             np.array([-2.0, -1.0, 1.0, 2.0]), np.array([0.25, 0.25, 0.25, 0.25])
         )
-        value = smooth_winkler(support, 0.0, 0.2, 0.01, 1e-3)
-        lo = smooth_weighted_quantile(support, 0.1, 0.01)
-        hi = smooth_weighted_quantile(support, 0.9, 0.01)
+        value = smooth_loss(support, 0.0, [0.2], 0.01, 1e-3)
+        lo = smooth_quantile(support, 0.1, 0.01)
+        hi = smooth_quantile(support, 0.9, 0.01)
         assert value == pytest.approx(hi - lo, abs=1e-2)
 
     def test_gradient_wrt_scores_matches_fd(self):
@@ -120,30 +127,28 @@ class TestSmoothWinkler:
 
 class TestAlphaGridLoss:
     def test_singleton_grid_equals_smooth_winkler(self):
+        # one level: Qs(1 - a/2) - Qs(a/2) + (2/a) * softplus penalties at tau_p
         rng = np.random.default_rng(3)
         support = generic_support(rng)
-        cfg = SmoothLossConfig(tau_q=0.05, tau_p=1e-3, alpha_grid=(0.2,))
-        assert alpha_grid_loss(support, 0.3, cfg) == pytest.approx(
-            smooth_winkler(support, 0.3, 0.2, 0.05, 1e-3)
+        lo, hi = smooth_quantile(support, 0.1, 0.05), smooth_quantile(support, 0.9, 0.05)
+        penalties = sum(1e-3 * np.logaddexp(0.0, z / 1e-3) for z in (lo - 0.3, 0.3 - hi))
+        assert smooth_loss(support, 0.3, [0.2], 0.05, 1e-3) == pytest.approx(
+            hi - lo + (2 / 0.2) * penalties
         )
 
     def test_identical_levels_equal_one_level(self):
         rng = np.random.default_rng(4)
         support = generic_support(rng)
-        one = SmoothLossConfig(tau_q=0.05, tau_p=1e-3, alpha_grid=(0.2,))
-        three = SmoothLossConfig(tau_q=0.05, tau_p=1e-3, alpha_grid=(0.2, 0.2, 0.2))
-        assert alpha_grid_loss(support, 0.1, three) == pytest.approx(
-            alpha_grid_loss(support, 0.1, one)
+        assert smooth_loss(support, 0.1, [0.2, 0.2, 0.2], 0.05, 1e-3) == pytest.approx(
+            smooth_loss(support, 0.1, [0.2], 0.05, 1e-3)
         )
 
     def test_default_grid_is_mean_of_levels(self):
         rng = np.random.default_rng(5)
         support = generic_support(rng)
-        cfg = SmoothLossConfig(tau_q=0.03, tau_p=1e-3)
-        by_hand = np.mean(
-            [smooth_winkler(support, 0.4, a, 0.03, 1e-3) for a in cfg.alpha_grid]
-        )
-        assert alpha_grid_loss(support, 0.4, cfg) == pytest.approx(by_hand, rel=1e-12)
+        grid = default_alpha_grid()
+        by_hand = np.mean([smooth_loss(support, 0.4, [a], 0.03, 1e-3) for a in grid])
+        assert smooth_loss(support, 0.4, grid, 0.03, 1e-3) == pytest.approx(by_hand, rel=1e-12)
 
     def test_default_grid_levels(self):
         grid = default_alpha_grid()
@@ -349,11 +354,9 @@ class TestGateTraining:
         opt = Adam(gate.parameters(), lr=0.05)
         alphas = np.asarray(default_alpha_grid())
         batch = np.arange(24)
+        prepared = [_prepare_gate_batch(trainer.experts, dataset, batch, None)]
         for _ in range(60):
-            gate_training_step(
-                gate, trainer.experts, [dataset], [batch], opt,
-                alpha_grid=alphas, tau_q=0.05, tau_p=5e-4, lambda_entropy=50.0,
-            )
+            _gate_step(gate, prepared, opt, alphas, 0.05, 5e-4, 50.0)
         entropies = []
         for i in range(24):
             pi = gate_weights(gate, *query_features(dataset.contexts[i], dataset.descriptor))
@@ -397,8 +400,8 @@ class TestPipeline:
 
         def run(path):
             dataset = CalibrationDataset.from_arrays(contexts, residuals, 0)
-            trainer = train_pipeline([dataset], tiny_model(), TrainConfig(
-                epochs=2, teacher_epochs=1, batch_size=16, seed=21))
+            trainer = Trainer([dataset], tiny_model(), TrainConfig(
+                epochs=2, teacher_epochs=1, batch_size=16, seed=21)).run()
             save_checkpoint(components_from_trainer(trainer), path)
 
         run(tmp_path / "a.json")
@@ -414,8 +417,8 @@ class TestPipeline:
         ds1 = tiny_dataset(rng, n=20)
         contexts = rng.standard_normal((14, 5))
         ds2 = CalibrationDataset.from_arrays(contexts, rng.standard_normal(14), 1)
-        trainer = train_pipeline([ds1, ds2], tiny_model(), TrainConfig(
-            epochs=1, teacher_epochs=1, batch_size=10, seed=0))
+        trainer = Trainer([ds1, ds2], tiny_model(), TrainConfig(
+            epochs=1, teacher_epochs=1, batch_size=10, seed=0)).run()
         assert trainer.gate is not None
         assert len(trainer.teachers[0]) == 2
 
@@ -453,8 +456,7 @@ class TestBatchedEquivalence:
         retrieval: emit the query's map, key every candidate, take top-k,
         softmax the selected scores."""
         from rarecp.experts import normalize_keys, topk_retrieve
-        from rarecp.training import _expert_retrieval_batch, loo_episodes
-        from rarecp import autodiff as ad
+        from rarecp.training import _expert_retrieval_batch
 
         rng = np.random.default_rng(20)
         dataset = tiny_dataset(rng, n=14)
@@ -464,18 +466,17 @@ class TestBatchedEquivalence:
         k, temperature = 5, 0.2
         sel, weights, _ = _expert_retrieval_batch(encoder, dataset, batch, k, temperature)
 
-        for episode in loo_episodes(dataset, batch):
-            j = episode.query_position
-            cand = episode.candidate_positions
+        for j in batch:
+            cand = batch[batch != j]
             query_z = dataset.contexts_z[j]
             A, b = encoder.emit(query_z, dataset.feats)
             maps = np.concatenate([A.data, b.data[:, None]], axis=1)[None]
             columns = np.vstack([dataset.contexts_z[cand].T, np.ones(cand.size)])
             scores = normalize_keys(maps, query_z, columns)[0]
             naive_sel = cand[topk_retrieve(scores, k)]
-            naive_weights = ad.softmax_with_temperature(
-                scores[topk_retrieve(scores, k)], temperature
-            ).data
+            naive_weights = ad.softmax_rows(
+                scores[topk_retrieve(scores, k)][None], temperature
+            ).data[0]
             row = list(batch).index(j)
             np.testing.assert_array_equal(np.sort(batch[sel[row]]), np.sort(naive_sel))
             order_batched = np.argsort(batch[sel[row]], kind="stable")
