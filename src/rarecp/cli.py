@@ -36,6 +36,7 @@ from rarecp.training import (
     ModelConfig,
     TrainConfig,
     Trainer,
+    config_from,
     write_training_log,
 )
 
@@ -132,36 +133,8 @@ def train(config_path, series_path, column, checkpoint_path, log_path, seed):
         sigma_floor=cfg.sigma_floor,
         normalize=cfg.normalize_contexts,
     )
-    model = ModelConfig(
-        n_experts=cfg.n_experts,
-        latent_dim=cfg.latent_dim,
-        top_k=cfg.top_k,
-        beta=cfg.beta,
-        hidden_dim=cfg.hidden_dim,
-        hidden_layers=cfg.hidden_layers,
-        activation=cfg.activation,
-        encoder_kind=cfg.encoder_kind,
-        gate_hidden_dim=cfg.gate_hidden_dim,
-        window=cfg.window,
-        include_forecast=cfg.include_forecast,
-        normalize_contexts=cfg.normalize_contexts,
-    )
-    train_cfg = TrainConfig(
-        lambda_anchor=cfg.lambda_anchor,
-        lambda_entropy=cfg.lambda_entropy,
-        student_lr=cfg.student_lr,
-        gate_lr=cfg.gate_lr,
-        teacher_lr=cfg.teacher_lr,
-        epochs=cfg.epochs,
-        teacher_epochs=cfg.teacher_epochs,
-        batch_size=cfg.batch_size,
-        tau_start=cfg.tau_start,
-        tau_end=cfg.tau_end,
-        tau_p=cfg.tau_p,
-        n_cycles=cfg.n_cycles,
-        seed=cfg.seed,
-    )
-    trainer = Trainer([dataset], model, train_cfg).run()
+    trainer = Trainer([dataset], config_from(ModelConfig, cfg), config_from(TrainConfig, cfg))
+    trainer.run()
     save_checkpoint(components_from_trainer(trainer), checkpoint_path)
     log_file = Path(log_path) if log_path else Path(checkpoint_path).with_suffix(".log.csv")
     write_training_log(trainer.log, log_file)

@@ -10,7 +10,7 @@ calibration window.
 
 from __future__ import annotations
 
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from rarecp.conformal import (
 from rarecp.data import CalibrationEntry, CalibrationStore, compute_descriptor
 from rarecp.errors import DataError
 from rarecp.gate import mixed_support, rarecp_interval
-from rarecp.training import CalibrationDataset, ModelConfig, TrainConfig, Trainer
+from rarecp.training import CalibrationDataset, ModelConfig, TrainConfig, Trainer, config_from
 from rarecp.validation import (
     check_finite,
     check_fitted,
@@ -178,30 +178,19 @@ class RareCP(BaseEstimator):
     # -- configuration ------------------------------------------------------
 
     def model_config(self) -> ModelConfig:
-        # every ModelConfig field is a constructor argument of the same name
-        return ModelConfig(**{f.name: getattr(self, f.name) for f in fields(ModelConfig)})
+        return config_from(ModelConfig, self)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lambda_anchor=self.lambda_anchor,
-            lambda_entropy=self.lambda_entropy,
-            student_lr=self.student_lr,
-            gate_lr=self.gate_lr,
-            teacher_lr=self.teacher_lr,
-            epochs=self.epochs,
-            teacher_epochs=self.teacher_epochs,
-            batch_size=self.batch_size,
-            tau_start=self.tau_start,
-            tau_end=self.tau_end,
-            tau_p=self.tau_p,
-            n_cycles=self.n_cycles,
-            seed=self.seed,
-        )
+        return config_from(TrainConfig, self)
 
     # -- fitting --------------------------------------------------------------
 
     def fit(self, X, y, dataset_id: int = 0) -> "RareCP":
-        """Train on the initial calibration contexts ``X`` and residuals ``y``."""
+        """Train on the initial calibration contexts ``X`` and residuals ``y``.
+
+        The window is then seeded from ``X`` and ``y`` by ``seed_store``, as a
+        reloaded model would be.
+        """
         X = check_matrix(X, "X")
         y = check_vector(y, "y")
         if X.shape[0] != y.size:
@@ -212,18 +201,18 @@ class RareCP(BaseEstimator):
                 f"X has {X.shape[1]} features but window={self.window} and "
                 f"include_forecast={self.include_forecast} imply {model.context_dim}"
             )
+        if self.capacity is not None and self.capacity < 1:
+            # seed_store refuses it too, but only once training is done
+            raise DataError("store capacity must be >= 1")
         dataset_id = check_int(dataset_id, "dataset_id")
         dataset = CalibrationDataset.from_arrays(
             X, y, dataset_id=dataset_id, normalize=self.normalize_contexts
         )
-        store = CalibrationStore.from_arrays(X, y, self.capacity)
         trainer = Trainer([dataset], model, self.train_config()).run()
         self.components_ = components_from_trainer(trainer)
         self.train_log_ = trainer.log
         self._dataset_id = dataset_id
-        self.descriptor_ = dataset.descriptor
-        self.store_ = store
-        self._next_time = y.size
+        self.seed_store(X, y)
         return self
 
     @classmethod
@@ -241,7 +230,7 @@ class RareCP(BaseEstimator):
         save_checkpoint(self.components_, path)
 
     def seed_store(self, X, y, start_time: int = 0) -> None:
-        """Seed the FIFO window explicitly (used after ``from_checkpoint``).
+        """Seed the FIFO window (``fit`` ends with it; call it after ``from_checkpoint``).
 
         The conditioning descriptor is recomputed from the seeded window,
         which is the initial calibration set of the run being started.
@@ -260,11 +249,6 @@ class RareCP(BaseEstimator):
 
     # -- prediction -------------------------------------------------------------
 
-    def _descriptor(self):
-        if getattr(self, "descriptor_", None) is not None:
-            return self.descriptor_
-        return self.components_.descriptor_for(self._dataset_id)
-
     def _query(self, x) -> np.ndarray:
         check_fitted(self, "components_")
         check_fitted(self, "store_")
@@ -282,7 +266,7 @@ class RareCP(BaseEstimator):
             self.store_,
             self.components_.experts,
             self.components_.gate,
-            self._descriptor(),
+            self.descriptor_,
             x,
             normalize=self.normalize_contexts,
         )
@@ -299,7 +283,7 @@ class RareCP(BaseEstimator):
             self.store_,
             self.components_.experts,
             self.components_.gate,
-            self._descriptor(),
+            self.descriptor_,
             alpha,
             normalize=self.normalize_contexts,
         )

@@ -25,25 +25,20 @@ import numpy as np
 
 from rarecp import autodiff as ad
 from rarecp.autodiff import EPS_NORM, Tensor
-from rarecp.conformal import WeightedSupport
 from rarecp.data import CalibrationStore, DatasetDescriptor, normalize_context
 from rarecp.errors import DataError, NumericError
 
 
 @dataclass(frozen=True)
 class ExpertConfig:
-    latent_dim: int = 32
     top_k: int = 32
     beta: float = 12.0  # inverse temperature; softmax temperature is 1/beta
-    encoder_kind: str = "hypernetwork"
 
     def __post_init__(self):
-        if self.latent_dim < 1 or self.top_k < 1:
-            raise DataError("latent_dim and top_k must be >= 1")
+        if self.top_k < 1:
+            raise DataError("top_k must be >= 1")
         if self.beta <= 0.0:
             raise DataError("beta must be positive")
-        if self.encoder_kind not in ("hypernetwork", "fixed_affine"):
-            raise DataError(f"unknown encoder kind {self.encoder_kind!r}")
 
     @property
     def weight_temperature(self) -> float:
@@ -149,7 +144,7 @@ class HypernetworkParams:
         hidden_layers: int = 2,
         activation: str = "tanh",
         seed: int = 0,
-        final_bias_map: tuple[np.ndarray, np.ndarray] | str = "identity",
+        final_bias_map: tuple[np.ndarray, np.ndarray] | None = None,
         final_weight_scale: float = 1e-3,
     ):
         if hidden_layers < 1:
@@ -162,18 +157,12 @@ class HypernetworkParams:
         sizes = [input_dim] + [hidden_dim] * hidden_layers + [out_dim]
         rng = np.random.default_rng([seed, 101])
         self.layers = _mlp_init(sizes, rng)
-        # final layer starts near zero so the emitted map begins at the bias
+        # final layer starts near zero so the emitted map begins at the bias,
+        # ``final_bias_map`` or else the identity map on the freshest features
         w_last, b_last = self.layers[-1]
         w_last.data = rng.normal(0.0, final_weight_scale, size=w_last.data.shape)
-        if isinstance(final_bias_map, str):
-            if final_bias_map == "identity":
-                A0 = identity_map(latent_dim, context_dim)
-                b0 = np.zeros(latent_dim)
-            elif final_bias_map == "zero":
-                A0 = np.zeros((latent_dim, context_dim))
-                b0 = np.zeros(latent_dim)
-            else:
-                raise DataError(f"unknown final bias init {final_bias_map!r}")
+        if final_bias_map is None:
+            A0, b0 = identity_map(latent_dim, context_dim), np.zeros(latent_dim)
         else:
             A0, b0 = final_bias_map
         b_last.data = np.concatenate([np.asarray(A0).reshape(-1), np.asarray(b0)])
@@ -308,9 +297,6 @@ class RetrievalResult:
     scores: np.ndarray
     weights: np.ndarray
     residuals: np.ndarray
-
-    def support(self) -> WeightedSupport:
-        return WeightedSupport(self.residuals, self.weights)
 
 
 @dataclass

@@ -13,7 +13,7 @@ import numpy as np
 
 from rarecp import autodiff as ad
 from rarecp.autodiff import finite_diff_check
-from rarecp.experts import HypernetworkParams
+from rarecp.experts import ExpertConfig, FixedAffineMap, HypernetworkParams, RetrievalExpert
 from rarecp.gate import GateParams
 from rarecp.training import (
     CalibrationDataset,
@@ -22,7 +22,6 @@ from rarecp.training import (
     expert_batch_loss,
     gate_batch_loss,
 )
-from rarecp.experts import ExpertConfig, RetrievalExpert
 
 PRIMITIVE_TOL = 1e-4
 PIPELINE_TOL = 1e-3
@@ -151,7 +150,6 @@ def _gradcheck_instance(seed: int, n_episodes: int, n_experts: int, context_dim:
             hidden_dim=8,
             hidden_layers=1,
             seed=seed + 10 * m,
-            final_bias_map="identity",
             final_weight_scale=0.05,
         )
         encoders.append(encoder)
@@ -201,6 +199,43 @@ def expert_loss_check(
     return finite_diff_check(f, params, h=h)
 
 
+def teacher_loss_check(
+    seed: int = 0,
+    n_episodes: int = 12,
+    context_dim: int = 6,
+    h: float = 1e-5,
+) -> float:
+    """Fixed-affine objective with dense top-k vs central differences.
+
+    Checks the teacher prefit objective (no anchor), then the same map
+    anchored to a teacher as a fixed-affine expert is; returns the larger
+    error.
+    """
+    dataset, _, teachers = _gradcheck_instance(seed, n_episodes, 1, context_dim)
+    encoder = FixedAffineMap(context_dim, 4, seed=seed)
+    batch = np.arange(n_episodes)
+    alphas = np.asarray(default_alpha_grid())
+
+    def objective(anchor):
+        return lambda: expert_batch_loss(
+            encoder,
+            [dataset],
+            [batch],
+            anchor,
+            top_k=n_episodes,
+            temperature=1.0 / 6.0,
+            alpha_grid=alphas,
+            tau_q=0.05,
+            tau_p=5e-3,
+            lambda_anchor=5.0,
+        )
+
+    return max(
+        finite_diff_check(objective(anchor), encoder.parameters(), h=h)
+        for anchor in (None, teachers)
+    )
+
+
 def gate_loss_check(
     seed: int = 0,
     n_episodes: int = 12,
@@ -211,7 +246,7 @@ def gate_loss_check(
     """Gate objective (mixed-support loss minus entropy) vs central differences."""
     dataset, encoders, _ = _gradcheck_instance(seed, n_episodes, n_experts, context_dim)
     rng = np.random.default_rng(seed + 77)
-    config = ExpertConfig(latent_dim=4, top_k=4, beta=6.0)
+    config = ExpertConfig(top_k=4, beta=6.0)
     experts = [RetrievalExpert(encoder=e, config=config) for e in encoders]
     gate = GateParams(context_dim, n_experts, hidden_dim=4, seed=seed)
     w_last, b_last = gate.layers[-1]
@@ -236,5 +271,6 @@ def run_all(seed: int = 0) -> list[tuple[str, float, float]]:
     ]
     rows.append(("smooth_pipeline", smooth_pipeline_check(seed), PIPELINE_TOL))
     rows.append(("expert_loss", expert_loss_check(seed), PIPELINE_TOL))
+    rows.append(("teacher_loss", teacher_loss_check(seed), PIPELINE_TOL))
     rows.append(("gate_loss", gate_loss_check(seed), PIPELINE_TOL))
     return rows

@@ -25,6 +25,14 @@ enters its support. Stages run strictly in order: prefit affine teachers,
 then hypernetwork students anchored to their teachers in parameter space,
 then the gate (experts frozen) with an entropy bonus that discourages
 early collapse onto one expert.
+
+All three stages go through one loop, ``Trainer._run_stage``. A stage only
+builds its runs, each a set of parameters, a learning rate, the batches of
+an epoch and a loss: one run per (expert, dataset) for the teachers, one
+per expert for the students, one over the prepared rounds for the gate.
+The loop gives each run its Adam, cosine tau_q schedule and step counter,
+takes every step through ``optimizer_step``, drops the losses of skipped
+batches and logs one row per epoch.
 """
 
 from __future__ import annotations
@@ -33,7 +41,9 @@ import ctypes
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -147,12 +157,16 @@ class ModelConfig:
         return self.window + (1 if self.include_forecast else 0)
 
     def expert_config(self) -> ExpertConfig:
-        return ExpertConfig(
-            latent_dim=self.latent_dim,
-            top_k=self.top_k,
-            beta=self.beta,
-            encoder_kind=self.encoder_kind,
-        )
+        return ExpertConfig(top_k=self.top_k, beta=self.beta)
+
+
+def config_from(cls, source):
+    """A ``ModelConfig`` or ``TrainConfig`` read field by field off ``source``.
+
+    ``source`` (a ``RunConfig`` or a ``RareCP``) has an attribute for every
+    field except ``audit``, which keeps its default.
+    """
+    return cls(**{f.name: getattr(source, f.name) for f in fields(cls) if f.name != "audit"})
 
 
 @dataclass
@@ -247,41 +261,6 @@ def _expert_retrieval_batch(
     return sel, ad.softmax_rows(sel_scores, temperature), emitted
 
 
-def _expert_batch_term(
-    encoder,
-    dataset: CalibrationDataset,
-    batch: np.ndarray,
-    top_k: int,
-    temperature: float,
-    alpha_grid: np.ndarray,
-    tau_q: float,
-    tau_p: float,
-    audit: list | None,
-):
-    """Per-episode smooth losses plus the emitted maps for one batch."""
-    sel, weights, emitted = _expert_retrieval_batch(
-        encoder, dataset, batch, top_k, temperature
-    )
-    support_positions = batch[sel]
-    if audit is not None:
-        ds_id = dataset.descriptor.dataset_id
-        for row, j in enumerate(batch):
-            audit.append((ds_id, int(j), support_positions[row]))
-    res_sel = dataset.residuals[support_positions]
-    perm = np.argsort(res_sel, axis=1, kind="stable")
-    res_sorted = np.take_along_axis(res_sel, perm, axis=1)
-    weights_sorted = ad.gather_rows(weights, perm)
-    loss_vec = ad.smooth_winkler_grid(
-        weights_sorted,
-        res_sorted,
-        dataset.residuals[batch],
-        alpha_grid,
-        tau_q,
-        tau_p,
-    )
-    return loss_vec, emitted
-
-
 def _anchor_term(emitted, teacher: tuple[np.ndarray, np.ndarray], n_episodes: int) -> Tensor:
     """Mean squared parameter-space distance to the teacher map."""
     B_mat, c_vec = teacher
@@ -313,15 +292,14 @@ def expert_batch_loss(
     tau_q: float,
     tau_p: float,
     lambda_anchor: float,
-    dense: bool = False,
     audit: list | None = None,
 ) -> Tensor | None:
     """Full expert objective on one round of batches.
 
     The interval term averages leave-one-out losses per dataset, then over
     datasets, so each dataset carries equal weight; the anchor term pulls
-    every emitted (A, b) toward the dataset-level teacher map. ``dense``
-    retrieval keeps all candidates (used for teacher prefitting). Returns
+    every emitted (A, b) toward the dataset-level teacher map. A teacher
+    retrieves densely, with ``top_k`` at least its batch size. Returns
     None when every batch was skipped.
     """
     per_ds_losses: list[Tensor] = []
@@ -330,9 +308,22 @@ def expert_batch_loss(
         batch = np.asarray(batch, dtype=np.int64)
         if not _valid_batch(batch):
             continue
-        k = len(dataset) if dense else top_k
-        loss_vec, emitted = _expert_batch_term(
-            encoder, dataset, batch, k, temperature, alpha_grid, tau_q, tau_p, audit
+        sel, weights, emitted = _expert_retrieval_batch(
+            encoder, dataset, batch, top_k, temperature
+        )
+        support_positions = batch[sel]
+        if audit is not None:
+            ds_id = dataset.descriptor.dataset_id
+            audit.extend((ds_id, int(j), row) for j, row in zip(batch, support_positions))
+        res_sel = dataset.residuals[support_positions]
+        perm = np.argsort(res_sel, axis=1, kind="stable")
+        loss_vec = ad.smooth_winkler_grid(
+            ad.gather_rows(weights, perm),
+            np.take_along_axis(res_sel, perm, axis=1),
+            dataset.residuals[batch],
+            alpha_grid,
+            tau_q,
+            tau_p,
         )
         per_ds_losses.append(ad.reduce_mean(loss_vec))
         if teachers is not None and lambda_anchor > 0.0:
@@ -343,48 +334,6 @@ def expert_batch_loss(
     if per_ds_anchors:
         total = ad.add(total, ad.scale(_stack_mean(per_ds_anchors), lambda_anchor))
     return total
-
-
-def expert_training_step(
-    encoder,
-    datasets: list[CalibrationDataset],
-    batches: list[np.ndarray],
-    teachers: list[tuple[np.ndarray, np.ndarray]] | None,
-    optimizer: Adam,
-    top_k: int,
-    temperature: float,
-    alpha_grid: np.ndarray,
-    tau_q: float,
-    tau_p: float,
-    lambda_anchor: float,
-    dense: bool = False,
-    audit: list | None = None,
-) -> float:
-    """One optimizer step on an expert (or teacher) encoder."""
-    optimizer.zero_grad()
-    with Tape() as tape:
-        total = expert_batch_loss(
-            encoder,
-            datasets,
-            batches,
-            teachers,
-            top_k,
-            temperature,
-            alpha_grid,
-            tau_q,
-            tau_p,
-            lambda_anchor,
-            dense=dense,
-            audit=audit,
-        )
-        if total is None:
-            return float("nan")
-    value = float(total.data)
-    if not np.isfinite(value):
-        raise NumericError("expert training loss is not finite")
-    tape.backward(total)
-    optimizer.step()
-    return value
 
 
 @dataclass
@@ -491,14 +440,21 @@ def gate_batch_loss(
     )
 
 
-def _gate_step(gate, prepared, optimizer, alpha_grid, tau_q, tau_p, lambda_entropy) -> float:
-    """One optimizer step of the gate on prepared batches; the frozen experts get no gradient."""
+def optimizer_step(optimizer: Adam, loss_fn: Callable[[], Tensor | None]) -> float:
+    """One step of ``optimizer`` on the loss ``loss_fn`` builds on a fresh tape.
+
+    Returns the loss, or NaN when ``loss_fn`` builds none (every batch was
+    skipped), in which case nothing is stepped. A non-finite loss raises
+    ``NumericError`` before any parameter moves.
+    """
     optimizer.zero_grad()
     with Tape() as tape:
-        total = gate_batch_loss(gate, prepared, alpha_grid, tau_q, tau_p, lambda_entropy)
+        total = loss_fn()
+    if total is None:
+        return math.nan
     value = float(total.data)
-    if not np.isfinite(value):
-        raise NumericError("gate training loss is not finite")
+    if not math.isfinite(value):
+        raise NumericError("training loss is not finite")
     tape.backward(total)
     optimizer.step()
     return value
@@ -517,9 +473,20 @@ class LogRow:
     tau_q: float
 
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
-    positions = rng.permutation(n)
-    return [positions[i : i + batch_size] for i in range(0, n, batch_size)]
+@dataclass(frozen=True)
+class _Run:
+    """One optimisation run of a stage.
+
+    ``epoch_batches()`` gives one epoch's batches, and ``loss(batch, tau_q)``
+    builds the objective on one of them, or None to skip it. The run's
+    tau_q schedule spans ``epochs * steps_per_epoch`` steps.
+    """
+
+    params: list[Tensor]
+    lr: float
+    steps_per_epoch: int
+    epoch_batches: Callable[[], list]
+    loss: Callable[[object, float], Tensor | None]
 
 
 # glibc mallopt parameters and the values training sets
@@ -596,111 +563,103 @@ class Trainer:
             cycle_steps=cycle,
         )
 
-    def _steps_per_epoch(self) -> int:
+    def _steps_per_epoch(self, datasets: list[CalibrationDataset]) -> int:
         # one optimizer step per round; a round takes one batch per dataset
         return max(
-            max(1, math.ceil(len(ds) / self.train.batch_size)) for ds in self.datasets
+            max(1, math.ceil(len(ds) / self.train.batch_size)) for ds in datasets
         )
 
-    def _batches(self, rng: np.random.Generator) -> list[list[np.ndarray]]:
-        """Per-dataset batch lists for one epoch, padded to equal length."""
-        per_ds = [
-            _epoch_batches(len(ds), self.train.batch_size, rng) for ds in self.datasets
+    def _rounds(
+        self, datasets: list[CalibrationDataset], rng: np.random.Generator
+    ) -> list[list[np.ndarray]]:
+        """One epoch of rounds, each holding one batch per dataset.
+
+        Every dataset is shuffled by ``rng`` in turn; a dataset that runs
+        out of batches first gets empty ones for the remaining rounds.
+        """
+        size = self.train.batch_size
+        per_ds = []
+        for ds in datasets:
+            positions = rng.permutation(len(ds))
+            per_ds.append([positions[i : i + size] for i in range(0, len(ds), size)])
+        empty = np.empty(0, dtype=np.int64)
+        return [
+            [batches[r] if r < len(batches) else empty for batches in per_ds]
+            for r in range(max(len(b) for b in per_ds))
         ]
-        rounds = max(len(b) for b in per_ds)
-        aligned = []
-        for batches in per_ds:
-            if len(batches) < rounds:
-                batches = batches + [np.empty(0, dtype=np.int64)] * (rounds - len(batches))
-            aligned.append(batches)
-        # transpose: one entry per round, each holding one batch per dataset
-        return [[aligned[d][r] for d in range(len(per_ds))] for r in range(rounds)]
+
+    def _run_stage(self, stage: str, epochs: int, runs: list[_Run]) -> None:
+        """Optimise every run for ``epochs`` epochs, then log the stage.
+
+        Each run gets its own Adam, tau_q schedule and step counter; a
+        skipped batch still takes its step of the schedule but leaves no
+        loss. The stage logs one row per epoch in which any run had a
+        loss: the mean over runs of each run's epoch-mean loss, with the
+        first run's tau_q at the start of the epoch.
+        """
+        epoch_means: list[list[float]] = [[] for _ in range(epochs)]
+        for run in runs:
+            optimizer = Adam(run.params, lr=run.lr)
+            schedule = self._schedule(epochs * run.steps_per_epoch)
+            step = 0
+            for epoch in range(epochs):
+                losses = []
+                for batch in run.epoch_batches():
+                    tau_q = temperature_at(step, schedule)
+                    loss = optimizer_step(optimizer, partial(run.loss, batch, tau_q))
+                    if math.isfinite(loss):
+                        losses.append(loss)
+                    step += 1
+                if losses:
+                    epoch_means[epoch].append(float(np.mean(losses)))
+        steps_per_epoch = runs[0].steps_per_epoch
+        schedule = self._schedule(epochs * steps_per_epoch)
+        for epoch, means in enumerate(epoch_means):
+            if means:
+                tau_q = temperature_at(epoch * steps_per_epoch, schedule)
+                self.log.append(LogRow(stage, epoch, float(np.mean(means)), tau_q))
+
+    def _expert_loss(self, encoder, datasets, teachers, top_k: int, lambda_anchor: float):
+        """``expert_batch_loss`` of ``encoder`` as a run's loss(batches, tau_q)."""
+
+        def loss(batches, tau_q):
+            return expert_batch_loss(
+                encoder, datasets, batches, teachers, top_k, 1.0 / self.model.beta,
+                self.alpha_grid, tau_q, self.train.tau_p, lambda_anchor, audit=self.audit,
+            )
+
+        return loss
 
     # -- stages -----------------------------------------------------------
 
     def fit_teachers(self) -> None:
-        cfg = self.train
+        """One dense, unanchored affine teacher per (expert, dataset)."""
+        cfg, model = self.train, self.model
         teachers: list[list[FixedAffineMap]] = []
-        epoch_losses: dict[int, list[float]] = {e: [] for e in range(cfg.teacher_epochs)}
-        epoch_tau: dict[int, float] = {}
-        for m in range(self.model.n_experts):
-            per_dataset: list[FixedAffineMap] = []
+        runs = []
+        for m in range(model.n_experts):
+            teachers.append([])
             for d, dataset in enumerate(self.datasets):
                 teacher = FixedAffineMap(
-                    self.model.context_dim,
-                    self.model.latent_dim,
-                    seed=cfg.seed * 1000 + m * 10 + d,
+                    model.context_dim, model.latent_dim, seed=cfg.seed * 1000 + m * 10 + d
                 )
-                opt = Adam(teacher.parameters(), lr=cfg.teacher_lr)
+                teachers[m].append(teacher)
                 rng = np.random.default_rng([cfg.seed, 11, m, d])
-                steps_total = cfg.teacher_epochs * max(
-                    1, math.ceil(len(dataset) / cfg.batch_size)
-                )
-                schedule = self._schedule(steps_total)
-                step = 0
-                for epoch in range(cfg.teacher_epochs):
-                    losses = []
-                    for batch in _epoch_batches(len(dataset), cfg.batch_size, rng):
-                        tau_q = temperature_at(step, schedule)
-                        if m == 0 and d == 0 and epoch not in epoch_tau:
-                            epoch_tau[epoch] = tau_q
-                        loss = expert_training_step(
-                            teacher,
-                            [dataset],
-                            [batch],
-                            teachers=None,
-                            optimizer=opt,
-                            top_k=len(dataset),
-                            temperature=1.0 / self.model.beta,
-                            alpha_grid=self.alpha_grid,
-                            tau_q=tau_q,
-                            tau_p=cfg.tau_p,
-                            lambda_anchor=0.0,
-                            dense=True,
-                            audit=self.audit,
-                        )
-                        if np.isfinite(loss):
-                            losses.append(loss)
-                        step += 1
-                    if losses:
-                        epoch_losses[epoch].append(float(np.mean(losses)))
-                per_dataset.append(teacher)
-            teachers.append(per_dataset)
+                runs.append(_Run(
+                    teacher.parameters(), cfg.teacher_lr, self._steps_per_epoch([dataset]),
+                    partial(self._rounds, [dataset], rng),
+                    self._expert_loss(teacher, [dataset], None, len(dataset), 0.0),
+                ))
+        self._run_stage("teacher", cfg.teacher_epochs, runs)
         self.teachers = teachers
-        for epoch in range(cfg.teacher_epochs):
-            if epoch_losses[epoch]:
-                self.log.append(
-                    LogRow(
-                        stage="teacher",
-                        epoch=epoch,
-                        mean_loss=float(np.mean(epoch_losses[epoch])),
-                        tau_q=epoch_tau.get(epoch, cfg.tau_start),
-                    )
-                )
 
-    def _teacher_bias_map(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean teacher map across datasets; the student's starting geometry."""
-        assert self.teachers is not None
+    def _make_encoder(self, m: int):
+        """Expert ``m``'s encoder, starting at the mean of its teachers' maps."""
         maps = [t.as_arrays() for t in self.teachers[m]]
         A0 = np.mean([a for a, _ in maps], axis=0)
         b0 = np.mean([b for _, b in maps], axis=0)
-        return A0, b0
-
-    def _make_encoder(self, m: int):
         if self.model.encoder_kind == "fixed_affine":
-            encoder = FixedAffineMap(
-                self.model.context_dim,
-                self.model.latent_dim,
-                seed=self.train.seed * 1000 + 500 + m,
-            )
-            if self.teachers is not None:
-                A0, b0 = self._teacher_bias_map(m)
-                encoder.A.data = A0.copy()
-                encoder.b.data = b0.copy()
-            return encoder
-        bias_map = (
-            self._teacher_bias_map(m) if self.teachers is not None else "identity"
-        )
+            return FixedAffineMap.from_arrays(A0, b0)
         return HypernetworkParams(
             context_dim=self.model.context_dim,
             latent_dim=self.model.latent_dim,
@@ -708,62 +667,32 @@ class Trainer:
             hidden_layers=self.model.hidden_layers,
             activation=self.model.activation,
             seed=self.train.seed * 1000 + 500 + m,
-            final_bias_map=bias_map,
+            final_bias_map=(A0, b0),
         )
 
     def fit_experts(self) -> None:
+        """One retrieval expert per teacher row, anchored to those teachers."""
         if self.teachers is None:
             raise RareCPError("experts cannot be trained before the teacher bank")
         cfg = self.train
-        experts: list[RetrievalExpert] = []
-        epoch_losses: dict[int, list[float]] = {e: [] for e in range(cfg.epochs)}
-        steps_total = cfg.epochs * self._steps_per_epoch()
-        schedule = self._schedule(steps_total)
-        for m in range(self.model.n_experts):
-            encoder = self._make_encoder(m)
+        encoders = [self._make_encoder(m) for m in range(self.model.n_experts)]
+        runs = []
+        for m, encoder in enumerate(encoders):
             teacher_arrays = [t.as_arrays() for t in self.teachers[m]]
-            opt = Adam(encoder.parameters(), lr=cfg.student_lr)
             rng = np.random.default_rng([cfg.seed, 22, m])
-            step = 0
-            for epoch in range(cfg.epochs):
-                losses = []
-                for round_batches in self._batches(rng):
-                    tau_q = temperature_at(step, schedule)
-                    loss = expert_training_step(
-                        encoder,
-                        self.datasets,
-                        round_batches,
-                        teachers=teacher_arrays,
-                        optimizer=opt,
-                        top_k=self.model.top_k,
-                        temperature=1.0 / self.model.beta,
-                        alpha_grid=self.alpha_grid,
-                        tau_q=tau_q,
-                        tau_p=cfg.tau_p,
-                        lambda_anchor=cfg.lambda_anchor,
-                        audit=self.audit,
-                    )
-                    if np.isfinite(loss):
-                        losses.append(loss)
-                    step += 1
-                if losses:
-                    epoch_losses[epoch].append(float(np.mean(losses)))
-            experts.append(
-                RetrievalExpert(encoder=encoder, config=self.model.expert_config())
-            )
-        self.experts = experts
-        for epoch in range(cfg.epochs):
-            if epoch_losses[epoch]:
-                self.log.append(
-                    LogRow(
-                        stage="expert",
-                        epoch=epoch,
-                        mean_loss=float(np.mean(epoch_losses[epoch])),
-                        tau_q=temperature_at(epoch * self._steps_per_epoch(), schedule),
-                    )
-                )
+            runs.append(_Run(
+                encoder.parameters(), cfg.student_lr, self._steps_per_epoch(self.datasets),
+                partial(self._rounds, self.datasets, rng),
+                self._expert_loss(
+                    encoder, self.datasets, teacher_arrays, self.model.top_k, cfg.lambda_anchor
+                ),
+            ))
+        self._run_stage("expert", cfg.epochs, runs)
+        config = self.model.expert_config()
+        self.experts = [RetrievalExpert(encoder=e, config=config) for e in encoders]
 
     def fit_gate(self) -> None:
+        """The gate over the frozen experts, trained on one prepared batch partition."""
         if self.experts is None:
             raise RareCPError("the gate cannot be trained before the experts")
         cfg = self.train
@@ -774,43 +703,30 @@ class Trainer:
             activation=self.model.activation,
             seed=cfg.seed * 1000 + 900,
         )
-        opt = Adam(gate.parameters(), lr=cfg.gate_lr)
         rng = np.random.default_rng([cfg.seed, 33])
-        steps_total = cfg.epochs * self._steps_per_epoch()
-        schedule = self._schedule(steps_total)
-
         # experts are frozen, so one fixed batch partition is prepared once
         # and its leave-one-out supports reused for every gate epoch
         prepared_rounds: list[list[_PreparedGateBatch]] = []
-        for round_batches in self._batches(rng):
+        for round_batches in self._rounds(self.datasets, rng):
             prepared = [
-                _prepare_gate_batch(self.experts, dataset, np.asarray(batch), self.audit)
+                _prepare_gate_batch(self.experts, dataset, batch, self.audit)
                 for dataset, batch in zip(self.datasets, round_batches)
-                if _valid_batch(np.asarray(batch))
+                if _valid_batch(batch)
             ]
             if prepared:
                 prepared_rounds.append(prepared)
         if not prepared_rounds:
             raise DataError("no usable gate training batches")
 
-        step = 0
-        for epoch in range(cfg.epochs):
-            losses = []
-            for prepared in prepared_rounds:
-                tau_q = temperature_at(step, schedule)
-                losses.append(_gate_step(
-                    gate, prepared, opt, self.alpha_grid, tau_q, cfg.tau_p, cfg.lambda_entropy
-                ))
-                step += 1
-            if losses:
-                self.log.append(
-                    LogRow(
-                        stage="gate",
-                        epoch=epoch,
-                        mean_loss=float(np.mean(losses)),
-                        tau_q=temperature_at(epoch * self._steps_per_epoch(), schedule),
-                    )
-                )
+        def loss(prepared, tau_q):
+            return gate_batch_loss(
+                gate, prepared, self.alpha_grid, tau_q, cfg.tau_p, cfg.lambda_entropy
+            )
+
+        self._run_stage("gate", cfg.epochs, [_Run(
+            gate.parameters(), cfg.gate_lr, self._steps_per_epoch(self.datasets),
+            lambda: prepared_rounds, loss,
+        )])
         self.gate = gate
 
     def run(self) -> "Trainer":

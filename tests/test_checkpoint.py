@@ -82,7 +82,7 @@ def test_loaded_experts_are_views_of_the_stacked_weights(small_trained, tmp_path
 
 def test_stacking_rejects_hypernetworks_of_two_architectures():
     experts = [
-        RetrievalExpert(HypernetworkParams(4, 3, hidden_dim=h, hidden_layers=1), ExpertConfig(3))
+        RetrievalExpert(HypernetworkParams(4, 3, hidden_dim=h, hidden_layers=1), ExpertConfig())
         for h in (8, 9)
     ]
     with pytest.raises(DataError, match="one architecture"):
@@ -90,7 +90,7 @@ def test_stacking_rejects_hypernetworks_of_two_architectures():
 
 
 def test_stacking_rejects_experts_of_two_encoder_kinds():
-    config = ExpertConfig(3)
+    config = ExpertConfig()
     experts = [RetrievalExpert(HypernetworkParams(4, 3, hidden_dim=8, hidden_layers=1), config),
                RetrievalExpert(FixedAffineMap(4, 3), config)]
     with pytest.raises(DataError, match="one encoder kind"):

@@ -267,3 +267,33 @@ def test_same_seed_fits_write_identical_checkpoints(tmp_path):
     RareCP(**SMALL).fit(X, y).save(tmp_path / "a.ckpt")
     RareCP(**SMALL).fit(X, y).save(tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_fit_serves_like_a_reload_seeded_with_the_same_rows(tmp_path):
+    # with capacity < len(y) the window holds only the last rows, and both
+    # paths condition retrieval on that window's descriptor
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((120, 7)), rng.standard_normal(120)
+    X[:60] = 3.0 * X[:60] + 2.0  # the evicted rows have other statistics
+    fitted = RareCP(**SMALL, capacity=60).fit(X, y)
+    fitted.save(tmp_path / "model.bin")
+    loaded = RareCP.from_checkpoint(tmp_path / "model.bin").set_params(capacity=60)
+    loaded.seed_store(X, y)
+    for x in X[60::6]:
+        a, b = fitted.predict_interval(x, 0.0), loaded.predict_interval(x, 0.0)
+        assert (a.lower, a.upper) == (b.lower, b.upper)
+
+
+def test_every_config_field_is_a_run_key_and_a_rarecp_parameter():
+    from dataclasses import fields
+
+    from rarecp.config import RunConfig
+    from rarecp.training import ModelConfig, TrainConfig, config_from
+
+    names = {f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls)} - {"audit"}
+    assert names <= {f.name for f in fields(RunConfig)}
+    assert names <= set(RareCP().get_params())
+    est = RareCP(epochs=7, top_k=5, normalize_contexts=False)
+    assert (est.train_config().epochs, est.model_config().top_k) == (7, 5)
+    assert est.model_config().normalize_contexts is False
+    assert config_from(TrainConfig, RunConfig(seed=9)) == TrainConfig(seed=9)

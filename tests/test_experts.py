@@ -39,7 +39,7 @@ def make_store(rng, n=40, dim=6, residuals=None):
 
 
 def make_expert(dim, latent=4, k=8, beta=12.0, seed=0, kind="hypernetwork", **kw):
-    config = ExpertConfig(latent_dim=latent, top_k=k, beta=beta, encoder_kind=kind)
+    config = ExpertConfig(top_k=k, beta=beta)
     if kind == "hypernetwork":
         encoder = HypernetworkParams(dim, latent, hidden_dim=16, hidden_layers=1,
                                      seed=seed, **kw)
@@ -204,7 +204,8 @@ class TestSupportWeights:
 class TestEmitExpertMap:
     def test_zero_final_layer_emits_zero_map(self):
         encoder = HypernetworkParams(5, 3, hidden_dim=8, hidden_layers=1, seed=0,
-                                     final_bias_map="zero", final_weight_scale=0.0)
+                                     final_bias_map=(np.zeros((3, 5)), np.zeros(3)),
+                                     final_weight_scale=0.0)
         descriptor = compute_descriptor(np.random.default_rng(0).standard_normal((10, 5)))
         A, b = encoder.emit(np.ones(5), descriptor_features(descriptor))
         np.testing.assert_array_equal(A.data, 0.0)
@@ -249,7 +250,8 @@ class TestExpertSupport:
         store.append(CalibrationEntry(np.array([1.0, 2.0, 3.0]), 2.0, 0))
         descriptor = compute_descriptor(store.contexts())
         expert = make_expert(3)
-        support = retrieve(expert, store, np.array([1.0, 2.0, 3.0]), descriptor).support()
+        result = retrieve(expert, store, np.array([1.0, 2.0, 3.0]), descriptor)
+        support = WeightedSupport(result.residuals, result.weights)
         np.testing.assert_array_equal(support.residuals, [2.0])
         np.testing.assert_array_equal(support.weights, [1.0])
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rarecp.conformal import baseline_weights, build_interval
+from rarecp.conformal import WeightedSupport, baseline_weights, build_interval
 from rarecp.data import CalibrationEntry, CalibrationStore, compute_descriptor
 from rarecp.errors import DataError
 from rarecp.experts import (
@@ -141,7 +141,8 @@ class TestMixSupports:
                 )
                 return np.abs(vals - ref).max()
 
-            assert sup_dist(mixed) <= max(sup_dist(r.support()) for r in results) + 1e-12
+            supports = [WeightedSupport(r.residuals, r.weights) for r in results]
+            assert sup_dist(mixed) <= max(sup_dist(s) for s in supports) + 1e-12
 
     def test_pi_validation(self):
         r = make_result([0], [1.0], [0.0])
@@ -163,7 +164,7 @@ class TestRarecpInterval:
         store.append(CalibrationEntry(np.array([1.0, 0.0, 2.0]), 1.5, 0))
         descriptor = compute_descriptor(store.contexts())
         expert = RetrievalExpert(
-            encoder=FixedAffineMap(3, 3, seed=0), config=ExpertConfig(latent_dim=3)
+            encoder=FixedAffineMap(3, 3, seed=0), config=ExpertConfig()
         )
         gate = GateParams(3, 1, hidden_dim=2, seed=0)
         interval = rarecp_interval(
@@ -180,7 +181,7 @@ class TestRarecpInterval:
         store, descriptor = self._setup(rng, n=n)
         expert = RetrievalExpert(
             encoder=FixedAffineMap(4, 4, seed=0),
-            config=ExpertConfig(latent_dim=4, top_k=n, beta=1e-9),
+            config=ExpertConfig(top_k=n, beta=1e-9),
         )
         gate = GateParams(4, 1, hidden_dim=2, seed=0)
         query = rng.standard_normal(4)
@@ -196,7 +197,7 @@ class TestRarecpInterval:
         store, descriptor = self._setup(rng, n=80, residuals=residuals)
         expert = RetrievalExpert(
             encoder=FixedAffineMap(4, 4, seed=1),
-            config=ExpertConfig(latent_dim=4, top_k=80, beta=1e-9),
+            config=ExpertConfig(top_k=80, beta=1e-9),
         )
         gate = GateParams(4, 1, hidden_dim=2, seed=0)
         interval = rarecp_interval(
@@ -229,7 +230,7 @@ class TestRarecpInterval:
         descriptor = compute_descriptor(np.ones((2, 2)))
         gate = GateParams(2, 1, hidden_dim=2, seed=0)
         expert = RetrievalExpert(
-            encoder=FixedAffineMap(2, 2, seed=0), config=ExpertConfig(latent_dim=2)
+            encoder=FixedAffineMap(2, 2, seed=0), config=ExpertConfig()
         )
         with pytest.raises(DataError):
             rarecp_interval(0.0, np.ones(2), store, [expert], gate, descriptor, 0.2)

@@ -14,10 +14,10 @@ from rarecp.training import (
     Trainer,
     default_alpha_grid,
     expert_batch_loss,
-    expert_training_step,
+    gate_batch_loss,
+    optimizer_step,
     temperature_at,
     write_training_log,
-    _gate_step,
     _prepare_gate_batch,
 )
 
@@ -234,8 +234,7 @@ class TestExpertTraining:
     def test_strong_anchor_pulls_to_teacher(self):
         rng = np.random.default_rng(9)
         dataset = tiny_dataset(rng, n=20)
-        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, seed=0,
-                                     final_bias_map="identity")
+        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, seed=0)
         teacher = (rng.normal(0, 0.5, size=(4, 5)), rng.normal(0, 0.5, size=4))
         opt = Adam(encoder.parameters(), lr=3e-3)
         alphas = np.asarray(default_alpha_grid())
@@ -251,11 +250,11 @@ class TestExpertTraining:
 
         initial = anchor_value()
         for _ in range(150):
-            expert_training_step(
-                encoder, [dataset], [batch], [teacher], opt,
+            optimizer_step(opt, lambda: expert_batch_loss(
+                encoder, [dataset], [batch], [teacher],
                 top_k=6, temperature=1 / 12, alpha_grid=alphas,
                 tau_q=0.05, tau_p=5e-4, lambda_anchor=1e5,
-            )
+            ))
         assert anchor_value() < 0.01 * initial
 
     def test_zero_anchor_is_pure_interval_term(self):
@@ -294,12 +293,11 @@ class TestExpertTraining:
         dataset = tiny_dataset(rng, n=40)
         encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=2, seed=0)
         teacher = (rng.normal(0, 0.5, size=(4, 5)), rng.normal(0, 0.5, size=4))
-        expert_training_step(
-            encoder, [dataset], [np.arange(40)], [teacher],
-            Adam(encoder.parameters(), lr=1e-3), top_k=8, temperature=1 / 12,
+        optimizer_step(Adam(encoder.parameters(), lr=1e-3), lambda: expert_batch_loss(
+            encoder, [dataset], [np.arange(40)], [teacher], top_k=8, temperature=1 / 12,
             alpha_grid=np.asarray(default_alpha_grid()), tau_q=0.05, tau_p=5e-4,
             lambda_anchor=5.0,
-        )
+        ))
         assert len(recorded) == 1 and recorded[0] <= 30
 
     def test_full_loss_gradient_fidelity_small(self):
@@ -356,7 +354,7 @@ class TestGateTraining:
         batch = np.arange(24)
         prepared = [_prepare_gate_batch(trainer.experts, dataset, batch, None)]
         for _ in range(60):
-            _gate_step(gate, prepared, opt, alphas, 0.05, 5e-4, 50.0)
+            optimizer_step(opt, lambda: gate_batch_loss(gate, prepared, alphas, 0.05, 5e-4, 50.0))
         entropies = []
         for i in range(24):
             pi = gate_weights(gate, *query_features(dataset.contexts[i], dataset.descriptor))
@@ -368,6 +366,82 @@ class TestGateTraining:
         from rarecp.gradcheck import gate_loss_check
 
         assert gate_loss_check(seed=0, n_episodes=8, n_experts=2, context_dim=4) < 1e-3
+
+
+class TestTeacherObjective:
+    def test_fixed_affine_gradient_fidelity(self):
+        """Dense fixed-affine objective, unanchored and teacher-anchored, vs central differences."""
+        from rarecp.gradcheck import PIPELINE_TOL, teacher_loss_check
+
+        assert teacher_loss_check(seed=0) < PIPELINE_TOL
+        assert teacher_loss_check(seed=1, n_episodes=8, context_dim=4) < PIPELINE_TOL
+
+    def test_gradcheck_command_reports_teacher_row(self, capsys):
+        from rarecp.cli import main
+
+        assert main(["gradcheck", "--seed", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert any(row.split()[:2] == ["ok", "teacher_loss"] for row in rows)
+
+
+class TestStageRunnerLog:
+    """``Trainer._run_stage`` writes one finite log row per (stage, epoch)."""
+
+    def test_skipped_batch_leaves_finite_rows_at_scheduled_tau(self):
+        rng = np.random.default_rng(21)
+        dataset = tiny_dataset(rng, n=34)  # batches of 16, 16 and 2; the 2 is skipped
+        cfg = TrainConfig(epochs=3, teacher_epochs=2, batch_size=16, n_cycles=1, seed=2)
+        trainer = Trainer([dataset], tiny_model(), cfg)
+        with pytest.warns(UserWarning, match="fewer"):
+            trainer.run()
+        steps_per_epoch = 3
+        for stage, epochs in (("teacher", 2), ("expert", 3), ("gate", 3)):
+            rows = [r for r in trainer.log if r.stage == stage]
+            assert [r.epoch for r in rows] == list(range(epochs))
+            assert all(np.isfinite(r.mean_loss) for r in rows)
+            schedule = TemperatureSchedule(cfg.tau_start, cfg.tau_end, epochs * steps_per_epoch)
+            for row in rows:
+                assert row.tau_q == temperature_at(row.epoch * steps_per_epoch, schedule)
+        assert len({r.tau_q for r in trainer.log if r.stage == "expert"}) == 3
+
+    def test_teacher_rows_average_over_expert_dataset_runs(self, monkeypatch):
+        from rarecp import training
+
+        losses = []  # (optimizer, loss) per step, in order
+
+        def recording_step(optimizer, loss_fn):
+            loss = optimizer_step(optimizer, loss_fn)
+            losses.append((optimizer, loss))
+            return loss
+
+        monkeypatch.setattr(training, "optimizer_step", recording_step)
+        rng = np.random.default_rng(22)
+        ds1 = tiny_dataset(rng, n=20)  # 2 steps per epoch
+        ds2 = CalibrationDataset.from_arrays(rng.standard_normal((22, 5)),
+                                             rng.standard_normal(22), 1)  # 3 steps, last skipped
+        cfg = TrainConfig(epochs=1, teacher_epochs=3, batch_size=10, n_cycles=2, seed=3)
+        trainer = Trainer([ds1, ds2], tiny_model(), cfg)
+        with pytest.warns(UserWarning, match="fewer"):
+            trainer.fit_teachers()
+
+        runs: dict[int, list[float]] = {}
+        for optimizer, loss in losses:
+            runs.setdefault(id(optimizer), []).append(loss)
+        per_run = list(runs.values())
+        steps = [2, 3, 2, 3]  # runs in (expert, dataset) order
+        assert [len(run) for run in per_run] == [3 * s for s in steps]
+        rows = [r for r in trainer.log if r.stage == "teacher"]
+        assert [r.epoch for r in rows] == [0, 1, 2]
+        for row in rows:
+            means = []
+            for run, s in zip(per_run, steps):
+                epoch = np.asarray(run[row.epoch * s : (row.epoch + 1) * s])
+                means.append(float(np.mean(epoch[np.isfinite(epoch)])))
+            assert row.mean_loss == pytest.approx(np.mean(means), rel=1e-14)
+            assert row.mean_loss != pytest.approx(means[0], rel=1e-6)
+            # the first run's schedule: 3 epochs of 2 steps in 2 cycles
+            schedule = TemperatureSchedule(cfg.tau_start, cfg.tau_end, 3 * 2 // 2)
+            assert row.tau_q == temperature_at(row.epoch * 2, schedule)
 
 
 class TestPipeline:
