@@ -3,13 +3,15 @@
 A checkpoint is one file: the 8-byte magic ``MAGIC``, the manifest length
 as a little-endian u64, a JSON manifest padded with spaces to a multiple
 of 8 bytes, then a blob of little-endian float64 tensors. The manifest
-holds the format version, the model config, each descriptor's dataset id
-and log count, and a table giving each tensor's name, shape and byte
-offset in the blob, which must be the layout the model config implies.
+holds the format version, the model config, the ids of the datasets the
+model was trained on, and a table giving each tensor's name, shape and
+byte offset in the blob, which must be the layout the model config implies.
 Expert layers are stored stacked over the M experts, so a load serves
 them as ``np.frombuffer`` views of one read, with nothing copied or drawn
 at random. Saving the same fitted state twice writes byte-identical
-files. The teacher bank is not stored: nothing reads it after training.
+files. The teacher bank and the training descriptors are not stored:
+nothing reads them after training, and serving conditions on the
+descriptor of the window it seeds (``RareCP.seed_store``).
 """
 
 from __future__ import annotations
@@ -25,64 +27,44 @@ from pathlib import Path
 
 import numpy as np
 
-from rarecp.data import DatasetDescriptor
+from rarecp.data import descriptor_feature_dim
 from rarecp.errors import DataError
-from rarecp.experts import (
-    ExpertStack,
-    FixedAffineMap,
-    HypernetworkParams,
-    RetrievalExpert,
-    descriptor_feature_dim,
-)
+from rarecp.experts import ExpertStack, FixedAffineMap, HypernetworkParams, RetrievalExpert
 from rarecp.gate import GateParams
 from rarecp.training import ModelConfig, Trainer
 
-FORMAT_VERSION = 2
-MAGIC = b"RARECP\x00\x02"
+FORMAT_VERSION = 3
+MAGIC = b"RARECP\x00\x03"
 _HEADER = len(MAGIC) + 8
 _F64 = np.dtype("<f8")
 
 
 @dataclass
 class RareCPComponents:
-    """Everything needed to run inference: config, descriptors, parameters."""
+    """Everything needed to run inference: config, trained dataset ids, parameters."""
 
     model: ModelConfig
-    descriptors: dict[int, DatasetDescriptor]
+    dataset_ids: tuple[int, ...]
     experts: ExpertStack
     gate: GateParams
-
-    def descriptor_for(self, dataset_id: int) -> DatasetDescriptor:
-        try:
-            return self.descriptors[int(dataset_id)]
-        except KeyError:
-            raise DataError(
-                f"checkpoint has no descriptor for dataset {dataset_id}; "
-                f"known ids: {sorted(self.descriptors)}"
-            ) from None
 
 
 def components_from_trainer(trainer: Trainer) -> RareCPComponents:
     if trainer.experts is None or trainer.gate is None:
         raise DataError("trainer has not completed all three stages")
-    descriptors = {
-        ds.descriptor.dataset_id: ds.descriptor for ds in trainer.datasets
-    }
     return RareCPComponents(
         model=trainer.model,
-        descriptors=descriptors,
+        dataset_ids=tuple(sorted({ds.descriptor.dataset_id for ds in trainer.datasets})),
         experts=ExpertStack.of(trainer.experts),
         gate=trainer.gate,
     )
 
 
-def _tensor_table(model: ModelConfig, dataset_ids) -> list[dict]:
+def _tensor_table(model: ModelConfig) -> list[dict]:
     """Name, shape and blob offset of every stored tensor, in blob order, as ``model`` implies."""
     p, M = model.context_dim, model.n_experts
     inputs = p + descriptor_feature_dim(p)
     shapes = []
-    for d in dataset_ids:
-        shapes += [(f"descriptor.{d}.mu", [p]), (f"descriptor.{d}.sigma", [p])]
     if model.encoder_kind == "hypernetwork":
         sizes = [inputs] + [model.hidden_dim] * model.hidden_layers
         sizes.append(model.latent_dim * (p + 1))
@@ -106,21 +88,17 @@ def save_checkpoint(components: RareCPComponents, path) -> None:
     The bytes go to a temporary file beside ``path``, which then replaces
     it, so a failed or interrupted save leaves any previous checkpoint whole.
     """
-    descriptors = sorted(components.descriptors.items())
     stack = components.experts
-    arrays = [a for _, d in descriptors for a in (d.mu, d.sigma)]
-    arrays += [t for layer in stack.layers for t in layer] if stack.layers else [stack.flat]
+    arrays = [t for layer in stack.layers for t in layer] if stack.layers else [stack.flat]
     arrays += [t.data for layer in components.gate.layers for t in layer]
-    table = _tensor_table(components.model, [k for k, _ in descriptors])
+    table = _tensor_table(components.model)
     if [list(a.shape) for a in arrays] != [t["shape"] for t in table]:
         raise DataError("the components' tensors do not have the shapes their model implies")
     manifest = json.dumps(
         {
             "format_version": FORMAT_VERSION,
             "model": asdict(components.model),
-            "descriptors": [
-                {"dataset_id": d.dataset_id, "log_n": float(d.log_n)} for _, d in descriptors
-            ],
+            "dataset_ids": list(components.dataset_ids),
             "tensors": table,
         },
         separators=(",", ":"),
@@ -149,13 +127,15 @@ def load_checkpoint(path) -> RareCPComponents:
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     if data[: len(MAGIC)] != MAGIC:
-        version = re.match(rb'\{"format_version":(\d+)', data)
-        if version is not None:
-            raise DataError(
-                f"checkpoint {path} has format version {int(version[1])}; "
-                f"this version reads only version {FORMAT_VERSION}"
-            )
-        raise DataError(f"{path} is not a rarecp checkpoint (bad magic)")
+        # a binary magic ends in its format version byte; format 1 was JSON
+        found = re.match(rb'RARECP\x00(.)|\{"format_version":(\d+)', data, re.DOTALL)
+        if found is None:
+            raise DataError(f"{path} is not a rarecp checkpoint (bad magic)")
+        version = ord(found[1]) if found[1] is not None else int(found[2])
+        raise DataError(
+            f"checkpoint {path} has format version {version}; "
+            f"this version reads only version {FORMAT_VERSION}"
+        )
     try:
         return _components_from_bytes(data)
     except (KeyError, TypeError, ValueError, struct.error) as exc:
@@ -174,7 +154,10 @@ def _components_from_bytes(data: bytes) -> RareCPComponents:
     if doc.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint format version {doc.get('format_version')!r}")
     model = ModelConfig(**doc["model"])
-    table = _tensor_table(model, [d["dataset_id"] for d in doc["descriptors"]])
+    dataset_ids = doc["dataset_ids"]
+    if not (isinstance(dataset_ids, list) and all(type(d) is int for d in dataset_ids)):
+        raise TypeError(f"dataset_ids is not a list of integers: {dataset_ids!r}")
+    table = _tensor_table(model)
     if doc["tensors"] != table:
         raise ValueError(f"the tensor table differs from the one its model implies: {table}")
     blob = memoryview(data)[_HEADER + length :]
@@ -204,18 +187,9 @@ def _components_from_bytes(data: bytes) -> RareCPComponents:
         encoders = [FixedAffineMap.from_arrays(r[: L * p].reshape(L, p), r[L * p :]) for r in flat]
     config = model.expert_config()
     experts = [RetrievalExpert(encoder=encoder, config=config) for encoder in encoders]
-    descriptors = {
-        d["dataset_id"]: DatasetDescriptor(
-            dataset_id=d["dataset_id"],
-            mu=tensors[f"descriptor.{d['dataset_id']}.mu"],
-            sigma=tensors[f"descriptor.{d['dataset_id']}.sigma"],
-            log_n=float(d["log_n"]),
-        )
-        for d in doc["descriptors"]
-    }
     return RareCPComponents(
         model=model,
-        descriptors=descriptors,
+        dataset_ids=tuple(dataset_ids),
         experts=ExpertStack(experts, stacked, flat),
         gate=GateParams.from_arrays(layers("gate", 2), model.activation),
     )

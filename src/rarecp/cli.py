@@ -11,7 +11,6 @@ from pathlib import Path
 import click
 
 from rarecp import gradcheck as gradcheck_suite
-from rarecp.checkpoint import components_from_trainer, save_checkpoint
 from rarecp.config import RunConfig, load_config
 from rarecp.data import (
     SplitSpec,
@@ -21,6 +20,7 @@ from rarecp.data import (
     make_forecast_source,
 )
 from rarecp.errors import DataError, NumericError, RareCPError
+from rarecp.estimators import RareCP
 from rarecp.harness import (
     EvalConfig,
     compute_metrics,
@@ -31,14 +31,7 @@ from rarecp.harness import (
     calibration_block,
 )
 from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
-from rarecp.training import (
-    CalibrationDataset,
-    ModelConfig,
-    TrainConfig,
-    Trainer,
-    config_from,
-    write_training_log,
-)
+from rarecp.training import write_training_log
 
 
 @click.group()
@@ -126,18 +119,12 @@ def train(config_path, series_path, column, checkpoint_path, log_path, seed):
         if learn_count < 3:
             raise DataError("strict_split needs at least 6 calibration points")
         contexts, residuals = contexts[:learn_count], residuals[:learn_count]
-    dataset = CalibrationDataset.from_arrays(
-        contexts,
-        residuals,
-        dataset_id=cfg.dataset_id,
-        sigma_floor=cfg.sigma_floor,
-        normalize=cfg.normalize_contexts,
-    )
-    trainer = Trainer([dataset], config_from(ModelConfig, cfg), config_from(TrainConfig, cfg))
-    trainer.run()
-    save_checkpoint(components_from_trainer(trainer), checkpoint_path)
+    params = {name: getattr(cfg, name) for name in RareCP().get_params()}
+    est = RareCP(**{**params, "capacity": cfg.capacity or None})
+    est.fit(contexts, residuals, dataset_id=cfg.dataset_id)
+    est.save(checkpoint_path)
     log_file = Path(log_path) if log_path else Path(checkpoint_path).with_suffix(".log.csv")
-    write_training_log(trainer.log, log_file)
+    write_training_log(est.train_log_, log_file)
     click.echo(f"wrote checkpoint {checkpoint_path} and training log {log_file}")
 
 

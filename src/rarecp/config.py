@@ -28,7 +28,6 @@ class RunConfig:
     window: int = 64
     include_forecast: bool = True
     normalize_contexts: bool = True
-    sigma_floor: float = 1e-6
     capacity: int = 0  # 0 means "size of the calibration split"
     dataset_id: int = 0
     # data-efficient protocol reuses the calibration split for learning and

@@ -149,11 +149,14 @@ class CalibrationStore:
     the evicted and the new value), so a store that never asks for it
     never pays for it.
 
-    ``key_inputs`` holds the contexts as retrieval sees them, z-scored with
-    one descriptor and laid out as (p + 1, capacity) columns in ring order,
-    the last row a constant 1 that folds a key map's bias into its GEMM. It
-    follows the same pattern: built on first request for a descriptor, then
-    kept by every ``append`` with the column's p z-scored entries.
+    ``condition`` fixes the dataset descriptor that retrieval reads every
+    context and query through, and whether contexts are z-scored with it.
+    ``key_inputs`` then holds the contexts as retrieval sees them, laid out
+    as (p + 1, capacity) columns in ring order, the last row a constant 1
+    that folds a key map's bias into its GEMM. It follows the same pattern:
+    built on first request after ``condition``, then kept by every
+    ``append`` with the column's p key entries. ``query`` reads a query the
+    same way.
     """
 
     def __init__(self, capacity: int, context_dim: int):
@@ -173,9 +176,11 @@ class CalibrationStore:
         # entries appended before it); None until first requested
         self._sorted: tuple[np.ndarray, np.ndarray] | None = None
         self._arrivals = 0
-        # (descriptor or None for raw contexts, (p + 1, capacity) key inputs
-        # in ring order); None until first requested
-        self._keyed: tuple[DatasetDescriptor | None, np.ndarray] | None = None
+        # set by ``condition``; the (p + 1, capacity) key inputs in ring order
+        # are None until first requested after it
+        self._descriptor: DatasetDescriptor | None = None
+        self._normalize = True
+        self._keys: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self._size
@@ -197,8 +202,8 @@ class CalibrationStore:
             if time_index <= last:
                 raise DataError(f"time_index {time_index} does not increase past {last}")
         pos = (self._start + self._size) % self.capacity
-        if self._keyed is not None:
-            column = _key_rows(context, self._keyed[0])
+        if self._keys is not None:
+            column = self._key_rows(context)
         if self._sorted is not None:
             self._update_sorted(residual)
         if self._size == self.capacity:
@@ -208,8 +213,8 @@ class CalibrationStore:
         self._contexts[pos] = context
         self._residuals[pos] = residual
         self._times[pos] = time_index
-        if self._keyed is not None:
-            self._keyed[1][:-1, pos] = column
+        if self._keys is not None:
+            self._keys[:-1, pos] = column
         self._arrivals += 1
         self._views.clear()
 
@@ -275,28 +280,60 @@ class CalibrationStore:
             self._views["sorted"] = view
         return view
 
-    def key_inputs(self, descriptor: DatasetDescriptor | None = None) -> np.ndarray:
+    @property
+    def descriptor(self) -> DatasetDescriptor | None:
+        """The descriptor set by ``condition``, or None before it."""
+        return self._descriptor
+
+    def condition(self, descriptor: DatasetDescriptor, normalize: bool = True) -> None:
+        """Key contexts and queries through ``descriptor`` from now on.
+
+        With ``normalize`` they are z-scored with its statistics, otherwise
+        used raw; either way a query carries its features. The key inputs
+        are rebuilt on their next request.
+        """
+        if descriptor.dim != self._dim:
+            raise DataError(
+                f"descriptor has dimension {descriptor.dim}, store contexts have {self._dim}"
+            )
+        self._descriptor, self._normalize, self._keys = descriptor, bool(normalize), None
+
+    def _keyed(self, contexts) -> np.ndarray:
+        """Contexts (or one query) as ``condition`` keys them."""
+        if self._descriptor is None:
+            raise DataError("the store has no descriptor: call condition() first")
+        if self._normalize:
+            return normalize_context(contexts, self._descriptor)
+        return np.asarray(contexts, dtype=np.float64)
+
+    def _key_rows(self, contexts: np.ndarray) -> np.ndarray:
+        rows = self._keyed(contexts)
+        if not np.all(np.isfinite(rows)):
+            raise DataError("a store context is not finite as a retrieval key input")
+        return rows
+
+    def query(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """A query context as encoders and the gate read it, and the descriptor features."""
+        return self._keyed(x), descriptor_features(self._descriptor)
+
+    def key_inputs(self) -> np.ndarray:
         """Contexts as retrieval key inputs: one column per entry, in ring order.
 
-        Columns are the contexts z-scored with ``descriptor`` (raw when it is
-        None) above a row of ones, written once when the array is built, so
-        ``[A | b] @ key_inputs`` keys every entry, bias included, in one GEMM.
-        The read-only result has shape (p + 1, len(store)). Ring position
-        ``j`` holds chronological entry ``(j - start) % capacity``, and
+        Columns are the contexts as ``condition`` keys them above a row of
+        ones, written once when the array is built, so ``[A | b] @
+        key_inputs`` keys every entry, bias included, in one GEMM. The
+        read-only result has shape (p + 1, len(store)). Ring position ``j``
+        holds chronological entry ``(j - start) % capacity``, and
         ``chronological`` puts arrays laid out this way oldest first. The
-        array behind the view is built on first request for a descriptor
-        (compared by identity) and then kept by ``append`` at O(p) each; it
-        is rebuilt only when another descriptor is asked for.
+        array behind the view is built on first request after ``condition``
+        and then kept by ``append`` at O(p) each. Raises ``DataError``
+        before ``condition``.
         """
-        if self._keyed is None or self._keyed[0] is not descriptor:
-            if descriptor is not None and descriptor.dim != self._dim:
-                raise DataError(
-                    f"descriptor has dimension {descriptor.dim}, store contexts have {self._dim}"
-                )
+        if self._keys is None:
             columns = np.ones((self._dim + 1, self.capacity))
-            columns[:-1, : self._size] = _key_rows(self._contexts[: self._size], descriptor).T
-            self._keyed = (descriptor, columns)
-        view = self._keyed[1][:, : self._size]
+            columns[:-1, : self._size] = self._key_rows(self._contexts[: self._size]).T
+            self._keys = columns
+        view = self._keys[:, : self._size]
         view.flags.writeable = False
         return view
 
@@ -336,14 +373,6 @@ class CalibrationStore:
         return store
 
 
-def _key_rows(contexts: np.ndarray, descriptor: DatasetDescriptor | None) -> np.ndarray:
-    """Contexts z-scored with ``descriptor`` (unchanged if None); must be finite."""
-    rows = contexts if descriptor is None else normalize_context(contexts, descriptor)
-    if not np.all(np.isfinite(rows)):
-        raise DataError("a store context is not finite as a retrieval key input")
-    return rows
-
-
 @dataclass(frozen=True)
 class DatasetDescriptor:
     """Componentwise statistics of the initial calibration contexts."""
@@ -368,22 +397,39 @@ class DatasetDescriptor:
         return int(self.mu.size)
 
 
-def compute_descriptor(
-    contexts: np.ndarray,
-    dataset_id: int = 0,
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR,
-) -> DatasetDescriptor:
+def signed_log1p(x: np.ndarray) -> np.ndarray:
+    return np.sign(x) * np.log1p(np.abs(x))
+
+
+def descriptor_features(descriptor: DatasetDescriptor) -> np.ndarray:
+    """Conditioning vector for the hypernetwork and gate.
+
+    Uses scale-free summaries — dataset id, compressed mu/sigma shape, and
+    the log calibration count — so rescaling a series leaves retrieval
+    unchanged while cross-dataset conditioning stays informative.
+    """
+    shape = signed_log1p(descriptor.mu / descriptor.sigma)
+    return np.concatenate(
+        [[float(descriptor.dataset_id)], shape, [descriptor.log_n]]
+    )
+
+
+def descriptor_feature_dim(context_dim: int) -> int:
+    return context_dim + 2
+
+
+def compute_descriptor(contexts: np.ndarray, dataset_id: int = 0) -> DatasetDescriptor:
     """Population mean/std of the initial calibration contexts, plus log count.
 
-    ``sigma`` is floored componentwise so constant features never divide
-    by zero downstream.
+    ``sigma`` is floored componentwise at ``DEFAULT_SIGMA_FLOOR`` so constant
+    features never divide by zero downstream.
     """
     contexts = np.asarray(contexts, dtype=np.float64)
     if contexts.ndim != 2 or contexts.shape[0] == 0:
         raise DataError("compute_descriptor needs a non-empty (n, p) context matrix")
     mu = contexts.mean(axis=0)
     sigma = contexts.std(axis=0)
-    sigma = np.maximum(sigma, sigma_floor)
+    sigma = np.maximum(sigma, DEFAULT_SIGMA_FLOOR)
     return DatasetDescriptor(
         dataset_id=int(dataset_id),
         mu=mu,

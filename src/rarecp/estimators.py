@@ -27,7 +27,12 @@ from rarecp.conformal import (
     baseline_interval,
     baseline_weights,
 )
-from rarecp.data import CalibrationEntry, CalibrationStore, compute_descriptor
+from rarecp.data import (
+    CalibrationEntry,
+    CalibrationStore,
+    DatasetDescriptor,
+    compute_descriptor,
+)
 from rarecp.errors import DataError
 from rarecp.gate import mixed_support, rarecp_interval
 from rarecp.training import CalibrationDataset, ModelConfig, TrainConfig, Trainer, config_from
@@ -173,7 +178,6 @@ class RareCP(BaseEstimator):
         self.components_: RareCPComponents | None = None
         self.store_ = None
         self.train_log_ = None
-        self.descriptor_ = None
 
     # -- configuration ------------------------------------------------------
 
@@ -216,14 +220,26 @@ class RareCP(BaseEstimator):
         return self
 
     @classmethod
-    def from_checkpoint(cls, path, dataset_id: int = 0) -> "RareCP":
-        """Rebuild an estimator around saved components (store left empty)."""
+    def from_components(cls, components: RareCPComponents, dataset_id: int = 0) -> "RareCP":
+        """An estimator serving ``components`` for ``dataset_id`` (store left empty).
+
+        The dataset id must be one the components were trained on.
+        """
         dataset_id = check_int(dataset_id, "dataset_id")
-        components = load_checkpoint(path)
+        if dataset_id not in components.dataset_ids:
+            raise DataError(
+                f"the model was not trained on dataset {dataset_id}; "
+                f"known ids: {list(components.dataset_ids)}"
+            )
         est = cls(**asdict(components.model))
         est.components_ = components
         est._dataset_id = dataset_id
         return est
+
+    @classmethod
+    def from_checkpoint(cls, path, dataset_id: int = 0) -> "RareCP":
+        """``from_components`` of the components saved at ``path``."""
+        return cls.from_components(load_checkpoint(path), dataset_id)
 
     def save(self, path) -> None:
         check_fitted(self, "components_")
@@ -232,7 +248,7 @@ class RareCP(BaseEstimator):
     def seed_store(self, X, y, start_time: int = 0) -> None:
         """Seed the FIFO window (``fit`` ends with it; call it after ``from_checkpoint``).
 
-        The conditioning descriptor is recomputed from the seeded window,
+        The store is conditioned on the descriptor of the seeded window,
         which is the initial calibration set of the run being started.
         """
         check_fitted(self, "components_")
@@ -243,9 +259,16 @@ class RareCP(BaseEstimator):
                 f"X has {store.context_dim} features, expected "
                 f"{self.components_.model.context_dim}"
             )
+        store.condition(
+            compute_descriptor(store.contexts(), self._dataset_id), self.normalize_contexts
+        )
         self.store_ = store
-        self.descriptor_ = compute_descriptor(store.contexts(), self._dataset_id)
         self._next_time = int(start_time) + y.size
+
+    @property
+    def descriptor_(self) -> DatasetDescriptor | None:
+        """The descriptor the store is conditioned on, or None before ``seed_store``."""
+        return None if self.store_ is None else self.store_.descriptor
 
     # -- prediction -------------------------------------------------------------
 
@@ -263,12 +286,7 @@ class RareCP(BaseEstimator):
         """Gate-mixed residual support for one query context."""
         x = self._query(x)
         support, _, _ = mixed_support(
-            self.store_,
-            self.components_.experts,
-            self.components_.gate,
-            self.descriptor_,
-            x,
-            normalize=self.normalize_contexts,
+            self.store_, self.components_.experts, self.components_.gate, x
         )
         return support
 
@@ -283,9 +301,7 @@ class RareCP(BaseEstimator):
             self.store_,
             self.components_.experts,
             self.components_.gate,
-            self.descriptor_,
             alpha,
-            normalize=self.normalize_contexts,
         )
 
     def observe(self, x, residual: float, time_index: int | None = None) -> None:

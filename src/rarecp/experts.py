@@ -10,10 +10,11 @@ cosine score and puts temperature-softmax weights on exactly that support.
 ``retrieve_supports`` serves all M experts of a query at once, in plain
 numpy: an ``ExpertStack`` holds their weights stacked, so the M maps come
 from one batched matmul per layer, folded as ``[A | b]``. The store keeps
-its z-scored contexts above a row of ones (``CalibrationStore.key_inputs``),
-so one GEMM keys it, bias included; ``normalize_keys`` then scales the
-(M, n) scores, not the keys, by each key's inverse norm. Keys depend on
-the query's map, so they are recomputed for every query and never cached.
+its contexts, read through its descriptor, above a row of ones
+(``CalibrationStore.key_inputs``), so one GEMM keys it, bias included;
+``normalize_keys`` then scales the (M, n) scores, not the keys, by each
+key's inverse norm. Keys depend on the query's map, so they are
+recomputed for every query and never cached.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from rarecp import autodiff as ad
 from rarecp.autodiff import EPS_NORM, Tensor
-from rarecp.data import CalibrationStore, DatasetDescriptor, normalize_context
+from rarecp.data import CalibrationStore, descriptor_feature_dim
 from rarecp.errors import DataError, NumericError
 
 
@@ -43,27 +44,6 @@ class ExpertConfig:
     @property
     def weight_temperature(self) -> float:
         return 1.0 / self.beta
-
-
-def signed_log1p(x: np.ndarray) -> np.ndarray:
-    return np.sign(x) * np.log1p(np.abs(x))
-
-
-def descriptor_features(descriptor: DatasetDescriptor) -> np.ndarray:
-    """Conditioning vector for the hypernetwork and gate.
-
-    Uses scale-free summaries — dataset id, compressed mu/sigma shape, and
-    the log calibration count — so rescaling a series leaves retrieval
-    unchanged while cross-dataset conditioning stays informative.
-    """
-    shape = signed_log1p(descriptor.mu / descriptor.sigma)
-    return np.concatenate(
-        [[float(descriptor.dataset_id)], shape, [descriptor.log_n]]
-    )
-
-
-def descriptor_feature_dim(context_dim: int) -> int:
-    return context_dim + 2
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +290,6 @@ class RetrievalExpert:
         return self.encoder.parameters()
 
 
-def query_features(
-    query: np.ndarray, descriptor: DatasetDescriptor, normalize: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """The query as encoders and gate read it, and the descriptor features.
-
-    The query is z-scored with the descriptor unless ``normalize`` is False.
-    """
-    if normalize:
-        query_z = normalize_context(query, descriptor)
-    else:
-        query_z = np.asarray(query, dtype=np.float64)
-    return query_z, descriptor_features(descriptor)
-
-
 class ExpertStack(Sequence):
     """A model's M retrieval experts, with their weights stacked once for serving.
 
@@ -394,16 +360,15 @@ def retrieve_supports(
     store: CalibrationStore,
     query_z: np.ndarray,
     feats: np.ndarray,
-    descriptor: DatasetDescriptor | None,
 ) -> list[RetrievalResult]:
     """Every expert's top-k weighted support for one query, from one key pass.
 
     ``experts`` is a model's ``ExpertStack``, or a list stacked for this
-    call. ``query_z`` is the query as the encoders read it, z-scored with
-    ``descriptor``; with ``descriptor=None`` both the query and the store's
-    contexts are used raw. The M folded maps key the store's ring-order
-    key inputs in one GEMM (``normalize_keys``). Only the (M, n) scores are put in
-    chronological order, so ties still go to the older entry.
+    call. ``query_z`` and ``feats`` are the query as the encoders read it
+    and the descriptor features, as ``store.query`` gives them. The M
+    folded maps key the store's ring-order key inputs in one GEMM
+    (``normalize_keys``). Only the (M, n) scores are put in chronological
+    order, so ties still go to the older entry.
     """
     if len(store) == 0:
         raise DataError("cannot retrieve from an empty calibration store")
@@ -411,7 +376,7 @@ def retrieve_supports(
         raise NumericError("the z-scored query is not finite")
     stack = ExpertStack.of(experts)
     maps = stack.maps(query_z, feats)
-    scores = store.chronological(normalize_keys(maps, query_z, store.key_inputs(descriptor)))
+    scores = store.chronological(normalize_keys(maps, query_z, store.key_inputs()))
     residuals = store.residuals()
     results = []
     for expert, expert_scores in zip(stack, scores):

@@ -14,7 +14,7 @@ import numpy as np
 from rarecp import autodiff as ad
 from rarecp.autodiff import Tensor
 from rarecp.conformal import PredictionInterval, WeightedSupport, build_interval
-from rarecp.data import CalibrationStore, DatasetDescriptor
+from rarecp.data import CalibrationStore, descriptor_feature_dim
 from rarecp.errors import DataError
 from rarecp.experts import (
     ExpertStack,
@@ -23,9 +23,7 @@ from rarecp.experts import (
     _mlp_forward,
     _mlp_init,
     _wrap_layers,
-    descriptor_feature_dim,
     mlp_arrays,
-    query_features,
     retrieve_supports,
     support_weights,
 )
@@ -77,7 +75,7 @@ def gate_weights(params: GateParams, query_z: np.ndarray, feats: np.ndarray) -> 
     """Softmax simplex weights over experts for one query.
 
     ``query_z`` and ``feats`` are the query and descriptor features as the
-    experts read them (see ``query_features``).
+    experts read them (see ``CalibrationStore.query``).
     """
     return support_weights(_logits(params, query_z, feats), 1.0)
 
@@ -118,19 +116,15 @@ def mixed_support(
     store: CalibrationStore,
     experts: ExpertStack | list[RetrievalExpert],
     gate: GateParams,
-    descriptor: DatasetDescriptor,
     query: np.ndarray,
-    normalize: bool = True,
 ) -> tuple[WeightedSupport, np.ndarray, np.ndarray]:
     """Full mixture pipeline: stacked expert retrieval, gate, weight-space merge.
 
-    The query is z-scored and the descriptor features are built once per
-    call, and the experts and the gate share them.
+    The store reads the query through its descriptor once per call
+    (``CalibrationStore.query``), and the experts and the gate share it.
     """
-    query_z, feats = query_features(query, descriptor, normalize)
-    retrievals = retrieve_supports(
-        experts, store, query_z, feats, descriptor if normalize else None
-    )
+    query_z, feats = store.query(query)
+    retrievals = retrieve_supports(experts, store, query_z, feats)
     pi = gate_weights(gate, query_z, feats)
     support, union = mix_supports(pi, retrievals)
     return support, union, pi
@@ -142,17 +136,11 @@ def rarecp_interval(
     store: CalibrationStore,
     experts: ExpertStack | list[RetrievalExpert],
     gate: GateParams,
-    descriptor: DatasetDescriptor,
     alpha: float,
-    normalize: bool = True,
 ) -> PredictionInterval:
     """Prediction interval from the gate-mixed expert supports.
 
     The final quantile is computed over at most M * k residual entries.
     """
-    if len(store) == 0:
-        raise DataError("cannot build an interval from an empty store")
-    support, _, _ = mixed_support(
-        store, experts, gate, descriptor, query, normalize=normalize
-    )
+    support, _, _ = mixed_support(store, experts, gate, query)
     return build_interval(forecast, support, alpha)

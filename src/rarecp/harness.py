@@ -34,11 +34,10 @@ from rarecp.data import (
     TimeSeries,
     build_context,
     chronological_split,
-    compute_descriptor,
 )
 from rarecp.errors import DataError, NumericError
+from rarecp.estimators import RareCP
 from rarecp.experts import topk_retrieve
-from rarecp.gate import rarecp_interval
 
 METHODS = ("uniform", "aci_uniform", "nexcp", "rarecp_checkpoint")
 
@@ -81,14 +80,6 @@ class EvalConfig:
     checkpoint: str | Path | RareCPComponents | None = None
     dataset_id: int = 0
     seed: int = 0
-
-
-def _resolve_components(cfg: EvalConfig) -> RareCPComponents:
-    if cfg.checkpoint is None:
-        raise DataError("method rarecp_checkpoint requires a checkpoint")
-    if isinstance(cfg.checkpoint, RareCPComponents):
-        return cfg.checkpoint
-    return load_checkpoint(cfg.checkpoint)
 
 
 def calibration_block(
@@ -138,31 +129,35 @@ def run_chronological_eval(
         raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
 
     window, include_forecast = cfg.window, cfg.include_forecast
-    components = None
+    est = None
     if method == "rarecp_checkpoint":
-        components = _resolve_components(cfg)
-        model = components.model
-        if (model.window, model.include_forecast) != (window, include_forecast):
+        if cfg.checkpoint is None:
+            raise DataError("method rarecp_checkpoint requires a checkpoint")
+        components = cfg.checkpoint
+        if not isinstance(components, RareCPComponents):
+            components = load_checkpoint(components)
+        est = RareCP.from_components(components, cfg.dataset_id)
+        if (est.window, est.include_forecast) != (window, include_forecast):
             raise DataError(
                 "checkpoint context settings (window="
-                f"{model.window}, include_forecast={model.include_forecast}) do not "
+                f"{est.window}, include_forecast={est.include_forecast}) do not "
                 f"match eval config (window={window}, include_forecast={include_forecast})"
             )
-        if components.descriptor_for(cfg.dataset_id).dim != model.context_dim:
-            raise DataError("checkpoint descriptor does not match its model dimensions")
 
     indices = split if isinstance(split, SplitIndices) else chronological_split(len(series), split)
     contexts, residuals, times = calibration_block(
         series, indices.cal, source, window, include_forecast
     )
-    store = CalibrationStore.from_arrays(
-        contexts, residuals, cfg.capacity, start_time=indices.cal.start
-    )
-
-    if method == "rarecp_checkpoint":
-        # the descriptor characterizes the initial calibration set of THIS
-        # run (the seeded window), then stays frozen for the whole pass
-        descriptor = compute_descriptor(store.contexts(), cfg.dataset_id)
+    if est is not None:
+        # the store is conditioned on the descriptor of THIS run's seeded
+        # window, which then stays frozen for the whole pass
+        est.set_params(capacity=cfg.capacity)
+        est.seed_store(contexts, residuals, start_time=indices.cal.start)
+        store = est.store_
+    else:
+        store = CalibrationStore.from_arrays(
+            contexts, residuals, cfg.capacity, start_time=indices.cal.start
+        )
 
     aci: AciState | None = None
     if method in ("aci_uniform", "rarecp_checkpoint"):
@@ -178,17 +173,8 @@ def run_chronological_eval(
         context = build_context(history, forecast, window, include_forecast)
         alpha_t = aci.alpha_t if aci is not None else cfg.alpha
 
-        if method == "rarecp_checkpoint":
-            interval = rarecp_interval(
-                forecast,
-                context,
-                store,
-                components.experts,
-                components.gate,
-                descriptor,
-                alpha_t,
-                normalize=components.model.normalize_contexts,
-            )
+        if est is not None:
+            interval = est.predict_interval(context, forecast, alpha_t)
         else:
             mode = "nexcp" if method == "nexcp" else "uniform"
             interval = baseline_interval(
@@ -212,9 +198,12 @@ def run_chronological_eval(
         )
         if aci is not None:
             aci = aci_update(aci, covered)
-        store.append(
-            CalibrationEntry(context=context, residual=y - forecast, time_index=int(t))
-        )
+        if est is not None:
+            est.observe(context, y - forecast, time_index=int(t))
+        else:
+            store.append(
+                CalibrationEntry(context=context, residual=y - forecast, time_index=int(t))
+            )
     if debug_state is not None:
         debug_state["store"] = store
         debug_state["final_alpha"] = aci.alpha_t if aci is not None else cfg.alpha

@@ -49,15 +49,14 @@ import numpy as np
 
 from rarecp import autodiff as ad
 from rarecp.autodiff import Adam, Tape, Tensor
-from rarecp.data import DatasetDescriptor, compute_descriptor, normalize_context
-from rarecp.errors import DataError, NumericError, RareCPError
-from rarecp.experts import (
-    ExpertConfig,
-    FixedAffineMap,
-    HypernetworkParams,
-    RetrievalExpert,
+from rarecp.data import (
+    DatasetDescriptor,
+    compute_descriptor,
     descriptor_features,
+    normalize_context,
 )
+from rarecp.errors import DataError, NumericError, RareCPError
+from rarecp.experts import ExpertConfig, FixedAffineMap, HypernetworkParams, RetrievalExpert
 from rarecp.gate import GateParams
 
 
@@ -194,15 +193,10 @@ class CalibrationDataset:
 
     @classmethod
     def from_arrays(
-        cls,
-        contexts,
-        residuals,
-        dataset_id: int = 0,
-        sigma_floor: float = 1e-6,
-        normalize: bool = True,
+        cls, contexts, residuals, dataset_id: int = 0, normalize: bool = True
     ) -> "CalibrationDataset":
         contexts = np.asarray(contexts, dtype=np.float64)
-        descriptor = compute_descriptor(contexts, dataset_id, sigma_floor)
+        descriptor = compute_descriptor(contexts, dataset_id)
         return cls(contexts, np.asarray(residuals, dtype=np.float64), descriptor, normalize)
 
 
@@ -723,9 +717,10 @@ class Trainer:
                 gate, prepared, self.alpha_grid, tau_q, cfg.tau_p, cfg.lambda_entropy
             )
 
+        # the gate steps only over the rounds that kept a usable batch, so
+        # its tau_q schedule is sized by them
         self._run_stage("gate", cfg.epochs, [_Run(
-            gate.parameters(), cfg.gate_lr, self._steps_per_epoch(self.datasets),
-            lambda: prepared_rounds, loss,
+            gate.parameters(), cfg.gate_lr, len(prepared_rounds), lambda: prepared_rounds, loss,
         )])
         self.gate = gate
 

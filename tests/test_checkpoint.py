@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rarecp.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
-from rarecp.data import PrecomputedForecast, normalize_context
+from rarecp.data import PrecomputedForecast, descriptor_features, normalize_context
 from rarecp.errors import DataError
 from rarecp.estimators import RareCP
 from rarecp.experts import (
@@ -17,7 +17,6 @@ from rarecp.experts import (
     FixedAffineMap,
     HypernetworkParams,
     RetrievalExpert,
-    descriptor_features,
 )
 from rarecp.gate import gate_weights
 from rarecp.harness import calibration_block
@@ -190,6 +189,33 @@ def test_non_finite_weight(saved, rewrite_checkpoint, value):
 def test_bad_magic(saved):
     saved.write_bytes(b"NOTRARE!" + saved.read_bytes()[len(MAGIC):])
     with pytest.raises(DataError, match="bad magic"):
+        load_checkpoint(saved)
+
+
+def test_manifest_holds_model_dataset_ids_and_tensors_only(saved):
+    data = saved.read_bytes()
+    (length,) = struct.unpack_from("<Q", data, len(MAGIC))
+    doc = json.loads(data[len(MAGIC) + 8 : len(MAGIC) + 8 + length])
+    assert sorted(doc) == ["dataset_ids", "format_version", "model", "tensors"]
+    assert doc["format_version"] == FORMAT_VERSION == 3 and doc["dataset_ids"] == [0]
+    names = [t["name"] for t in doc["tensors"]]
+    assert all(name.startswith(("experts.", "gate.")) for name in names)
+
+
+@pytest.mark.parametrize("ids", [["0"], [0.0], 0, None])
+def test_dataset_ids_not_a_list_of_integers(saved, rewrite_checkpoint, ids):
+    def edit(doc):
+        doc["dataset_ids"] = ids
+        return doc
+
+    rewrite_checkpoint(saved, edit)
+    with pytest.raises(DataError, match="truncated or malformed"):
+        load_checkpoint(saved)
+
+
+def test_version_two_binary_names_its_version(saved):
+    saved.write_bytes(MAGIC[:-1] + b"\x02" + saved.read_bytes()[len(MAGIC):])
+    with pytest.raises(DataError, match=f"format version 2;.*only version {FORMAT_VERSION}"):
         load_checkpoint(saved)
 
 

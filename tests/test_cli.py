@@ -1,9 +1,13 @@
-import numpy as np
 import pytest
 
+from rarecp.checkpoint import MAGIC
 from rarecp.cli import main
 from rarecp.config import SEED_ENV_VAR, RunConfig, load_config, parse_config_text
+from rarecp.data import SplitSpec, chronological_split, load_forecast_csv, load_series_csv
 from rarecp.errors import DataError
+from rarecp.estimators import RareCP
+from rarecp.harness import calibration_block
+from rarecp.training import write_training_log
 
 
 @pytest.fixture
@@ -37,6 +41,37 @@ def fast_config(tmp_path):
 
 def run_cli(*args):
     return main(list(args))
+
+
+# the ``RareCP`` parameters of ``fast_config``
+FAST_PARAMS = dict(window=6, n_experts=2, latent_dim=4, top_k=6, hidden_dim=8, hidden_layers=1,
+                   gate_hidden_dim=2, epochs=3, teacher_epochs=1, batch_size=64, seed=5)
+
+
+def calibration_rows(data):
+    """Contexts and residuals of the calibration split of synthesised ``data``."""
+    series = load_series_csv(data / "series.csv", "y")
+    split = chronological_split(len(series), SplitSpec())
+    X, r, _ = calibration_block(
+        series, split.cal, load_forecast_csv(data / "forecasts.csv"), 6, True
+    )
+    return X, r
+
+
+@pytest.fixture
+def trained(tmp_path, fast_config):
+    """A config pointing at synthesised data, and the checkpoint ``rarecp train`` wrote."""
+    data = tmp_path / "data"
+    run_cli("synth", "--config", str(fast_config), "--out", str(data))
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text(
+        fast_config.read_text()
+        + f"series_csv = {data / 'series.csv'}\n"
+        + f"forecast_csv = {data / 'forecasts.csv'}\n"
+    )
+    ckpt = tmp_path / "model.ckpt"
+    assert run_cli("train", "--config", str(cfg), "--out", str(ckpt)) == 0
+    return data, cfg, ckpt
 
 
 class TestConfig:
@@ -133,8 +168,6 @@ class TestCliFlows:
         assert (report / "manifest.json").exists()
 
     def test_strict_split_trains_on_first_half(self, tmp_path, fast_config):
-        from rarecp.checkpoint import load_checkpoint
-
         data = tmp_path / "data"
         run_cli("synth", "--config", str(fast_config), "--out", str(data))
         cfg = tmp_path / "strict.cfg"
@@ -147,8 +180,10 @@ class TestCliFlows:
         ckpt = tmp_path / "strict.json"
         assert run_cli("train", "--config", str(cfg), "--out", str(ckpt)) == 0
         # 480 points, cal split = 72, learning half = 36
-        log_n = load_checkpoint(ckpt).descriptor_for(0).log_n
-        assert log_n == pytest.approx(np.log(36))
+        X, r = calibration_rows(data)
+        assert X.shape[0] == 72
+        RareCP(**FAST_PARAMS).fit(X[:36], r[:36]).save(tmp_path / "first_half.ckpt")
+        assert ckpt.read_bytes() == (tmp_path / "first_half.ckpt").read_bytes()
         report = tmp_path / "strict_report"
         assert (
             run_cli(
@@ -157,6 +192,16 @@ class TestCliFlows:
             )
             == 0
         )
+
+    def test_train_writes_the_checkpoint_and_log_of_a_library_fit(self, tmp_path, trained):
+        data, _, ckpt = trained
+        X, r = calibration_rows(data)
+        est = RareCP(**FAST_PARAMS).fit(X, r)
+        est.save(tmp_path / "library.ckpt")
+        write_training_log(est.train_log_, tmp_path / "library.log.csv")
+        assert ckpt.read_bytes() == (tmp_path / "library.ckpt").read_bytes()
+        assert (ckpt.with_suffix(".log.csv").read_bytes()
+                == (tmp_path / "library.log.csv").read_bytes())
 
     def test_probe_topk_writes_csv(self, tmp_path):
         out = tmp_path / "probe.csv"
@@ -182,6 +227,22 @@ class TestExitCodes:
             + "series_csv = /nonexistent/file.csv\nforecast = naive\n"
         )
         assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "c.json")) == 2
+
+    def test_eval_of_a_format_2_checkpoint_is_two(self, tmp_path, trained, capsys):
+        _, cfg, ckpt = trained
+        ckpt.write_bytes(MAGIC[:-1] + b"\x02" + ckpt.read_bytes()[len(MAGIC):])
+        code = run_cli("eval", "--config", str(cfg), "--method", "rarecp_checkpoint",
+                       "--checkpoint", str(ckpt), "--out", str(tmp_path / "report"))
+        assert code == 2
+        assert "format version 2" in capsys.readouterr().err
+
+    def test_eval_of_an_unknown_dataset_id_is_two(self, tmp_path, trained, capsys):
+        _, cfg, ckpt = trained
+        cfg.write_text(cfg.read_text() + "dataset_id = 5\n")
+        code = run_cli("eval", "--config", str(cfg), "--method", "rarecp_checkpoint",
+                       "--checkpoint", str(ckpt), "--out", str(tmp_path / "report"))
+        assert code == 2
+        assert "not trained on dataset 5" in capsys.readouterr().err
 
     def test_missing_config_file_is_two(self, tmp_path):
         assert (

@@ -14,6 +14,7 @@ from rarecp.data import (
     build_context,
     chronological_split,
     compute_descriptor,
+    descriptor_features,
     load_forecast_csv,
     load_series_csv,
     normalize_context,
@@ -187,6 +188,7 @@ class TestCalibrationStore:
 
     def test_views_are_read_only(self):
         store = CalibrationStore.from_arrays(np.zeros((4, 2)), np.arange(4.0))
+        store.condition(compute_descriptor(np.zeros((4, 2))))
         views = (store.contexts(), store.residuals(), *store.sorted_residuals(),
                  store.key_inputs())
         for view in views:
@@ -267,13 +269,14 @@ class TestKeyInputs:
         rng = np.random.default_rng(capacity * 1000 + n_seed * 31 + n_appends)
         X = rng.standard_normal((n_seed + n_appends, 3))
         store = CalibrationStore.from_arrays(X[:n_seed], np.zeros(n_seed), capacity)
-        descriptor = compute_descriptor(X[:n_seed]) if normalize else None
+        descriptor = compute_descriptor(X[:n_seed])
+        store.condition(descriptor, normalize)
         for t in range(n_seed, n_seed + n_appends + 1):
             if t > n_seed:
                 store.append(CalibrationEntry(X[t - 1], 0.0, t - 1))
             if t - n_seed < first_request:
                 continue
-            view = store.key_inputs(descriptor)
+            view = store.key_inputs()
             expected = store.contexts()
             if normalize:
                 expected = normalize_context(expected, descriptor)
@@ -281,52 +284,84 @@ class TestKeyInputs:
             np.testing.assert_array_equal(store.chronological(view),
                                           np.vstack([expected.T, np.ones(len(store))]))
 
-    def test_rebuilt_only_for_another_descriptor(self):
+    def test_rebuilt_on_recondition(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((6, 2))
         store = CalibrationStore.from_arrays(X, np.zeros(6), capacity=4)
         d1 = compute_descriptor(X)
         d2 = compute_descriptor(3.0 * X + 1.0)
         ones = np.ones((1, 4))
-        first = store.key_inputs(d1)
-        assert np.shares_memory(store.key_inputs(d1), first)
-        np.testing.assert_array_equal(store.key_inputs(d2),
+        store.condition(d1)
+        first = store.key_inputs()
+        assert np.shares_memory(store.key_inputs(), first)
+        store.condition(d2)
+        np.testing.assert_array_equal(store.key_inputs(),
                                       np.vstack([normalize_context(X[2:], d2).T, ones]))
-        assert not np.shares_memory(store.key_inputs(d2), first)
-        np.testing.assert_array_equal(store.key_inputs(None), np.vstack([X[2:].T, ones]))
+        assert not np.shares_memory(store.key_inputs(), first)
+        store.condition(d2, normalize=False)
+        np.testing.assert_array_equal(store.key_inputs(), np.vstack([X[2:].T, ones]))
+
+    def test_key_inputs_and_query_raise_before_condition(self):
+        store = CalibrationStore.from_arrays(np.zeros((4, 2)), np.zeros(4))
+        assert store.descriptor is None
+        with pytest.raises(DataError, match="condition"):
+            store.key_inputs()
+        with pytest.raises(DataError, match="condition"):
+            store.query(np.zeros(2))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_key_column_equals_the_query_read_of_its_context(self, normalize):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((9, 3)) * 4.0 + 2.0
+        store = CalibrationStore.from_arrays(X[:5], np.zeros(5), capacity=5)
+        descriptor = compute_descriptor(X[:5], dataset_id=2)
+        store.condition(descriptor, normalize)
+        store.key_inputs()
+        for t in range(5, 9):  # kept by appends across a wrap-around
+            store.append(CalibrationEntry(X[t], 0.0, t))
+        keys = store.chronological(store.key_inputs())
+        for j, x in enumerate(store.contexts()):
+            query_z, feats = store.query(x)
+            assert keys[:-1, j].tobytes() == query_z.tobytes()
+            assert feats.tobytes() == descriptor_features(descriptor).tobytes()
 
     def test_ones_row_survives_wrap_around_and_rebuild(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((20, 3))
         store = CalibrationStore.from_arrays(X[:3], np.zeros(3), capacity=5)
         d1, d2 = compute_descriptor(X[:3]), compute_descriptor(2.0 * X[:3])
-        store.key_inputs(d1)
+        store.condition(d1)
+        store.key_inputs()
         for t in range(3, 20):  # wraps the 5-entry ring three times
             store.append(CalibrationEntry(X[t], 0.0, t))
-            descriptor = d1 if t < 11 else d2 if t < 16 else None
-            view = store.key_inputs(descriptor)
+            normalize = t < 16
+            if t in (11, 16):
+                store.condition(d2, normalize)
+            view = store.key_inputs()
             np.testing.assert_array_equal(view[-1], np.ones(len(store)))
             np.testing.assert_array_equal(
                 store.chronological(view[:-1]),
-                store.contexts().T if descriptor is None
-                else normalize_context(store.contexts(), descriptor).T,
+                normalize_context(store.contexts(), store.descriptor).T if normalize
+                else store.contexts().T,
             )
 
     def test_non_finite_raw_context_rejected_before_append(self):
         store = CalibrationStore.from_arrays(np.zeros((4, 2)), np.arange(4.0))
-        store.key_inputs(None)
+        store.condition(compute_descriptor(np.zeros((4, 2))), normalize=False)
+        store.key_inputs()
         for bad in (np.nan, np.inf):
             with pytest.raises(DataError, match="not finite"):
                 store.append(CalibrationEntry(np.array([0.0, bad]), 9.0, 10))
         assert len(store) == 4
         np.testing.assert_array_equal(store.residuals(), np.arange(4.0))
-        np.testing.assert_array_equal(store.key_inputs(None), np.vstack([np.zeros((2, 4)),
-                                                                         np.ones((1, 4))]))
+        np.testing.assert_array_equal(store.key_inputs(), np.vstack([np.zeros((2, 4)),
+                                                                     np.ones((1, 4))]))
 
     def test_non_finite_z_column_rejected_before_append(self):
         d = compute_descriptor(np.zeros((4, 2)))  # sigma at the floor, 1e-6
         store = CalibrationStore.from_arrays(np.zeros((4, 2)), np.arange(4.0))
-        store.key_inputs(d)
+        store.condition(d)
+        store.key_inputs()
         with pytest.raises(DataError, match="not finite"), np.errstate(over="ignore"):
             store.append(CalibrationEntry(np.array([0.0, 1e303]), 9.0, 10))
         assert len(store) == 4
@@ -334,13 +369,14 @@ class TestKeyInputs:
         # a store that never keys its contexts takes the entry
         plain = CalibrationStore.from_arrays(np.zeros((4, 2)), np.arange(4.0))
         plain.append(CalibrationEntry(np.array([0.0, 1e303]), 9.0, 10))
+        plain.condition(d)
         with pytest.raises(DataError, match="not finite"), np.errstate(over="ignore"):
-            plain.key_inputs(d)
+            plain.key_inputs()
 
     def test_descriptor_dimension_checked(self):
         store = CalibrationStore.from_arrays(np.zeros((4, 2)), np.zeros(4))
         with pytest.raises(DataError, match="dimension"):
-            store.key_inputs(compute_descriptor(np.zeros((4, 3))))
+            store.condition(compute_descriptor(np.zeros((4, 3))))
 
 
 class TestForecastSources:

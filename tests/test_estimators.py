@@ -284,6 +284,26 @@ def test_fit_serves_like_a_reload_seeded_with_the_same_rows(tmp_path):
         assert (a.lower, a.upper) == (b.lower, b.upper)
 
 
+def test_a_dataset_id_the_model_was_not_trained_on_is_refused(fitted, tmp_path):
+    est, X, y = fitted
+    path = tmp_path / "model.bin"
+    est.save(path)
+    for dataset_id in (5, -1):
+        with pytest.raises(DataError, match="not trained on dataset"):
+            RareCP.from_checkpoint(path, dataset_id=dataset_id)
+        with pytest.raises(DataError, match="not trained on dataset"):
+            RareCP.from_components(est.components_, dataset_id)
+    assert RareCP.from_checkpoint(path, dataset_id=0).components_.dataset_ids == (0,)
+
+
+def test_descriptor_is_the_stores_and_read_only(fitted):
+    est, X, y = fitted
+    assert RareCP().descriptor_ is None
+    assert est.descriptor_ is est.store_.descriptor is not None
+    with pytest.raises(AttributeError):
+        est.descriptor_ = None
+
+
 def test_every_config_field_is_a_run_key_and_a_rarecp_parameter():
     from dataclasses import fields
 

@@ -10,6 +10,7 @@ from rarecp.data import (
     CalibrationEntry,
     CalibrationStore,
     compute_descriptor,
+    descriptor_features,
     normalize_context,
 )
 from rarecp.errors import DataError, NumericError
@@ -18,10 +19,8 @@ from rarecp.experts import (
     FixedAffineMap,
     HypernetworkParams,
     RetrievalExpert,
-    descriptor_features,
     identity_map,
     normalize_keys,
-    query_features,
     retrieve_supports,
     support_weights,
     topk_retrieve,
@@ -49,9 +48,13 @@ def make_expert(dim, latent=4, k=8, beta=12.0, seed=0, kind="hypernetwork", **kw
 
 
 def retrieve(expert, store, query, descriptor, normalize=True):
-    """One expert's support for one query, as ``mixed_support`` retrieves it with M = 1."""
-    (result,) = retrieve_supports([expert], store, *query_features(query, descriptor, normalize),
-                                  descriptor if normalize else None)
+    """One expert's support for one query, as ``mixed_support`` retrieves it with M = 1.
+
+    The store is conditioned on ``descriptor`` first, unless it already is.
+    """
+    if store.descriptor is not descriptor:
+        store.condition(descriptor, normalize)
+    (result,) = retrieve_supports([expert], store, *store.query(query))
     return result
 
 
@@ -128,14 +131,15 @@ class TestNormalizeKey:
         store = CalibrationStore.from_arrays(X[:capacity], np.zeros(capacity))
         descriptor = compute_descriptor(X[:capacity])
         expert = make_expert(dim, latent=6, k=5, kind="fixed_affine")
-        store.key_inputs(descriptor)
+        store.condition(descriptor)
+        store.key_inputs()
         for t in range(capacity, X.shape[0]):
             store.append(CalibrationEntry(X[t], 0.0, t))
         times = store.time_indices()
         positions = np.flatnonzero(np.isin(times, at))
         assert times[positions].tolist() == [700, 1001, 1499, 1500, 2199]
         (result,) = retrieve_supports([expert], store, normalize_context(dup, descriptor),
-                                      descriptor_features(descriptor), descriptor)
+                                      descriptor_features(descriptor))
         np.testing.assert_array_equal(result.support_indices, positions)
         assert np.unique(result.scores.view(np.uint64)).size == 1
 
@@ -403,6 +407,7 @@ class TestStackedRetrievalOracle:
         experts, normalize = case["experts"], case["normalize"]
         store = CalibrationStore.from_arrays(rows[:n_seed], residuals[:n_seed], case["capacity"])
         descriptor = compute_descriptor(rows[:n_seed])
+        store.condition(descriptor, normalize)
         gate = GateParams(rows.shape[1], len(experts), hidden_dim=3, seed=1)
         gate.layers[-1][0].data = np.random.default_rng(2).standard_normal(
             gate.layers[-1][0].data.shape)
@@ -419,8 +424,7 @@ class TestStackedRetrievalOracle:
                 _check_retrieval(retrieve(e, store, query, descriptor, normalize), oracle, stored)
                 for e, oracle in zip(experts, oracles)
             ]
-            support, union, pi = mixed_support(store, experts, gate, descriptor, query,
-                                               normalize=normalize)
+            support, union, pi = mixed_support(store, experts, gate, query)
             if not all(exact):
                 continue
             qz = (query - descriptor.mu) / descriptor.sigma if normalize else query
@@ -438,8 +442,7 @@ class TestStackedRetrievalOracle:
             cum = np.cumsum(merged[union][np.argsort(stored[union], kind="stable")])
             if np.any(np.abs(cum[:, None] - [alpha / 2, 1 - alpha / 2]) < 1e-12):
                 continue  # a weight boundary sits on a quantile level
-            got = rarecp_interval(0.0, query, store, experts, gate, descriptor, alpha,
-                                  normalize=normalize)
+            got = rarecp_interval(0.0, query, store, experts, gate, alpha)
             want = build_interval(0.0, WeightedSupport(stored[union], merged[union]), alpha)
             np.testing.assert_allclose([got.lower, got.upper], [want.lower, want.upper],
                                        rtol=1e-12, atol=0)
@@ -478,13 +481,11 @@ class TestCheckpointRoundtrip:
                     i,
                 )
             )
-        descriptor = components.descriptor_for(0)
-        query = rng.standard_normal(components.model.context_dim)
-        feats = descriptor_features(descriptor)
-        query_z = normalize_context(query, descriptor)
+        store.condition(compute_descriptor(store.contexts()))
+        query_z, feats = store.query(rng.standard_normal(components.model.context_dim))
         for r1, r2 in zip(
-            retrieve_supports(components.experts, store, query_z, feats, descriptor),
-            retrieve_supports(loaded.experts, store, query_z, feats, descriptor),
+            retrieve_supports(components.experts, store, query_z, feats),
+            retrieve_supports(loaded.experts, store, query_z, feats),
         ):
             np.testing.assert_array_equal(r1.support_indices, r2.support_indices)
             np.testing.assert_allclose(r1.weights, r2.weights, atol=0)

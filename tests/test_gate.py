@@ -11,7 +11,6 @@ from rarecp.experts import (
     FixedAffineMap,
     RetrievalExpert,
     RetrievalResult,
-    query_features,
 )
 from rarecp.gate import GateParams, gate_weights, mix_supports, rarecp_interval
 
@@ -34,13 +33,20 @@ def make_store(rng, n, dim, residuals=None):
     return store
 
 
+def read(query, descriptor):
+    """The query and descriptor features as a store conditioned on ``descriptor`` reads them."""
+    store = CalibrationStore(1, descriptor.dim)
+    store.condition(descriptor)
+    return store.query(query)
+
+
 class TestGateWeights:
     def test_zero_init_is_uniform(self):
         rng = np.random.default_rng(0)
         contexts = rng.standard_normal((20, 5))
         descriptor = compute_descriptor(contexts)
         gate = GateParams(5, 3, hidden_dim=4, seed=0)
-        pi = gate_weights(gate, *query_features(contexts[0], descriptor))
+        pi = gate_weights(gate, *read(contexts[0], descriptor))
         np.testing.assert_allclose(pi, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
     def test_dominant_logit(self):
@@ -52,7 +58,7 @@ class TestGateWeights:
         w_last, b_last = gate.layers[-1]
         w_last.data = np.zeros_like(w_last.data)
         b_last.data = np.array([10.0, 0.0, 0.0])
-        pi = gate_weights(gate, *query_features(contexts[0], descriptor))
+        pi = gate_weights(gate, *read(contexts[0], descriptor))
         assert pi[0] > 0.9999
 
     def test_single_expert(self):
@@ -60,7 +66,7 @@ class TestGateWeights:
         contexts = rng.standard_normal((10, 4))
         descriptor = compute_descriptor(contexts)
         gate = GateParams(4, 1, hidden_dim=2, seed=0)
-        pi = gate_weights(gate, *query_features(contexts[0], descriptor))
+        pi = gate_weights(gate, *read(contexts[0], descriptor))
         np.testing.assert_allclose(pi, [1.0])
 
     def test_logit_shift_invariance(self):
@@ -70,9 +76,9 @@ class TestGateWeights:
         gate = GateParams(4, 3, hidden_dim=4, seed=1)
         w_last, b_last = gate.layers[-1]
         b_last.data = np.array([0.3, -0.2, 0.8])
-        pi1 = gate_weights(gate, *query_features(contexts[0], descriptor))
+        pi1 = gate_weights(gate, *read(contexts[0], descriptor))
         b_last.data = b_last.data + 5.0
-        pi2 = gate_weights(gate, *query_features(contexts[0], descriptor))
+        pi2 = gate_weights(gate, *read(contexts[0], descriptor))
         np.testing.assert_allclose(pi1, pi2, atol=1e-12)
 
 
@@ -155,21 +161,19 @@ class TestMixSupports:
 class TestRarecpInterval:
     def _setup(self, rng, n=53, dim=4, residuals=None):
         store = make_store(rng, n, dim, residuals)
-        descriptor = compute_descriptor(store.contexts())
-        return store, descriptor
+        store.condition(compute_descriptor(store.contexts()))
+        return store
 
     def test_single_entry_store_degenerate(self):
         rng = np.random.default_rng(4)
         store = CalibrationStore(4, 3)
         store.append(CalibrationEntry(np.array([1.0, 0.0, 2.0]), 1.5, 0))
-        descriptor = compute_descriptor(store.contexts())
+        store.condition(compute_descriptor(store.contexts()))
         expert = RetrievalExpert(
             encoder=FixedAffineMap(3, 3, seed=0), config=ExpertConfig()
         )
         gate = GateParams(3, 1, hidden_dim=2, seed=0)
-        interval = rarecp_interval(
-            10.0, np.array([1.0, 0.0, 2.0]), store, [expert], gate, descriptor, 0.2
-        )
+        interval = rarecp_interval(10.0, np.array([1.0, 0.0, 2.0]), store, [expert], gate, 0.2)
         assert interval.lower == pytest.approx(11.5)
         assert interval.upper == pytest.approx(11.5)
 
@@ -178,14 +182,14 @@ class TestRarecpInterval:
         # reduces the mixture to uniform weights over the whole store
         rng = np.random.default_rng(5)
         n = 53
-        store, descriptor = self._setup(rng, n=n)
+        store = self._setup(rng, n=n)
         expert = RetrievalExpert(
             encoder=FixedAffineMap(4, 4, seed=0),
             config=ExpertConfig(top_k=n, beta=1e-9),
         )
         gate = GateParams(4, 1, hidden_dim=2, seed=0)
         query = rng.standard_normal(4)
-        got = rarecp_interval(2.0, query, store, [expert], gate, descriptor, 0.2)
+        got = rarecp_interval(2.0, query, store, [expert], gate, 0.2)
         expected = build_interval(2.0, baseline_weights(store.residuals()), 0.2)
         assert got.lower == pytest.approx(expected.lower, abs=1e-9)
         assert got.upper == pytest.approx(expected.upper, abs=1e-9)
@@ -194,15 +198,13 @@ class TestRarecpInterval:
         rng = np.random.default_rng(6)
         half = rng.uniform(0.5, 2.0, size=40)
         residuals = np.concatenate([half, -half])
-        store, descriptor = self._setup(rng, n=80, residuals=residuals)
+        store = self._setup(rng, n=80, residuals=residuals)
         expert = RetrievalExpert(
             encoder=FixedAffineMap(4, 4, seed=1),
             config=ExpertConfig(top_k=80, beta=1e-9),
         )
         gate = GateParams(4, 1, hidden_dim=2, seed=0)
-        interval = rarecp_interval(
-            0.0, rng.standard_normal(4), store, [expert], gate, descriptor, 0.2
-        )
+        interval = rarecp_interval(0.0, rng.standard_normal(4), store, [expert], gate, 0.2)
         # symmetric support: quantile granularity bounds the asymmetry
         gap = np.abs(np.sort(residuals))
         tol = np.diff(np.sort(gap)).max() + 1e-9
@@ -213,12 +215,11 @@ class TestRarecpInterval:
         rng = np.random.default_rng(7)
         dim = components.model.context_dim
         store = make_store(rng, 60, dim)
-        descriptor = components.descriptor_for(0)
+        store.condition(compute_descriptor(store.contexts()))
         from rarecp.gate import mixed_support
 
         support, union, pi = mixed_support(
-            store, components.experts, components.gate, descriptor,
-            rng.standard_normal(dim),
+            store, components.experts, components.gate, rng.standard_normal(dim)
         )
         max_size = components.model.n_experts * components.model.top_k
         assert len(union) <= max_size
@@ -227,10 +228,10 @@ class TestRarecpInterval:
 
     def test_empty_store_rejected(self):
         store = CalibrationStore(3, 2)
-        descriptor = compute_descriptor(np.ones((2, 2)))
+        store.condition(compute_descriptor(np.ones((2, 2))))
         gate = GateParams(2, 1, hidden_dim=2, seed=0)
         expert = RetrievalExpert(
             encoder=FixedAffineMap(2, 2, seed=0), config=ExpertConfig()
         )
         with pytest.raises(DataError):
-            rarecp_interval(0.0, np.ones(2), store, [expert], gate, descriptor, 0.2)
+            rarecp_interval(0.0, np.ones(2), store, [expert], gate, 0.2)

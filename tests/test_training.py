@@ -345,7 +345,6 @@ class TestGateTraining:
         dataset = tiny_dataset(rng, n=24)
         model = tiny_model()
         trainer = self._trained_experts(rng, dataset, model)
-        from rarecp.experts import query_features
         from rarecp.gate import GateParams, gate_weights
 
         gate = GateParams(5, model.n_experts, hidden_dim=2, seed=3)
@@ -357,7 +356,7 @@ class TestGateTraining:
             optimizer_step(opt, lambda: gate_batch_loss(gate, prepared, alphas, 0.05, 5e-4, 50.0))
         entropies = []
         for i in range(24):
-            pi = gate_weights(gate, *query_features(dataset.contexts[i], dataset.descriptor))
+            pi = gate_weights(gate, dataset.contexts_z[i], dataset.feats)
             entropies.append(-np.sum(pi * np.log(pi + 1e-30)))
             assert 0.0 <= entropies[-1] <= np.log(model.n_experts) + 1e-12
         assert np.mean(entropies) > 0.9 * np.log(model.n_experts)
@@ -403,6 +402,29 @@ class TestStageRunnerLog:
             for row in rows:
                 assert row.tau_q == temperature_at(row.epoch * steps_per_epoch, schedule)
         assert len({r.tau_q for r in trainer.log if r.stage == "expert"}) == 3
+
+    def test_gate_logs_the_tau_q_it_steps_at(self, monkeypatch):
+        from rarecp import training
+
+        stepped = []
+
+        def recording_loss(gate, prepared, alpha_grid, tau_q, *args):
+            stepped.append(tau_q)
+            return gate_batch_loss(gate, prepared, alpha_grid, tau_q, *args)
+
+        monkeypatch.setattr(training, "gate_batch_loss", recording_loss)
+        rng = np.random.default_rng(21)
+        dataset = tiny_dataset(rng, n=34)  # rounds of 16, 16 and 2 rows; the last is dropped
+        cfg = TrainConfig(epochs=3, teacher_epochs=1, batch_size=16, n_cycles=1, seed=2)
+        trainer = Trainer([dataset], tiny_model(), cfg)
+        with pytest.warns(UserWarning, match="fewer"):
+            trainer.run()
+        # two steps per epoch over one full cosine cycle, ending back near tau_start
+        schedule = TemperatureSchedule(cfg.tau_start, cfg.tau_end, 3 * 2)
+        assert stepped == [temperature_at(step, schedule) for step in range(6)]
+        assert stepped[3] == cfg.tau_end
+        rows = [r for r in trainer.log if r.stage == "gate"]
+        assert [r.tau_q for r in rows] == stepped[::2]
 
     def test_teacher_rows_average_over_expert_dataset_runs(self, monkeypatch):
         from rarecp import training
