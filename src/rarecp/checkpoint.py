@@ -54,8 +54,8 @@ def components_from_trainer(trainer: Trainer) -> RareCPComponents:
         raise DataError("trainer has not completed all three stages")
     return RareCPComponents(
         model=trainer.model,
-        dataset_ids=tuple(sorted({ds.descriptor.dataset_id for ds in trainer.datasets})),
-        experts=ExpertStack.of(trainer.experts),
+        dataset_ids=tuple(sorted({s.descriptor.dataset_id for s in trainer.stores})),
+        experts=trainer.experts,
         gate=trainer.gate,
     )
 

@@ -175,7 +175,6 @@ def eval_cmd(config_path, series_path, column, methods, alpha, aci_gamma,
         nexcp_lambda=cfg.nexcp_lambda,
         checkpoint=checkpoint_path,
         dataset_id=cfg.dataset_id,
-        seed=cfg.seed,
     )
     std_y = eval_split_std(series, split)
     summaries, all_records = [], {}

@@ -123,10 +123,6 @@ def build_context(
     return feats
 
 
-def context_dim(window: int, include_forecast: bool) -> int:
-    return window + (1 if include_forecast else 0)
-
-
 @dataclass(frozen=True)
 class CalibrationEntry:
     context: np.ndarray
@@ -149,14 +145,14 @@ class CalibrationStore:
     the evicted and the new value), so a store that never asks for it
     never pays for it.
 
-    ``condition`` fixes the dataset descriptor that retrieval reads every
-    context and query through, and whether contexts are z-scored with it.
-    ``key_inputs`` then holds the contexts as retrieval sees them, laid out
-    as (p + 1, capacity) columns in ring order, the last row a constant 1
-    that folds a key map's bias into its GEMM. It follows the same pattern:
-    built on first request after ``condition``, then kept by every
+    ``condition`` fixes the dataset descriptor that training and retrieval
+    read every context and query through, and whether contexts are z-scored
+    with it. ``key_inputs`` then holds the contexts as the encoders see them,
+    laid out as (p + 1, capacity) columns in ring order, the last row a
+    constant 1 that folds a key map's bias into its GEMM. It follows the same
+    pattern: built on first request after ``condition``, then kept by every
     ``append`` with the column's p key entries. ``query`` reads a query the
-    same way.
+    same way and attaches the descriptor's ``features``.
     """
 
     def __init__(self, capacity: int, context_dim: int):
@@ -179,6 +175,7 @@ class CalibrationStore:
         # set by ``condition``; the (p + 1, capacity) key inputs in ring order
         # are None until first requested after it
         self._descriptor: DatasetDescriptor | None = None
+        self._features: np.ndarray | None = None
         self._normalize = True
         self._keys: np.ndarray | None = None
 
@@ -285,18 +282,31 @@ class CalibrationStore:
         """The descriptor set by ``condition``, or None before it."""
         return self._descriptor
 
+    @property
+    def normalize(self) -> bool:
+        """Whether ``condition`` z-scores contexts and queries with the descriptor."""
+        return self._normalize
+
+    @property
+    def features(self) -> np.ndarray | None:
+        """The descriptor's features, read-only, or None before ``condition``."""
+        return self._features
+
     def condition(self, descriptor: DatasetDescriptor, normalize: bool = True) -> None:
         """Key contexts and queries through ``descriptor`` from now on.
 
         With ``normalize`` they are z-scored with its statistics, otherwise
-        used raw; either way a query carries its features. The key inputs
-        are rebuilt on their next request.
+        used raw; either way they carry its features. The key inputs are
+        rebuilt on their next request.
         """
         if descriptor.dim != self._dim:
             raise DataError(
                 f"descriptor has dimension {descriptor.dim}, store contexts have {self._dim}"
             )
-        self._descriptor, self._normalize, self._keys = descriptor, bool(normalize), None
+        features = descriptor_features(descriptor)
+        features.flags.writeable = False
+        self._descriptor, self._features = descriptor, features
+        self._normalize, self._keys = bool(normalize), None
 
     def _keyed(self, contexts) -> np.ndarray:
         """Contexts (or one query) as ``condition`` keys them."""
@@ -314,7 +324,7 @@ class CalibrationStore:
 
     def query(self, x) -> tuple[np.ndarray, np.ndarray]:
         """A query context as encoders and the gate read it, and the descriptor features."""
-        return self._keyed(x), descriptor_features(self._descriptor)
+        return self._keyed(x), self._features
 
     def key_inputs(self) -> np.ndarray:
         """Contexts as retrieval key inputs: one column per entry, in ring order.
@@ -416,6 +426,19 @@ def descriptor_features(descriptor: DatasetDescriptor) -> np.ndarray:
 
 def descriptor_feature_dim(context_dim: int) -> int:
     return context_dim + 2
+
+
+def encoder_inputs(contexts_t: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """The (2p + 2, B) hypernetwork and gate input: keyed contexts (p, B) above ``features``.
+
+    Column j is the ``[query_z; feats]`` input of one query, contiguous: the
+    block is F-ordered, the transpose of a C-ordered (B, 2p + 2) array.
+    """
+    p, B = contexts_t.shape
+    block = np.empty((p + features.size, B), order="F")
+    block[:p] = contexts_t
+    block[p:] = features[:, None]
+    return block
 
 
 def compute_descriptor(contexts: np.ndarray, dataset_id: int = 0) -> DatasetDescriptor:

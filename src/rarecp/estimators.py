@@ -35,7 +35,7 @@ from rarecp.data import (
 )
 from rarecp.errors import DataError
 from rarecp.gate import mixed_support, rarecp_interval
-from rarecp.training import CalibrationDataset, ModelConfig, TrainConfig, Trainer, config_from
+from rarecp.training import ModelConfig, TrainConfig, Trainer, config_from
 from rarecp.validation import (
     check_finite,
     check_fitted,
@@ -192,8 +192,8 @@ class RareCP(BaseEstimator):
     def fit(self, X, y, dataset_id: int = 0) -> "RareCP":
         """Train on the initial calibration contexts ``X`` and residuals ``y``.
 
-        The window is then seeded from ``X`` and ``y`` by ``seed_store``, as a
-        reloaded model would be.
+        Training reads them through a store conditioned as ``seed_store``
+        conditions the window, which it then seeds, as a reloaded model would.
         """
         X = check_matrix(X, "X")
         y = check_vector(y, "y")
@@ -209,10 +209,9 @@ class RareCP(BaseEstimator):
             # seed_store refuses it too, but only once training is done
             raise DataError("store capacity must be >= 1")
         dataset_id = check_int(dataset_id, "dataset_id")
-        dataset = CalibrationDataset.from_arrays(
-            X, y, dataset_id=dataset_id, normalize=self.normalize_contexts
-        )
-        trainer = Trainer([dataset], model, self.train_config()).run()
+        store = CalibrationStore.from_arrays(X, y)
+        store.condition(compute_descriptor(store.contexts(), dataset_id), model.normalize_contexts)
+        trainer = Trainer([store], model, self.train_config()).run()
         self.components_ = components_from_trainer(trainer)
         self.train_log_ = trainer.log
         self._dataset_id = dataset_id
@@ -249,18 +248,23 @@ class RareCP(BaseEstimator):
         """Seed the FIFO window (``fit`` ends with it; call it after ``from_checkpoint``).
 
         The store is conditioned on the descriptor of the seeded window,
-        which is the initial calibration set of the run being started.
+        which is the initial calibration set of the run being started. Model
+        parameters changed by ``set_params`` since training raise ``DataError``.
         """
         check_fitted(self, "components_")
+        model = self.components_.model
+        if self.model_config() != model:
+            current = asdict(self.model_config())
+            changed = {n: v for n, v in asdict(model).items() if current[n] != v}
+            raise DataError(f"the model was trained with {changed}: set them back or fit again")
         y = check_vector(y, "y")
         store = CalibrationStore.from_arrays(X, y, self.capacity, start_time)
-        if store.context_dim != self.components_.model.context_dim:
+        if store.context_dim != model.context_dim:
             raise DataError(
-                f"X has {store.context_dim} features, expected "
-                f"{self.components_.model.context_dim}"
+                f"X has {store.context_dim} features, expected {model.context_dim}"
             )
         store.condition(
-            compute_descriptor(store.contexts(), self._dataset_id), self.normalize_contexts
+            compute_descriptor(store.contexts(), self._dataset_id), model.normalize_contexts
         )
         self.store_ = store
         self._next_time = int(start_time) + y.size

@@ -318,10 +318,8 @@ class ExpertStack(Sequence):
         """Copy the weights of ``experts`` into a stack and point their tensors at it.
 
         The experts must be of one encoder kind and share one key map shape,
-        and hypernetworks one architecture. A stack is returned as it is.
+        and hypernetworks one architecture.
         """
-        if isinstance(experts, ExpertStack):
-            return experts
         encoders = [e.encoder for e in experts]
         if len({type(enc) for enc in encoders}) != 1:
             raise DataError("experts stacked together must be of one encoder kind")
@@ -356,16 +354,15 @@ class ExpertStack(Sequence):
 
 
 def retrieve_supports(
-    experts: ExpertStack | list[RetrievalExpert],
+    experts: ExpertStack,
     store: CalibrationStore,
     query_z: np.ndarray,
     feats: np.ndarray,
 ) -> list[RetrievalResult]:
     """Every expert's top-k weighted support for one query, from one key pass.
 
-    ``experts`` is a model's ``ExpertStack``, or a list stacked for this
-    call. ``query_z`` and ``feats`` are the query as the encoders read it
-    and the descriptor features, as ``store.query`` gives them. The M
+    ``query_z`` and ``feats`` are the query as the encoders read it and the
+    descriptor features, as ``store.query`` gives them. The M
     folded maps key the store's ring-order key inputs in one GEMM
     (``normalize_keys``). Only the (M, n) scores are put in chronological
     order, so ties still go to the older entry.
@@ -374,12 +371,11 @@ def retrieve_supports(
         raise DataError("cannot retrieve from an empty calibration store")
     if not np.all(np.isfinite(query_z)):
         raise NumericError("the z-scored query is not finite")
-    stack = ExpertStack.of(experts)
-    maps = stack.maps(query_z, feats)
+    maps = experts.maps(query_z, feats)
     scores = store.chronological(normalize_keys(maps, query_z, store.key_inputs()))
     residuals = store.residuals()
     results = []
-    for expert, expert_scores in zip(stack, scores):
+    for expert, expert_scores in zip(experts, scores):
         sel = topk_retrieve(expert_scores, expert.config.top_k)
         top = expert_scores[sel]
         results.append(

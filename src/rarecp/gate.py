@@ -18,7 +18,6 @@ from rarecp.data import CalibrationStore, descriptor_feature_dim
 from rarecp.errors import DataError
 from rarecp.experts import (
     ExpertStack,
-    RetrievalExpert,
     RetrievalResult,
     _mlp_forward,
     _mlp_init,
@@ -114,7 +113,7 @@ def mix_supports(
 
 def mixed_support(
     store: CalibrationStore,
-    experts: ExpertStack | list[RetrievalExpert],
+    experts: ExpertStack,
     gate: GateParams,
     query: np.ndarray,
 ) -> tuple[WeightedSupport, np.ndarray, np.ndarray]:
@@ -134,7 +133,7 @@ def rarecp_interval(
     forecast: float,
     query: np.ndarray,
     store: CalibrationStore,
-    experts: ExpertStack | list[RetrievalExpert],
+    experts: ExpertStack,
     gate: GateParams,
     alpha: float,
 ) -> PredictionInterval:

@@ -13,10 +13,10 @@ import numpy as np
 
 from rarecp import autodiff as ad
 from rarecp.autodiff import finite_diff_check
+from rarecp.data import CalibrationStore, compute_descriptor
 from rarecp.experts import ExpertConfig, FixedAffineMap, HypernetworkParams, RetrievalExpert
 from rarecp.gate import GateParams
 from rarecp.training import (
-    CalibrationDataset,
     _prepare_gate_batch,
     default_alpha_grid,
     expert_batch_loss,
@@ -140,7 +140,8 @@ def _gradcheck_instance(seed: int, n_episodes: int, n_experts: int, context_dim:
     rng = np.random.default_rng(seed)
     contexts = rng.standard_normal((n_episodes, context_dim))
     residuals = rng.standard_normal(n_episodes) * (1.0 + np.abs(contexts[:, 0]))
-    dataset = CalibrationDataset.from_arrays(contexts, residuals, dataset_id=0)
+    store = CalibrationStore.from_arrays(contexts, residuals)
+    store.condition(compute_descriptor(store.contexts()))
     encoders = []
     teachers = []
     for m in range(n_experts):
@@ -159,7 +160,7 @@ def _gradcheck_instance(seed: int, n_episodes: int, n_experts: int, context_dim:
                 rng.normal(0.0, 0.3, size=4),
             )
         )
-    return dataset, encoders, teachers
+    return store, encoders, teachers
 
 
 def expert_loss_check(
@@ -171,7 +172,7 @@ def expert_loss_check(
     h: float = 1e-5,
 ) -> float:
     """Full expert objective (interval term plus anchor) vs central differences."""
-    dataset, encoders, teachers = _gradcheck_instance(
+    store, encoders, teachers = _gradcheck_instance(
         seed, n_episodes, n_experts, context_dim
     )
     batch = np.arange(n_episodes)
@@ -182,7 +183,7 @@ def expert_loss_check(
         for encoder, teacher in zip(encoders, teachers):
             loss = expert_batch_loss(
                 encoder,
-                [dataset],
+                [store],
                 [batch],
                 [teacher],
                 top_k=top_k,
@@ -211,7 +212,7 @@ def teacher_loss_check(
     anchored to a teacher as a fixed-affine expert is; returns the larger
     error.
     """
-    dataset, _, teachers = _gradcheck_instance(seed, n_episodes, 1, context_dim)
+    store, _, teachers = _gradcheck_instance(seed, n_episodes, 1, context_dim)
     encoder = FixedAffineMap(context_dim, 4, seed=seed)
     batch = np.arange(n_episodes)
     alphas = np.asarray(default_alpha_grid())
@@ -219,7 +220,7 @@ def teacher_loss_check(
     def objective(anchor):
         return lambda: expert_batch_loss(
             encoder,
-            [dataset],
+            [store],
             [batch],
             anchor,
             top_k=n_episodes,
@@ -244,7 +245,7 @@ def gate_loss_check(
     h: float = 1e-5,
 ) -> float:
     """Gate objective (mixed-support loss minus entropy) vs central differences."""
-    dataset, encoders, _ = _gradcheck_instance(seed, n_episodes, n_experts, context_dim)
+    store, encoders, _ = _gradcheck_instance(seed, n_episodes, n_experts, context_dim)
     rng = np.random.default_rng(seed + 77)
     config = ExpertConfig(top_k=4, beta=6.0)
     experts = [RetrievalExpert(encoder=e, config=config) for e in encoders]
@@ -254,7 +255,7 @@ def gate_loss_check(
     b_last.data = rng.normal(0.0, 0.5, size=b_last.data.shape)
 
     batch = np.arange(n_episodes)
-    prepared = [_prepare_gate_batch(experts, dataset, batch, None)]
+    prepared = [_prepare_gate_batch(experts, store, batch, None)]
     alphas = np.asarray(default_alpha_grid())
 
     def f():

@@ -79,7 +79,6 @@ class EvalConfig:
     nexcp_lambda: float = 0.99
     checkpoint: str | Path | RareCPComponents | None = None
     dataset_id: int = 0
-    seed: int = 0
 
 
 def calibration_block(

@@ -21,10 +21,12 @@ only affects the surrogate, never hard evaluation.
 
 Training units are leave-one-out episodes: the held-out query retrieves
 from the minibatch candidates excluding itself, so its own residual never
-enters its support. Stages run strictly in order: prefit affine teachers,
-then hypernetwork students anchored to their teachers in parameter space,
-then the gate (experts frozen) with an entropy bonus that discourages
-early collapse onto one expert.
+enters its support. A dataset is a conditioned ``CalibrationStore``, read
+through its key inputs and descriptor features as serving reads it.
+Stages run strictly in order: prefit affine teachers, then hypernetwork
+students anchored to their teachers in parameter space, then the gate
+(experts frozen) with an entropy bonus that discourages early collapse
+onto one expert.
 
 All three stages go through one loop, ``Trainer._run_stage``. A stage only
 builds its runs, each a set of parameters, a learning rate, the batches of
@@ -41,7 +43,7 @@ import ctypes
 import math
 import os
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -49,14 +51,15 @@ import numpy as np
 
 from rarecp import autodiff as ad
 from rarecp.autodiff import Adam, Tape, Tensor
-from rarecp.data import (
-    DatasetDescriptor,
-    compute_descriptor,
-    descriptor_features,
-    normalize_context,
-)
+from rarecp.data import CalibrationStore, encoder_inputs
 from rarecp.errors import DataError, NumericError, RareCPError
-from rarecp.experts import ExpertConfig, FixedAffineMap, HypernetworkParams, RetrievalExpert
+from rarecp.experts import (
+    ExpertConfig,
+    ExpertStack,
+    FixedAffineMap,
+    HypernetworkParams,
+    RetrievalExpert,
+)
 from rarecp.gate import GateParams
 
 
@@ -168,38 +171,6 @@ def config_from(cls, source):
     return cls(**{f.name: getattr(source, f.name) for f in fields(cls) if f.name != "audit"})
 
 
-@dataclass
-class CalibrationDataset:
-    """Initial calibration set of one dataset, ready for episode training."""
-
-    contexts: np.ndarray
-    residuals: np.ndarray
-    descriptor: DatasetDescriptor
-    normalize: bool = True
-
-    def __post_init__(self):
-        self.contexts = np.asarray(self.contexts, dtype=np.float64)
-        self.residuals = np.asarray(self.residuals, dtype=np.float64)
-        if self.contexts.ndim != 2 or self.contexts.shape[0] != self.residuals.size:
-            raise DataError("contexts and residuals must align")
-        if self.normalize:
-            self.contexts_z = normalize_context(self.contexts, self.descriptor)
-        else:
-            self.contexts_z = self.contexts
-        self.feats = descriptor_features(self.descriptor)
-
-    def __len__(self) -> int:
-        return int(self.residuals.size)
-
-    @classmethod
-    def from_arrays(
-        cls, contexts, residuals, dataset_id: int = 0, normalize: bool = True
-    ) -> "CalibrationDataset":
-        contexts = np.asarray(contexts, dtype=np.float64)
-        descriptor = compute_descriptor(contexts, dataset_id)
-        return cls(contexts, np.asarray(residuals, dtype=np.float64), descriptor, normalize)
-
-
 # ---------------------------------------------------------------------------
 # episode-parallel batch losses
 # ---------------------------------------------------------------------------
@@ -219,9 +190,14 @@ def _valid_batch(batch: np.ndarray) -> bool:
     return True
 
 
+def _batch_contexts(store: CalibrationStore, batch: np.ndarray) -> np.ndarray:
+    """Chronological entries ``batch`` as the store keys them: a C-ordered (p, B) block."""
+    return np.ascontiguousarray(store.chronological(store.key_inputs())[:-1, batch])
+
+
 def _expert_retrieval_batch(
     encoder,
-    dataset: CalibrationDataset,
+    store: CalibrationStore,
     batch: np.ndarray,
     top_k: int,
     temperature: float,
@@ -237,14 +213,9 @@ def _expert_retrieval_batch(
     A hypernetwork's per-episode maps are scored by one fused primitive
     that keeps only the selected and query columns for the backward pass.
     """
-    B = batch.size
-    ctx_block = dataset.contexts_z[batch]
-    contexts_t = np.ascontiguousarray(ctx_block.T)
+    contexts_t = _batch_contexts(store, batch)
     if isinstance(encoder, HypernetworkParams):
-        inputs = np.concatenate(
-            [ctx_block, np.tile(dataset.feats, (B, 1))], axis=1
-        ).T
-        emitted = encoder.emit_batch(inputs)
+        emitted = encoder.emit_batch(encoder_inputs(contexts_t, store.features))
         sel, sel_scores = ad.loo_retrieval_scores(emitted, contexts_t, top_k)
     else:
         keys2d = ad.l2_normalize(ad.affine(encoder.A, ad.constant(contexts_t), encoder.b))
@@ -277,7 +248,7 @@ def _stack_mean(scalars: list[Tensor]) -> Tensor:
 
 def expert_batch_loss(
     encoder,
-    datasets: list[CalibrationDataset],
+    stores: list[CalibrationStore],
     batches: list[np.ndarray],
     teachers: list[tuple[np.ndarray, np.ndarray]] | None,
     top_k: int,
@@ -298,23 +269,24 @@ def expert_batch_loss(
     """
     per_ds_losses: list[Tensor] = []
     per_ds_anchors: list[Tensor] = []
-    for ds_index, (dataset, batch) in enumerate(zip(datasets, batches)):
+    for ds_index, (store, batch) in enumerate(zip(stores, batches)):
         batch = np.asarray(batch, dtype=np.int64)
         if not _valid_batch(batch):
             continue
         sel, weights, emitted = _expert_retrieval_batch(
-            encoder, dataset, batch, top_k, temperature
+            encoder, store, batch, top_k, temperature
         )
         support_positions = batch[sel]
         if audit is not None:
-            ds_id = dataset.descriptor.dataset_id
+            ds_id = store.descriptor.dataset_id
             audit.extend((ds_id, int(j), row) for j, row in zip(batch, support_positions))
-        res_sel = dataset.residuals[support_positions]
+        residuals = store.residuals()
+        res_sel = residuals[support_positions]
         perm = np.argsort(res_sel, axis=1, kind="stable")
         loss_vec = ad.smooth_winkler_grid(
             ad.gather_rows(weights, perm),
             np.take_along_axis(res_sel, perm, axis=1),
-            dataset.residuals[batch],
+            residuals[batch],
             alpha_grid,
             tau_q,
             tau_p,
@@ -342,8 +314,8 @@ class _PreparedGateBatch:
 
 
 def _prepare_gate_batch(
-    experts: list[RetrievalExpert],
-    dataset: CalibrationDataset,
+    experts: Sequence[RetrievalExpert],
+    store: CalibrationStore,
     batch: np.ndarray,
     audit: list | None,
 ) -> _PreparedGateBatch:
@@ -359,7 +331,7 @@ def _prepare_gate_batch(
     for expert in experts:
         sel, weights, _ = _expert_retrieval_batch(
             expert.encoder,
-            dataset,
+            store,
             batch,
             expert.config.top_k,
             expert.config.weight_temperature,
@@ -374,26 +346,24 @@ def _prepare_gate_batch(
         )
         unions.append(union)
         if audit is not None:
-            audit.append((dataset.descriptor.dataset_id, int(batch[row]), union))
+            audit.append((store.descriptor.dataset_id, int(batch[row]), union))
     width = max(u.size for u in unions)
     cube = np.zeros((B, width, n_experts))
     residuals = np.zeros((B, width))
+    store_residuals = store.residuals()
     for row, union in enumerate(unions):
-        residuals[row, : union.size] = dataset.residuals[union]
+        residuals[row, : union.size] = store_residuals[union]
         for m in range(n_experts):
             slots = np.searchsorted(union, per_expert_positions[m][row])
             cube[row, slots, m] = per_expert_weights[m][row]
     perm = np.argsort(residuals, axis=1, kind="stable")
     residuals_sorted = np.take_along_axis(residuals, perm, axis=1)
-    inputs = np.concatenate(
-        [dataset.contexts_z[batch], np.tile(dataset.feats, (B, 1))], axis=1
-    ).T
     return _PreparedGateBatch(
-        inputs=inputs,
+        inputs=encoder_inputs(_batch_contexts(store, batch), store.features),
         weight_cube=cube,
         residuals_sorted=residuals_sorted,
         sort_perm=perm,
-        targets=dataset.residuals[batch],
+        targets=store_residuals[batch],
     )
 
 
@@ -523,26 +493,31 @@ class Trainer:
 
     def __init__(
         self,
-        datasets: list[CalibrationDataset],
+        stores: list[CalibrationStore],
         model: ModelConfig,
         train: TrainConfig,
     ):
-        if not datasets:
-            raise DataError("need at least one calibration dataset")
-        for ds in datasets:
-            if ds.contexts.shape[1] != model.context_dim:
+        if not stores:
+            raise DataError("need at least one calibration store")
+        for store in stores:
+            if store.context_dim != model.context_dim:
                 raise DataError(
-                    f"dataset context dim {ds.contexts.shape[1]} does not match "
+                    f"store context dim {store.context_dim} does not match "
                     f"model context dim {model.context_dim}"
                 )
-        if model.encoder_kind == "fixed_affine" and len(datasets) > 1:
+            if store.descriptor is None or store.normalize != model.normalize_contexts:
+                raise DataError(
+                    "a training store must be conditioned with normalize="
+                    f"{model.normalize_contexts}, as the model reads contexts"
+                )
+        if model.encoder_kind == "fixed_affine" and len(stores) > 1:
             raise DataError("fixed_affine encoders support a single dataset")
-        self.datasets = datasets
+        self.stores = stores
         self.model = model
         self.train = train
         self.alpha_grid = np.asarray(default_alpha_grid())
         self.teachers: list[list[FixedAffineMap]] | None = None
-        self.experts: list[RetrievalExpert] | None = None
+        self.experts: ExpertStack | None = None
         self.gate: GateParams | None = None
         self.log: list[LogRow] = []
         self.audit: list | None = [] if train.audit else None
@@ -557,14 +532,14 @@ class Trainer:
             cycle_steps=cycle,
         )
 
-    def _steps_per_epoch(self, datasets: list[CalibrationDataset]) -> int:
+    def _steps_per_epoch(self, stores: list[CalibrationStore]) -> int:
         # one optimizer step per round; a round takes one batch per dataset
         return max(
-            max(1, math.ceil(len(ds) / self.train.batch_size)) for ds in datasets
+            max(1, math.ceil(len(store) / self.train.batch_size)) for store in stores
         )
 
     def _rounds(
-        self, datasets: list[CalibrationDataset], rng: np.random.Generator
+        self, stores: list[CalibrationStore], rng: np.random.Generator
     ) -> list[list[np.ndarray]]:
         """One epoch of rounds, each holding one batch per dataset.
 
@@ -573,9 +548,9 @@ class Trainer:
         """
         size = self.train.batch_size
         per_ds = []
-        for ds in datasets:
-            positions = rng.permutation(len(ds))
-            per_ds.append([positions[i : i + size] for i in range(0, len(ds), size)])
+        for store in stores:
+            positions = rng.permutation(len(store))
+            per_ds.append([positions[i : i + size] for i in range(0, len(store), size)])
         empty = np.empty(0, dtype=np.int64)
         return [
             [batches[r] if r < len(batches) else empty for batches in per_ds]
@@ -613,12 +588,12 @@ class Trainer:
                 tau_q = temperature_at(epoch * steps_per_epoch, schedule)
                 self.log.append(LogRow(stage, epoch, float(np.mean(means)), tau_q))
 
-    def _expert_loss(self, encoder, datasets, teachers, top_k: int, lambda_anchor: float):
+    def _expert_loss(self, encoder, stores, teachers, top_k: int, lambda_anchor: float):
         """``expert_batch_loss`` of ``encoder`` as a run's loss(batches, tau_q)."""
 
         def loss(batches, tau_q):
             return expert_batch_loss(
-                encoder, datasets, batches, teachers, top_k, 1.0 / self.model.beta,
+                encoder, stores, batches, teachers, top_k, 1.0 / self.model.beta,
                 self.alpha_grid, tau_q, self.train.tau_p, lambda_anchor, audit=self.audit,
             )
 
@@ -633,16 +608,16 @@ class Trainer:
         runs = []
         for m in range(model.n_experts):
             teachers.append([])
-            for d, dataset in enumerate(self.datasets):
+            for d, store in enumerate(self.stores):
                 teacher = FixedAffineMap(
                     model.context_dim, model.latent_dim, seed=cfg.seed * 1000 + m * 10 + d
                 )
                 teachers[m].append(teacher)
                 rng = np.random.default_rng([cfg.seed, 11, m, d])
                 runs.append(_Run(
-                    teacher.parameters(), cfg.teacher_lr, self._steps_per_epoch([dataset]),
-                    partial(self._rounds, [dataset], rng),
-                    self._expert_loss(teacher, [dataset], None, len(dataset), 0.0),
+                    teacher.parameters(), cfg.teacher_lr, self._steps_per_epoch([store]),
+                    partial(self._rounds, [store], rng),
+                    self._expert_loss(teacher, [store], None, len(store), 0.0),
                 ))
         self._run_stage("teacher", cfg.teacher_epochs, runs)
         self.teachers = teachers
@@ -675,15 +650,17 @@ class Trainer:
             teacher_arrays = [t.as_arrays() for t in self.teachers[m]]
             rng = np.random.default_rng([cfg.seed, 22, m])
             runs.append(_Run(
-                encoder.parameters(), cfg.student_lr, self._steps_per_epoch(self.datasets),
-                partial(self._rounds, self.datasets, rng),
+                encoder.parameters(), cfg.student_lr, self._steps_per_epoch(self.stores),
+                partial(self._rounds, self.stores, rng),
                 self._expert_loss(
-                    encoder, self.datasets, teacher_arrays, self.model.top_k, cfg.lambda_anchor
+                    encoder, self.stores, teacher_arrays, self.model.top_k, cfg.lambda_anchor
                 ),
             ))
         self._run_stage("expert", cfg.epochs, runs)
         config = self.model.expert_config()
-        self.experts = [RetrievalExpert(encoder=e, config=config) for e in encoders]
+        self.experts = ExpertStack.of(
+            [RetrievalExpert(encoder=e, config=config) for e in encoders]
+        )
 
     def fit_gate(self) -> None:
         """The gate over the frozen experts, trained on one prepared batch partition."""
@@ -701,10 +678,10 @@ class Trainer:
         # experts are frozen, so one fixed batch partition is prepared once
         # and its leave-one-out supports reused for every gate epoch
         prepared_rounds: list[list[_PreparedGateBatch]] = []
-        for round_batches in self._rounds(self.datasets, rng):
+        for round_batches in self._rounds(self.stores, rng):
             prepared = [
-                _prepare_gate_batch(self.experts, dataset, batch, self.audit)
-                for dataset, batch in zip(self.datasets, round_batches)
+                _prepare_gate_batch(self.experts, store, batch, self.audit)
+                for store, batch in zip(self.stores, round_batches)
                 if _valid_batch(batch)
             ]
             if prepared:

@@ -1,10 +1,16 @@
 import pytest
 
 from rarecp.checkpoint import components_from_trainer
-from rarecp.data import PrecomputedForecast, SplitSpec, chronological_split
+from rarecp.data import (
+    CalibrationStore,
+    PrecomputedForecast,
+    SplitSpec,
+    chronological_split,
+    compute_descriptor,
+)
 from rarecp.harness import calibration_block
 from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
-from rarecp.training import CalibrationDataset, ModelConfig, TrainConfig, Trainer
+from rarecp.training import ModelConfig, TrainConfig, Trainer
 
 SMALL_WINDOW = 8
 
@@ -42,18 +48,19 @@ def small_model_config():
 
 @pytest.fixture(scope="session")
 def small_trained(small_regime_problem, small_model_config):
-    """A quickly trained small model plus its calibration dataset."""
+    """A quickly trained small model plus its training store."""
     prob = small_regime_problem
     contexts, residuals, _ = calibration_block(
         prob["series"], prob["split"].cal, prob["source"], SMALL_WINDOW, True
     )
-    dataset = CalibrationDataset.from_arrays(contexts, residuals, dataset_id=0)
+    store = CalibrationStore.from_arrays(contexts, residuals)
+    store.condition(compute_descriptor(store.contexts()), small_model_config.normalize_contexts)
     train_cfg = TrainConfig(epochs=6, teacher_epochs=2, batch_size=64, seed=0)
-    trainer = Trainer([dataset], small_model_config, train_cfg).run()
+    trainer = Trainer([store], small_model_config, train_cfg).run()
     return {
         "trainer": trainer,
         "components": components_from_trainer(trainer),
-        "dataset": dataset,
+        "store": store,
         "train_cfg": train_cfg,
     }
 

@@ -18,7 +18,15 @@ from rarecp.conformal import (
     weighted_quantile,
     winkler_score,
 )
-from rarecp.data import PrecomputedForecast, SplitIndices, SplitSpec, TimeSeries, chronological_split
+from rarecp.data import (
+    CalibrationStore,
+    PrecomputedForecast,
+    SplitIndices,
+    SplitSpec,
+    TimeSeries,
+    chronological_split,
+    compute_descriptor,
+)
 from rarecp.estimators import SplitConformal
 from rarecp.gradcheck import expert_loss_check
 from rarecp.harness import (
@@ -31,7 +39,6 @@ from rarecp.harness import (
 )
 from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
 from rarecp.training import (
-    CalibrationDataset,
     ModelConfig,
     TrainConfig,
     Trainer,
@@ -233,8 +240,9 @@ def _regime_experiment(seed: int):
     source = PrecomputedForecast({i: float(v) for i, v in enumerate(clean)})
     split = chronological_split(len(series), SplitSpec())
     contexts, residuals, _ = calibration_block(series, split.cal, source, 64, True)
-    dataset = CalibrationDataset.from_arrays(contexts, residuals, dataset_id=0)
-    trainer = Trainer([dataset], ModelConfig(), TrainConfig(seed=seed)).run()
+    store = CalibrationStore.from_arrays(contexts, residuals)
+    store.condition(compute_descriptor(store.contexts()), ModelConfig().normalize_contexts)
+    trainer = Trainer([store], ModelConfig(), TrainConfig(seed=seed)).run()
     components = components_from_trainer(trainer)
     expert_rows = [r for r in trainer.log if r.stage == "expert"]
     loss_drop = 1.0 - expert_rows[-1].mean_loss / expert_rows[0].mean_loss

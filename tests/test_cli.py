@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from rarecp.checkpoint import MAGIC
@@ -165,7 +167,7 @@ class TestCliFlows:
         summary = (report / "summary.csv").read_text().splitlines()
         assert len(summary) == 3
         assert (report / "records.csv").exists()
-        assert (report / "manifest.json").exists()
+        assert json.loads((report / "manifest.json").read_text())["seed"] == 5
 
     def test_strict_split_trains_on_first_half(self, tmp_path, fast_config):
         data = tmp_path / "data"

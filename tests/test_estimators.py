@@ -296,6 +296,26 @@ def test_a_dataset_id_the_model_was_not_trained_on_is_refused(fitted, tmp_path):
     assert RareCP.from_checkpoint(path, dataset_id=0).components_.dataset_ids == (0,)
 
 
+@pytest.mark.parametrize("change", [{"normalize_contexts": False}, {"top_k": 1}])
+def test_seed_store_refuses_model_parameters_changed_since_training(tmp_path, change):
+    """A changed model parameter never silently serves a model trained another way."""
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((80, 7)) * 3.0 + 1.0
+    y = rng.standard_normal(80) * (1.0 + 2.0 * (X[:, 0] > 1.0))
+    est = RareCP(**SMALL).fit(X, y)
+    est.save(tmp_path / "model.ckpt")
+    trained = {name: est.get_params()[name] for name in change}
+    before = est.predict_interval(X[5], 0.0)
+    for served in (est, RareCP.from_checkpoint(tmp_path / "model.ckpt")):
+        served.set_params(**change)
+        with pytest.raises(DataError, match="trained with"):
+            served.seed_store(X, y)
+    assert est.predict_interval(X[5], 0.0) == before  # the store was not replaced
+    est.set_params(**trained, capacity=40)
+    est.seed_store(X, y)
+    assert len(est.store_) == 40
+
+
 def test_descriptor_is_the_stores_and_read_only(fitted):
     est, X, y = fitted
     assert RareCP().descriptor_ is None

@@ -16,6 +16,7 @@ from rarecp.data import (
 from rarecp.errors import DataError, NumericError
 from rarecp.experts import (
     ExpertConfig,
+    ExpertStack,
     FixedAffineMap,
     HypernetworkParams,
     RetrievalExpert,
@@ -54,7 +55,7 @@ def retrieve(expert, store, query, descriptor, normalize=True):
     """
     if store.descriptor is not descriptor:
         store.condition(descriptor, normalize)
-    (result,) = retrieve_supports([expert], store, *store.query(query))
+    (result,) = retrieve_supports(ExpertStack.of([expert]), store, *store.query(query))
     return result
 
 
@@ -138,7 +139,8 @@ class TestNormalizeKey:
         times = store.time_indices()
         positions = np.flatnonzero(np.isin(times, at))
         assert times[positions].tolist() == [700, 1001, 1499, 1500, 2199]
-        (result,) = retrieve_supports([expert], store, normalize_context(dup, descriptor),
+        (result,) = retrieve_supports(ExpertStack.of([expert]), store,
+                                      normalize_context(dup, descriptor),
                                       descriptor_features(descriptor))
         np.testing.assert_array_equal(result.support_indices, positions)
         assert np.unique(result.scores.view(np.uint64)).size == 1
@@ -404,7 +406,7 @@ class TestStackedRetrievalOracle:
     @settings(max_examples=150, deadline=None)
     def test_retrieve_and_mixed_support_match_brute_force(self, case):
         rows, residuals, n_seed = case["rows"], case["residuals"], case["n_seed"]
-        experts, normalize = case["experts"], case["normalize"]
+        experts, normalize = ExpertStack.of(case["experts"]), case["normalize"]
         store = CalibrationStore.from_arrays(rows[:n_seed], residuals[:n_seed], case["capacity"])
         descriptor = compute_descriptor(rows[:n_seed])
         store.condition(descriptor, normalize)

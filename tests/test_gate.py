@@ -8,6 +8,7 @@ from rarecp.data import CalibrationEntry, CalibrationStore, compute_descriptor
 from rarecp.errors import DataError
 from rarecp.experts import (
     ExpertConfig,
+    ExpertStack,
     FixedAffineMap,
     RetrievalExpert,
     RetrievalResult,
@@ -169,11 +170,11 @@ class TestRarecpInterval:
         store = CalibrationStore(4, 3)
         store.append(CalibrationEntry(np.array([1.0, 0.0, 2.0]), 1.5, 0))
         store.condition(compute_descriptor(store.contexts()))
-        expert = RetrievalExpert(
+        experts = ExpertStack.of([RetrievalExpert(
             encoder=FixedAffineMap(3, 3, seed=0), config=ExpertConfig()
-        )
+        )])
         gate = GateParams(3, 1, hidden_dim=2, seed=0)
-        interval = rarecp_interval(10.0, np.array([1.0, 0.0, 2.0]), store, [expert], gate, 0.2)
+        interval = rarecp_interval(10.0, np.array([1.0, 0.0, 2.0]), store, experts, gate, 0.2)
         assert interval.lower == pytest.approx(11.5)
         assert interval.upper == pytest.approx(11.5)
 
@@ -183,13 +184,13 @@ class TestRarecpInterval:
         rng = np.random.default_rng(5)
         n = 53
         store = self._setup(rng, n=n)
-        expert = RetrievalExpert(
+        experts = ExpertStack.of([RetrievalExpert(
             encoder=FixedAffineMap(4, 4, seed=0),
             config=ExpertConfig(top_k=n, beta=1e-9),
-        )
+        )])
         gate = GateParams(4, 1, hidden_dim=2, seed=0)
         query = rng.standard_normal(4)
-        got = rarecp_interval(2.0, query, store, [expert], gate, 0.2)
+        got = rarecp_interval(2.0, query, store, experts, gate, 0.2)
         expected = build_interval(2.0, baseline_weights(store.residuals()), 0.2)
         assert got.lower == pytest.approx(expected.lower, abs=1e-9)
         assert got.upper == pytest.approx(expected.upper, abs=1e-9)
@@ -199,12 +200,12 @@ class TestRarecpInterval:
         half = rng.uniform(0.5, 2.0, size=40)
         residuals = np.concatenate([half, -half])
         store = self._setup(rng, n=80, residuals=residuals)
-        expert = RetrievalExpert(
+        experts = ExpertStack.of([RetrievalExpert(
             encoder=FixedAffineMap(4, 4, seed=1),
             config=ExpertConfig(top_k=80, beta=1e-9),
-        )
+        )])
         gate = GateParams(4, 1, hidden_dim=2, seed=0)
-        interval = rarecp_interval(0.0, rng.standard_normal(4), store, [expert], gate, 0.2)
+        interval = rarecp_interval(0.0, rng.standard_normal(4), store, experts, gate, 0.2)
         # symmetric support: quantile granularity bounds the asymmetry
         gap = np.abs(np.sort(residuals))
         tol = np.diff(np.sort(gap)).max() + 1e-9
@@ -230,8 +231,8 @@ class TestRarecpInterval:
         store = CalibrationStore(3, 2)
         store.condition(compute_descriptor(np.ones((2, 2))))
         gate = GateParams(2, 1, hidden_dim=2, seed=0)
-        expert = RetrievalExpert(
+        experts = ExpertStack.of([RetrievalExpert(
             encoder=FixedAffineMap(2, 2, seed=0), config=ExpertConfig()
-        )
+        )])
         with pytest.raises(DataError):
-            rarecp_interval(0.0, np.ones(2), store, [expert], gate, 0.2)
+            rarecp_interval(0.0, np.ones(2), store, experts, gate, 0.2)

@@ -1,13 +1,23 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rarecp import autodiff as ad
 from rarecp.autodiff import Adam
 from rarecp.conformal import WeightedSupport, weighted_quantile, winkler_score
+from rarecp.data import (
+    CalibrationEntry,
+    CalibrationStore,
+    compute_descriptor,
+    descriptor_features,
+    encoder_inputs,
+)
 from rarecp.errors import DataError, RareCPError
 from rarecp.experts import HypernetworkParams
 from rarecp.training import (
-    CalibrationDataset,
     ModelConfig,
     TemperatureSchedule,
     TrainConfig,
@@ -18,6 +28,7 @@ from rarecp.training import (
     optimizer_step,
     temperature_at,
     write_training_log,
+    _batch_contexts,
     _prepare_gate_batch,
 )
 
@@ -179,11 +190,18 @@ class TestTemperatureSchedule:
             assert 1e-4 <= tau <= 0.05
 
 
-def tiny_dataset(rng, n=24, dim=5, regime=True):
+def training_store(contexts, residuals, dataset_id=0, normalize=True):
+    """A store of every row, conditioned the way ``RareCP.fit`` conditions its training store."""
+    store = CalibrationStore.from_arrays(contexts, residuals)
+    store.condition(compute_descriptor(store.contexts(), dataset_id), normalize)
+    return store
+
+
+def tiny_store(rng, n=24, dim=5, regime=True):
     contexts = rng.standard_normal((n, dim))
     scale = 1.0 + 3.0 * (contexts[:, 0] > 0) if regime else 1.0
     residuals = rng.standard_normal(n) * scale
-    return CalibrationDataset.from_arrays(contexts, residuals, dataset_id=0)
+    return training_store(contexts, residuals)
 
 
 def tiny_model(dim=5):
@@ -196,8 +214,8 @@ def tiny_model(dim=5):
 class TestTeacherFitting:
     def test_loss_decreases(self):
         rng = np.random.default_rng(6)
-        dataset = tiny_dataset(rng, n=60)
-        trainer = Trainer([dataset], tiny_model(), TrainConfig(
+        store = tiny_store(rng, n=60)
+        trainer = Trainer([store], tiny_model(), TrainConfig(
             epochs=2, teacher_epochs=8, batch_size=30, seed=0))
         trainer.fit_teachers()
         rows = [r for r in trainer.log if r.stage == "teacher"]
@@ -205,8 +223,8 @@ class TestTeacherFitting:
 
     def test_teachers_differ_across_experts(self):
         rng = np.random.default_rng(7)
-        dataset = tiny_dataset(rng, n=40)
-        trainer = Trainer([dataset], tiny_model(), TrainConfig(
+        store = tiny_store(rng, n=40)
+        trainer = Trainer([store], tiny_model(), TrainConfig(
             epochs=1, teacher_epochs=2, batch_size=20, seed=0))
         trainer.fit_teachers()
         a0, _ = trainer.teachers[0][0].as_arrays()
@@ -219,8 +237,8 @@ class TestTeacherFitting:
         residuals = rng_data.standard_normal(30)
 
         def fit():
-            dataset = CalibrationDataset.from_arrays(contexts, residuals, 0)
-            trainer = Trainer([dataset], tiny_model(), TrainConfig(
+            store = training_store(contexts, residuals)
+            trainer = Trainer([store], tiny_model(), TrainConfig(
                 epochs=1, teacher_epochs=3, batch_size=16, seed=5))
             trainer.fit_teachers()
             return trainer.teachers[0][0].as_arrays()
@@ -233,7 +251,7 @@ class TestTeacherFitting:
 class TestExpertTraining:
     def test_strong_anchor_pulls_to_teacher(self):
         rng = np.random.default_rng(9)
-        dataset = tiny_dataset(rng, n=20)
+        store = tiny_store(rng, n=20)
         encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, seed=0)
         teacher = (rng.normal(0, 0.5, size=(4, 5)), rng.normal(0, 0.5, size=4))
         opt = Adam(encoder.parameters(), lr=3e-3)
@@ -241,17 +259,14 @@ class TestExpertTraining:
         batch = np.arange(20)
 
         def anchor_value():
-            out = encoder.emit_batch(
-                np.concatenate([dataset.contexts_z, np.tile(dataset.feats, (20, 1))],
-                               axis=1).T
-            ).data
+            out = encoder.emit_batch(encoder_inputs(store.key_inputs()[:-1], store.features)).data
             flat = np.concatenate([teacher[0].reshape(-1), teacher[1]])
             return float(((out - flat[:, None]) ** 2).sum() / 20)
 
         initial = anchor_value()
         for _ in range(150):
             optimizer_step(opt, lambda: expert_batch_loss(
-                encoder, [dataset], [batch], [teacher],
+                encoder, [store], [batch], [teacher],
                 top_k=6, temperature=1 / 12, alpha_grid=alphas,
                 tau_q=0.05, tau_p=5e-4, lambda_anchor=1e5,
             ))
@@ -259,18 +274,18 @@ class TestExpertTraining:
 
     def test_zero_anchor_is_pure_interval_term(self):
         rng = np.random.default_rng(10)
-        dataset = tiny_dataset(rng, n=16)
+        store = tiny_store(rng, n=16)
         encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, seed=1)
         teacher = (np.ones((4, 5)), np.ones(4))
         alphas = np.asarray(default_alpha_grid())
         batch = np.arange(16)
         with_teacher = expert_batch_loss(
-            encoder, [dataset], [batch], [teacher],
+            encoder, [store], [batch], [teacher],
             top_k=6, temperature=1 / 12, alpha_grid=alphas,
             tau_q=0.05, tau_p=5e-4, lambda_anchor=0.0,
         )
         without = expert_batch_loss(
-            encoder, [dataset], [batch], None,
+            encoder, [store], [batch], None,
             top_k=6, temperature=1 / 12, alpha_grid=alphas,
             tau_q=0.05, tau_p=5e-4, lambda_anchor=5.0,
         )
@@ -290,11 +305,11 @@ class TestExpertTraining:
 
         monkeypatch.setattr(Tape, "backward", counting_backward)
         rng = np.random.default_rng(19)
-        dataset = tiny_dataset(rng, n=40)
+        store = tiny_store(rng, n=40)
         encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=2, seed=0)
         teacher = (rng.normal(0, 0.5, size=(4, 5)), rng.normal(0, 0.5, size=4))
         optimizer_step(Adam(encoder.parameters(), lr=1e-3), lambda: expert_batch_loss(
-            encoder, [dataset], [np.arange(40)], [teacher], top_k=8, temperature=1 / 12,
+            encoder, [store], [np.arange(40)], [teacher], top_k=8, temperature=1 / 12,
             alpha_grid=np.asarray(default_alpha_grid()), tau_q=0.05, tau_p=5e-4,
             lambda_anchor=5.0,
         ))
@@ -307,12 +322,12 @@ class TestExpertTraining:
 
     def test_small_batches_skipped_with_warning(self):
         rng = np.random.default_rng(11)
-        dataset = tiny_dataset(rng, n=8)
+        store = tiny_store(rng, n=8)
         encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, seed=0)
         alphas = np.asarray(default_alpha_grid())
         with pytest.warns(UserWarning, match="fewer"):
             loss = expert_batch_loss(
-                encoder, [dataset], [np.array([0, 1])], None,
+                encoder, [store], [np.array([0, 1])], None,
                 top_k=4, temperature=0.1, alpha_grid=alphas,
                 tau_q=0.05, tau_p=5e-4, lambda_anchor=0.0,
             )
@@ -320,8 +335,8 @@ class TestExpertTraining:
 
 
 class TestGateTraining:
-    def _trained_experts(self, rng, dataset, model):
-        trainer = Trainer([dataset], model, TrainConfig(
+    def _trained_experts(self, rng, store, model):
+        trainer = Trainer([store], model, TrainConfig(
             epochs=2, teacher_epochs=1, batch_size=16, seed=0))
         trainer.fit_teachers()
         trainer.fit_experts()
@@ -329,8 +344,8 @@ class TestGateTraining:
 
     def test_experts_frozen_during_gate_training(self):
         rng = np.random.default_rng(12)
-        dataset = tiny_dataset(rng, n=24)
-        trainer = self._trained_experts(rng, dataset, tiny_model())
+        store = tiny_store(rng, n=24)
+        trainer = self._trained_experts(rng, store, tiny_model())
         before = [
             p.data.tobytes() for e in trainer.experts for p in e.parameters()
         ]
@@ -342,21 +357,21 @@ class TestGateTraining:
 
     def test_large_entropy_weight_keeps_gate_uniform(self):
         rng = np.random.default_rng(13)
-        dataset = tiny_dataset(rng, n=24)
+        store = tiny_store(rng, n=24)
         model = tiny_model()
-        trainer = self._trained_experts(rng, dataset, model)
+        trainer = self._trained_experts(rng, store, model)
         from rarecp.gate import GateParams, gate_weights
 
         gate = GateParams(5, model.n_experts, hidden_dim=2, seed=3)
         opt = Adam(gate.parameters(), lr=0.05)
         alphas = np.asarray(default_alpha_grid())
         batch = np.arange(24)
-        prepared = [_prepare_gate_batch(trainer.experts, dataset, batch, None)]
+        prepared = [_prepare_gate_batch(trainer.experts, store, batch, None)]
         for _ in range(60):
             optimizer_step(opt, lambda: gate_batch_loss(gate, prepared, alphas, 0.05, 5e-4, 50.0))
         entropies = []
         for i in range(24):
-            pi = gate_weights(gate, dataset.contexts_z[i], dataset.feats)
+            pi = gate_weights(gate, *store.query(store.contexts()[i]))
             entropies.append(-np.sum(pi * np.log(pi + 1e-30)))
             assert 0.0 <= entropies[-1] <= np.log(model.n_experts) + 1e-12
         assert np.mean(entropies) > 0.9 * np.log(model.n_experts)
@@ -388,9 +403,9 @@ class TestStageRunnerLog:
 
     def test_skipped_batch_leaves_finite_rows_at_scheduled_tau(self):
         rng = np.random.default_rng(21)
-        dataset = tiny_dataset(rng, n=34)  # batches of 16, 16 and 2; the 2 is skipped
+        store = tiny_store(rng, n=34)  # batches of 16, 16 and 2; the 2 is skipped
         cfg = TrainConfig(epochs=3, teacher_epochs=2, batch_size=16, n_cycles=1, seed=2)
-        trainer = Trainer([dataset], tiny_model(), cfg)
+        trainer = Trainer([store], tiny_model(), cfg)
         with pytest.warns(UserWarning, match="fewer"):
             trainer.run()
         steps_per_epoch = 3
@@ -414,9 +429,9 @@ class TestStageRunnerLog:
 
         monkeypatch.setattr(training, "gate_batch_loss", recording_loss)
         rng = np.random.default_rng(21)
-        dataset = tiny_dataset(rng, n=34)  # rounds of 16, 16 and 2 rows; the last is dropped
+        store = tiny_store(rng, n=34)  # rounds of 16, 16 and 2 rows; the last is dropped
         cfg = TrainConfig(epochs=3, teacher_epochs=1, batch_size=16, n_cycles=1, seed=2)
-        trainer = Trainer([dataset], tiny_model(), cfg)
+        trainer = Trainer([store], tiny_model(), cfg)
         with pytest.warns(UserWarning, match="fewer"):
             trainer.run()
         # two steps per epoch over one full cosine cycle, ending back near tau_start
@@ -438,9 +453,9 @@ class TestStageRunnerLog:
 
         monkeypatch.setattr(training, "optimizer_step", recording_step)
         rng = np.random.default_rng(22)
-        ds1 = tiny_dataset(rng, n=20)  # 2 steps per epoch
-        ds2 = CalibrationDataset.from_arrays(rng.standard_normal((22, 5)),
-                                             rng.standard_normal(22), 1)  # 3 steps, last skipped
+        ds1 = tiny_store(rng, n=20)  # 2 steps per epoch
+        ds2 = training_store(rng.standard_normal((22, 5)),
+                             rng.standard_normal(22), 1)  # 3 steps, last skipped
         cfg = TrainConfig(epochs=1, teacher_epochs=3, batch_size=10, n_cycles=2, seed=3)
         trainer = Trainer([ds1, ds2], tiny_model(), cfg)
         with pytest.warns(UserWarning, match="fewer"):
@@ -469,8 +484,8 @@ class TestStageRunnerLog:
 class TestPipeline:
     def test_stage_order_enforced(self):
         rng = np.random.default_rng(14)
-        dataset = tiny_dataset(rng, n=20)
-        trainer = Trainer([dataset], tiny_model(), TrainConfig(
+        store = tiny_store(rng, n=20)
+        trainer = Trainer([store], tiny_model(), TrainConfig(
             epochs=1, teacher_epochs=1, batch_size=10, seed=0))
         with pytest.raises(RareCPError):
             trainer.fit_gate()
@@ -479,8 +494,8 @@ class TestPipeline:
 
     def test_loo_exclusion_audited(self):
         rng = np.random.default_rng(15)
-        dataset = tiny_dataset(rng, n=20)
-        trainer = Trainer([dataset], tiny_model(), TrainConfig(
+        store = tiny_store(rng, n=20)
+        trainer = Trainer([store], tiny_model(), TrainConfig(
             epochs=2, teacher_epochs=1, batch_size=10, seed=0, audit=True))
         trainer.run()
         assert trainer.audit, "audit trail should not be empty"
@@ -495,8 +510,8 @@ class TestPipeline:
         residuals = rng_data.standard_normal(30)
 
         def run(path):
-            dataset = CalibrationDataset.from_arrays(contexts, residuals, 0)
-            trainer = Trainer([dataset], tiny_model(), TrainConfig(
+            store = training_store(contexts, residuals)
+            trainer = Trainer([store], tiny_model(), TrainConfig(
                 epochs=2, teacher_epochs=1, batch_size=16, seed=21)).run()
             save_checkpoint(components_from_trainer(trainer), path)
 
@@ -510,9 +525,9 @@ class TestPipeline:
 
     def test_multi_dataset_training_runs(self):
         rng = np.random.default_rng(17)
-        ds1 = tiny_dataset(rng, n=20)
+        ds1 = tiny_store(rng, n=20)
         contexts = rng.standard_normal((14, 5))
-        ds2 = CalibrationDataset.from_arrays(contexts, rng.standard_normal(14), 1)
+        ds2 = training_store(contexts, rng.standard_normal(14), 1)
         trainer = Trainer([ds1, ds2], tiny_model(), TrainConfig(
             epochs=1, teacher_epochs=1, batch_size=10, seed=0)).run()
         assert trainer.gate is not None
@@ -520,13 +535,28 @@ class TestPipeline:
 
     def test_fixed_affine_multi_dataset_rejected(self):
         rng = np.random.default_rng(18)
-        ds1, ds2 = tiny_dataset(rng), tiny_dataset(rng)
+        ds1, ds2 = tiny_store(rng), tiny_store(rng)
         model = ModelConfig(
             n_experts=1, latent_dim=4, encoder_kind="fixed_affine",
             window=5, include_forecast=False,
         )
         with pytest.raises(DataError):
             Trainer([ds1, ds2], model, TrainConfig())
+
+    def test_unconditioned_and_mismatched_stores_rejected(self):
+        rng = np.random.default_rng(23)
+        contexts, residuals = rng.standard_normal((20, 5)), rng.standard_normal(20)
+        raw = CalibrationStore.from_arrays(contexts, residuals)
+        with pytest.raises(DataError, match="conditioned"):
+            Trainer([raw], tiny_model(), TrainConfig())
+        z_scored = training_store(contexts, residuals, normalize=True)
+        unscaled = training_store(contexts, residuals, normalize=False)
+        raw_model = replace(tiny_model(), normalize_contexts=False)
+        for stores, model in (([unscaled], tiny_model()), ([z_scored], raw_model),
+                              ([z_scored, unscaled], tiny_model())):
+            with pytest.raises(DataError, match="normalize"):
+                Trainer(stores, model, TrainConfig())
+        Trainer([unscaled], raw_model, TrainConfig())
 
     def test_training_log_written(self, small_trained, tmp_path):
         path = tmp_path / "log.csv"
@@ -537,13 +567,51 @@ class TestPipeline:
         assert stages == {"teacher", "expert", "gate"}
 
     def test_gate_prep_keeps_loo_exclusion(self, small_trained):
-        dataset = small_trained["dataset"]
+        store = small_trained["store"]
         experts = small_trained["trainer"].experts
         audit = []
-        batch = np.arange(min(16, len(dataset)))
-        _prepare_gate_batch(experts, dataset, batch, audit)
+        batch = np.arange(min(16, len(store)))
+        _prepare_gate_batch(experts, store, batch, audit)
         for _, query_position, support in audit:
             assert query_position not in support
+
+
+class TestTrainingReads:
+    """Training reads each batch through the store exactly as the per-dataset
+    formulas it replaced computed it, bytes and memory layout included."""
+
+    @given(
+        n=st.integers(3, 40), dim=st.integers(1, 6), normalize=st.booleans(),
+        dataset_id=st.integers(0, 3), appended=st.integers(0, 30), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_store_reads_equal_the_per_dataset_formulas(
+        self, n, dim, normalize, dataset_id, appended, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n + appended, dim)) * rng.uniform(0.1, 5.0, dim)
+        y = rng.standard_normal(n + appended)
+        store = training_store(X[:n], y[:n], dataset_id, normalize)
+        descriptor = compute_descriptor(X[:n], dataset_id)
+        if appended:
+            store.key_inputs()  # kept by every append from here on
+        for t in range(n, n + appended):  # the ring wraps: chronological != ring order
+            store.append(CalibrationEntry(X[t], float(y[t]), t))
+        window, residuals = X[appended:], y[appended:]
+        contexts = (window - descriptor.mu) / descriptor.sigma if normalize else window
+        feats = descriptor_features(descriptor)
+        batch = rng.permutation(n)[: rng.integers(1, n + 1)]
+        want_t = np.ascontiguousarray(contexts[batch].T)
+        want_inputs = np.concatenate([contexts[batch], np.tile(feats, (batch.size, 1))], 1).T
+
+        got_t = _batch_contexts(store, batch)
+        got_inputs = encoder_inputs(got_t, store.features)
+        assert store.features.tobytes() == feats.tobytes()
+        assert store.residuals()[batch].tobytes() == residuals[batch].tobytes()
+        for got, want in ((got_t, want_t), (got_inputs, want_inputs)):
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+            assert got.strides == want.strides
+        assert got_t.flags.c_contiguous and got_inputs.flags.f_contiguous
 
 
 class TestBatchedEquivalence:
@@ -555,19 +623,19 @@ class TestBatchedEquivalence:
         from rarecp.training import _expert_retrieval_batch
 
         rng = np.random.default_rng(20)
-        dataset = tiny_dataset(rng, n=14)
+        store = tiny_store(rng, n=14)
         encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, seed=3,
                                      final_weight_scale=0.2)
         batch = np.arange(14)
         k, temperature = 5, 0.2
-        sel, weights, _ = _expert_retrieval_batch(encoder, dataset, batch, k, temperature)
+        sel, weights, _ = _expert_retrieval_batch(encoder, store, batch, k, temperature)
 
         for j in batch:
             cand = batch[batch != j]
-            query_z = dataset.contexts_z[j]
-            A, b = encoder.emit(query_z, dataset.feats)
+            query_z, feats = store.query(store.contexts()[j])
+            A, b = encoder.emit(query_z, feats)
             maps = np.concatenate([A.data, b.data[:, None]], axis=1)[None]
-            columns = np.vstack([dataset.contexts_z[cand].T, np.ones(cand.size)])
+            columns = store.key_inputs()[:, cand]
             scores = normalize_keys(maps, query_z, columns)[0]
             naive_sel = cand[topk_retrieve(scores, k)]
             naive_weights = ad.softmax_rows(
