@@ -158,50 +158,63 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for a 2-D ``a`` and a 1-D or 2-D ``b``."""
     ta, tb = as_tensor(a), as_tensor(b)
     A, B = ta.data, tb.data
-    if A.ndim == 2 and B.ndim == 1:
-        out = A @ B
-
-        def vjp(g):
-            return np.outer(g, B), A.T @ g
-
-    elif A.ndim == 2 and B.ndim == 2:
-        out = A @ B
-
-        def vjp(g):
-            return g @ B.T, A.T @ g
-
-    elif A.ndim == 1 and B.ndim == 2:
-        out = A @ B
-
-        def vjp(g):
-            return B @ g, np.outer(A, g)
-
-    else:
+    if A.ndim != 2 or B.ndim not in (1, 2):
         raise ValueError(f"matmul: unsupported shapes {A.shape} @ {B.shape}")
-    return _finish(out, (ta, tb), vjp)
+
+    def vjp(g):
+        return (np.outer(g, B) if B.ndim == 1 else g @ B.T), A.T @ g
+
+    return _finish(A @ B, (ta, tb), vjp)
 
 
 def affine(weight: Tensor, x, bias: Tensor) -> Tensor:
-    """``weight @ x + bias``; for a 2-D ``x`` the bias is added per column."""
+    """``weight @ x + bias`` for an (in, B) block ``x``, the bias added per column."""
     tw, tx, tb = as_tensor(weight), as_tensor(x), as_tensor(bias)
     W, X, b = tw.data, tx.data, tb.data
-    if X.ndim == 1:
-        out = W @ X + b
-
-        def vjp(g):
-            return np.outer(g, X), W.T @ g, g
-
-    elif X.ndim == 2:
-        out = W @ X + b[:, None]
-
-        def vjp(g):
-            return g @ X.T, W.T @ g, g.sum(axis=1)
-
-    else:
+    if X.ndim != 2:
         raise ValueError(f"affine: unsupported input shape {X.shape}")
-    return _finish(out, (tw, tx, tb), vjp)
+    return _finish(W @ X + b[:, None], (tw, tx, tb), lambda g: (g @ X.T, W.T @ g, g.sum(axis=1)))
+
+
+def mlp_forward(layers, x: np.ndarray, activation: str) -> list[np.ndarray]:
+    """Every layer's output of an MLP on an (in, B) block, tanh or relu after hidden layers.
+
+    (out, in) weights with (out,) biases give (out, B) outputs. Weights stacked
+    as (M, out, in) with (M, out) biases run M networks, bit-identical to M
+    single runs, and give (M, out, B).
+    """
+    outs = []
+    for i, (w, b) in enumerate(layers):
+        h = np.matmul(w, outs[-1] if outs else x) + b[..., None]
+        if i < len(layers) - 1:
+            h = np.tanh(h) if activation == "tanh" else np.where(h > 0, h, 0.0)
+        outs.append(h)
+    return outs
+
+
+def mlp(layers, x: np.ndarray, activation: str) -> Tensor:
+    """``mlp_forward`` of (weight, bias) tensors on a constant block, as one tape record.
+
+    The VJP replays the ``affine`` and ``tanh``/``relu`` VJPs, operand for
+    operand, from the last layer; the constant ``x`` gets no gradient.
+    """
+    tensors = tuple(as_tensor(t) for pair in layers for t in pair)
+    data = [t.data for t in tensors]
+    ins = [x] + mlp_forward(list(zip(data[::2], data[1::2])), x, activation)
+
+    def vjp(g):
+        grads = []
+        for i in range(len(data) // 2 - 1, -1, -1):
+            grads += [g.sum(axis=1), g @ ins[i].T]
+            if i:
+                g = data[2 * i].T @ g
+                g = g * (1.0 - ins[i] * ins[i]) if activation == "tanh" else g * (ins[i] > 0)
+        return tuple(reversed(grads))
+
+    return _finish(ins[-1], tensors, vjp)
 
 
 def reduce_sum(x) -> Tensor:

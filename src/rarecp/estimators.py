@@ -178,6 +178,7 @@ class RareCP(BaseEstimator):
         self.components_: RareCPComponents | None = None
         self.store_ = None
         self.train_log_ = None
+        self._changed_since_fit: dict = {}
 
     # -- configuration ------------------------------------------------------
 
@@ -186,6 +187,21 @@ class RareCP(BaseEstimator):
 
     def train_config(self) -> TrainConfig:
         return config_from(TrainConfig, self)
+
+    def set_params(self, **params) -> "RareCP":
+        """Set parameters, noting the model fields that now differ from the fitted model's."""
+        super().set_params(**params)
+        if self.components_ is not None:
+            trained = asdict(self.components_.model)
+            self._changed_since_fit = {n: v for n, v in trained.items() if getattr(self, n) != v}
+        return self
+
+    def _trained_components(self) -> RareCPComponents:
+        """The fitted components, refused while a model field differs from the trained one."""
+        check_fitted(self, "components_")
+        if changed := self._changed_since_fit:
+            raise DataError(f"the model was trained with {changed}: set them back or fit again")
+        return self.components_
 
     # -- fitting --------------------------------------------------------------
 
@@ -213,6 +229,7 @@ class RareCP(BaseEstimator):
         store.condition(compute_descriptor(store.contexts(), dataset_id), model.normalize_contexts)
         trainer = Trainer([store], model, self.train_config()).run()
         self.components_ = components_from_trainer(trainer)
+        self._changed_since_fit = {}
         self.train_log_ = trainer.log
         self._dataset_id = dataset_id
         self.seed_store(X, y)
@@ -251,12 +268,7 @@ class RareCP(BaseEstimator):
         which is the initial calibration set of the run being started. Model
         parameters changed by ``set_params`` since training raise ``DataError``.
         """
-        check_fitted(self, "components_")
-        model = self.components_.model
-        if self.model_config() != model:
-            current = asdict(self.model_config())
-            changed = {n: v for n, v in asdict(model).items() if current[n] != v}
-            raise DataError(f"the model was trained with {changed}: set them back or fit again")
+        model = self._trained_components().model
         y = check_vector(y, "y")
         store = CalibrationStore.from_arrays(X, y, self.capacity, start_time)
         if store.context_dim != model.context_dim:
@@ -277,7 +289,7 @@ class RareCP(BaseEstimator):
     # -- prediction -------------------------------------------------------------
 
     def _query(self, x) -> np.ndarray:
-        check_fitted(self, "components_")
+        self._trained_components()
         check_fitted(self, "store_")
         x = check_vector(x, "x")
         if x.size != self.store_.context_dim:

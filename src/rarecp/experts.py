@@ -63,27 +63,10 @@ def _mlp_init(
     return layers
 
 
-def _mlp_forward(layers, x: Tensor, activation: str) -> Tensor:
-    act = ad.tanh if activation == "tanh" else ad.relu
-    h = x
-    for w, b in layers[:-1]:
-        h = act(ad.affine(w, h, b))
-    w, b = layers[-1]
-    return ad.affine(w, h, b)
-
-
-def mlp_arrays(layers, x: np.ndarray, activation: str) -> np.ndarray:
-    """``_mlp_forward`` in plain numpy, with the same arithmetic, for one input ``x``.
-
-    Weights stacked as (M, out, in) with (M, out) biases run M networks on
-    ``x``, one row each, bit-identical to running them one at a time.
-    """
-    h = x
-    for i, (w, b) in enumerate(layers):
-        h = np.matmul(w, h[..., None])[..., 0] + b
-        if i < len(layers) - 1:
-            h = np.tanh(h) if activation == "tanh" else np.where(h > 0, h, 0.0)
-    return h
+def query_forward(layers, query_z: np.ndarray, feats: np.ndarray, activation: str) -> np.ndarray:
+    """An MLP's output for one query, run as a one-column block: (out,), or (M, out) if stacked."""
+    x = np.concatenate([query_z, feats])[:, None]
+    return ad.mlp_forward(layers, x, activation)[-1][..., 0]
 
 
 def _wrap_layers(cls, layers, activation: str):
@@ -158,20 +141,12 @@ class HypernetworkParams:
     def parameters(self) -> list[Tensor]:
         return [t for pair in self.layers for t in pair]
 
-    def emit(self, query_z: np.ndarray, feats: np.ndarray) -> tuple[Tensor, Tensor]:
-        """The affine map (A, b) for one query, as constant tensors."""
-        out = mlp_arrays(
-            [(w.data, b.data) for w, b in self.layers],
-            np.concatenate([query_z, feats]),
-            self.activation,
-        )
+    def emit(self, query_z: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The affine map (A, b) for one query."""
+        layers = [(w.data, b.data) for w, b in self.layers]
+        out = query_forward(layers, query_z, feats, self.activation)
         split = self.latent_dim * self.context_dim
-        A = out[:split].reshape(self.latent_dim, self.context_dim)
-        return ad.constant(A), ad.constant(out[split:])
-
-    def emit_batch(self, inputs: np.ndarray) -> Tensor:
-        """Flat (A, b) stack for a whole (input_dim, B) query block."""
-        return _mlp_forward(self.layers, ad.constant(inputs), self.activation)
+        return out[:split].reshape(self.latent_dim, self.context_dim), out[split:]
 
 
 class FixedAffineMap:
@@ -202,8 +177,8 @@ class FixedAffineMap:
     def parameters(self) -> list[Tensor]:
         return [self.A, self.b]
 
-    def emit(self, query_z: np.ndarray, feats: np.ndarray) -> tuple[Tensor, Tensor]:
-        return self.A, self.b
+    def emit(self, query_z: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.A.data, self.b.data
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return self.A.data.copy(), self.b.data.copy()
@@ -345,10 +320,9 @@ class ExpertStack(Sequence):
 
     def maps(self, query_z: np.ndarray, feats: np.ndarray) -> np.ndarray:
         """The M key maps of one query, folded as ``[A | b]`` into (M, L, p + 1)."""
+        flat = self.flat
         if self.layers:
-            flat = mlp_arrays(self.layers, np.concatenate([query_z, feats]), self.activation)
-        else:
-            flat = self.flat
+            flat = query_forward(self.layers, query_z, feats, self.activation)
         M, L, p = self.shape
         return np.concatenate((flat[:, : L * p].reshape(M, L, p), flat[:, L * p :, None]), 2)
 

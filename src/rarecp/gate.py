@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from rarecp import autodiff as ad
 from rarecp.autodiff import Tensor
 from rarecp.conformal import PredictionInterval, WeightedSupport, build_interval
 from rarecp.data import CalibrationStore, descriptor_feature_dim
@@ -19,10 +18,9 @@ from rarecp.errors import DataError
 from rarecp.experts import (
     ExpertStack,
     RetrievalResult,
-    _mlp_forward,
     _mlp_init,
     _wrap_layers,
-    mlp_arrays,
+    query_forward,
     retrieve_supports,
     support_weights,
 )
@@ -61,13 +59,10 @@ class GateParams:
     def parameters(self) -> list[Tensor]:
         return [t for pair in self.layers for t in pair]
 
-    def logits(self, query_z: np.ndarray, feats: np.ndarray) -> Tensor:
-        """Expert logits for one query, as a constant tensor."""
-        return ad.constant(_logits(self, query_z, feats))
-
-    def logits_batch(self, inputs: np.ndarray) -> Tensor:
-        """Logit columns for a whole (input_dim, B) query block."""
-        return _mlp_forward(self.layers, ad.constant(inputs), self.activation)
+    def logits(self, query_z: np.ndarray, feats: np.ndarray) -> np.ndarray:
+        """Expert logits for one query."""
+        layers = [(w.data, b.data) for w, b in self.layers]
+        return query_forward(layers, query_z, feats, self.activation)
 
 
 def gate_weights(params: GateParams, query_z: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -76,12 +71,7 @@ def gate_weights(params: GateParams, query_z: np.ndarray, feats: np.ndarray) -> 
     ``query_z`` and ``feats`` are the query and descriptor features as the
     experts read them (see ``CalibrationStore.query``).
     """
-    return support_weights(_logits(params, query_z, feats), 1.0)
-
-
-def _logits(params: GateParams, query_z: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    layers = [(w.data, b.data) for w, b in params.layers]
-    return mlp_arrays(layers, np.concatenate([query_z, feats]), params.activation)
+    return support_weights(params.logits(query_z, feats), 1.0)
 
 
 def mix_supports(

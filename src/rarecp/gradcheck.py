@@ -53,11 +53,6 @@ def primitive_checks(seed: int = 0, h: float = 1e-5) -> list[tuple[str, float]]:
     check("matmul_mm", lambda: [ad.parameter(rng.standard_normal((3, 4))),
                                 ad.parameter(rng.standard_normal((4, 2)))],
           lambda A, B: ad.reduce_sum(ad.square(ad.matmul(A, B))))
-    check("matmul_vm", lambda: [ad.parameter(vec(3)), ad.parameter(rng.standard_normal((3, 4)))],
-          lambda x, B: ad.reduce_sum(ad.square(ad.matmul(x, B))))
-    check("affine_vec", lambda: [ad.parameter(rng.standard_normal((3, 4))), ad.parameter(vec(4)),
-                                 ad.parameter(vec(3))],
-          lambda W, x, b: ad.reduce_sum(ad.square(ad.affine(W, x, b))))
     check("affine_mat", lambda: [ad.parameter(rng.standard_normal((3, 4))),
                                  ad.parameter(rng.standard_normal((4, 5))),
                                  ad.parameter(vec(3))],
@@ -115,6 +110,15 @@ def primitive_checks(seed: int = 0, h: float = 1e-5) -> list[tuple[str, float]]:
     mix_v = rng.standard_normal((3, 5, 2))
     check("batched_mix", lambda: [ad.parameter(rng.standard_normal((3, 2)))],
           lambda P: ad.reduce_sum(ad.square(ad.batched_mix(ad.constant(mix_v), P))))
+    # positive inputs and one sign per unit keep each pre-activation 0.2 or more from 0
+    x_mlp, mlp_layers = 0.2 + np.abs(rng.standard_normal((4, 5))), []
+    for n_in, n_out in ((4, 6), (6, 5), (5, 3)):
+        sign = rng.choice([-1.0, 1.0], n_out)
+        w, b = rng.random((n_out, n_in)), 0.2 + rng.random(n_out)
+        mlp_layers.append((sign[:, None] * w, sign * b))
+    for activation in ("tanh", "relu"):
+        check(f"mlp_{activation}", lambda: [ad.parameter(a) for pair in mlp_layers for a in pair],
+              lambda *p: ad.reduce_sum(ad.square(ad.mlp(zip(p[::2], p[1::2]), x_mlp, activation))))
     return results
 
 

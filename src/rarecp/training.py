@@ -215,7 +215,8 @@ def _expert_retrieval_batch(
     """
     contexts_t = _batch_contexts(store, batch)
     if isinstance(encoder, HypernetworkParams):
-        emitted = encoder.emit_batch(encoder_inputs(contexts_t, store.features))
+        inputs = encoder_inputs(contexts_t, store.features)
+        emitted = ad.mlp(encoder.layers, inputs, encoder.activation)
         sel, sel_scores = ad.loo_retrieval_scores(emitted, contexts_t, top_k)
     else:
         keys2d = ad.l2_normalize(ad.affine(encoder.A, ad.constant(contexts_t), encoder.b))
@@ -379,7 +380,7 @@ def gate_batch_loss(
     per_ds_losses: list[Tensor] = []
     per_ds_entropy: list[Tensor] = []
     for prep in prepared:
-        logits = gate.logits_batch(prep.inputs)
+        logits = ad.mlp(gate.layers, prep.inputs, gate.activation)
         pi = ad.softmax_rows(ad.transpose(logits), 1.0)
         mixed = ad.batched_mix(ad.constant(prep.weight_cube), pi)
         mixed_sorted = ad.gather_rows(mixed, prep.sort_perm)

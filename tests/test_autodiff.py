@@ -81,14 +81,13 @@ class TestPrimitiveGradients:
         W2 = ad.parameter(rng.standard_normal((3, 6)))
         b2 = ad.parameter(rng.standard_normal(3))
         W3 = ad.parameter(rng.standard_normal((1, 3)))
-        xin = rng.standard_normal(4)
+        b3 = ad.parameter(rng.standard_normal(1))
+        xin = rng.standard_normal((4, 1))
 
         def f():
-            h1 = ad.tanh(ad.affine(W1, ad.constant(xin), b1))
-            h2 = ad.tanh(ad.affine(W2, h1, b2))
-            return ad.reduce_sum(ad.matmul(W3, h2))
+            return ad.reduce_sum(ad.mlp([(W1, b1), (W2, b2), (W3, b3)], xin, "tanh"))
 
-        err = ad.finite_diff_check(f, [W1, b1, W2, b2, W3], h=1e-5)
+        err = ad.finite_diff_check(f, [W1, b1, W2, b2, W3, b3], h=1e-5)
         assert err < 1e-4
 
 

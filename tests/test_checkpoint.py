@@ -109,9 +109,9 @@ def test_single_query_wrappers_equal_the_serving_path_bitwise(regime_rows, encod
         maps = stack.maps(qz, feats)
         for m, expert in enumerate(stack):
             A, b = expert.encoder.emit(qz, feats)
-            folded = np.concatenate([A.data, b.data[:, None]], axis=1)
+            folded = np.concatenate([A, b[:, None]], axis=1)
             assert folded.shape == maps[m].shape and folded.tobytes() == maps[m].tobytes()
-        logits = gate.logits(qz, feats).data
+        logits = gate.logits(qz, feats)
         e = np.exp(logits - logits.max())
         assert (e / e.sum()).tobytes() == gate_weights(gate, qz, feats).tobytes()
 

@@ -310,10 +310,31 @@ def test_seed_store_refuses_model_parameters_changed_since_training(tmp_path, ch
         served.set_params(**change)
         with pytest.raises(DataError, match="trained with"):
             served.seed_store(X, y)
-    assert est.predict_interval(X[5], 0.0) == before  # the store was not replaced
     est.set_params(**trained, capacity=40)
+    assert est.predict_interval(X[5], 0.0) == before  # the store was not replaced
     est.seed_store(X, y)
     assert len(est.store_) == 40
+
+
+def test_serving_refuses_model_parameters_changed_since_training():
+    """``predict_interval`` and ``weighted_support`` serve only the model as trained."""
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((80, 7)) * 3.0 + 1.0
+    y = rng.standard_normal(80) * (1.0 + 2.0 * (X[:, 0] > 1.0))
+    est = RareCP(**SMALL).fit(X, y)
+    before = est.predict_interval(X[5], 0.0)
+    est.set_params(top_k=1, normalize_contexts=False)
+    for serve in (lambda: est.predict_interval(X[5], 0.0), lambda: est.weighted_support(X[5])):
+        with pytest.raises(DataError, match="'top_k': 8, 'normalize_contexts': True"):
+            serve()
+    est.set_params(top_k=8)
+    with pytest.raises(DataError, match="trained with {'normalize_contexts': True}:"):
+        est.predict_interval(X[5], 0.0)
+    est.set_params(normalize_contexts=True, alpha=0.1, capacity=40)
+    assert est.predict_interval(X[5], 0.0, alpha=0.2) == before
+    assert est.predict_interval(X[5], 0.0) != before
+    est.set_params(top_k=1).fit(X, y)
+    assert len(est.weighted_support(X[5]).residuals) <= SMALL["n_experts"]
 
 
 def test_descriptor_is_the_stores_and_read_only(fitted):

@@ -214,8 +214,8 @@ class TestEmitExpertMap:
                                      final_weight_scale=0.0)
         descriptor = compute_descriptor(np.random.default_rng(0).standard_normal((10, 5)))
         A, b = encoder.emit(np.ones(5), descriptor_features(descriptor))
-        np.testing.assert_array_equal(A.data, 0.0)
-        np.testing.assert_array_equal(b.data, 0.0)
+        np.testing.assert_array_equal(A, 0.0)
+        np.testing.assert_array_equal(b, 0.0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(3)
@@ -225,16 +225,16 @@ class TestEmitExpertMap:
         for _ in range(2):
             encoder = HypernetworkParams(5, 3, hidden_dim=8, hidden_layers=1, seed=42)
             A, b = encoder.emit(query, descriptor_features(descriptor))
-            maps.append((A.data.tobytes(), b.data.tobytes()))
+            maps.append((A.tobytes(), b.tobytes()))
         assert maps[0] == maps[1]
 
     def test_output_dimensions(self):
         encoder = HypernetworkParams(7, 4, hidden_dim=8, hidden_layers=2, seed=1)
         descriptor = compute_descriptor(np.random.default_rng(1).standard_normal((10, 7)))
         A, b = encoder.emit(np.zeros(7), descriptor_features(descriptor))
-        assert A.data.shape == (4, 7)
-        assert b.data.shape == (4,)
-        assert A.data.size + b.data.size == 4 * (7 + 1)
+        assert A.shape == (4, 7)
+        assert b.shape == (4,)
+        assert A.size + b.size == 4 * (7 + 1)
 
     def test_identity_init_mimics_raw_cosine(self):
         # near-zero final weights + identity bias: retrieval scores should
@@ -246,8 +246,8 @@ class TestEmitExpertMap:
         contexts = rng.standard_normal((30, dim))
         descriptor = compute_descriptor(contexts)
         A, b = encoder.emit(contexts[0], descriptor_features(descriptor))
-        np.testing.assert_allclose(A.data, identity_map(latent, dim), atol=1e-3)
-        np.testing.assert_allclose(b.data, 0.0, atol=1e-3)
+        np.testing.assert_allclose(A, identity_map(latent, dim), atol=1e-3)
+        np.testing.assert_allclose(b, 0.0, atol=1e-3)
 
 
 class TestExpertSupport:
@@ -336,7 +336,7 @@ def _oracle_retrieval(expert, contexts, query, descriptor, normalize):
         cz = (contexts - descriptor.mu) / descriptor.sigma
     else:
         qz, cz = query, contexts
-    A, b = (t.data for t in expert.encoder.emit(qz, descriptor_features(descriptor)))
+    A, b = expert.encoder.emit(qz, descriptor_features(descriptor))
     keys = A @ cz.T + b[:, None]
     keys = keys / np.sqrt((keys * keys).sum(axis=0) + 1e-12)
     q = A @ qz + b
@@ -430,7 +430,7 @@ class TestStackedRetrievalOracle:
             if not all(exact):
                 continue
             qz = (query - descriptor.mu) / descriptor.sigma if normalize else query
-            logits = gate.logits(qz, descriptor_features(descriptor)).data
+            logits = gate.logits(qz, descriptor_features(descriptor))
             oracle_pi = np.exp(logits - logits.max()) / np.exp(logits - logits.max()).sum()
             merged = np.zeros(len(stored))
             for p, (_, sel, weights, _) in zip(oracle_pi, oracles):

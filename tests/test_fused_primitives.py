@@ -3,7 +3,8 @@
 ``smooth_winkler_grid`` must reproduce the per-level tape loss (one chain
 of ~10 primitives per quantile level) and ``loo_retrieval_scores`` the
 four-primitive retrieval chain (keys, 3-D normalisation, query scores,
-row gather), both kept here as test-local oracles.
+row gather), both kept here as test-local oracles. ``mlp`` must give the
+bits of the per-layer ``affine``/``tanh``/``relu`` chain.
 """
 
 import numpy as np
@@ -346,3 +347,67 @@ class TestLooSelect:
             np.fill_diagonal(expected_scores, -np.inf)
             expected = np.argsort(-expected_scores, axis=1, kind="stable")[:, : min(top_k, B - 1)]
             assert np.array_equal(ad.loo_select(scores, top_k), expected)
+
+
+# ---------------------------------------------------------------------------
+# mlp
+
+
+def mlp_instance(rng, sizes, B, M=None):
+    """An (in, B) input block, F-ordered as training's encoder input is, and layers."""
+    lead = () if M is None else (M,)
+    x = rng.standard_normal((B, sizes[0])).T
+    layers = [
+        (rng.standard_normal(lead + (n_out, n_in)) / np.sqrt(n_in),
+         rng.standard_normal(lead + (n_out,)))
+        for n_in, n_out in zip(sizes[:-1], sizes[1:])
+    ]
+    return x, layers
+
+
+def per_layer_chain(layers, x, activation):
+    act = ad.tanh if activation == "tanh" else ad.relu
+    h = ad.constant(x)
+    for w, b in layers[:-1]:
+        h = act(ad.affine(w, h, b))
+    w, b = layers[-1]
+    return ad.affine(w, h, b)
+
+
+class TestMlp:
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("hidden_layers", [1, 2])
+    @pytest.mark.parametrize("B", [1, 64])
+    def test_equals_per_layer_chain_bitwise(self, activation, hidden_layers, B):
+        rng = np.random.default_rng(hidden_layers * 100 + B)
+        x, arrays = mlp_instance(rng, [9] + [7] * hidden_layers + [5], B)
+        probe = ad.constant(rng.standard_normal((5, B)))
+        results = []
+        for forward in (ad.mlp, per_layer_chain):
+            layers = [(ad.parameter(w), ad.parameter(b)) for w, b in arrays]
+            with ad.Tape() as tape:
+                out = forward(layers, x, activation)
+                loss = ad.reduce_sum(ad.mul(out, probe))
+            tape.backward(loss)
+            grads = [t.grad.tobytes() for pair in layers for t in pair]
+            results.append([out.data.tobytes()] + grads)
+        assert results[0] == results[1]
+
+    def test_one_tape_record(self):
+        x, arrays = mlp_instance(np.random.default_rng(0), [4, 6, 6, 3], 8)
+        layers = [(ad.parameter(w), ad.parameter(b)) for w, b in arrays]
+        with ad.Tape() as tape:
+            ad.mlp(layers, x, "tanh")
+        assert len(tape.records) == 1
+        assert tape.records[0][1] == tuple(t for pair in layers for t in pair)
+
+    @pytest.mark.parametrize("activation", ["tanh", "relu"])
+    @pytest.mark.parametrize("B", [1, 64])
+    def test_stacked_forward_equals_single_runs_bitwise(self, activation, B):
+        M = 3
+        x, stacked = mlp_instance(np.random.default_rng(B), [9, 7, 7, 5], B, M=M)
+        outs = ad.mlp_forward(stacked, x, activation)
+        for m in range(M):
+            single = ad.mlp_forward([(w[m], b[m]) for w, b in stacked], x, activation)
+            for layer_out, single_out in zip(outs, single):
+                assert layer_out[m].tobytes() == single_out.tobytes()

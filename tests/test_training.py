@@ -204,6 +204,21 @@ def tiny_store(rng, n=24, dim=5, regime=True):
     return training_store(contexts, residuals)
 
 
+def step_tape_records(monkeypatch, net, loss_fn) -> int:
+    """The tape records of one ``optimizer_step`` of ``net`` on ``loss_fn``."""
+    recorded = []
+    backward = ad.Tape.backward
+
+    def counting_backward(self, loss):
+        recorded.append(len(self.records))
+        return backward(self, loss)
+
+    monkeypatch.setattr(ad.Tape, "backward", counting_backward)
+    optimizer_step(Adam(net.parameters(), lr=1e-3), loss_fn)
+    assert len(recorded) == 1
+    return recorded[0]
+
+
 def tiny_model(dim=5):
     return ModelConfig(
         n_experts=2, latent_dim=4, top_k=6, hidden_dim=8, hidden_layers=1,
@@ -259,7 +274,8 @@ class TestExpertTraining:
         batch = np.arange(20)
 
         def anchor_value():
-            out = encoder.emit_batch(encoder_inputs(store.key_inputs()[:-1], store.features)).data
+            inputs = encoder_inputs(store.key_inputs()[:-1], store.features)
+            out = ad.mlp(encoder.layers, inputs, encoder.activation).data
             flat = np.concatenate([teacher[0].reshape(-1), teacher[1]])
             return float(((out - flat[:, None]) ** 2).sum() / 20)
 
@@ -292,28 +308,19 @@ class TestExpertTraining:
         assert float(with_teacher.data) == pytest.approx(float(without.data))
 
     def test_step_tape_stays_fused(self, monkeypatch):
-        """One hypernetwork step records a handful of tape records; a loss
-        built from one primitive chain per quantile level records over 500."""
-        from rarecp.autodiff import Tape
-
-        recorded = []
-        backward = Tape.backward
-
-        def counting_backward(self, loss):
-            recorded.append(len(self.records))
-            return backward(self, loss)
-
-        monkeypatch.setattr(Tape, "backward", counting_backward)
+        """One hypernetwork step records a dozen tape records, its MLP one of
+        them; a loss built from one primitive chain per quantile level
+        records over 500."""
         rng = np.random.default_rng(19)
         store = tiny_store(rng, n=40)
         encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=2, seed=0)
         teacher = (rng.normal(0, 0.5, size=(4, 5)), rng.normal(0, 0.5, size=4))
-        optimizer_step(Adam(encoder.parameters(), lr=1e-3), lambda: expert_batch_loss(
+        recorded = step_tape_records(monkeypatch, encoder, lambda: expert_batch_loss(
             encoder, [store], [np.arange(40)], [teacher], top_k=8, temperature=1 / 12,
             alpha_grid=np.asarray(default_alpha_grid()), tau_q=0.05, tau_p=5e-4,
             lambda_anchor=5.0,
         ))
-        assert len(recorded) == 1 and recorded[0] <= 30
+        assert recorded <= 12
 
     def test_full_loss_gradient_fidelity_small(self):
         from rarecp.gradcheck import expert_loss_check
@@ -375,6 +382,22 @@ class TestGateTraining:
             entropies.append(-np.sum(pi * np.log(pi + 1e-30)))
             assert 0.0 <= entropies[-1] <= np.log(model.n_experts) + 1e-12
         assert np.mean(entropies) > 0.9 * np.log(model.n_experts)
+
+    def test_step_tape_stays_fused(self, monkeypatch):
+        """One gate step records its MLP as one tape record."""
+        rng = np.random.default_rng(14)
+        store = tiny_store(rng, n=24)
+        model = tiny_model()
+        trainer = self._trained_experts(rng, store, model)
+        from rarecp.gate import GateParams
+
+        gate = GateParams(5, model.n_experts, hidden_dim=2, seed=3)
+        prepared = [_prepare_gate_batch(trainer.experts, store, np.arange(24), None)]
+        alphas = np.asarray(default_alpha_grid())
+        recorded = step_tape_records(
+            monkeypatch, gate, lambda: gate_batch_loss(gate, prepared, alphas, 0.05, 5e-4, 0.02)
+        )
+        assert recorded <= 15
 
     def test_gate_gradient_fidelity(self):
         from rarecp.gradcheck import gate_loss_check
@@ -634,7 +657,7 @@ class TestBatchedEquivalence:
             cand = batch[batch != j]
             query_z, feats = store.query(store.contexts()[j])
             A, b = encoder.emit(query_z, feats)
-            maps = np.concatenate([A.data, b.data[:, None]], axis=1)[None]
+            maps = np.concatenate([A, b[:, None]], axis=1)[None]
             columns = store.key_inputs()[:, cand]
             scores = normalize_keys(maps, query_z, columns)[0]
             naive_sel = cand[topk_retrieve(scores, k)]
