@@ -9,9 +9,12 @@ byte offset in the blob, which must be the layout the model config implies.
 Expert layers are stored stacked over the M experts, so a load serves
 them as ``np.frombuffer`` views of one read, with nothing copied or drawn
 at random. Saving the same fitted state twice writes byte-identical
-files. The teacher bank and the training descriptors are not stored:
-nothing reads them after training, and serving conditions on the
-descriptor of the window it seeds (``RareCP.seed_store``).
+files. Loads of identical bytes share one set of read-only components
+while any holder keeps it alive, so many streams served from one
+checkpoint hold its weights once. The teacher bank and the training
+descriptors are not stored: nothing reads them after training, and
+serving conditions on the descriptor of the window it seeds
+(``RareCP.seed_store``).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 import os
 import re
 import struct
+import weakref
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -39,9 +43,12 @@ _HEADER = len(MAGIC) + 8
 _F64 = np.dtype("<f8")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RareCPComponents:
-    """Everything needed to run inference: config, trained dataset ids, parameters."""
+    """Everything needed to run inference: config, trained dataset ids, parameters.
+
+    Frozen, since loads of identical bytes share one instance.
+    """
 
     model: ModelConfig
     dataset_ids: tuple[int, ...]
@@ -116,11 +123,43 @@ def save_checkpoint(components: RareCPComponents, path) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def load_checkpoint(path) -> RareCPComponents:
-    """Components saved by ``save_checkpoint``, as views of one read of the file.
+class _Source:
+    """A checkpoint's bytes as a table key: hashed by header and manifest, equal byte for byte.
 
-    A missing or unreadable file, another format version, and a truncated,
-    inconsistent or non-finite file all raise ``DataError``.
+    Hashing the whole file would cost more per load (about 3.5 ms for a
+    default-sized model) than comparing it with the one file of equal hash
+    (a memcmp, about 0.6 ms). Models of one config and other weights hash
+    alike and stay apart by that comparison.
+    """
+
+    __slots__ = ("data", "_hash")
+
+    def __init__(self, data: bytes):
+        self.data = data
+        length = int.from_bytes(data[len(MAGIC) : _HEADER], "little")
+        self._hash = hash(data[: _HEADER + length])
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Source) and self.data == other.data
+
+
+# components of each loaded file's bytes, for as long as anything holds them;
+# two threads loading one file at once may each build their own, which only
+# loses the sharing
+_LOADED: weakref.WeakValueDictionary[_Source, RareCPComponents] = weakref.WeakValueDictionary()
+
+
+def load_checkpoint(path) -> RareCPComponents:
+    """Components saved by ``save_checkpoint``, as read-only views of one read of the file.
+
+    Bytes equal to those of a load whose components are still held return
+    those components, without parsing or checking them again. Any other
+    bytes are checked in full: a missing or unreadable file, another format
+    version, and a truncated, inconsistent or non-finite file all raise
+    ``DataError``, and only a load that succeeds is kept for sharing.
     """
     try:
         data = Path(path).read_bytes()
@@ -136,12 +175,18 @@ def load_checkpoint(path) -> RareCPComponents:
             f"checkpoint {path} has format version {version}; "
             f"this version reads only version {FORMAT_VERSION}"
         )
+    source = _Source(data)
+    components = _LOADED.get(source)
+    if components is not None:
+        return components
     try:
-        return _components_from_bytes(data)
+        components = _components_from_bytes(data)
     except (KeyError, TypeError, ValueError, struct.error) as exc:
         raise DataError(
             f"checkpoint {path} is truncated or malformed: {type(exc).__name__}: {exc}"
         ) from exc
+    _LOADED[source] = components
+    return components
 
 
 def _components_from_bytes(data: bytes) -> RareCPComponents:

@@ -23,6 +23,7 @@ from rarecp.errors import DataError, NumericError, RareCPError
 from rarecp.estimators import RareCP
 from rarecp.harness import (
     EvalConfig,
+    blas_threads,
     compute_metrics,
     emit_report,
     eval_split_std,
@@ -198,6 +199,7 @@ def eval_cmd(config_path, series_path, column, methods, alpha, aci_gamma,
             "series": cfg.series_csv,
             "methods": sorted(methods),
             "checkpoint": checkpoint_path,
+            "blas_threads": blas_threads(),
         },
     )
     click.echo(f"wrote {paths['summary']}, {paths['records']}, {paths['manifest']}")

@@ -189,7 +189,11 @@ class RareCP(BaseEstimator):
         return config_from(TrainConfig, self)
 
     def set_params(self, **params) -> "RareCP":
-        """Set parameters, noting the model fields that now differ from the fitted model's."""
+        """Set parameters, noting the model fields that now differ from the fitted model's.
+
+        On a fitted estimator a new ``capacity`` takes effect at the next
+        ``seed_store``; the current window keeps its capacity until then.
+        """
         super().set_params(**params)
         if self.components_ is not None:
             trained = asdict(self.components_.model)
@@ -267,6 +271,8 @@ class RareCP(BaseEstimator):
         The store is conditioned on the descriptor of the seeded window,
         which is the initial calibration set of the run being started. Model
         parameters changed by ``set_params`` since training raise ``DataError``.
+        The window takes the ``capacity`` set at this call, which is where a
+        ``set_params(capacity=...)`` after fitting takes effect.
         """
         model = self._trained_components().model
         y = check_vector(y, "y")

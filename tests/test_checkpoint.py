@@ -1,12 +1,18 @@
-"""The binary checkpoint: exact round trips, views of one read, and every corruption refused."""
+"""The binary checkpoint: exact round trips, views of one read, loads of identical bytes
+shared, and every corruption refused."""
 
+import dataclasses
+import gc
 import json
+import shutil
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rarecp import checkpoint
 from rarecp.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from rarecp.data import PrecomputedForecast, descriptor_features, normalize_context
 from rarecp.errors import DataError
@@ -40,8 +46,9 @@ def regime_rows():
 
 
 def _small_rarecp(**kw):
-    return RareCP(n_experts=2, top_k=6, latent_dim=4, hidden_dim=8, hidden_layers=1,
-                  window=WINDOW, epochs=1, teacher_epochs=1, batch_size=32, seed=4, **kw)
+    params = dict(n_experts=2, top_k=6, latent_dim=4, hidden_dim=8, hidden_layers=1,
+                  window=WINDOW, epochs=1, teacher_epochs=1, batch_size=32, seed=4)
+    return RareCP(**{**params, **kw})
 
 
 @pytest.mark.parametrize("encoder_kind", ["hypernetwork", "fixed_affine"])
@@ -114,6 +121,156 @@ def test_single_query_wrappers_equal_the_serving_path_bitwise(regime_rows, encod
         logits = gate.logits(qz, feats)
         e = np.exp(logits - logits.max())
         assert (e / e.sum()).tobytes() == gate_weights(gate, qz, feats).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# loads of identical bytes share one set of read-only components
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fitted_pair(regime_rows):
+    """Two small models of one config, fitted with different seeds."""
+    X, r, _ = regime_rows
+    return [_small_rarecp(seed=seed).fit(X[:FIT_N], r[:FIT_N]) for seed in (4, 5)]
+
+
+def _weights(components):
+    """Every weight array of ``components``: stacked experts, each expert's own, the gate's."""
+    stack = components.experts
+    arrays = [a for layer in stack.layers for a in layer]
+    if stack.flat is not None:
+        arrays += [stack.flat, *stack.flat]
+    arrays += [t.data for expert in stack for t in expert.parameters()]
+    return arrays + [t.data for layer in components.gate.layers for t in layer]
+
+
+def _serve(est, rows, start: int, steps: int):
+    """Seed ``est`` with SEED_N rows from ``start``, then serve the next ``steps`` rows."""
+    X, r, forecasts = rows
+    est.set_params(capacity=SEED_N)
+    est.seed_store(X[start : start + SEED_N], r[start : start + SEED_N], start_time=start)
+    served = []
+    for i in range(start + SEED_N, start + SEED_N + steps):
+        interval = est.predict_interval(X[i], forecasts[i])
+        served.append((interval.lower, interval.upper))
+        est.observe(X[i], r[i])
+    return served
+
+
+@pytest.mark.parametrize("encoder_kind", ["hypernetwork", "fixed_affine"])
+def test_loaded_components_are_frozen_and_read_only(regime_rows, tmp_path, encoder_kind):
+    X, r, _ = regime_rows
+    path = tmp_path / "model.bin"
+    _small_rarecp(encoder_kind=encoder_kind).fit(X[:FIT_N], r[:FIT_N]).save(path)
+    loaded = load_checkpoint(path)
+    for name in ("model", "experts", "gate", "dataset_ids"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(loaded, name, None)
+    # hypernetwork: 2 stacked layers of (w, b) and 2 per expert; fixed affine:
+    # the flat rows, each row, and each expert's A and b; the gate: 2 layers
+    arrays = _weights(loaded)
+    assert len(arrays) == {"hypernetwork": 4 + 8, "fixed_affine": 3 + 4}[encoder_kind] + 4
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+def test_identical_bytes_load_once_at_one_path_or_a_copy(fitted_pair, tmp_path):
+    path, copy = tmp_path / "model.bin", tmp_path / "copy.bin"
+    fitted_pair[0].save(path)
+    shutil.copyfile(path, copy)
+    first = load_checkpoint(path)
+    assert load_checkpoint(path) is first
+    assert load_checkpoint(copy) is first
+    assert all(RareCP.from_checkpoint(p).components_ is first for p in (path, copy))
+
+
+def test_a_resave_with_other_weights_loads_and_serves_them(fitted_pair, regime_rows, tmp_path):
+    path = tmp_path / "model.bin"
+    fitted_pair[0].save(path)
+    old = RareCP.from_checkpoint(path)
+    fitted_pair[1].save(path)
+    new = RareCP.from_checkpoint(path)
+    assert new.components_ is not old.components_
+    for a, b in zip(_weights(new.components_), _weights(fitted_pair[1].components_)):
+        np.testing.assert_array_equal(a, b)
+    served_new = _serve(new, regime_rows, FIT_N, 20)
+    assert served_new == _serve(RareCP.from_components(fitted_pair[1].components_),
+                                regime_rows, FIT_N, 20)
+    assert served_new != _serve(old, regime_rows, FIT_N, 20)
+
+
+def test_models_with_equal_manifests_are_not_shared(fitted_pair, tmp_path):
+    paths = [tmp_path / f"seed-{i}.bin" for i in range(2)]
+    for est, path in zip(fitted_pair, paths):
+        est.save(path)
+    a, b = (path.read_bytes() for path in paths)
+    (length,) = struct.unpack_from("<Q", a, len(MAGIC))
+    head = len(MAGIC) + 8 + length
+    assert a[:head] == b[:head] and a != b
+    loaded = [load_checkpoint(path) for path in paths]
+    assert loaded[0] is not loaded[1]
+    for est, components in zip(fitted_pair, loaded):
+        for x, y in zip(_weights(components), _weights(est.components_)):
+            np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("corruption", ["truncated", "non_finite"])
+def test_corrupt_bytes_after_a_good_load_still_raise(fitted_pair, tmp_path, corruption):
+    path = tmp_path / "model.bin"
+    fitted_pair[0].save(path)
+    good = load_checkpoint(path)
+    data = path.read_bytes()
+    if corruption == "truncated":
+        bad, message = data[:-8], "the blob has .* bytes"
+    else:
+        bad, message = data[:-16] + struct.pack("<d", np.nan) + data[-8:], "not finite"
+    path.write_bytes(bad)
+    for _ in range(2):  # a failed load is not kept
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(path)
+    path.write_bytes(data)
+    assert load_checkpoint(path) is good
+
+
+def test_shared_weights_are_freed_with_their_last_holder(fitted_pair, tmp_path):
+    path = tmp_path / "model.bin"
+    fitted_pair[0].save(path)
+    models = [RareCP.from_checkpoint(path) for _ in range(3)]
+    shared = weakref.ref(models[0].components_)
+    source = checkpoint._Source(path.read_bytes())
+    assert checkpoint._LOADED[source] is shared()
+    del models[:2]
+    gc.collect()
+    assert shared() is models[0].components_ and source in checkpoint._LOADED
+    del models
+    gc.collect()
+    assert shared() is None and source not in checkpoint._LOADED
+
+
+def test_ten_streams_on_one_load_serve_as_the_unshared_components(fitted_pair, regime_rows,
+                                                                 tmp_path):
+    """Ten windows, each six rows later than the last, served round robin for 200 steps."""
+    path = tmp_path / "model.bin"
+    fitted = fitted_pair[0]
+    fitted.save(path)
+    shared = [RareCP.from_checkpoint(path) for _ in range(10)]
+    assert all(est.components_ is shared[0].components_ for est in shared)
+    own = [RareCP.from_components(fitted.components_) for _ in range(10)]
+    X, r, forecasts = regime_rows
+    for s, est in enumerate(shared + own):
+        est.set_params(capacity=SEED_N)
+        start = 6 * (s % 10)
+        est.seed_store(X[start : start + SEED_N], r[start : start + SEED_N], start_time=start)
+    for step in range(200):
+        for s in range(10):
+            i = 6 * s + SEED_N + step
+            a = shared[s].predict_interval(X[i], forecasts[i])
+            b = own[s].predict_interval(X[i], forecasts[i])
+            assert (a.lower, a.upper) == (b.lower, b.upper)
+            shared[s].observe(X[i], r[i])
+            own[s].observe(X[i], r[i])
 
 
 # ---------------------------------------------------------------------------

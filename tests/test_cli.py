@@ -169,6 +169,18 @@ class TestCliFlows:
         assert (report / "records.csv").exists()
         assert json.loads((report / "manifest.json").read_text())["seed"] == 5
 
+    def test_same_seed_evals_write_identical_manifests_with_the_blas_threads(self, tmp_path,
+                                                                           trained):
+        _, cfg, ckpt = trained
+        reports = [tmp_path / "report-a", tmp_path / "report-b"]
+        for report in reports:
+            assert run_cli("eval", "--config", str(cfg), "--method", "rarecp_checkpoint",
+                           "--checkpoint", str(ckpt), "--out", str(report)) == 0
+        a, b = ((report / "manifest.json").read_bytes() for report in reports)
+        assert a == b
+        threads = json.loads(a)["blas_threads"]
+        assert threads is None or (type(threads) is int and threads >= 1)
+
     def test_strict_split_trains_on_first_half(self, tmp_path, fast_config):
         data = tmp_path / "data"
         run_cli("synth", "--config", str(fast_config), "--out", str(data))

@@ -337,6 +337,19 @@ def test_serving_refuses_model_parameters_changed_since_training():
     assert len(est.weighted_support(X[5]).residuals) <= SMALL["n_experts"]
 
 
+def test_a_new_capacity_takes_effect_at_the_next_seed_store():
+    rng = np.random.default_rng(9)
+    X, y = rng.standard_normal((80, 7)), rng.standard_normal(80)
+    est = RareCP(**SMALL).fit(X, y)
+    before = est.predict_interval(X[5], 0.0)
+    est.set_params(capacity=10)
+    assert est.get_params()["capacity"] == 10
+    assert (est.store_.capacity, len(est.store_)) == (80, 80)
+    assert est.predict_interval(X[5], 0.0) == before
+    est.seed_store(X, y)
+    assert (est.store_.capacity, len(est.store_)) == (10, 10)
+
+
 def test_descriptor_is_the_stores_and_read_only(fitted):
     est, X, y = fitted
     assert RareCP().descriptor_ is None
