@@ -19,6 +19,7 @@ Design constraints baked in here:
 from __future__ import annotations
 
 import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -64,19 +65,33 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _ActiveTapes(threading.local):
+    """The tapes entered on the current thread, innermost last."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
+
+
+_ACTIVE = _ActiveTapes()
+
+
 class Tape:
-    """Ordered record of primitive applications for one backward pass."""
+    """Ordered record of primitive applications for one backward pass.
+
+    A tape records only the primitives run on the thread that entered it,
+    so threads can build and replay their own tapes at the same time.
+    """
 
     def __init__(self):
         # each record: (output tensor, input tensors, vjp callable)
         self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _ACTIVE.append(self)
+        _ACTIVE.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _ACTIVE.pop()
+        _ACTIVE.stack.pop()
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate gradients of ``loss`` into every requires_grad leaf.
@@ -109,15 +124,17 @@ class Tape:
                 t.grad = g if t.grad is None else t.grad + g
 
 
-_ACTIVE: list[Tape] = []
+def _recording(inputs: tuple[Tensor, ...]) -> bool:
+    """Whether a primitive on ``inputs`` is recorded: a tape is active and an input needs a gradient."""
+    return bool(_ACTIVE.stack) and any(t.requires_grad for t in inputs)
 
 
 def _finish(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
     out = Tensor(out_data)
-    if _ACTIVE and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         out.requires_grad = True
         out._produced = True
-        _ACTIVE[-1].records.append((out, inputs, vjp))
+        _ACTIVE.stack[-1].records.append((out, inputs, vjp))
     return out
 
 
@@ -356,6 +373,21 @@ def add_const(x, c) -> Tensor:
     return _finish(tx.data + np.asarray(c, dtype=np.float64), (tx,), lambda g: (g,))
 
 
+def sq_distance(x, target, c: float) -> Tensor:
+    """``c * sum((x - target)**2)`` to a constant ``target``, as one tape record.
+
+    Bit for bit the ``add_const``/``square``/``reduce_sum``/``scale`` chain,
+    forward and backward; the VJP recomputes the difference rather than
+    holding it.
+    """
+    tx = as_tensor(x)
+    c = float(c)
+    target = np.asarray(target, dtype=np.float64)
+    diff = tx.data - target
+    out = np.asarray((diff * diff).sum()) * c
+    return _finish(out, (tx,), lambda g: ((g * c) * 2.0 * (tx.data - target),))
+
+
 def reciprocal(x) -> Tensor:
     """``1 / x`` for strictly positive ``x`` via exp(-log(x))."""
     return exp(scale(log(x), -1.0))
@@ -373,17 +405,46 @@ def transpose(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def loo_select(scores: np.ndarray, top_k: int) -> np.ndarray:
-    """Leave-one-out top-k columns of each row of a square score block.
+# episodes per block of the leave-one-out keys and the smooth-loss temporaries:
+# rows are independent, so blocking changes no bit, and it keeps a (B, L, B)
+# key block (16.8 MB at B = 256, L = 32) to a quarter of that
+_CHUNK = 64
 
-    Row j's own column j is masked (in place, to -inf) and the
-    ``min(top_k, B - 1)`` largest scores kept, largest first, ties to the
-    smaller column (a stable sort). The selection is a constant of the
-    forward pass.
+
+def _chunks(n: int) -> list[slice]:
+    return [slice(j, min(j + _CHUNK, n)) for j in range(0, n, _CHUNK)]
+
+
+def loo_select(scores: np.ndarray, top_k: int, first: int = 0) -> np.ndarray:
+    """Leave-one-out top-k columns of each row of an (n, B) score block.
+
+    Row i is episode ``first + i``: its own column is masked (in place, to
+    -inf) and the ``min(top_k, B - 1)`` largest scores kept, largest first,
+    ties to the smaller column, exactly as ``np.argsort(-scores,
+    kind="stable")[:, :k]``. For k up to B/4 a partition finds each row's
+    k-th largest score, every column above it is kept and the leftmost
+    columns tied with it fill the remaining places, so only the k winners
+    are sorted; a wider selection (a dense teacher's) sorts whole rows,
+    which is then faster. The selection is a constant of the forward pass.
     """
-    np.fill_diagonal(scores, -np.inf)
-    k = min(int(top_k), scores.shape[0] - 1)
-    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    n, B = scores.shape
+    rows = np.arange(n)
+    scores[rows, first + rows] = -np.inf
+    k = min(int(top_k), B - 1)
+    neg = np.negative(scores)
+    if 4 * k > B:
+        return np.argsort(neg, axis=1, kind="stable")[:, :k]
+    if k < 1:
+        return np.empty((n, 0), dtype=np.int64)
+    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+    if np.isnan(kth).any():  # NaN sorts last; leave such rows to the full sort
+        return np.argsort(neg, axis=1, kind="stable")[:, :k]
+    above = neg < kth
+    tied = neg == kth
+    tied &= np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)
+    cols = np.nonzero(above | tied)[1].reshape(n, k)
+    order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def loo_retrieval_scores(maps, contexts_t, top_k: int) -> tuple[np.ndarray, Tensor]:
@@ -397,9 +458,10 @@ def loo_retrieval_scores(maps, contexts_t, top_k: int) -> tuple[np.ndarray, Tens
     ``loo_select`` picks its top-k candidates. Returns ``sel`` (B, k) and the
     (B, k) selected cosine scores.
 
-    Only the selected columns and the query columns, with their inverse
-    norms, are kept for the backward pass, so it works on B x (k+1)
-    columns instead of B x B.
+    Episodes are keyed, selected and differentiated ``_CHUNK`` at a time.
+    Only when the scores are recorded on a tape are the selected and query
+    columns, with their inverse norms, kept for the backward pass, so it
+    works on B x (k+1) columns instead of B x B.
     """
     t_maps = as_tensor(maps)
     C = np.asarray(contexts_t, dtype=np.float64)
@@ -408,36 +470,54 @@ def loo_retrieval_scores(maps, contexts_t, top_k: int) -> tuple[np.ndarray, Tens
     L = D // (p + 1)
     if t_maps.data.shape != (L * (p + 1), B):
         raise ValueError(f"loo_retrieval_scores: maps {t_maps.data.shape} do not fit {C.shape}")
-    A_all = t_maps.data[: L * p].T.reshape(B, L, p)
-    keys = (A_all.reshape(B * L, p) @ C).reshape(B, L, B)
-    keys += t_maps.data[L * p :].T[:, :, None]
-    inv = 1.0 / np.sqrt(np.einsum("jdi,jdi->ji", keys, keys) + EPS_NORM)
-    keys *= inv[:, None, :]  # unit keys from here on
-    rows = np.arange(B)
-    scores = np.einsum("jd,jdi->ji", keys[rows, :, rows], keys)
-    sel = loo_select(scores, top_k)
-    # row 0 of each episode's (k+1, L) block is its query key, rows 1..k its selection
-    cols = np.concatenate([rows[:, None], sel], axis=1)
-    kept = keys.transpose(0, 2, 1)[rows[:, None], cols]
-    kept_inv = np.take_along_axis(inv, cols, axis=1)[:, :, None]
-    del keys
+    A_rows = t_maps.data[: L * p].T  # episode j's map A_j, row-major, is row j
+    bias = t_maps.data[L * p :].T[:, :, None]
+    k = min(int(top_k), B - 1)
+    sel = np.empty((B, k), dtype=np.int64)
+    selected = np.empty((B, k))
+    recording = _recording((t_maps,))
+    if recording:
+        # row 0 of each episode's (k+1, L) block is its query key, rows 1..k its selection
+        cols = np.empty((B, k + 1), dtype=np.int64)
+        kept = np.empty((B, k + 1, L))
+        kept_inv = np.empty((B, k + 1, 1))
+    for c in _chunks(B):
+        n = c.stop - c.start
+        rows, own = np.arange(n), np.arange(c.start, c.stop)
+        keys = (A_rows[c].reshape(n * L, p) @ C).reshape(n, L, B)
+        keys += bias[c]
+        inv = 1.0 / np.sqrt(np.einsum("jdi,jdi->ji", keys, keys) + EPS_NORM)
+        keys *= inv[:, None, :]  # unit keys from here on
+        scores = np.einsum("jd,jdi->ji", keys[rows, :, own], keys)
+        sel[c] = loo_select(scores, top_k, c.start)
+        selected[c] = np.take_along_axis(scores, sel[c], axis=1)
+        if recording:
+            cols[c, 0], cols[c, 1:] = own, sel[c]
+            kept[c] = keys.transpose(0, 2, 1)[rows[:, None], cols[c]]
+            kept_inv[c, :, 0] = np.take_along_axis(inv, cols[c], axis=1)
+        del keys
 
     def vjp(g):
-        g_unit = np.empty_like(kept)
-        g_unit[:, 0] = (g[:, None, :] @ kept[:, 1:])[:, 0]
-        g_unit[:, 1:] = g[:, :, None] * kept[:, :1]
-        # through the normalisation: inv * (g - u (u . g)) for unit key u
-        g_keys = g_unit - kept * np.einsum("jcd,jcd->jc", kept, g_unit)[:, :, None]
-        g_keys *= kept_inv
         grad = np.empty((D, B))
-        grad[: L * p] = (g_keys.transpose(0, 2, 1) @ C.T[cols]).reshape(B, L * p).T
-        grad[L * p :] = g_keys.sum(axis=1).T
+        for c in _chunks(B):
+            u = kept[c]
+            g_unit = np.empty_like(u)
+            g_unit[:, 0] = (g[c, None, :] @ u[:, 1:])[:, 0]
+            g_unit[:, 1:] = g[c, :, None] * u[:, :1]
+            # through the normalisation: inv * (g - u (u . g)) for unit key u
+            g_keys = g_unit - u * np.einsum("jcd,jcd->jc", u, g_unit)[:, :, None]
+            g_keys *= kept_inv[c]
+            grad[: L * p, c] = (g_keys.transpose(0, 2, 1) @ C.T[cols[c]]).reshape(-1, L * p).T
+            grad[L * p :, c] = g_keys.sum(axis=1).T
         return (grad,)
 
-    return sel, _finish(np.take_along_axis(scores, sel, axis=1), (t_maps,), vjp)
+    return sel, _finish(selected, (t_maps,), vjp)
 
 
 _SATURATED = 40.0
+# the smooth loss keeps its edge sigmoids for the backward pass up to this
+# size (an expert's or the gate's narrow supports) and recomputes larger ones
+_KEPT_EDGES_BYTES = 4 << 20
 
 
 def _edge_sigmoids(gaps: np.ndarray, tau_q: float) -> np.ndarray:
@@ -460,6 +540,14 @@ def _edge_sigmoids(gaps: np.ndarray, tau_q: float) -> np.ndarray:
     return np.divide(e, den, out=e)
 
 
+def _level_edges(weights: np.ndarray, levels: np.ndarray, tau_q: float) -> np.ndarray:
+    """The edge sigmoids (B, L, s+1) of B sorted supports of s weights at L levels."""
+    B, s = weights.shape
+    edges = np.zeros((B, 1, s + 1))
+    np.cumsum(weights, axis=1, out=edges[:, 0, 1:])
+    return _edge_sigmoids(levels[:, None] - edges, tau_q)
+
+
 def smooth_quantiles(weights: np.ndarray, residuals: np.ndarray, levels, tau_q: float):
     """Sigmoid-CDF relaxed quantiles of B sorted supports at L levels at once.
 
@@ -469,15 +557,10 @@ def smooth_quantiles(weights: np.ndarray, residuals: np.ndarray, levels, tau_q: 
     sigmoid((q - C_i) / tau_q))`` and the quantile is the bin-weighted mean
     of the residuals, so zero-weight padding columns get an empty bin.
     Returns the (B, L) quantiles with the edge sigmoids S (B, L, s+1), the
-    active-bin mask and the bin masses (B, L), which the VJP of
-    ``smooth_winkler_grid`` reads. Raises ``NumericError`` when a bin mass
-    vanishes.
+    active-bin mask and the bin masses (B, L). Raises ``NumericError`` when
+    a bin mass vanishes.
     """
-    B, s = weights.shape
-    edges = np.zeros((B, 1, s + 1))
-    np.cumsum(weights, axis=1, out=edges[:, 0, 1:])
-    levels = np.asarray(levels, dtype=np.float64)
-    S = _edge_sigmoids(levels[:, None] - edges, tau_q)
+    S = _level_edges(weights, np.asarray(levels, dtype=np.float64), tau_q)
     bins = S[:, :, :-1] - S[:, :, 1:]
     active = bins > 0
     bins *= active
@@ -499,16 +582,25 @@ def smooth_winkler_grid(weights, residuals, targets, alphas, tau_q: float, tau_p
 
     with ``softplus_tp`` the ``softplus_with_temperature`` at ``tau_p``. All
     2|alphas| levels are computed together over (B, 2|alphas|, s+1) edges,
-    and the VJP returns to the weights through one reverse cumulative sum.
+    ``_CHUNK`` episodes at a time. The VJP returns to the weights through
+    one reverse cumulative sum. It reads the blocks' edge sigmoids, kept
+    when they total at most ``_KEPT_EDGES_BYTES`` and recomputed otherwise,
+    as for a dense teacher's (B, 22, B) edges.
     """
     tw = as_tensor(weights)
+    W = tw.data
     R = np.asarray(residuals, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)[:, None]
     alphas = np.asarray(alphas, dtype=np.float64)
     n = alphas.size
-    Q, S, active, mass = smooth_quantiles(
-        tw.data, R, np.concatenate([alphas / 2.0, 1.0 - alphas / 2.0]), tau_q
-    )
+    levels = np.concatenate([alphas / 2.0, 1.0 - alphas / 2.0])
+    Q = np.empty((W.shape[0], 2 * n))
+    mass = np.empty_like(Q)
+    kept = [] if Q.size * (W.shape[1] + 1) * 8 <= _KEPT_EDGES_BYTES else None
+    for c in _chunks(W.shape[0]):
+        Q[c], S, _, mass[c] = smooth_quantiles(W[c], R[c], levels, tau_q)
+        if kept is not None:
+            kept.append(S)
     lo, hi = Q[:, :n], Q[:, n:]
     z_lo, z_hi = (lo - t) / tau_p, (t - hi) / tau_p
     penalties = tau_p * _softplus(z_lo) + tau_p * _softplus(z_hi)
@@ -520,18 +612,22 @@ def smooth_winkler_grid(weights, residuals, targets, alphas, tau_q: float, tau_p
     ) * (1.0 / n)
 
     def vjp(g):
-        c = (g[:, None] * dQ) / mass
-        g_bins = R[:, None, :] - Q[:, :, None]
-        g_bins *= c[:, :, None]
-        g_bins *= active
-        slope = 1.0 - S[:, :, 1:]
-        slope *= S[:, :, 1:]
-        # edges C_1..C_s end bins 0..s-1 and start bins 1..s-1 (C_0 = 0 is fixed)
-        g_edges = np.einsum("bls,bls->bs", g_bins, slope)
-        g_edges[:, :-1] -= np.einsum("bls,bls->bs", g_bins[:, :, 1:], slope[:, :, :-1])
-        g_edges *= 1.0 / tau_q
-        # C_i sums weights 0..i-1, so weight j collects edges j+1..s
-        return (np.cumsum(g_edges[:, ::-1], axis=1)[:, ::-1],)
+        coef = (g[:, None] * dQ) / mass
+        grad = np.empty_like(W)
+        for i, c in enumerate(_chunks(W.shape[0])):
+            S = _level_edges(W[c], levels, tau_q) if kept is None else kept[i]
+            g_bins = R[c, None, :] - Q[c, :, None]
+            g_bins *= coef[c, :, None]
+            g_bins *= S[:, :, :-1] > S[:, :, 1:]  # the active bins
+            slope = 1.0 - S[:, :, 1:]
+            slope *= S[:, :, 1:]
+            # edges C_1..C_s end bins 0..s-1 and start bins 1..s-1 (C_0 = 0 is fixed)
+            g_edges = np.einsum("bls,bls->bs", g_bins, slope)
+            g_edges[:, :-1] -= np.einsum("bls,bls->bs", g_bins[:, :, 1:], slope[:, :, :-1])
+            g_edges *= 1.0 / tau_q
+            # C_i sums weights 0..i-1, so weight j collects edges j+1..s
+            grad[c] = np.cumsum(g_edges[:, ::-1], axis=1)[:, ::-1]
+        return (grad,)
 
     return _finish(out, (tw,), vjp)
 

@@ -23,7 +23,6 @@ from rarecp.errors import DataError, NumericError, RareCPError
 from rarecp.estimators import RareCP
 from rarecp.harness import (
     EvalConfig,
-    blas_threads,
     compute_metrics,
     emit_report,
     eval_split_std,
@@ -32,7 +31,7 @@ from rarecp.harness import (
     calibration_block,
 )
 from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
-from rarecp.training import write_training_log
+from rarecp.training import blas_threads, write_training_log
 
 
 @click.group()

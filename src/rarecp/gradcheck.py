@@ -119,6 +119,9 @@ def primitive_checks(seed: int = 0, h: float = 1e-5) -> list[tuple[str, float]]:
     for activation in ("tanh", "relu"):
         check(f"mlp_{activation}", lambda: [ad.parameter(a) for pair in mlp_layers for a in pair],
               lambda *p: ad.reduce_sum(ad.square(ad.mlp(zip(p[::2], p[1::2]), x_mlp, activation))))
+    target_sq = rng.standard_normal((4, 3))
+    check("sq_distance", lambda: [ad.parameter(rng.standard_normal((4, 3)))],
+          lambda X: ad.sq_distance(X, target_sq, 0.7))
     return results
 
 

@@ -10,7 +10,6 @@ see data from t onwards.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 from dataclasses import dataclass
@@ -323,31 +322,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(float(value))  # shortest round-trip, also for numpy scalars
     return str(value)
-
-
-def blas_threads() -> int | None:
-    """The thread count of the OpenBLAS numpy loaded, or None where it cannot be read.
-
-    Checkpoint bytes can depend on it (see the README), so reports record
-    it. It is only read, never set.
-    """
-    try:
-        maps = Path("/proc/self/maps").read_text(encoding="utf-8")
-    except OSError:
-        return None
-    libs = {line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}
-    for lib in sorted(libs):
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return int(fn())
-    return None
 
 
 def emit_report(

@@ -34,7 +34,10 @@ an epoch and a loss: one run per (expert, dataset) for the teachers, one
 per expert for the students, one over the prepared rounds for the gate.
 The loop gives each run its Adam, cosine tau_q schedule and step counter,
 takes every step through ``optimizer_step``, drops the losses of skipped
-batches and logs one row per epoch.
+batches and logs one row per epoch. Runs share nothing, so the loop trains
+as many at once as the machine has CPUs per BLAS thread
+(``training_workers``) and merges them in run order: the outcome is the
+same bytes as training them one after another.
 """
 
 from __future__ import annotations
@@ -42,10 +45,12 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import threading
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 
 import numpy as np
 
@@ -233,12 +238,9 @@ def _anchor_term(emitted, teacher: tuple[np.ndarray, np.ndarray], n_episodes: in
     if isinstance(emitted, Tensor):
         # hypernetwork: stacked flat maps, one column per episode
         flat = np.concatenate([B_mat.reshape(-1), c_vec])
-        diff = ad.add_const(emitted, -flat[:, None])
-        return ad.scale(ad.reduce_sum(ad.square(diff)), 1.0 / n_episodes)
+        return ad.sq_distance(emitted, flat[:, None], 1.0 / n_episodes)
     A, b = emitted
-    da = ad.reduce_sum(ad.square(ad.add_const(A, -B_mat)))
-    db = ad.reduce_sum(ad.square(ad.add_const(b, -c_vec)))
-    return ad.add(da, db)
+    return ad.add(ad.sq_distance(A, B_mat, 1.0), ad.sq_distance(b, c_vec, 1.0))
 
 
 def _stack_mean(scalars: list[Tensor]) -> Tensor:
@@ -319,44 +321,48 @@ def _prepare_gate_batch(
     store: CalibrationStore,
     batch: np.ndarray,
     audit: list | None,
+    workers: int = 1,
 ) -> _PreparedGateBatch:
-    """Compute every expert's leave-one-out support for the batch (no tape).
+    """Compute every expert's leave-one-out support for the batch, forward only.
 
-    Episodes pad their support union to a common width with zero-weight
-    slots, which contribute nothing to the smooth quantiles.
+    Off the tape the experts emit through ``mlp_forward`` and retrieve
+    without keeping anything for a backward pass; ``workers`` of them run
+    at once. One stable sort of the (B, M*k) block of support positions
+    gives every episode's union, in position order, and each expert's
+    weight its slot there. Episodes pad their union to a common width with
+    zero-weight slots, which contribute nothing to the smooth quantiles.
     """
     B = batch.size
-    n_experts = len(experts)
-    per_expert_positions: list[np.ndarray] = []
-    per_expert_weights: list[np.ndarray] = []
-    for expert in experts:
-        sel, weights, _ = _expert_retrieval_batch(
-            expert.encoder,
-            store,
-            batch,
-            expert.config.top_k,
-            expert.config.weight_temperature,
-        )
-        per_expert_positions.append(batch[sel])
-        per_expert_weights.append(weights.data)
 
-    unions: list[np.ndarray] = []
-    for row in range(B):
-        union = np.unique(
-            np.concatenate([pos[row] for pos in per_expert_positions])
+    def support(expert: RetrievalExpert):
+        sel, weights, _ = _expert_retrieval_batch(
+            expert.encoder, store, batch, expert.config.top_k, expert.config.weight_temperature
         )
-        unions.append(union)
-        if audit is not None:
-            audit.append((store.descriptor.dataset_id, int(batch[row]), union))
-    width = max(u.size for u in unions)
-    cube = np.zeros((B, width, n_experts))
-    residuals = np.zeros((B, width))
+        return batch[sel], weights.data
+
+    supports = _in_parallel(support, list(experts), workers)
+    positions = np.concatenate([pos for pos, _ in supports], axis=1)
+    weights = np.concatenate([w for _, w in supports], axis=1)
+    expert_of = np.repeat(np.arange(len(supports)), [pos.shape[1] for pos, _ in supports])
+    order = np.argsort(positions, axis=1, kind="stable")
+    ordered = np.take_along_axis(positions, order, axis=1)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    slot_of_ordered = np.cumsum(first, axis=1) - 1
+    sizes = slot_of_ordered[:, -1] + 1
+    width = int(sizes.max())
+    rows = np.arange(B)[:, None]
+    unions = np.zeros((B, width), dtype=positions.dtype)
+    unions[rows, slot_of_ordered] = ordered
+    cube = np.zeros((B, width, len(supports)))
+    cube[rows, slot_of_ordered, expert_of[order]] = np.take_along_axis(weights, order, axis=1)
+    filled = np.arange(width) < sizes[:, None]
     store_residuals = store.residuals()
-    for row, union in enumerate(unions):
-        residuals[row, : union.size] = store_residuals[union]
-        for m in range(n_experts):
-            slots = np.searchsorted(union, per_expert_positions[m][row])
-            cube[row, slots, m] = per_expert_weights[m][row]
+    residuals = np.zeros((B, width))
+    residuals[filled] = store_residuals[unions[filled]]
+    if audit is not None:
+        ds_id = store.descriptor.dataset_id
+        audit.extend((ds_id, int(j), unions[row, : sizes[row]]) for row, j in enumerate(batch))
     perm = np.argsort(residuals, axis=1, kind="stable")
     residuals_sorted = np.take_along_axis(residuals, perm, axis=1)
     return _PreparedGateBatch(
@@ -443,8 +449,9 @@ class _Run:
     """One optimisation run of a stage.
 
     ``epoch_batches()`` gives one epoch's batches, and ``loss(batch, tau_q)``
-    builds the objective on one of them, or None to skip it. The run's
-    tau_q schedule spans ``epochs * steps_per_epoch`` steps.
+    builds the objective on one of them, or None to skip it, writing the
+    supports it retrieves to the run's own ``audit`` buffer, if any. The
+    run's tau_q schedule spans ``epochs * steps_per_epoch`` steps.
     """
 
     params: list[Tensor]
@@ -452,11 +459,18 @@ class _Run:
     steps_per_epoch: int
     epoch_batches: Callable[[], list]
     loss: Callable[[object, float], Tensor | None]
+    audit: list | None = None
+
+
+# ---------------------------------------------------------------------------
+# the process: allocator, BLAS threads and training workers
+# ---------------------------------------------------------------------------
 
 
 # glibc mallopt parameters and the values training sets
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 256 << 20
 _heap_kept = False
@@ -471,8 +485,14 @@ def keep_freed_heap() -> bool:
     allocation: about 230 000 page faults per fit of 600 rows, whose cost
     follows the host's load. Fixing the mmap threshold at 32 MiB and the
     trim threshold at 256 MiB keeps that memory for reuse; peak RSS does
-    not change. The setting is process-wide, applied once, and skipped off
-    glibc. Returns whether it is in effect.
+    not change. A single malloc arena serves every thread, so what a
+    training helper thread frees is reused by whichever thread allocates
+    next, serving included, instead of staying held in the helper's arena.
+
+    The settings are process-wide, applied once, and skipped off glibc.
+    They hold for every thread of the process, not only for training: a
+    multithreaded caller's threads then all allocate from one arena and
+    take turns at its lock. Returns whether they are in effect.
     """
     global _heap_kept
     if not _heap_kept:
@@ -485,8 +505,104 @@ def keep_freed_heap() -> bool:
         _heap_kept = bool(
             mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
             and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+            and mallopt(_M_ARENA_MAX, 1)
         )
     return _heap_kept
+
+
+@cache
+def _openblas_thread_count_fn():
+    """The thread-count function of the OpenBLAS numpy loaded, or None."""
+    try:
+        maps = Path("/proc/self/maps").read_text(encoding="utf-8")
+    except OSError:
+        return None
+    libs = {line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn
+    return None
+
+
+def blas_threads() -> int | None:
+    """The thread count of the OpenBLAS numpy loaded, or None where it cannot be read.
+
+    It sets how many runs train at once (``training_workers``), and
+    checkpoint bytes can depend on it (see the README), so reports record
+    it. It is only read, never set.
+    """
+    fn = _openblas_thread_count_fn()
+    return None if fn is None else int(fn())
+
+
+# Runs shorter than this many leave-one-out episodes train one after another.
+# Measured on this package's 128-row fits (one step per run, a stage of 30 to
+# 90 ms), two runs at once gained nothing and lost up to a fifth: the helper
+# thread shared the caller's CPU for most of the stage. Longer runs gained.
+_MIN_CONCURRENT_EPISODES = 256
+
+
+def training_workers(n_runs: int, episodes: int) -> int:
+    """How many of ``n_runs`` independent runs of ``episodes`` episodes each train at once.
+
+    The CPUs this process may use divided by the BLAS thread count, so the
+    BLAS threads of concurrent runs do not outnumber the CPUs, capped at
+    ``n_runs``. Runs shorter than ``_MIN_CONCURRENT_EPISODES``, or a count
+    that cannot be read, give 1: the runs train one after another.
+    """
+    if n_runs < 2 or episodes < _MIN_CONCURRENT_EPISODES:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return 1
+    threads = blas_threads()
+    if not threads:
+        return 1
+    return max(1, min(n_runs, cpus // threads))
+
+
+def _in_parallel(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]`` on the calling thread and ``workers - 1`` helpers.
+
+    Threads take the items in order, one at a time, and the results come
+    back in item order. Once an item fails no thread starts another; when
+    all have stopped, the exception of the first failed item is raised.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    results: list = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    todo, lock = iter(range(len(items))), threading.Lock()
+
+    def work() -> None:
+        while not errors:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # re-raised on the calling thread
+                errors[i] = exc
+
+    helpers = [threading.Thread(target=work) for _ in range(min(workers, len(items)) - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class Trainer:
@@ -558,21 +674,25 @@ class Trainer:
             for r in range(max(len(b) for b in per_ds))
         ]
 
-    def _run_stage(self, stage: str, epochs: int, runs: list[_Run]) -> None:
+    def _run_stage(self, stage: str, epochs: int, runs: list[_Run], rows: int = 0) -> None:
         """Optimise every run for ``epochs`` epochs, then log the stage.
 
-        Each run gets its own Adam, tau_q schedule and step counter; a
+        The runs share nothing, so ``training_workers`` of them train at
+        once, each on at least ``rows`` episodes an epoch. Each has its own
+        Adam, tau_q schedule, step counter, losses and audit buffer; a
         skipped batch still takes its step of the schedule but leaves no
-        loss. The stage logs one row per epoch in which any run had a
-        loss: the mean over runs of each run's epoch-mean loss, with the
-        first run's tau_q at the start of the epoch.
+        loss. The stage then merges in run order, so its outcome is byte for
+        byte that of one run after another: it appends each run's audit
+        buffer, and logs one row per epoch in which any run had a loss: the
+        mean over runs of each run's epoch-mean loss, with the first run's
+        tau_q at the start of the epoch.
         """
-        epoch_means: list[list[float]] = [[] for _ in range(epochs)]
-        for run in runs:
+
+        def train(run: _Run) -> list[float | None]:
             optimizer = Adam(run.params, lr=run.lr)
             schedule = self._schedule(epochs * run.steps_per_epoch)
-            step = 0
-            for epoch in range(epochs):
+            step, means = 0, []
+            for _ in range(epochs):
                 losses = []
                 for batch in run.epoch_batches():
                     tau_q = temperature_at(step, schedule)
@@ -580,25 +700,35 @@ class Trainer:
                     if math.isfinite(loss):
                         losses.append(loss)
                     step += 1
-                if losses:
-                    epoch_means[epoch].append(float(np.mean(losses)))
+                means.append(float(np.mean(losses)) if losses else None)
+            return means
+
+        per_run = _in_parallel(train, runs, training_workers(len(runs), epochs * rows))
+        for run in runs:
+            if run.audit:
+                self.audit.extend(run.audit)
         steps_per_epoch = runs[0].steps_per_epoch
         schedule = self._schedule(epochs * steps_per_epoch)
-        for epoch, means in enumerate(epoch_means):
+        for epoch in range(epochs):
+            means = [run_means[epoch] for run_means in per_run if run_means[epoch] is not None]
             if means:
                 tau_q = temperature_at(epoch * steps_per_epoch, schedule)
                 self.log.append(LogRow(stage, epoch, float(np.mean(means)), tau_q))
 
-    def _expert_loss(self, encoder, stores, teachers, top_k: int, lambda_anchor: float):
-        """``expert_batch_loss`` of ``encoder`` as a run's loss(batches, tau_q)."""
+    def _expert_run(self, encoder, lr, stores, rng, teachers, top_k: int, lambda_anchor: float):
+        """A run of ``expert_batch_loss`` on ``encoder`` over the rounds ``rng`` draws."""
+        audit = None if self.audit is None else []
 
         def loss(batches, tau_q):
             return expert_batch_loss(
                 encoder, stores, batches, teachers, top_k, 1.0 / self.model.beta,
-                self.alpha_grid, tau_q, self.train.tau_p, lambda_anchor, audit=self.audit,
+                self.alpha_grid, tau_q, self.train.tau_p, lambda_anchor, audit=audit,
             )
 
-        return loss
+        return _Run(
+            encoder.parameters(), lr, self._steps_per_epoch(stores),
+            partial(self._rounds, stores, rng), loss, audit,
+        )
 
     # -- stages -----------------------------------------------------------
 
@@ -615,12 +745,12 @@ class Trainer:
                 )
                 teachers[m].append(teacher)
                 rng = np.random.default_rng([cfg.seed, 11, m, d])
-                runs.append(_Run(
-                    teacher.parameters(), cfg.teacher_lr, self._steps_per_epoch([store]),
-                    partial(self._rounds, [store], rng),
-                    self._expert_loss(teacher, [store], None, len(store), 0.0),
-                ))
-        self._run_stage("teacher", cfg.teacher_epochs, runs)
+                runs.append(
+                    self._expert_run(teacher, cfg.teacher_lr, [store], rng, None, len(store), 0.0)
+                )
+        self._run_stage(
+            "teacher", cfg.teacher_epochs, runs, min(len(store) for store in self.stores)
+        )
         self.teachers = teachers
 
     def _make_encoder(self, m: int):
@@ -650,14 +780,11 @@ class Trainer:
         for m, encoder in enumerate(encoders):
             teacher_arrays = [t.as_arrays() for t in self.teachers[m]]
             rng = np.random.default_rng([cfg.seed, 22, m])
-            runs.append(_Run(
-                encoder.parameters(), cfg.student_lr, self._steps_per_epoch(self.stores),
-                partial(self._rounds, self.stores, rng),
-                self._expert_loss(
-                    encoder, self.stores, teacher_arrays, self.model.top_k, cfg.lambda_anchor
-                ),
+            runs.append(self._expert_run(
+                encoder, cfg.student_lr, self.stores, rng, teacher_arrays, self.model.top_k,
+                cfg.lambda_anchor,
             ))
-        self._run_stage("expert", cfg.epochs, runs)
+        self._run_stage("expert", cfg.epochs, runs, sum(len(store) for store in self.stores))
         config = self.model.expert_config()
         self.experts = ExpertStack.of(
             [RetrievalExpert(encoder=e, config=config) for e in encoders]
@@ -681,7 +808,10 @@ class Trainer:
         prepared_rounds: list[list[_PreparedGateBatch]] = []
         for round_batches in self._rounds(self.stores, rng):
             prepared = [
-                _prepare_gate_batch(self.experts, store, batch, self.audit)
+                _prepare_gate_batch(
+                    self.experts, store, batch, self.audit,
+                    training_workers(len(self.experts), batch.size),
+                )
                 for store, batch in zip(self.stores, round_batches)
                 if _valid_batch(batch)
             ]

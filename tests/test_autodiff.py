@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,45 @@ class TestBackwardBasics:
             return w.grad.tobytes()
 
         assert run() == run()
+
+
+    def test_threads_record_only_their_own_primitives(self):
+        """Two threads taping at the same time: each tape holds exactly its thread's records."""
+        n_steps = 200
+        barrier = threading.Barrier(2)
+        results = {}
+
+        def build(name, primitive):
+            x = ad.parameter(np.arange(1.0, 4.0))
+            barrier.wait()
+            with ad.Tape() as tape:
+                y = x
+                for _ in range(n_steps):
+                    y = primitive(y)
+                    barrier.wait(timeout=10)  # interleave the two threads step by step
+                loss = ad.reduce_sum(y)
+            tape.backward(loss)
+            results[name] = (tape, x)
+
+        threads = [
+            threading.Thread(target=build, args=("scale", lambda y: ad.scale(y, 1.0))),
+            threading.Thread(target=build, args=("tanh", ad.tanh)),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        for name in ("scale", "tanh"):
+            tape, x = results[name]
+            assert len(tape.records) == n_steps + 1
+            assert all(out.data.shape == (3,) for out, _, _ in tape.records[:-1])
+        scale_tape, scale_x = results["scale"]
+        np.testing.assert_array_equal(scale_x.grad, np.ones(3))
+        ins = {id(t) for _, inputs, _ in scale_tape.records for t in inputs}
+        outs = {id(out) for out, _, _ in results["tanh"][0].records}
+        assert not ins & outs
+        assert not ad._ACTIVE.stack  # nothing leaks onto this thread
 
 
 class TestPrimitiveGradients:

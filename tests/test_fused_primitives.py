@@ -9,6 +9,8 @@ bits of the per-layer ``affine``/``tanh``/``relu`` chain.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rarecp import autodiff as ad
 from rarecp.errors import NumericError
@@ -177,6 +179,22 @@ class TestSmoothWinklerGrid:
             ad.smooth_winkler_grid, weights, residuals, targets, 0.05, 0.02, probe)
         assert rel_err(grad, fourth_order_grad(f, weights, h=1e-4)) < 1e-10
 
+    @pytest.mark.parametrize("B,s,pad", [(130, 40, 3), (70, 255, 0)])
+    def test_blocks_and_recomputed_edges_change_no_bit(self, monkeypatch, B, s, pad):
+        """Episodes in blocks of 64 with edges kept, in blocks with edges
+        recomputed by the VJP, and in one block give the same bytes."""
+        rng = np.random.default_rng([B, s])
+        weights, residuals, targets = sorted_batch(rng, B, s, pad=pad, ties=True)
+        probe = rng.standard_normal(B)
+        results = []
+        for chunk, kept_bytes in ((64, 1 << 40), (64, 0), (10**6, 1 << 40)):
+            monkeypatch.setattr(ad, "_CHUNK", chunk)
+            monkeypatch.setattr(ad, "_KEPT_EDGES_BYTES", kept_bytes)
+            value, grad = value_and_grad(
+                ad.smooth_winkler_grid, weights, residuals, targets, 0.01, 5e-4, probe)
+            results.append((value.tobytes(), grad.tobytes()))
+        assert results[0] == results[1] == results[2]
+
 
 # ---------------------------------------------------------------------------
 # oracle: the full-tape retrieval chain
@@ -284,6 +302,18 @@ class TestLooRetrievalScores:
         assert rel_err(grad, grad_o) < REL
         assert not np.any(sel == np.arange(B)[:, None])
 
+    @pytest.mark.parametrize("B,top_k", [(130, 32), (70, 69)])
+    def test_blocks_change_no_bit(self, monkeypatch, B, top_k):
+        """Episodes keyed in blocks of 64 and in one block give the same bytes."""
+        rng = np.random.default_rng([B, top_k])
+        maps, contexts_t = retrieval_instance(rng, B, 6, 4, duplicates=True)
+        results = []
+        for chunk in (64, 10**6):
+            monkeypatch.setattr(ad, "_CHUNK", chunk)
+            sel, scores, grad = retrieval_grad(ad.loo_retrieval_scores, maps, contexts_t, top_k)
+            results.append((sel.tobytes(), scores.tobytes(), grad.tobytes()))
+        assert results[0] == results[1]
+
     def test_tied_scores_go_to_the_smaller_column(self):
         rng = np.random.default_rng(5)
         maps, contexts_t = retrieval_instance(rng, 10, 4, 3)
@@ -347,6 +377,72 @@ class TestLooSelect:
             np.fill_diagonal(expected_scores, -np.inf)
             expected = np.argsort(-expected_scores, axis=1, kind="stable")[:, : min(top_k, B - 1)]
             assert np.array_equal(ad.loo_select(scores, top_k), expected)
+
+
+    @given(
+        n=st.integers(1, 12), extra=st.integers(0, 12), first_frac=st.floats(0, 1),
+        top_k=st.integers(1, 30), levels=st.integers(0, 6), neg_inf=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_partial_selection_equals_full_stable_sort(
+        self, n, extra, first_frac, top_k, levels, neg_inf, seed
+    ):
+        """Any (n, B) block with its own columns at ``first``: ties, -inf scores, k >= B - 1."""
+        rng = np.random.default_rng(seed)
+        B = n + extra
+        first = int(first_frac * (B - n))
+        if levels:  # few distinct values: ties everywhere
+            scores = rng.integers(0, levels, (n, B)) / 4.0
+        else:
+            scores = rng.standard_normal((n, B))
+        if neg_inf:  # candidates that score -inf tie with the masked own column
+            scores[rng.random((n, B)) < 0.3] = -np.inf
+        expected = scores.copy()
+        expected[np.arange(n), first + np.arange(n)] = -np.inf
+        k = min(top_k, B - 1)
+        want = np.argsort(-expected, axis=1, kind="stable")[:, :k]
+        got = ad.loo_select(scores, top_k, first)
+        assert got.shape == (n, k) and got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert np.array_equal(scores, expected)  # the own columns are masked in place
+
+
+# ---------------------------------------------------------------------------
+# sq_distance
+
+
+class TestSqDistance:
+    @pytest.mark.parametrize("shape", [(5,), (4, 3), (2112, 64)])
+    @pytest.mark.parametrize("c", [1.0, 1.0 / 256])
+    def test_equals_four_record_chain_bitwise(self, shape, c):
+        rng = np.random.default_rng([len(shape), shape[0]])
+        x0, target = rng.standard_normal(shape), rng.standard_normal(shape)
+        results = []
+        for fused in (True, False):
+            x = ad.parameter(x0)
+            with ad.Tape() as tape:
+                y = ad.mul(x, ad.constant(np.full(shape, 0.5)))  # a gradient arrives from upstream
+                if fused:
+                    out = ad.sq_distance(y, target, c)
+                else:
+                    out = ad.scale(ad.reduce_sum(ad.square(ad.add_const(y, -target))), c)
+                loss = ad.scale(out, 3.0)
+            tape.backward(loss)
+            results.append((out.data.tobytes(), x.grad.tobytes(), len(tape.records)))
+        (out_f, grad_f, records_f), (out_c, grad_c, records_c) = results
+        assert out_f == out_c and grad_f == grad_c
+        assert (records_f, records_c) == (3, 6)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(3)
+        x0, target = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        x = ad.parameter(x0)
+        with ad.Tape() as tape:
+            loss = ad.sq_distance(x, target, 0.3)
+        tape.backward(loss)
+        f = lambda v: float(ad.sq_distance(v, target, 0.3).data)  # noqa: E731
+        assert rel_err(x.grad, fourth_order_grad(f, x0)) < REL
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,10 @@
-from dataclasses import replace
+import json
+import os
+import subprocess
+import sys
+import threading
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +22,7 @@ from rarecp.data import (
     encoder_inputs,
 )
 from rarecp.errors import DataError, RareCPError
-from rarecp.experts import HypernetworkParams
+from rarecp.experts import ExpertConfig, HypernetworkParams, RetrievalExpert
 from rarecp.training import (
     ModelConfig,
     TemperatureSchedule,
@@ -29,6 +35,7 @@ from rarecp.training import (
     temperature_at,
     write_training_log,
     _batch_contexts,
+    _expert_retrieval_batch,
     _prepare_gate_batch,
 )
 
@@ -308,9 +315,9 @@ class TestExpertTraining:
         assert float(with_teacher.data) == pytest.approx(float(without.data))
 
     def test_step_tape_stays_fused(self, monkeypatch):
-        """One hypernetwork step records a dozen tape records, its MLP one of
-        them; a loss built from one primitive chain per quantile level
-        records over 500."""
+        """One hypernetwork step records nine tape records, its MLP and its
+        anchor one each; a loss built from one primitive chain per quantile
+        level records over 500."""
         rng = np.random.default_rng(19)
         store = tiny_store(rng, n=40)
         encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=2, seed=0)
@@ -320,7 +327,7 @@ class TestExpertTraining:
             alpha_grid=np.asarray(default_alpha_grid()), tau_q=0.05, tau_p=5e-4,
             lambda_anchor=5.0,
         ))
-        assert recorded <= 12
+        assert recorded <= 9
 
     def test_full_loss_gradient_fidelity_small(self):
         from rarecp.gradcheck import expert_loss_check
@@ -399,6 +406,53 @@ class TestGateTraining:
         )
         assert recorded <= 15
 
+    @pytest.mark.parametrize("top_ks", [None, (3, 7)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_prepared_batch_equals_per_row_unions(self, top_ks, workers):
+        """Every field, and the audit trail, equals the construction from a
+        per-row ``np.unique`` and a per-(row, expert) ``searchsorted``."""
+        rng = np.random.default_rng(24)
+        store = tiny_store(rng, n=40)
+        experts = self._trained_experts(rng, store, tiny_model()).experts
+        if top_ks is not None:  # supports of different sizes
+            experts = [RetrievalExpert(e.encoder, ExpertConfig(top_k=k, beta=12.0))
+                       for e, k in zip(experts, top_ks)]
+        batch = rng.permutation(40)[:30]
+        audit = []
+        got = _prepare_gate_batch(experts, store, batch, audit, workers)
+
+        positions, weights = [], []
+        for expert in experts:
+            sel, w, _ = _expert_retrieval_batch(
+                expert.encoder, store, batch, expert.config.top_k,
+                expert.config.weight_temperature)
+            positions.append(batch[sel])
+            weights.append(w.data)
+        unions = [np.unique(np.concatenate([p[row] for p in positions]))
+                  for row in range(batch.size)]
+        cube = np.zeros((batch.size, max(u.size for u in unions), len(experts)))
+        residuals = np.zeros(cube.shape[:2])
+        for row, union in enumerate(unions):
+            residuals[row, : union.size] = store.residuals()[union]
+            for m in range(len(experts)):
+                cube[row, np.searchsorted(union, positions[m][row]), m] = weights[m][row]
+        perm = np.argsort(residuals, axis=1, kind="stable")
+        want = {
+            "inputs": encoder_inputs(_batch_contexts(store, batch), store.features),
+            "weight_cube": cube,
+            "residuals_sorted": np.take_along_axis(residuals, perm, axis=1),
+            "sort_perm": perm,
+            "targets": store.residuals()[batch],
+        }
+        for field in fields(got):
+            value = getattr(got, field.name)
+            assert value.dtype == want[field.name].dtype, field.name
+            assert value.shape == want[field.name].shape, field.name
+            assert value.tobytes() == want[field.name].tobytes(), field.name
+        assert [(d, j, u.dtype, u.tobytes()) for d, j, u in audit] == [
+            (0, int(j), u.dtype, u.tobytes()) for j, u in zip(batch, unions)
+        ]
+
     def test_gate_gradient_fidelity(self):
         from rarecp.gradcheck import gate_loss_check
 
@@ -467,7 +521,7 @@ class TestStageRunnerLog:
     def test_teacher_rows_average_over_expert_dataset_runs(self, monkeypatch):
         from rarecp import training
 
-        losses = []  # (optimizer, loss) per step, in order
+        losses = []  # (optimizer, loss) per step
 
         def recording_step(optimizer, loss_fn):
             loss = optimizer_step(optimizer, loss_fn)
@@ -484,9 +538,10 @@ class TestStageRunnerLog:
         with pytest.warns(UserWarning, match="fewer"):
             trainer.fit_teachers()
 
-        runs: dict[int, list[float]] = {}
+        # a run is known by its teacher's parameters: runs may step at the same time
+        runs = {id(t.A): [] for row in trainer.teachers for t in row}
         for optimizer, loss in losses:
-            runs.setdefault(id(optimizer), []).append(loss)
+            runs[id(optimizer.params[0])].append(loss)
         per_run = list(runs.values())
         steps = [2, 3, 2, 3]  # runs in (expert, dataset) order
         assert [len(run) for run in per_run] == [3 * s for s in steps]
@@ -695,3 +750,140 @@ def test_keep_freed_heap_stops_refaulting_freed_arrays():
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     touched_pages = 5 * 3 * rows * 8 // 4096
     assert faults < touched_pages // 100
+
+
+class TestInParallel:
+    """``training._in_parallel``: every item once, results in item order, first error raised."""
+
+    def test_more_workers_than_cpus_run_every_item_once(self):
+        from rarecp.training import _in_parallel
+
+        calls, lock = [], threading.Lock()
+
+        def fn(i):
+            with lock:
+                calls.append(i)
+            return i * i
+
+        threads_before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for workers in (1, 3, 8):
+                calls.clear()
+                assert _in_parallel(fn, list(range(500)), workers) == [i * i for i in range(500)]
+                assert sorted(calls) == list(range(500))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads_before  # every helper was joined
+
+    def test_the_first_failed_item_is_raised_and_no_item_starts_after(self):
+        from rarecp.training import _in_parallel
+
+        started = []
+        gate = threading.Event()
+
+        def fn(i):
+            started.append(i)
+            if i == 1:
+                gate.wait(timeout=10)  # item 1 fails after item 2 has failed
+                raise ValueError(f"item {i}")
+            if i == 2:
+                gate.set()
+                raise KeyError(f"item {i}")
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            _in_parallel(fn, list(range(50)), 2)
+        assert sorted(started) == [0, 1, 2]
+
+
+_HELPER_FREES_SCRIPT = """
+import resource, threading
+import numpy as np
+from rarecp.training import keep_freed_heap
+
+rows = (17 << 20) // 8
+
+def cycle():
+    arrays = [np.ones(rows) for _ in range(3)]
+    return sum(float(a[-1]) for a in arrays)
+
+if keep_freed_heap():
+    helper = threading.Thread(target=cycle)
+    helper.start()
+    helper.join()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        assert cycle() == 3.0
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, 5 * 3 * rows * 8 // 4096)
+"""
+
+
+def test_keep_freed_heap_reuses_what_a_helper_thread_freed():
+    """The main thread reuses training-sized arrays a helper thread freed, without page faults.
+
+    Run in a fresh process, whose only arena is the one malloc gives every thread.
+    """
+    import rarecp
+
+    env = dict(os.environ, PYTHONPATH=str(Path(rarecp.__file__).resolve().parent.parent))
+    out = subprocess.run([sys.executable, "-c", _HELPER_FREES_SCRIPT], env=env, timeout=120,
+                         capture_output=True, text=True, check=True).stdout.split()
+    if not out:
+        pytest.skip("allocator settings apply to glibc only")
+    faults, touched_pages = map(int, out)
+    assert faults < touched_pages // 100
+
+
+_FIT_SCRIPT = """
+import hashlib, json, os, sys, tempfile
+import numpy as np
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from rarecp.checkpoint import components_from_trainer, save_checkpoint
+from rarecp.data import CalibrationStore, compute_descriptor
+from rarecp.training import ModelConfig, TrainConfig, Trainer, training_workers, write_training_log
+
+rng = np.random.default_rng(31)
+contexts = rng.standard_normal((300, 8))
+residuals = rng.standard_normal(300) * (1.0 + 3.0 * (contexts[:, 0] > 0))
+store = CalibrationStore.from_arrays(contexts, residuals)
+store.condition(compute_descriptor(store.contexts(), 0), True)
+model = ModelConfig(n_experts=3, latent_dim=6, top_k=12, hidden_dim=16, window=8,
+                    include_forecast=False)
+trainer = Trainer([store], model, TrainConfig(epochs=2, teacher_epochs=1, seed=4, audit=True))
+trainer.run()
+digest = lambda data: hashlib.sha256(data).hexdigest()
+with tempfile.TemporaryDirectory() as tmp:
+    save_checkpoint(components_from_trainer(trainer), os.path.join(tmp, "m.ckpt"))
+    write_training_log(trainer.log, os.path.join(tmp, "log.csv"))
+    checkpoint, log = (open(os.path.join(tmp, name), "rb").read() for name in ("m.ckpt", "log.csv"))
+audit = hashlib.sha256()
+for dataset_id, query, support in trainer.audit:
+    audit.update(repr((dataset_id, query, support.dtype.str)).encode() + support.tobytes())
+print(json.dumps({"workers": training_workers(3, 300), "checkpoint": digest(checkpoint),
+                  "log": digest(log), "audit": audit.hexdigest(), "audited": len(trainer.audit)}))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs 2 allowed CPUs",
+)
+def test_fit_on_every_cpu_equals_a_fit_on_one():
+    """At one BLAS thread, runs train two or more at a time on every allowed
+    CPU and one at a time on one CPU, and give the same checkpoint bytes,
+    log and audit trail."""
+    import rarecp
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(rarecp.__file__).resolve().parent.parent))
+    every_cpu, one_cpu = (
+        json.loads(subprocess.run([sys.executable, "-c", _FIT_SCRIPT, cpus], env=env, timeout=300,
+                                  capture_output=True, text=True, check=True).stdout)
+        for cpus in ("every", "one")
+    )
+    assert every_cpu.pop("workers") >= 2 and one_cpu.pop("workers") == 1
+    assert every_cpu["audited"] == 3 * 300 * (1 + 2) + 300  # 3 teachers, 3 experts, the gate
+    assert every_cpu == one_cpu
