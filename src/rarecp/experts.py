@@ -122,13 +122,15 @@ class HypernetworkParams:
         self.layers = _mlp_init(sizes, rng)
         # final layer starts near zero so the emitted map begins at the bias,
         # ``final_bias_map`` or else the identity map on the freshest features
-        w_last, b_last = self.layers[-1]
+        w_last, _ = self.layers[-1]
         w_last.data = rng.normal(0.0, final_weight_scale, size=w_last.data.shape)
         if final_bias_map is None:
-            A0, b0 = identity_map(latent_dim, context_dim), np.zeros(latent_dim)
-        else:
-            A0, b0 = final_bias_map
-        b_last.data = np.concatenate([np.asarray(A0).reshape(-1), np.asarray(b0)])
+            final_bias_map = identity_map(latent_dim, context_dim), np.zeros(latent_dim)
+        self.start_at(*final_bias_map)
+
+    def start_at(self, A0: np.ndarray, b0: np.ndarray) -> None:
+        """Make the emitted map start at ``(A0, b0)``: the final bias, written in place."""
+        self.layers[-1][1].data[:] = np.concatenate([np.asarray(A0).reshape(-1), np.asarray(b0)])
 
     @classmethod
     def from_arrays(cls, layers, activation: str) -> "HypernetworkParams":
@@ -173,6 +175,10 @@ class FixedAffineMap:
         self.A, self.b = Tensor(A, requires_grad=True), Tensor(b, requires_grad=True)
         self.latent_dim, self.context_dim = A.shape
         return self
+
+    def start_at(self, A0: np.ndarray, b0: np.ndarray) -> None:
+        """Set the map to ``(A0, b0)``, written in place."""
+        self.A.data[:], self.b.data[:] = A0, b0
 
     def parameters(self) -> list[Tensor]:
         return [self.A, self.b]

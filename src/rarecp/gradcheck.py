@@ -17,6 +17,7 @@ from rarecp.data import CalibrationStore, compute_descriptor
 from rarecp.experts import ExpertConfig, FixedAffineMap, HypernetworkParams, RetrievalExpert
 from rarecp.gate import GateParams
 from rarecp.training import (
+    _expert_support,
     _prepare_gate_batch,
     default_alpha_grid,
     expert_batch_loss,
@@ -262,7 +263,8 @@ def gate_loss_check(
     b_last.data = rng.normal(0.0, 0.5, size=b_last.data.shape)
 
     batch = np.arange(n_episodes)
-    prepared = [_prepare_gate_batch(experts, store, batch, None)]
+    supports = [_expert_support(expert, store, batch) for expert in experts]
+    prepared = [_prepare_gate_batch(store, batch, supports, None)]
     alphas = np.asarray(default_alpha_grid())
 
     def f():

@@ -23,21 +23,25 @@ Training units are leave-one-out episodes: the held-out query retrieves
 from the minibatch candidates excluding itself, so its own residual never
 enters its support. A dataset is a conditioned ``CalibrationStore``, read
 through its key inputs and descriptor features as serving reads it.
-Stages run strictly in order: prefit affine teachers, then hypernetwork
-students anchored to their teachers in parameter space, then the gate
-(experts frozen) with an entropy bonus that discourages early collapse
-onto one expert.
+Three stages: prefit affine teachers, then hypernetwork students anchored
+to their teachers in parameter space, then the gate (experts frozen) with
+an entropy bonus that discourages early collapse onto one expert.
 
-All three stages go through one loop, ``Trainer._run_stage``. A stage only
-builds its runs, each a set of parameters, a learning rate, the batches of
-an epoch and a loss: one run per (expert, dataset) for the teachers, one
-per expert for the students, one over the prepared rounds for the gate.
-The loop gives each run its Adam, cosine tau_q schedule and step counter,
-takes every step through ``optimizer_step``, drops the losses of skipped
-batches and logs one row per epoch. Runs share nothing, so the loop trains
-as many at once as the machine has CPUs per BLAS thread
-(``training_workers``) and merges them in run order: the outcome is the
-same bytes as training them one after another.
+Every run is one loop, ``Trainer._train``: a set of parameters, a learning
+rate, the batches of an epoch and a loss, with its own Adam, cosine tau_q
+schedule and step counter, every step taken through ``optimizer_step``.
+There is one run per (expert, dataset) for the teachers, one per expert for
+the students, one over the prepared rounds for the gate.
+
+A fit is one ordered task list (``Trainer._queue``, run by ``_Schedule``):
+teacher (m, d); expert m, which starts once teachers (m, .) have finished;
+then, per (gate round, dataset, expert m), expert m's forward-only
+leave-one-out supports, which start once expert m has. The calling thread
+and as many helpers as the machine has CPUs per BLAS thread
+(``training_workers``) take the tasks in order. The caller then merges
+logs and audit buffers in stage and run order, builds the gate's batches
+from the supports and trains the gate: the outcome is the same bytes as
+running every task one after another.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import os
 import threading
 import warnings
 from collections.abc import Callable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, partial
 from pathlib import Path
@@ -316,31 +321,34 @@ class _PreparedGateBatch:
     targets: np.ndarray         # (B,) held-out residuals
 
 
+def _expert_support(
+    expert: RetrievalExpert, store: CalibrationStore, batch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A frozen expert's leave-one-out supports for a batch: (B, k) positions and weights.
+
+    Off the tape the expert emits through ``mlp_forward`` and retrieves
+    without keeping anything for a backward pass.
+    """
+    sel, weights, _ = _expert_retrieval_batch(
+        expert.encoder, store, batch, expert.config.top_k, expert.config.weight_temperature
+    )
+    return batch[sel], weights.data
+
+
 def _prepare_gate_batch(
-    experts: Sequence[RetrievalExpert],
     store: CalibrationStore,
     batch: np.ndarray,
+    supports: Sequence[tuple[np.ndarray, np.ndarray]],
     audit: list | None,
-    workers: int = 1,
 ) -> _PreparedGateBatch:
-    """Compute every expert's leave-one-out support for the batch, forward only.
+    """The gate's input for a batch, from every expert's ``_expert_support`` of it.
 
-    Off the tape the experts emit through ``mlp_forward`` and retrieve
-    without keeping anything for a backward pass; ``workers`` of them run
-    at once. One stable sort of the (B, M*k) block of support positions
-    gives every episode's union, in position order, and each expert's
-    weight its slot there. Episodes pad their union to a common width with
-    zero-weight slots, which contribute nothing to the smooth quantiles.
+    One stable sort of the (B, M*k) block of support positions gives every
+    episode's union, in position order, and each expert's weight its slot
+    there. Episodes pad their union to a common width with zero-weight
+    slots, which contribute nothing to the smooth quantiles.
     """
     B = batch.size
-
-    def support(expert: RetrievalExpert):
-        sel, weights, _ = _expert_retrieval_batch(
-            expert.encoder, store, batch, expert.config.top_k, expert.config.weight_temperature
-        )
-        return batch[sel], weights.data
-
-    supports = _in_parallel(support, list(experts), workers)
     positions = np.concatenate([pos for pos, _ in supports], axis=1)
     weights = np.concatenate([w for _, w in supports], axis=1)
     expert_of = np.repeat(np.arange(len(supports)), [pos.shape[1] for pos, _ in supports])
@@ -535,7 +543,7 @@ def _openblas_thread_count_fn():
 def blas_threads() -> int | None:
     """The thread count of the OpenBLAS numpy loaded, or None where it cannot be read.
 
-    It sets how many runs train at once (``training_workers``), and
+    It sets how many training tasks run at once (``training_workers``), and
     checkpoint bytes can depend on it (see the README), so reports record
     it. It is only read, never set.
     """
@@ -543,22 +551,23 @@ def blas_threads() -> int | None:
     return None if fn is None else int(fn())
 
 
-# Runs shorter than this many leave-one-out episodes train one after another.
-# Measured on this package's 128-row fits (one step per run, a stage of 30 to
-# 90 ms), two runs at once gained nothing and lost up to a fifth: the helper
-# thread shared the caller's CPU for most of the stage. Longer runs gained.
+# A fit whose teachers train on fewer leave-one-out episodes than this runs
+# its tasks one after another. On 128-row, one-epoch fits, two tasks at a
+# time took a third less time but raised peak RSS by 8 to 11%: concurrent
+# runs leave the one malloc arena more fragmented. Longer fits gain more.
 _MIN_CONCURRENT_EPISODES = 256
 
 
-def training_workers(n_runs: int, episodes: int) -> int:
-    """How many of ``n_runs`` independent runs of ``episodes`` episodes each train at once.
+def training_workers(n_tasks: int, episodes: int) -> int:
+    """How many threads run a fit's ``n_tasks`` tasks, its shortest run training on ``episodes``.
 
     The CPUs this process may use divided by the BLAS thread count, so the
-    BLAS threads of concurrent runs do not outnumber the CPUs, capped at
-    ``n_runs``. Runs shorter than ``_MIN_CONCURRENT_EPISODES``, or a count
-    that cannot be read, give 1: the runs train one after another.
+    BLAS threads of concurrent tasks do not outnumber the CPUs, capped at
+    ``n_tasks``. A shortest run of fewer than ``_MIN_CONCURRENT_EPISODES``
+    leave-one-out episodes, or a count that cannot be read, gives 1: the
+    tasks run one after another.
     """
-    if n_runs < 2 or episodes < _MIN_CONCURRENT_EPISODES:
+    if n_tasks < 2 or episodes < _MIN_CONCURRENT_EPISODES:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -567,42 +576,89 @@ def training_workers(n_runs: int, episodes: int) -> int:
     threads = blas_threads()
     if not threads:
         return 1
-    return max(1, min(n_runs, cpus // threads))
+    return max(1, min(n_tasks, cpus // threads))
 
 
-def _in_parallel(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(item) for item in items]`` on the calling thread and ``workers - 1`` helpers.
+class _Schedule:
+    """Tasks run in the order they were added, by the calling thread and helper threads.
 
-    Threads take the items in order, one at a time, and the results come
-    back in item order. Once an item fails no thread starts another; when
-    all have stopped, the exception of the first failed item is raised.
+    A task may name tasks added before it, which finish before it starts.
+    Every thread takes the next task in order, so a task a thread waits for
+    has already been taken by another, which does not wait on anything
+    later: no worker count can deadlock. Once a task fails no thread starts
+    another, and the tasks that need it never run.
     """
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    results: list = [None] * len(items)
-    errors: dict[int, BaseException] = {}
-    todo, lock = iter(range(len(items))), threading.Lock()
 
-    def work() -> None:
-        while not errors:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
+    def __init__(self) -> None:
+        self._tasks: list[tuple[Callable[[], object], tuple[int, ...]]] = []
+        self._results: list = []
+        self._done: list[threading.Event] = []
+        self._errors: dict[int, BaseException] = {}
+        self._next, self._lock = 0, threading.Lock()
+        self._helpers: list[threading.Thread] = []
+        self._closed = False
+
+    def __len__(self) -> int:
+        return len(self._tasks)
+
+    def add(self, fn: Callable[[], object], after: Sequence[int] = ()) -> int:
+        """Queue ``fn`` to run once the tasks ``after`` have finished; returns its index."""
+        if any(not 0 <= i < len(self._tasks) for i in after):
+            raise ValueError("a task can only wait for tasks queued before it")
+        self._tasks.append((fn, tuple(after)))
+        self._results.append(None)
+        self._done.append(threading.Event())
+        return len(self._tasks) - 1
+
+    def start(self, workers: int) -> None:
+        """Start ``workers - 1`` helper threads on the queued tasks."""
+        self._helpers = [
+            threading.Thread(target=self._work, args=(len(self._tasks),))
+            for _ in range(min(workers, len(self._tasks)) - 1)
+        ]
+        for helper in self._helpers:
+            helper.start()
+
+    def _work(self, stop: int) -> None:
+        """Run the next task, while one before ``stop`` is left and none has failed."""
+        while not (self._errors or self._closed):
+            with self._lock:
+                i = self._next
+                if i >= stop:
+                    return
+                self._next = i + 1
+            fn, after = self._tasks[i]
             try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # re-raised on the calling thread
-                errors[i] = exc
+                for j in after:
+                    self._done[j].wait()
+                if not self._errors:
+                    self._results[i] = fn()
+            except BaseException as exc:  # re-raised on the calling thread by ``results``
+                self._errors[i] = exc
+            finally:
+                self._done[i].set()
 
-    helpers = [threading.Thread(target=work) for _ in range(min(workers, len(items)) - 1)]
-    for helper in helpers:
-        helper.start()
-    work()
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
+    def results(self, ids: Sequence[int]) -> list:
+        """The results of tasks ``ids``, in that order, once they have finished.
+
+        Meanwhile the calling thread runs tasks, up to the last of ``ids``.
+        If a task has failed, the helpers are stopped and the first failure
+        in task order is raised.
+        """
+        self._work(max(ids) + 1)
+        if not self._errors:
+            for i in ids:
+                self._done[i].wait()
+        if self._errors:
+            self.close()
+            raise self._errors[min(self._errors)]
+        return [self._results[i] for i in ids]
+
+    def close(self) -> None:
+        """Start no more tasks and wait for the helper threads to stop."""
+        self._closed = True
+        for helper in self._helpers:
+            helper.join()
 
 
 class Trainer:
@@ -638,6 +694,7 @@ class Trainer:
         self.gate: GateParams | None = None
         self.log: list[LogRow] = []
         self.audit: list | None = [] if train.audit else None
+        self._queued: dict[str, Callable[[], object]] = {}
 
     # -- scheduling -------------------------------------------------------
 
@@ -674,36 +731,34 @@ class Trainer:
             for r in range(max(len(b) for b in per_ds))
         ]
 
-    def _run_stage(self, stage: str, epochs: int, runs: list[_Run], rows: int = 0) -> None:
-        """Optimise every run for ``epochs`` epochs, then log the stage.
+    def _train(self, epochs: int, run: _Run) -> list[float | None]:
+        """Optimise ``run`` for ``epochs`` epochs; returns its epoch-mean losses.
 
-        The runs share nothing, so ``training_workers`` of them train at
-        once, each on at least ``rows`` episodes an epoch. Each has its own
-        Adam, tau_q schedule, step counter, losses and audit buffer; a
-        skipped batch still takes its step of the schedule but leaves no
-        loss. The stage then merges in run order, so its outcome is byte for
-        byte that of one run after another: it appends each run's audit
-        buffer, and logs one row per epoch in which any run had a loss: the
-        mean over runs of each run's epoch-mean loss, with the first run's
-        tau_q at the start of the epoch.
+        The run has its own Adam, tau_q schedule and step counter. A skipped
+        batch still takes its step of the schedule but leaves no loss, and an
+        epoch of skipped batches has the mean None.
         """
+        optimizer = Adam(run.params, lr=run.lr)
+        schedule = self._schedule(epochs * run.steps_per_epoch)
+        step, means = 0, []
+        for _ in range(epochs):
+            losses = []
+            for batch in run.epoch_batches():
+                tau_q = temperature_at(step, schedule)
+                loss = optimizer_step(optimizer, partial(run.loss, batch, tau_q))
+                if math.isfinite(loss):
+                    losses.append(loss)
+                step += 1
+            means.append(float(np.mean(losses)) if losses else None)
+        return means
 
-        def train(run: _Run) -> list[float | None]:
-            optimizer = Adam(run.params, lr=run.lr)
-            schedule = self._schedule(epochs * run.steps_per_epoch)
-            step, means = 0, []
-            for _ in range(epochs):
-                losses = []
-                for batch in run.epoch_batches():
-                    tau_q = temperature_at(step, schedule)
-                    loss = optimizer_step(optimizer, partial(run.loss, batch, tau_q))
-                    if math.isfinite(loss):
-                        losses.append(loss)
-                    step += 1
-                means.append(float(np.mean(losses)) if losses else None)
-            return means
+    def _log_stage(self, stage: str, epochs: int, runs: list[_Run], per_run: list) -> None:
+        """Merge a stage's trained runs in run order, as if they ran one after another.
 
-        per_run = _in_parallel(train, runs, training_workers(len(runs), epochs * rows))
+        Appends each run's audit buffer, and logs one row per epoch in which
+        any run had a loss: the mean over runs of each run's epoch-mean loss
+        (``per_run``), with the first run's tau_q at the start of the epoch.
+        """
         for run in runs:
             if run.audit:
                 self.audit.extend(run.audit)
@@ -730,36 +785,11 @@ class Trainer:
             partial(self._rounds, stores, rng), loss, audit,
         )
 
-    # -- stages -----------------------------------------------------------
-
-    def fit_teachers(self) -> None:
-        """One dense, unanchored affine teacher per (expert, dataset)."""
-        cfg, model = self.train, self.model
-        teachers: list[list[FixedAffineMap]] = []
-        runs = []
-        for m in range(model.n_experts):
-            teachers.append([])
-            for d, store in enumerate(self.stores):
-                teacher = FixedAffineMap(
-                    model.context_dim, model.latent_dim, seed=cfg.seed * 1000 + m * 10 + d
-                )
-                teachers[m].append(teacher)
-                rng = np.random.default_rng([cfg.seed, 11, m, d])
-                runs.append(
-                    self._expert_run(teacher, cfg.teacher_lr, [store], rng, None, len(store), 0.0)
-                )
-        self._run_stage(
-            "teacher", cfg.teacher_epochs, runs, min(len(store) for store in self.stores)
-        )
-        self.teachers = teachers
-
     def _make_encoder(self, m: int):
-        """Expert ``m``'s encoder, starting at the mean of its teachers' maps."""
-        maps = [t.as_arrays() for t in self.teachers[m]]
-        A0 = np.mean([a for a, _ in maps], axis=0)
-        b0 = np.mean([b for _, b in maps], axis=0)
+        """Expert ``m``'s encoder, to be started at its teachers' mean map by ``start_at``."""
         if self.model.encoder_kind == "fixed_affine":
-            return FixedAffineMap.from_arrays(A0, b0)
+            L, p = self.model.latent_dim, self.model.context_dim
+            return FixedAffineMap.from_arrays(np.zeros((L, p)), np.zeros(L))
         return HypernetworkParams(
             context_dim=self.model.context_dim,
             latent_dim=self.model.latent_dim,
@@ -767,34 +797,156 @@ class Trainer:
             hidden_layers=self.model.hidden_layers,
             activation=self.model.activation,
             seed=self.train.seed * 1000 + 500 + m,
-            final_bias_map=(A0, b0),
         )
+
+    def _queue(self, schedule: _Schedule, stages: Sequence[str]) -> dict[str, Callable]:
+        """Add the tasks of ``stages`` to ``schedule``, each after the tasks it reads.
+
+        In task order: one per teacher (m, d); one per expert m, after
+        teachers (m, .); one per (gate round, dataset, expert m), the
+        expert's leave-one-out supports, after expert m. A stage not queued
+        is read from what this trainer already holds. Returns, per stage, a
+        function that waits for its tasks and gives what they made.
+        """
+        cfg, model, M, D = self.train, self.model, self.model.n_experts, len(self.stores)
+        waiters: dict[str, Callable] = {}
+        teachers, after_teachers = self.teachers, [()] * M
+        if "teacher" in stages:
+            teachers = [
+                [FixedAffineMap(model.context_dim, model.latent_dim,
+                                seed=cfg.seed * 1000 + m * 10 + d) for d in range(D)]
+                for m in range(M)
+            ]
+            teacher_runs = [
+                self._expert_run(teachers[m][d], cfg.teacher_lr, [store],
+                                 np.random.default_rng([cfg.seed, 11, m, d]), None, len(store), 0.0)
+                for m in range(M)
+                for d, store in enumerate(self.stores)
+            ]
+            ids = [schedule.add(partial(self._train, cfg.teacher_epochs, run))
+                   for run in teacher_runs]
+            after_teachers = [ids[m * D : (m + 1) * D] for m in range(M)]
+            waiters["teacher"] = lambda: (teachers, teacher_runs, schedule.results(ids))
+        experts, after_experts = self.experts, [()] * M
+        if "expert" in stages:
+            # made before any task runs: an encoder made between two runs took
+            # its place among their freed temporaries, which raised the peak
+            # RSS of a serving fit by 4 MB
+            experts = [
+                RetrievalExpert(encoder=self._make_encoder(m), config=model.expert_config())
+                for m in range(M)
+            ]
+            expert_runs = [None] * M
+
+            def fit_expert(m: int) -> list:
+                maps = [t.as_arrays() for t in teachers[m]]
+                encoder = experts[m].encoder
+                encoder.start_at(np.mean([a for a, _ in maps], axis=0),
+                                 np.mean([b for _, b in maps], axis=0))
+                expert_runs[m] = self._expert_run(
+                    encoder, cfg.student_lr, self.stores, np.random.default_rng([cfg.seed, 22, m]),
+                    maps, model.top_k, cfg.lambda_anchor,
+                )
+                return self._train(cfg.epochs, expert_runs[m])
+
+            first = len(schedule)
+            after_experts = [
+                (schedule.add(partial(fit_expert, m), after_teachers[m]),) for m in range(M)
+            ]
+            # the supports read the experts' tensors, which stacking re-points,
+            # so the stage waits for them too
+            waiters["expert"] = lambda: (
+                experts, expert_runs, schedule.results(range(first, len(schedule)))[:M]
+            )
+        if "gate" in stages:
+            rng = np.random.default_rng([cfg.seed, 33])
+            rounds = [
+                [
+                    (store, batch, [
+                        schedule.add(partial(_expert_support, expert, store, batch), after)
+                        for expert, after in zip(experts, after_experts)
+                    ])
+                    for store, batch in zip(self.stores, batches)
+                    if _valid_batch(batch)
+                ]
+                for batches in self._rounds(self.stores, rng)
+            ]
+            waiters["gate"] = lambda: [
+                [(store, batch, schedule.results(ids)) for store, batch, ids in held]
+                for held in rounds
+                if held
+            ]
+        return waiters
+
+    @contextmanager
+    def _scheduled(self, stages: Sequence[str]):
+        """Run the tasks of ``stages`` on one schedule while the block runs.
+
+        The worker count comes from the shortest run, a teacher's.
+        """
+        schedule = _Schedule()
+        self._queued = self._queue(schedule, stages)
+        episodes = self.train.teacher_epochs * min(len(store) for store in self.stores)
+        schedule.start(training_workers(len(schedule), episodes))
+        try:
+            yield
+        finally:
+            self._queued = {}
+            schedule.close()
+
+    def _results(self, stage: str):
+        """What the tasks of ``stage`` made: queued by ``run``, or scheduled alone now."""
+        if stage not in self._queued:
+            with self._scheduled((stage,)):
+                return self._queued.pop(stage)()
+        return self._queued.pop(stage)()
+
+    # -- stages -----------------------------------------------------------
+
+    def fit_teachers(self) -> None:
+        """One dense, unanchored affine teacher per (expert, dataset).
+
+        Under ``run`` the teachers' tasks are already queued, with the
+        experts' and the gate's behind them; called alone, this schedules
+        the teachers' tasks only. Either way it returns once they are
+        trained, logged and audited, in (expert, dataset) order.
+        """
+        teachers, runs, per_run = self._results("teacher")
+        self._log_stage("teacher", self.train.teacher_epochs, runs, per_run)
+        self.teachers = teachers
 
     def fit_experts(self) -> None:
-        """One retrieval expert per teacher row, anchored to those teachers."""
+        """One retrieval expert per teacher row, anchored to those teachers.
+
+        Expert m starts as soon as its own teachers are trained. Under
+        ``run`` this also waits for the gate's supports, which read the
+        experts' tensors, before ``ExpertStack.of`` re-points them.
+        """
         if self.teachers is None:
             raise RareCPError("experts cannot be trained before the teacher bank")
-        cfg = self.train
-        encoders = [self._make_encoder(m) for m in range(self.model.n_experts)]
-        runs = []
-        for m, encoder in enumerate(encoders):
-            teacher_arrays = [t.as_arrays() for t in self.teachers[m]]
-            rng = np.random.default_rng([cfg.seed, 22, m])
-            runs.append(self._expert_run(
-                encoder, cfg.student_lr, self.stores, rng, teacher_arrays, self.model.top_k,
-                cfg.lambda_anchor,
-            ))
-        self._run_stage("expert", cfg.epochs, runs, sum(len(store) for store in self.stores))
-        config = self.model.expert_config()
-        self.experts = ExpertStack.of(
-            [RetrievalExpert(encoder=e, config=config) for e in encoders]
-        )
+        experts, runs, per_run = self._results("expert")
+        self._log_stage("expert", self.train.epochs, runs, per_run)
+        self.experts = ExpertStack.of(experts)
 
     def fit_gate(self) -> None:
-        """The gate over the frozen experts, trained on one prepared batch partition."""
+        """The gate over the frozen experts, trained on one prepared batch partition.
+
+        The experts' supports for each batch come from the schedule's tasks;
+        this thread builds the batches from them in (round, dataset) order
+        and then trains the gate alone.
+        """
         if self.experts is None:
             raise RareCPError("the gate cannot be trained before the experts")
         cfg = self.train
+        # experts are frozen, so one fixed batch partition is prepared once
+        # and its leave-one-out supports reused for every gate epoch
+        prepared_rounds = [
+            [_prepare_gate_batch(store, batch, supports, self.audit)
+             for store, batch, supports in held]
+            for held in self._results("gate")
+        ]
+        if not prepared_rounds:
+            raise DataError("no usable gate training batches")
         gate = GateParams(
             context_dim=self.model.context_dim,
             n_experts=self.model.n_experts,
@@ -802,23 +954,6 @@ class Trainer:
             activation=self.model.activation,
             seed=cfg.seed * 1000 + 900,
         )
-        rng = np.random.default_rng([cfg.seed, 33])
-        # experts are frozen, so one fixed batch partition is prepared once
-        # and its leave-one-out supports reused for every gate epoch
-        prepared_rounds: list[list[_PreparedGateBatch]] = []
-        for round_batches in self._rounds(self.stores, rng):
-            prepared = [
-                _prepare_gate_batch(
-                    self.experts, store, batch, self.audit,
-                    training_workers(len(self.experts), batch.size),
-                )
-                for store, batch in zip(self.stores, round_batches)
-                if _valid_batch(batch)
-            ]
-            if prepared:
-                prepared_rounds.append(prepared)
-        if not prepared_rounds:
-            raise DataError("no usable gate training batches")
 
         def loss(prepared, tau_q):
             return gate_batch_loss(
@@ -827,16 +962,19 @@ class Trainer:
 
         # the gate steps only over the rounds that kept a usable batch, so
         # its tau_q schedule is sized by them
-        self._run_stage("gate", cfg.epochs, [_Run(
+        run = _Run(
             gate.parameters(), cfg.gate_lr, len(prepared_rounds), lambda: prepared_rounds, loss,
-        )])
+        )
+        self._log_stage("gate", cfg.epochs, [run], [self._train(cfg.epochs, run)])
         self.gate = gate
 
     def run(self) -> "Trainer":
+        """All three stages on one schedule: a task starts as soon as what it reads is trained."""
         keep_freed_heap()
-        self.fit_teachers()
-        self.fit_experts()
-        self.fit_gate()
+        with self._scheduled(("teacher", "expert", "gate")):
+            self.fit_teachers()
+            self.fit_experts()
+            self.fit_gate()
         return self
 
 

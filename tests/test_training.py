@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,9 @@ from rarecp.training import (
     write_training_log,
     _batch_contexts,
     _expert_retrieval_batch,
+    _expert_support,
     _prepare_gate_batch,
+    _Schedule,
 )
 
 
@@ -348,6 +351,11 @@ class TestExpertTraining:
         assert loss is None
 
 
+def prepare_gate_batch(experts, store, batch, audit):
+    supports = [_expert_support(expert, store, batch) for expert in experts]
+    return _prepare_gate_batch(store, batch, supports, audit)
+
+
 class TestGateTraining:
     def _trained_experts(self, rng, store, model):
         trainer = Trainer([store], model, TrainConfig(
@@ -380,7 +388,7 @@ class TestGateTraining:
         opt = Adam(gate.parameters(), lr=0.05)
         alphas = np.asarray(default_alpha_grid())
         batch = np.arange(24)
-        prepared = [_prepare_gate_batch(trainer.experts, store, batch, None)]
+        prepared = [prepare_gate_batch(trainer.experts, store, batch, None)]
         for _ in range(60):
             optimizer_step(opt, lambda: gate_batch_loss(gate, prepared, alphas, 0.05, 5e-4, 50.0))
         entropies = []
@@ -399,7 +407,7 @@ class TestGateTraining:
         from rarecp.gate import GateParams
 
         gate = GateParams(5, model.n_experts, hidden_dim=2, seed=3)
-        prepared = [_prepare_gate_batch(trainer.experts, store, np.arange(24), None)]
+        prepared = [prepare_gate_batch(trainer.experts, store, np.arange(24), None)]
         alphas = np.asarray(default_alpha_grid())
         recorded = step_tape_records(
             monkeypatch, gate, lambda: gate_batch_loss(gate, prepared, alphas, 0.05, 5e-4, 0.02)
@@ -419,7 +427,10 @@ class TestGateTraining:
                        for e, k in zip(experts, top_ks)]
         batch = rng.permutation(40)[:30]
         audit = []
-        got = _prepare_gate_batch(experts, store, batch, audit, workers)
+        # the supports come from concurrent tasks, as in a fit
+        supports = run_schedule([(partial(_expert_support, e, store, batch), ()) for e in experts],
+                                workers)
+        got = _prepare_gate_batch(store, batch, supports, audit)
 
         positions, weights = [], []
         for expert in experts:
@@ -476,7 +487,7 @@ class TestTeacherObjective:
 
 
 class TestStageRunnerLog:
-    """``Trainer._run_stage`` writes one finite log row per (stage, epoch)."""
+    """``Trainer._log_stage`` writes one finite log row per (stage, epoch)."""
 
     def test_skipped_batch_leaves_finite_rows_at_scheduled_tau(self):
         rng = np.random.default_rng(21)
@@ -649,7 +660,7 @@ class TestPipeline:
         experts = small_trained["trainer"].experts
         audit = []
         batch = np.arange(min(16, len(store)))
-        _prepare_gate_batch(experts, store, batch, audit)
+        prepare_gate_batch(experts, store, batch, audit)
         for _, query_position, support in audit:
             assert query_position not in support
 
@@ -752,50 +763,111 @@ def test_keep_freed_heap_stops_refaulting_freed_arrays():
     assert faults < touched_pages // 100
 
 
-class TestInParallel:
-    """``training._in_parallel``: every item once, results in item order, first error raised."""
+@pytest.fixture
+def fast_switching():
+    """Threads switch every microsecond, so concurrent tasks interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
-    def test_more_workers_than_cpus_run_every_item_once(self):
-        from rarecp.training import _in_parallel
 
+def run_schedule(tasks, workers):
+    """Queue ``(fn, after)`` pairs, run them on ``workers`` threads and return the results."""
+    schedule = _Schedule()
+    ids = [schedule.add(fn, after) for fn, after in tasks]
+    schedule.start(workers)
+    try:
+        return schedule.results(ids)
+    finally:
+        schedule.close()
+
+
+@pytest.mark.usefixtures("fast_switching")
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+class TestSchedule:
+    """``training._Schedule``: tasks in order on several threads, each after what it needs."""
+
+    def test_every_task_runs_once_and_results_come_in_task_order(self, workers):
         calls, lock = [], threading.Lock()
 
-        def fn(i):
+        def task(i):
             with lock:
                 calls.append(i)
             return i * i
 
         threads_before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in (1, 3, 8):
-                calls.clear()
-                assert _in_parallel(fn, list(range(500)), workers) == [i * i for i in range(500)]
-                assert sorted(calls) == list(range(500))
-        finally:
-            sys.setswitchinterval(interval)
+        tasks = [(partial(task, i), ()) for i in range(500)]
+        assert run_schedule(tasks, workers) == [i * i for i in range(500)]
+        assert sorted(calls) == list(range(500))
         assert threading.active_count() == threads_before  # every helper was joined
 
-    def test_the_first_failed_item_is_raised_and_no_item_starts_after(self):
-        from rarecp.training import _in_parallel
+    def test_a_task_starts_only_after_the_tasks_it_needs_have_finished(self, workers):
+        rng = np.random.default_rng(workers)
+        n = 300
+        needs = [tuple(sorted(set(rng.integers(0, i, size=min(i, 3))))) if i else ()
+                 for i in range(n)]
+        finished = [threading.Event() for _ in range(n)]
+        early = []  # tasks that started before something they need had finished
 
-        started = []
-        gate = threading.Event()
+        def task(i):
+            if not all(finished[j].is_set() for j in needs[i]):
+                early.append(i)
+            total = sum(range(200))  # let other threads run in between
+            finished[i].set()
+            return i, total
 
-        def fn(i):
-            started.append(i)
-            if i == 1:
-                gate.wait(timeout=10)  # item 1 fails after item 2 has failed
-                raise ValueError(f"item {i}")
-            if i == 2:
-                gate.set()
-                raise KeyError(f"item {i}")
-            return i
+        tasks = [(partial(task, i), needs[i]) for i in range(n)]
+        assert run_schedule(tasks, workers) == [(i, sum(range(200))) for i in range(n)]
+        assert early == []
 
-        with pytest.raises(ValueError, match="item 1"):
-            _in_parallel(fn, list(range(50)), 2)
-        assert sorted(started) == [0, 1, 2]
+    def test_the_first_failure_in_task_order_is_raised_once_every_thread_has_stopped(
+        self, workers
+    ):
+        """Task 5 fails after task 6 has failed; every later task needs task 5.
+
+        No task starts after the first failure, no task needing a failed one
+        runs, and no task is still running when the error is raised.
+        """
+        later_failed = threading.Event()
+        ran, running, lock = [], [0], threading.Lock()
+
+        def task(i):
+            with lock:
+                ran.append(i)
+                running[0] += 1
+            try:
+                if i == 5:
+                    if workers > 1:  # another thread runs task 6 meanwhile
+                        assert later_failed.wait(timeout=10)
+                    raise ValueError(f"task {i}")
+                if i == 6:
+                    later_failed.set()
+                    raise KeyError(f"task {i}")
+                return i
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        threads_before = threading.active_count()
+        tasks = [(partial(task, i), () if i < 7 else (5,)) for i in range(40)]
+        with pytest.raises(ValueError, match="task 5"):
+            run_schedule(tasks, workers)
+        assert running == [0]
+        assert threading.active_count() == threads_before
+        assert sorted(ran) == list(range(7 if workers > 1 else 6))
+
+
+def test_a_task_waits_only_for_tasks_queued_before_it():
+    """A task cannot wait for itself or a later task, which could deadlock."""
+    schedule = _Schedule()
+    first = schedule.add(lambda: 1)
+    for after in ((first + 1,), (-1,)):
+        with pytest.raises(ValueError, match="queued before"):
+            schedule.add(lambda: 2, after=after)
+    assert schedule.results([first]) == [1]
 
 
 _HELPER_FREES_SCRIPT = """
@@ -845,25 +917,34 @@ from rarecp.checkpoint import components_from_trainer, save_checkpoint
 from rarecp.data import CalibrationStore, compute_descriptor
 from rarecp.training import ModelConfig, TrainConfig, Trainer, training_workers, write_training_log
 
-rng = np.random.default_rng(31)
-contexts = rng.standard_normal((300, 8))
-residuals = rng.standard_normal(300) * (1.0 + 3.0 * (contexts[:, 0] > 0))
-store = CalibrationStore.from_arrays(contexts, residuals)
-store.condition(compute_descriptor(store.contexts(), 0), True)
+def store(rows, dataset_id):
+    rng = np.random.default_rng([31, dataset_id])
+    contexts = rng.standard_normal((rows, 8))
+    residuals = rng.standard_normal(rows) * (1.0 + 3.0 * (contexts[:, 0] > 0))
+    store = CalibrationStore.from_arrays(contexts, residuals)
+    store.condition(compute_descriptor(store.contexts(), dataset_id), True)
+    return store
+
 model = ModelConfig(n_experts=3, latent_dim=6, top_k=12, hidden_dim=16, window=8,
                     include_forecast=False)
-trainer = Trainer([store], model, TrainConfig(epochs=2, teacher_epochs=1, seed=4, audit=True))
-trainer.run()
 digest = lambda data: hashlib.sha256(data).hexdigest()
-with tempfile.TemporaryDirectory() as tmp:
-    save_checkpoint(components_from_trainer(trainer), os.path.join(tmp, "m.ckpt"))
-    write_training_log(trainer.log, os.path.join(tmp, "log.csv"))
-    checkpoint, log = (open(os.path.join(tmp, name), "rb").read() for name in ("m.ckpt", "log.csv"))
-audit = hashlib.sha256()
-for dataset_id, query, support in trainer.audit:
-    audit.update(repr((dataset_id, query, support.dtype.str)).encode() + support.tobytes())
-print(json.dumps({"workers": training_workers(3, 300), "checkpoint": digest(checkpoint),
-                  "log": digest(log), "audit": audit.hexdigest(), "audited": len(trainer.audit)}))
+fits = {}
+for rows in ((300,), (600, 420)):
+    trainer = Trainer([store(n, d) for d, n in enumerate(rows)], model,
+                      TrainConfig(epochs=2, teacher_epochs=1, seed=4, audit=True))
+    trainer.run()
+    with tempfile.TemporaryDirectory() as tmp:
+        save_checkpoint(components_from_trainer(trainer), os.path.join(tmp, "m.ckpt"))
+        write_training_log(trainer.log, os.path.join(tmp, "log.csv"))
+        checkpoint, log = (open(os.path.join(tmp, name), "rb").read()
+                           for name in ("m.ckpt", "log.csv"))
+    audit = hashlib.sha256()
+    for dataset_id, query, support in trainer.audit:
+        audit.update(repr((dataset_id, query, support.dtype.str)).encode() + support.tobytes())
+    fits[sum(rows)] = {"workers": training_workers(3 * len(rows), min(rows)),
+                       "checkpoint": digest(checkpoint), "log": digest(log),
+                       "audit": audit.hexdigest(), "audited": len(trainer.audit)}
+print(json.dumps(fits))
 """
 
 
@@ -872,9 +953,10 @@ print(json.dumps({"workers": training_workers(3, 300), "checkpoint": digest(chec
     reason="needs 2 allowed CPUs",
 )
 def test_fit_on_every_cpu_equals_a_fit_on_one():
-    """At one BLAS thread, runs train two or more at a time on every allowed
-    CPU and one at a time on one CPU, and give the same checkpoint bytes,
-    log and audit trail."""
+    """At one BLAS thread, a fit's tasks run two or more at a time on every
+    allowed CPU and one at a time on one CPU, and give the same checkpoint
+    bytes, log and audit trail: for one dataset, and for two, where expert m
+    waits for two teachers and a gate round holds a batch per dataset."""
     import rarecp
 
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -884,6 +966,9 @@ def test_fit_on_every_cpu_equals_a_fit_on_one():
                                   capture_output=True, text=True, check=True).stdout)
         for cpus in ("every", "one")
     )
-    assert every_cpu.pop("workers") >= 2 and one_cpu.pop("workers") == 1
-    assert every_cpu["audited"] == 3 * 300 * (1 + 2) + 300  # 3 teachers, 3 experts, the gate
+    for rows in every_cpu:
+        assert every_cpu[rows].pop("workers") >= 2 and one_cpu[rows].pop("workers") == 1
+    # 3 teachers per dataset and 3 experts audit every row once an epoch, the gate once
+    assert every_cpu["300"]["audited"] == 3 * 300 * (1 + 2) + 300
+    assert every_cpu["1020"]["audited"] == 3 * 1020 * (1 + 2) + 1020
     assert every_cpu == one_cpu
