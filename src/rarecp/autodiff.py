@@ -83,8 +83,9 @@ class Tape:
     """
 
     def __init__(self):
-        # each record: (output tensor, input tensors, vjp callable)
-        self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # each record: (output tensor, input tensors, vjp callable, None once backward used it)
+        self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable | None]] = []
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         _ACTIVE.stack.append(self)
@@ -98,26 +99,51 @@ class Tape:
 
         Fan-out accumulates additively; records are visited exactly once in
         reverse execution order (which is a valid reverse topological order
-        because an output cannot be consumed before it exists).
+        because an output cannot be consumed before it exists). Each VJP is
+        released once it has run, with what it kept for the backward pass,
+        so the pass holds less as it goes and a tape runs it once. A gradient
+        sum is added to in place only once the backward pass owns it: an
+        array it allocated for a sum, or one an accumulating partial (see
+        ``_finish``) made. An array a VJP returns may be shared (``add``
+        hands its upstream gradient to both inputs), so the first sum over
+        it is out of place. Either way the sums are bitwise the out-of-place
+        ones.
         """
         if loss.data.size != 1:
             raise ValueError("backward expects a scalar loss tensor")
+        if self._spent:
+            raise ValueError("backward runs once per tape: it released what the VJPs held")
+        self._spent = True
         grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         tensors: dict[int, Tensor] = {id(loss): loss}
-        for out, inputs, vjp in reversed(self.records):
+        owned: set[int] = set()
+        for i in range(len(self.records) - 1, -1, -1):
+            out, inputs, vjp = self.records[i]
+            self.records[i] = (out, inputs, None)
             g = grads.pop(id(out), None)
             if g is None:
                 continue
-            partials = vjp(g)
-            for t, p in zip(inputs, partials):
+            owned.discard(id(out))
+            for t, p in zip(inputs, vjp(g)):
                 if p is None or not t.requires_grad:
                     continue
                 key = id(t)
-                if key in grads:
-                    grads[key] = grads[key] + p
-                else:
+                held = grads.get(key)
+                if callable(p):
+                    mine = key in owned
+                    grads[key] = p(held if mine else None)
+                    if held is not None and not mine:
+                        grads[key] += held
+                    owned.add(key)
+                elif held is None:
                     grads[key] = p
-                    tensors[key] = t
+                elif key in owned:
+                    grads[key] += p
+                else:
+                    grads[key] = held + p
+                    owned.add(key)
+                tensors[key] = t
+            vjp = p = held = None  # let go of what the VJP kept before the next one runs
         for key, g in grads.items():
             t = tensors[key]
             if t.requires_grad and not t._produced:
@@ -130,6 +156,13 @@ def _recording(inputs: tuple[Tensor, ...]) -> bool:
 
 
 def _finish(out_data: np.ndarray, inputs: tuple[Tensor, ...], vjp: Callable) -> Tensor:
+    """``out_data`` as a tensor, recorded with its ``inputs`` and ``vjp`` when taped.
+
+    ``vjp(g)`` gives one partial per input: None, an array, or an
+    accumulating partial, a function ``add(acc)`` that returns ``acc`` plus
+    the partial, written into ``acc``, or a new array when ``acc`` is None.
+    It lets a large partial land in a gradient sum without a block of its own.
+    """
     out = Tensor(out_data)
     if _recording(inputs):
         out.requires_grad = True
@@ -205,9 +238,10 @@ def mlp_forward(layers, x: np.ndarray, activation: str) -> list[np.ndarray]:
     """
     outs = []
     for i, (w, b) in enumerate(layers):
-        h = np.matmul(w, outs[-1] if outs else x) + b[..., None]
+        h = np.matmul(w, outs[-1] if outs else x)
+        h += b[..., None]
         if i < len(layers) - 1:
-            h = np.tanh(h) if activation == "tanh" else np.where(h > 0, h, 0.0)
+            h = np.tanh(h, out=h) if activation == "tanh" else np.where(h > 0, h, 0.0)
         outs.append(h)
     return outs
 
@@ -377,15 +411,28 @@ def sq_distance(x, target, c: float) -> Tensor:
     """``c * sum((x - target)**2)`` to a constant ``target``, as one tape record.
 
     Bit for bit the ``add_const``/``square``/``reduce_sum``/``scale`` chain,
-    forward and backward; the VJP recomputes the difference rather than
-    holding it.
+    forward and backward. The VJP recomputes the difference rather than
+    holding it, as its one temporary, and adds it into the gradient sum
+    when there is one.
     """
     tx = as_tensor(x)
     c = float(c)
     target = np.asarray(target, dtype=np.float64)
     diff = tx.data - target
-    out = np.asarray((diff * diff).sum()) * c
-    return _finish(out, (tx,), lambda g: ((g * c) * 2.0 * (tx.data - target),))
+    out = np.asarray(np.multiply(diff, diff, out=diff).sum()) * c
+
+    def vjp(g):
+        def add(acc):
+            partial = tx.data - target
+            partial *= (g * c) * 2.0
+            if acc is None:
+                return partial
+            acc += partial
+            return acc
+
+        return (add,)
+
+    return _finish(out, (tx,), vjp)
 
 
 def reciprocal(x) -> Tensor:
@@ -405,14 +452,24 @@ def transpose(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-# episodes per block of the leave-one-out keys and the smooth-loss temporaries:
-# rows are independent, so blocking changes no bit, and it keeps a (B, L, B)
-# key block (16.8 MB at B = 256, L = 32) to a quarter of that
-_CHUNK = 64
+# episodes per block of the leave-one-out keys and their VJP: rows are
+# independent, so blocking changes no bit, and it keeps a (B, L, B) key block
+# (16.8 MB at B = 256, L = 32) to an eighth of that. A block keys at least
+# two episodes: with L = 1 a one-row key GEMM would run as a matrix-vector
+# product, which rounds differently.
+_CHUNK = 32
 
 
-def _chunks(n: int) -> list[slice]:
-    return [slice(j, min(j + _CHUNK, n)) for j in range(0, n, _CHUNK)]
+def _add_into(acc: np.ndarray, x: np.ndarray) -> None:
+    np.add(acc, x, out=acc)
+
+
+def _chunks(n: int, size: int) -> list[slice]:
+    """``range(n)`` in slices of ``size``; a last slice of one joins the slice before it."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(j, k) for j, k in zip(starts, starts[1:] + [n])]
 
 
 def loo_select(scores: np.ndarray, top_k: int, first: int = 0) -> np.ndarray:
@@ -461,7 +518,9 @@ def loo_retrieval_scores(maps, contexts_t, top_k: int) -> tuple[np.ndarray, Tens
     Episodes are keyed, selected and differentiated ``_CHUNK`` at a time.
     Only when the scores are recorded on a tape are the selected and query
     columns, with their inverse norms, kept for the backward pass, so it
-    works on B x (k+1) columns instead of B x B.
+    works on B x (k+1) columns instead of B x B. Its partial accumulates:
+    block by block into the maps' gradient sum when there is one (an
+    anchor's), so the two are never held as separate (L*(p+1), B) blocks.
     """
     t_maps = as_tensor(maps)
     C = np.asarray(contexts_t, dtype=np.float64)
@@ -481,7 +540,7 @@ def loo_retrieval_scores(maps, contexts_t, top_k: int) -> tuple[np.ndarray, Tens
         cols = np.empty((B, k + 1), dtype=np.int64)
         kept = np.empty((B, k + 1, L))
         kept_inv = np.empty((B, k + 1, 1))
-    for c in _chunks(B):
+    for c in _chunks(B, _CHUNK):
         n = c.stop - c.start
         rows, own = np.arange(n), np.arange(c.start, c.stop)
         keys = (A_rows[c].reshape(n * L, p) @ C).reshape(n, L, B)
@@ -498,18 +557,25 @@ def loo_retrieval_scores(maps, contexts_t, top_k: int) -> tuple[np.ndarray, Tens
         del keys
 
     def vjp(g):
-        grad = np.empty((D, B))
-        for c in _chunks(B):
-            u = kept[c]
-            g_unit = np.empty_like(u)
-            g_unit[:, 0] = (g[c, None, :] @ u[:, 1:])[:, 0]
-            g_unit[:, 1:] = g[c, :, None] * u[:, :1]
-            # through the normalisation: inv * (g - u (u . g)) for unit key u
-            g_keys = g_unit - u * np.einsum("jcd,jcd->jc", u, g_unit)[:, :, None]
-            g_keys *= kept_inv[c]
-            grad[: L * p, c] = (g_keys.transpose(0, 2, 1) @ C.T[cols[c]]).reshape(-1, L * p).T
-            grad[L * p :, c] = g_keys.sum(axis=1).T
-        return (grad,)
+        def add(grad):
+            # a block of its own while the maps have no gradient sum, else into the sum
+            if grad is None:
+                grad, put = np.empty((D, B)), np.copyto
+            else:
+                put = _add_into
+            for c in _chunks(B, _CHUNK):
+                u = kept[c]
+                g_keys = np.empty_like(u)  # first as the gradient of the unit keys
+                g_keys[:, 0] = (g[c, None, :] @ u[:, 1:])[:, 0]
+                g_keys[:, 1:] = g[c, :, None] * u[:, :1]
+                # through the normalisation: inv * (g - u (u . g)) for unit key u
+                g_keys -= u * np.einsum("jcd,jcd->jc", u, g_keys)[:, :, None]
+                g_keys *= kept_inv[c]
+                put(grad[: L * p, c], (g_keys.transpose(0, 2, 1) @ C.T[cols[c]]).reshape(-1, L * p).T)
+                put(grad[L * p :, c], g_keys.sum(axis=1).T)
+            return grad
+
+        return (add,)
 
     return sel, _finish(selected, (t_maps,), vjp)
 
@@ -518,23 +584,25 @@ _SATURATED = 40.0
 # the smooth loss keeps its edge sigmoids for the backward pass up to this
 # size (an expert's or the gate's narrow supports) and recomputes larger ones
 _KEPT_EDGES_BYTES = 4 << 20
+# bytes of edge sigmoids the smooth loss works on at a time: a block and the
+# few temporaries of its size stay in a core's L2 cache
+_EDGE_BLOCK_BYTES = 1 << 19
 
 
 def _edge_sigmoids(gaps: np.ndarray, tau_q: float) -> np.ndarray:
     """``sigmoid(gaps / tau_q)`` in the form ``sigmoid`` uses, computed in ``gaps``.
 
-    Where |z| > 40, exp(-|z|) < 2**-57 is taken as 0: 1 / (1 + e) is then
-    exactly 1, and e / (1 + e) moves by under 5e-18. Without that, the
-    saturated tails at low ``tau_q`` fill the arrays with subnormal
-    numbers, which slow exp and every later operation on them tenfold.
+    Where |z| > 40, exp(-|z|) < 2**-57 is taken as 0 (z is set to -inf
+    before exp): 1 / (1 + e) is then exactly 1, and e / (1 + e) moves by
+    under 5e-18. Without that, the saturated tails at low ``tau_q`` fill the
+    arrays with subnormal numbers, which slow exp and every later operation
+    on them tenfold.
     """
     pos = gaps >= 0
     e = np.abs(gaps, out=gaps)
     e *= -1.0 / tau_q
-    saturated = e < -_SATURATED
-    np.maximum(e, -_SATURATED, out=e)
+    np.copyto(e, -np.inf, where=e < -_SATURATED)
     np.exp(e, out=e)
-    np.copyto(e, 0.0, where=saturated)
     den = e + 1.0
     np.copyto(e, 1.0, where=pos)
     return np.divide(e, den, out=e)
@@ -582,10 +650,11 @@ def smooth_winkler_grid(weights, residuals, targets, alphas, tau_q: float, tau_p
 
     with ``softplus_tp`` the ``softplus_with_temperature`` at ``tau_p``. All
     2|alphas| levels are computed together over (B, 2|alphas|, s+1) edges,
-    ``_CHUNK`` episodes at a time. The VJP returns to the weights through
-    one reverse cumulative sum. It reads the blocks' edge sigmoids, kept
-    when they total at most ``_KEPT_EDGES_BYTES`` and recomputed otherwise,
-    as for a dense teacher's (B, 22, B) edges.
+    in blocks of episodes whose edges take at most ``_EDGE_BLOCK_BYTES``.
+    The VJP returns to the weights through one reverse cumulative sum. It
+    reads the blocks' edge sigmoids, kept when they total at most
+    ``_KEPT_EDGES_BYTES`` and recomputed otherwise, as for a dense
+    teacher's (B, 22, B) edges.
     """
     tw = as_tensor(weights)
     W = tw.data
@@ -596,8 +665,10 @@ def smooth_winkler_grid(weights, residuals, targets, alphas, tau_q: float, tau_p
     levels = np.concatenate([alphas / 2.0, 1.0 - alphas / 2.0])
     Q = np.empty((W.shape[0], 2 * n))
     mass = np.empty_like(Q)
-    kept = [] if Q.size * (W.shape[1] + 1) * 8 <= _KEPT_EDGES_BYTES else None
-    for c in _chunks(W.shape[0]):
+    episode_bytes = 2 * n * (W.shape[1] + 1) * 8
+    blocks = _chunks(W.shape[0], max(1, _EDGE_BLOCK_BYTES // episode_bytes))
+    kept = [] if W.shape[0] * episode_bytes <= _KEPT_EDGES_BYTES else None
+    for c in blocks:
         Q[c], S, _, mass[c] = smooth_quantiles(W[c], R[c], levels, tau_q)
         if kept is not None:
             kept.append(S)
@@ -614,7 +685,7 @@ def smooth_winkler_grid(weights, residuals, targets, alphas, tau_q: float, tau_p
     def vjp(g):
         coef = (g[:, None] * dQ) / mass
         grad = np.empty_like(W)
-        for i, c in enumerate(_chunks(W.shape[0])):
+        for i, c in enumerate(blocks):
             S = _level_edges(W[c], levels, tau_q) if kept is None else kept[i]
             g_bins = R[c, None, :] - Q[c, :, None]
             g_bins *= coef[c, :, None]
@@ -717,8 +788,18 @@ def finite_diff_check(
     return worst
 
 
+# elements of a parameter that one Adam update works on at a time
+_ADAM_BLOCK = 1 << 14
+
+
 class Adam:
-    """Adam optimizer (beta1=0.9, beta2=0.999, eps=1e-8 by default)."""
+    """Adam optimizer (beta1=0.9, beta2=0.999, eps=1e-8 by default).
+
+    ``step`` updates each parameter in place, a block of rows of about
+    ``_ADAM_BLOCK`` elements at a time, so its two temporaries are never
+    larger than a block. The arithmetic is the textbook update's,
+    operation for operation, so the bits are too.
+    """
 
     def __init__(
         self,
@@ -748,9 +829,25 @@ class Adam:
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            x, m, v, g = (np.atleast_1d(a) for a in (p.data, m, v, p.grad))
+            rows = max(1, _ADAM_BLOCK * len(x) // max(1, x.size))
+            for j in range(0, len(x), rows):
+                block = slice(j, j + rows)
+                self._update(x[block], m[block], v[block], g[block], b1t, b2t)
+
+    def _update(self, x, m, v, g, b1t: float, b2t: float) -> None:
+        """The moment updates, then ``x -= lr * (m / b1t) / (sqrt(v / b2t) + eps)``, in place."""
+        tmp = g * (1.0 - self.beta1)
+        m *= self.beta1
+        m += tmp
+        np.multiply(g, 1.0 - self.beta2, out=tmp)
+        tmp *= g
+        v *= self.beta2
+        v += tmp
+        np.divide(v, b2t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        step = m / b1t
+        step *= self.lr
+        step /= tmp
+        x -= step

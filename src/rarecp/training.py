@@ -284,6 +284,10 @@ def expert_batch_loss(
         sel, weights, emitted = _expert_retrieval_batch(
             encoder, store, batch, top_k, temperature
         )
+        # taped before the interval loss, so the backward pass has released
+        # the loss's temporaries by the time the anchor's gradient block exists
+        if teachers is not None and lambda_anchor > 0.0:
+            per_ds_anchors.append(_anchor_term(emitted, teachers[ds_index], batch.size))
         support_positions = batch[sel]
         if audit is not None:
             ds_id = store.descriptor.dataset_id
@@ -300,8 +304,6 @@ def expert_batch_loss(
             tau_p,
         )
         per_ds_losses.append(ad.reduce_mean(loss_vec))
-        if teachers is not None and lambda_anchor > 0.0:
-            per_ds_anchors.append(_anchor_term(emitted, teachers[ds_index], batch.size))
     if not per_ds_losses:
         return None
     total = _stack_mean(per_ds_losses)
@@ -435,6 +437,7 @@ def optimizer_step(optimizer: Adam, loss_fn: Callable[[], Tensor | None]) -> flo
     if not math.isfinite(value):
         raise NumericError("training loss is not finite")
     tape.backward(total)
+    del tape, total  # the step needs only the gradients, not what the tape holds
     optimizer.step()
     return value
 
@@ -553,8 +556,9 @@ def blas_threads() -> int | None:
 
 # A fit whose teachers train on fewer leave-one-out episodes than this runs
 # its tasks one after another. On 128-row, one-epoch fits, two tasks at a
-# time took a third less time but raised peak RSS by 8 to 11%: concurrent
-# runs leave the one malloc arena more fragmented. Longer fits gain more.
+# time took a fifth to a quarter less time but raised peak RSS by 10 to 19%:
+# two runs hold two working sets, and leave the one malloc arena more
+# fragmented. Longer fits gain more.
 _MIN_CONCURRENT_EPISODES = 256
 
 
@@ -750,6 +754,7 @@ class Trainer:
                     losses.append(loss)
                 step += 1
             means.append(float(np.mean(losses)) if losses else None)
+        optimizer.zero_grad()  # a trained model holds its weights only
         return means
 
     def _log_stage(self, stage: str, epochs: int, runs: list[_Run], per_run: list) -> None:
@@ -979,11 +984,18 @@ class Trainer:
 
 
 def write_training_log(rows: list[LogRow], path) -> None:
-    """One CSV line per epoch: stage, epoch, mean loss, current tau_q."""
-    lines = ["stage,epoch,mean_loss,tau_q"]
+    """One CSV line per epoch: stage, epoch, mean loss, current tau_q, BLAS threads.
+
+    The last column is ``blas_threads()`` when the log is written, empty
+    where it cannot be read: checkpoint bytes can depend on it (see the
+    README), so a log says which thread count its run had.
+    """
+    threads = blas_threads()
+    threads = "" if threads is None else threads
+    lines = ["stage,epoch,mean_loss,tau_q,blas_threads"]
     for row in rows:
         lines.append(
-            f"{row.stage},{row.epoch},{row.mean_loss!r},{row.tau_q!r}"
+            f"{row.stage},{row.epoch},{row.mean_loss!r},{row.tau_q!r},{threads}"
         )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -2,6 +2,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rarecp import autodiff as ad
 from rarecp import gradcheck
@@ -94,6 +96,102 @@ class TestBackwardBasics:
         outs = {id(out) for out, _, _ in results["tanh"][0].records}
         assert not ins & outs
         assert not ad._ACTIVE.stack  # nothing leaks onto this thread
+
+
+    def test_backward_runs_once_and_releases_each_vjp(self):
+        x = ad.parameter(np.array([1.0, 2.0]))
+        with ad.Tape() as tape:
+            loss = ad.reduce_sum(ad.tanh(x))
+        tape.backward(loss)
+        assert [vjp for _, _, vjp in tape.records] == [None, None]
+        with pytest.raises(ValueError, match="once"):
+            tape.backward(loss)
+
+
+def out_of_place_backward(tape, loss):
+    """Leaf gradients as the backward pass summed them before it added in place:
+    every fan-in a new array, ``held + partial``, in reverse record order."""
+    grads, tensors = {id(loss): np.ones_like(loss.data)}, {}
+    for out, inputs, vjp in reversed(tape.records):
+        g = grads.pop(id(out), None)
+        if g is None:
+            continue
+        for t, p in zip(inputs, vjp(g)):
+            if p is None or not t.requires_grad:
+                continue
+            p = p(None) if callable(p) else p
+            grads[id(t)] = p if id(t) not in grads else grads[id(t)] + p
+            tensors[id(t)] = t
+    return {key: g for key, g in grads.items() if not tensors[key]._produced}
+
+
+def _graphs():
+    """name -> f(x, c) building a scalar loss; ``c`` is a constant like ``x``."""
+    return {
+        # both partials of add are its upstream gradient itself
+        "add_x_x": lambda x, c: ad.reduce_sum(ad.mul(ad.add(x, x), c)),
+        "add_h_h": lambda x, c: ad.reduce_sum(ad.mul(ad.add(ad.tanh(x), ad.tanh(x)), c)),
+        # add_const hands back g itself; h feeds four consumers, x three
+        "used_many_times": lambda x, c: (lambda h: ad.reduce_sum(ad.mul(
+            ad.add(ad.add(h, h), ad.add_const(h, 1.0)), ad.mul(h, ad.add(x, ad.mul(x, x))))))(
+                ad.tanh(ad.mul(x, c))),
+        # an accumulating partial first (fresh), then plain ones added into it
+        "accumulating_first": lambda x, c: ad.add(
+            ad.reduce_sum(ad.mul(ad.tanh(x), c)), ad.sq_distance(x, c, 0.5)),
+        # add hands h the array it hands k, then an accumulating partial arrives
+        "accumulating_last": lambda x, c: (lambda h, k: ad.add(
+            ad.sq_distance(h, c, 2.0), ad.reduce_sum(ad.add(h, k))))(
+                ad.tanh(x), ad.tanh(ad.mul(x, c))),
+        "two_accumulating": lambda x, c: ad.add(
+            ad.sq_distance(x, c, 0.5), ad.sq_distance(x, 2.0 * c, 3.0)),
+    }
+
+
+class TestInPlaceAccumulation:
+    """``Tape.backward`` adds into a gradient sum in place only when it owns it."""
+
+    @pytest.mark.parametrize("name", sorted(_graphs()))
+    def test_never_writes_into_an_array_a_vjp_handed_out(self, monkeypatch, name):
+        rng = np.random.default_rng(sorted(_graphs()).index(name))
+        x0, c = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+        handed = []  # (array, copy) for every upstream gradient and plain partial
+        finish = ad._finish
+
+        def spying_finish(out_data, inputs, vjp):
+            def spy(g):
+                partials = vjp(g)
+                for a in (g, *partials):
+                    if isinstance(a, np.ndarray):
+                        handed.append((a, a.copy()))
+                return partials
+            return finish(out_data, inputs, spy)
+
+        monkeypatch.setattr(ad, "_finish", spying_finish)
+        x = ad.parameter(x0)
+        with ad.Tape() as tape:
+            loss = _graphs()[name](x, c)
+        tape.backward(loss)
+        assert handed
+        for array, copy in handed:
+            assert array.tobytes() == copy.tobytes()
+
+        monkeypatch.setattr(ad, "_finish", finish)
+        y = ad.parameter(x0)
+        with ad.Tape() as tape:
+            loss = _graphs()[name](y, c)
+        (expected,) = out_of_place_backward(tape, loss).values()
+        assert x.grad.tobytes() == expected.tobytes()
+
+    def test_a_second_backward_adds_to_the_leaf_out_of_place(self):
+        x = ad.parameter(np.array([1.0, 2.0]))
+        for _ in range(2):
+            with ad.Tape() as tape:
+                loss = ad.reduce_sum(ad.add(x, x))
+            first = x.grad
+            tape.backward(loss)
+        assert first is not x.grad
+        np.testing.assert_array_equal(first, [2.0, 2.0])
+        np.testing.assert_array_equal(x.grad, [4.0, 4.0])
 
 
 class TestPrimitiveGradients:
@@ -217,7 +315,43 @@ class TestPrimitiveValues:
             np.testing.assert_allclose(batched[j], e / e.sum(), atol=1e-12)
 
 
+def textbook_adam(x, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam over a sequence of gradients, one out-of-place expression per line."""
+    m, v = np.zeros_like(x), np.zeros_like(x)
+    for t, g in enumerate(grads, start=1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        x = x - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return x, m, v
+
+
 class TestAdam:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from([(), (1,), (7,), (3, 5), (40, 3), (2, 2, 3)]),
+        block=st.sampled_from([1, 4, 16, 1 << 14]),
+        steps=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_in_place_blocks_equal_the_textbook_update(self, shape, block, steps, seed):
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal(shape)
+        grads = [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3) for _ in range(steps)]
+        x = ad.parameter(x0)
+        opt = ad.Adam([x], lr=3e-3)
+        old_block, ad._ADAM_BLOCK = ad._ADAM_BLOCK, block
+        try:
+            for g in grads:
+                x.grad = g.copy()
+                opt.step()
+                assert x.grad.tobytes() == g.tobytes()  # the gradient is only read
+        finally:
+            ad._ADAM_BLOCK = old_block
+        expected, m, v = textbook_adam(x0, grads, 3e-3)
+        assert x.data.tobytes() == np.asarray(expected).tobytes()
+        assert opt._m[0].tobytes() == np.asarray(m).tobytes()
+        assert opt._v[0].tobytes() == np.asarray(v).tobytes()
+
     def test_minimizes_quadratic(self):
         x = ad.parameter(np.array([5.0, -3.0]))
         opt = ad.Adam([x], lr=0.1)

@@ -7,6 +7,8 @@ row gather), both kept here as test-local oracles. ``mlp`` must give the
 bits of the per-layer ``affine``/``tanh``/``relu`` chain.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,19 @@ def fourth_order_grad(f, x, h=1e-3):
         step[i] = h
         grad[i] = (8 * (f(x + step) - f(x - step)) - (f(x + 2 * step) - f(x - 2 * step))) / (12 * h)
     return grad
+
+
+@contextmanager
+def patched(**values):
+    """Module constants of ``autodiff`` set to ``values`` inside the block."""
+    old = {name: getattr(ad, name) for name in values}
+    for name, value in values.items():
+        setattr(ad, name, value)
+    try:
+        yield
+    finally:
+        for name, value in old.items():
+            setattr(ad, name, value)
 
 
 def rel_err(new, old):
@@ -179,6 +194,27 @@ class TestSmoothWinklerGrid:
             ad.smooth_winkler_grid, weights, residuals, targets, 0.05, 0.02, probe)
         assert rel_err(grad, fourth_order_grad(f, weights, h=1e-4)) < 1e-10
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        B=st.integers(1, 40), s=st.integers(1, 300), block_bytes=st.integers(1, 1 << 20),
+        kept=st.booleans(), tau_q=st.sampled_from([1e-4, 0.01, 0.05]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_edge_block_size_equals_one_block(self, B, s, block_bytes, kept, tau_q, seed):
+        """Blocks of edge sigmoids of any size give one block's bytes, for a
+        dense support as wide as a teacher's, with the edges kept or
+        recomputed by the VJP."""
+        rng = np.random.default_rng(seed)
+        weights, residuals, targets = sorted_batch(rng, B, s, ties=True)
+        probe = rng.standard_normal(B)
+        results = []
+        for size in (block_bytes, 1 << 40):
+            with patched(_EDGE_BLOCK_BYTES=size, _KEPT_EDGES_BYTES=(1 << 40) if kept else 0):
+                value, grad = value_and_grad(
+                    ad.smooth_winkler_grid, weights, residuals, targets, tau_q, 5e-4, probe)
+            results.append((value.tobytes(), grad.tobytes()))
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("B,s,pad", [(130, 40, 3), (70, 255, 0)])
     def test_blocks_and_recomputed_edges_change_no_bit(self, monkeypatch, B, s, pad):
         """Episodes in blocks of 64 with edges kept, in blocks with edges
@@ -188,7 +224,7 @@ class TestSmoothWinklerGrid:
         probe = rng.standard_normal(B)
         results = []
         for chunk, kept_bytes in ((64, 1 << 40), (64, 0), (10**6, 1 << 40)):
-            monkeypatch.setattr(ad, "_CHUNK", chunk)
+            monkeypatch.setattr(ad, "_EDGE_BLOCK_BYTES", chunk * 2 * ALPHAS.size * (s + 1) * 8)
             monkeypatch.setattr(ad, "_KEPT_EDGES_BYTES", kept_bytes)
             value, grad = value_and_grad(
                 ad.smooth_winkler_grid, weights, residuals, targets, 0.01, 5e-4, probe)
@@ -280,6 +316,37 @@ def retrieval_grad(fn, maps, contexts_t, top_k):
 
 
 class TestLooRetrievalScores:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        B=st.integers(2, 70), p=st.integers(1, 9), L=st.integers(1, 6), top_k=st.integers(1, 80),
+        duplicates=st.booleans(), chunk=st.sampled_from([2, 5, 32, 10**6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_keys_and_accumulating_vjp_are_bit_exact(self, B, p, L, top_k, duplicates, chunk,
+                                                     seed):
+        """At any block size (blocks key at least two episodes) the selection
+        and scores are the unfolded GEMM + bias chain's, ties included, and
+        the VJP's partial added into a held gradient sum is bitwise that sum
+        plus the partial alone, which is the one-block partial."""
+        rng = np.random.default_rng(seed)
+        maps, contexts_t = retrieval_instance(rng, B, p, L, duplicates)
+        g = rng.standard_normal((B, min(top_k, B - 1)))
+        held = rng.standard_normal(maps.shape)
+        sel_o, scores_o = full_tape_retrieval(ad.constant(maps), contexts_t, top_k)
+        partials = []
+        for size in (chunk, 10**6):
+            with patched(_CHUNK=size), ad.Tape() as tape:
+                sel, scores = ad.loo_retrieval_scores(ad.parameter(maps), contexts_t, top_k)
+            assert np.array_equal(sel, sel_o)
+            assert scores.data.tobytes() == scores_o.data.tobytes()
+            (_, _, vjp), = tape.records
+            (add,) = vjp(g)
+            with patched(_CHUNK=size):
+                alone, summed = add(None), add(held.copy())
+            assert summed.tobytes() == (held + alone).tobytes()
+            partials.append(alone.tobytes())
+        assert partials[0] == partials[1]
+
     @pytest.mark.parametrize(
         "B,p,L,top_k,duplicates",
         [
@@ -301,6 +368,21 @@ class TestLooRetrievalScores:
         assert np.array_equal(scores, scores_o)
         assert rel_err(grad, grad_o) < REL
         assert not np.any(sel == np.arange(B)[:, None])
+
+    def test_a_lone_last_episode_is_keyed_with_the_block_before_it(self):
+        """With one-dimensional keys, a block of one episode would key it
+        with a one-row GEMM, which rounds differently: B = 33 in blocks of 32
+        gives one block's bytes."""
+        rng = np.random.default_rng(11)
+        maps, contexts_t = retrieval_instance(rng, 33, 7, 1)
+        results = []
+        for size in (32, 10**6):
+            with patched(_CHUNK=size):
+                sel, scores, grad = retrieval_grad(ad.loo_retrieval_scores, maps, contexts_t, 4)
+            results.append((sel.tobytes(), scores.tobytes(), grad.tobytes()))
+        assert results[0] == results[1]
+        assert ad._chunks(33, 32) == [slice(0, 33)]
+        assert ad._chunks(66, 32) == [slice(0, 32), slice(32, 64), slice(64, 66)]
 
     @pytest.mark.parametrize("B,top_k", [(130, 32), (70, 69)])
     def test_blocks_change_no_bit(self, monkeypatch, B, top_k):

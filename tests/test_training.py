@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 from functools import partial
 from pathlib import Path
@@ -23,7 +25,8 @@ from rarecp.data import (
     encoder_inputs,
 )
 from rarecp.errors import DataError, RareCPError
-from rarecp.experts import ExpertConfig, HypernetworkParams, RetrievalExpert
+from rarecp.estimators import RareCP
+from rarecp.experts import ExpertConfig, FixedAffineMap, HypernetworkParams, RetrievalExpert
 from rarecp.training import (
     ModelConfig,
     TemperatureSchedule,
@@ -40,6 +43,7 @@ from rarecp.training import (
     _expert_support,
     _prepare_gate_batch,
     _Schedule,
+    blas_threads,
 )
 
 
@@ -651,7 +655,7 @@ class TestPipeline:
         path = tmp_path / "log.csv"
         write_training_log(small_trained["trainer"].log, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "stage,epoch,mean_loss,tau_q"
+        assert lines[0] == "stage,epoch,mean_loss,tau_q,blas_threads"
         stages = {line.split(",")[0] for line in lines[1:]}
         assert stages == {"teacher", "expert", "gate"}
 
@@ -972,3 +976,91 @@ def test_fit_on_every_cpu_equals_a_fit_on_one():
     assert every_cpu["300"]["audited"] == 3 * 300 * (1 + 2) + 300
     assert every_cpu["1020"]["audited"] == 3 * 1020 * (1 + 2) + 1020
     assert every_cpu == one_cpu
+
+
+# ---------------------------------------------------------------------------
+# what a fit holds
+# ---------------------------------------------------------------------------
+
+
+def step_peak_mb(params, loss_fn, steps: int = 2) -> float:
+    """The most memory any of ``steps`` optimizer steps held above its start, in MB.
+
+    Measured by tracemalloc, which sees every numpy array (BLAS's own
+    buffers are not numpy arrays, so the BLAS thread count does not enter).
+    """
+    optimizer = Adam(params, lr=1e-3)
+    peaks = []
+    for _ in range(steps):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            optimizer_step(optimizer, loss_fn)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+    return max(peaks) / 1e6
+
+
+class TestWhatAFitHolds:
+    """At B = 256 and the default architecture (65 context features, 32-dim
+    keys, top-k 32, two hidden layers of 96), a step holds no more than it
+    must, and a trained model holds no gradients."""
+
+    B, P = 256, 65
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        rng = np.random.default_rng(41)
+        contexts = rng.standard_normal((self.B, self.P))
+        return training_store(contexts, rng.standard_normal(self.B) * (1.0 + 3.0 * (contexts[:, 0] > 0)))
+
+    def loss(self, encoder, store, top_k, teacher, lambda_anchor):
+        return lambda: expert_batch_loss(
+            encoder, [store], [np.arange(self.B)], teacher, top_k, 1 / 12,
+            np.asarray(default_alpha_grid()), 0.0125, 5e-4, lambda_anchor,
+        )
+
+    def test_dense_teacher_step_peaks_at_10_mb(self, store):
+        """The smooth loss over (256, 22, 256) edges runs in L2-sized blocks."""
+        teacher = FixedAffineMap(self.P, 32, seed=1)
+        assert step_peak_mb(teacher.parameters(),
+                            self.loss(teacher, store, self.B, None, 0.0)) <= 10.0
+
+    def test_hypernetwork_expert_step_peaks_at_15_mb(self, store):
+        """The anchor's and the leave-one-out retrieval's (2112, 256) gradient
+        blocks are one block, and used VJPs let go of what they kept."""
+        encoder = HypernetworkParams(self.P, 32, hidden_dim=96, hidden_layers=2, seed=0)
+        teacher = FixedAffineMap(self.P, 32, seed=1).as_arrays()
+        assert step_peak_mb(encoder.parameters(),
+                            self.loss(encoder, store, 32, [teacher], 5.0)) <= 15.0
+
+    def test_a_fitted_model_holds_no_parameter_gradients(self):
+        rng = np.random.default_rng(42)
+        X = rng.standard_normal((60, 7))
+        est = RareCP(window=6, n_experts=2, latent_dim=4, top_k=6, hidden_dim=8, hidden_layers=1,
+                     gate_hidden_dim=2, epochs=2, teacher_epochs=1, seed=3)
+        est.fit(X, rng.standard_normal(60) * (1.0 + 3.0 * (X[:, 0] > 0)))
+        params = [p for e in est.components_.experts for p in e.encoder.parameters()]
+        params += est.components_.gate.parameters()
+        assert len(params) == 2 * 4 + 4
+        assert all(p.grad is None for p in params)
+
+
+def test_same_seed_training_logs_are_identical_and_carry_the_blas_threads(tmp_path):
+    rng = np.random.default_rng(43)
+    X = rng.standard_normal((50, 7))
+    y = rng.standard_normal(50)
+    logs = []
+    for name in ("a.csv", "b.csv"):
+        est = RareCP(window=6, n_experts=2, latent_dim=4, top_k=6, hidden_dim=8, hidden_layers=1,
+                     gate_hidden_dim=2, epochs=2, teacher_epochs=1, seed=9).fit(X, y)
+        write_training_log(est.train_log_, tmp_path / name)
+        logs.append((tmp_path / name).read_bytes())
+    assert logs[0] == logs[1]
+    lines = logs[0].decode().splitlines()
+    threads = blas_threads()
+    assert lines[0].split(",")[-1] == "blas_threads"
+    assert len(lines) > 1
+    assert {line.split(",")[-1] for line in lines[1:]} == {"" if threads is None else str(threads)}
