@@ -112,7 +112,6 @@ def run_chronological_eval(
     source: ForecastSource,
     method: str,
     cfg: EvalConfig | None = None,
-    debug_state: dict | None = None,
 ) -> list[EvalRecord]:
     """One-pass chronological evaluation of a single method.
 
@@ -144,7 +143,7 @@ def run_chronological_eval(
             )
 
     indices = split if isinstance(split, SplitIndices) else chronological_split(len(series), split)
-    contexts, residuals, times = calibration_block(
+    contexts, residuals, _ = calibration_block(
         series, indices.cal, source, window, include_forecast
     )
     if est is not None:
@@ -203,10 +202,6 @@ def run_chronological_eval(
             store.append(
                 CalibrationEntry(context=context, residual=y - forecast, time_index=int(t))
             )
-    if debug_state is not None:
-        debug_state["store"] = store
-        debug_state["final_alpha"] = aci.alpha_t if aci is not None else cfg.alpha
-        debug_state["seed_entries"] = times.size
     return records
 
 

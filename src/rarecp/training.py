@@ -33,15 +33,16 @@ schedule and step counter, every step taken through ``optimizer_step``.
 There is one run per (expert, dataset) for the teachers, one per expert for
 the students, one over the prepared rounds for the gate.
 
-A fit is one ordered task list (``Trainer._queue``, run by ``_Schedule``):
-teacher (m, d); expert m, which starts once teachers (m, .) have finished;
-then, per (gate round, dataset, expert m), expert m's forward-only
-leave-one-out supports, which start once expert m has. The calling thread
-and as many helpers as the machine has CPUs per BLAS thread
-(``training_workers``) take the tasks in order. The caller then merges
-logs and audit buffers in stage and run order, builds the gate's batches
-from the supports and trains the gate: the outcome is the same bytes as
-running every task one after another.
+A fit is one ordered task list (``Trainer._queue``, run by ``_Schedule`` on
+a thread pool): teacher (m, d); expert m, which starts once teachers (m, .)
+have finished and trains in the ``ExpertStack`` that serves it; then, per
+(gate round, dataset, expert m), expert m's forward-only leave-one-out
+supports, which start once expert m has. As many threads as the machine has
+CPUs per BLAS thread (``training_workers``) take the tasks in order. The
+calling thread waits for each stage's tasks in turn (``fit_teachers``,
+``fit_experts``, ``fit_gate``), merges their logs and audit buffers in stage
+and run order, builds the gate's batches from the supports and trains the
+gate: the outcome is the same bytes as running every task one after another.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import threading
 import warnings
 from collections.abc import Callable, Sequence
-from contextlib import contextmanager
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 from functools import cache, partial
 from pathlib import Path
@@ -62,7 +62,7 @@ import numpy as np
 from rarecp import autodiff as ad
 from rarecp.autodiff import Adam, Tape, Tensor
 from rarecp.data import CalibrationStore, encoder_inputs
-from rarecp.errors import DataError, NumericError, RareCPError
+from rarecp.errors import DataError, NumericError
 from rarecp.experts import (
     ExpertConfig,
     ExpertStack,
@@ -71,6 +71,7 @@ from rarecp.experts import (
     RetrievalExpert,
 )
 from rarecp.gate import GateParams
+from rarecp.validation import check_finite, check_int
 
 
 def default_alpha_grid(center: float = 0.20, step: float = 0.02, spread: int = 5):
@@ -107,6 +108,14 @@ def temperature_at(step: int, schedule: TemperatureSchedule) -> float:
     return schedule.tau_end + (schedule.tau_start - schedule.tau_end) * w
 
 
+def _check_numbers(config) -> None:
+    """Check and keep each int (``check_int``) and float (``check_finite``) field of ``config``."""
+    for f in fields(config):
+        check = {"int": check_int, "float": check_finite}.get(f.type)
+        if check is not None:
+            object.__setattr__(config, f.name, check(getattr(config, f.name), f.name))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lambda_anchor: float = 5.0
@@ -125,6 +134,7 @@ class TrainConfig:
     audit: bool = False
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.lambda_anchor < 0 or self.lambda_entropy < 0:
             raise DataError("regularization weights must be >= 0")
         if min(self.student_lr, self.gate_lr, self.teacher_lr) <= 0:
@@ -135,6 +145,8 @@ class TrainConfig:
             raise DataError("batch_size must be >= 3: an episode needs 2 other candidates")
         if not min(self.tau_start, self.tau_end, self.tau_p) > 0:
             raise DataError("loss temperatures must be positive")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -155,8 +167,11 @@ class ModelConfig:
     normalize_contexts: bool = True
 
     def __post_init__(self):
-        if min(self.n_experts, self.latent_dim, self.top_k, self.hidden_layers) < 1:
-            raise DataError("n_experts, latent_dim, top_k and hidden_layers must be >= 1")
+        _check_numbers(self)
+        counts = ("n_experts", "latent_dim", "top_k", "hidden_dim", "hidden_layers",
+                  "gate_hidden_dim", "window")
+        if min(getattr(self, name) for name in counts) < 1:
+            raise DataError(f"{', '.join(counts)} must be >= 1")
         if not (0.0 < self.beta < math.inf):
             raise DataError(f"beta must be positive and finite, got {self.beta!r}")
         if self.activation not in ("tanh", "relu"):
@@ -497,8 +512,9 @@ def keep_freed_heap() -> bool:
     follows the host's load. Fixing the mmap threshold at 32 MiB and the
     trim threshold at 256 MiB keeps that memory for reuse; peak RSS does
     not change. A single malloc arena serves every thread, so what a
-    training helper thread frees is reused by whichever thread allocates
-    next, serving included, instead of staying held in the helper's arena.
+    training pool thread frees is reused by whichever thread allocates
+    next, serving included, instead of staying held in the pool thread's
+    arena.
 
     The settings are process-wide, applied once, and skipped off glibc.
     They hold for every thread of the process, not only for training: a
@@ -568,8 +584,8 @@ def training_workers(n_tasks: int, episodes: int) -> int:
     The CPUs this process may use divided by the BLAS thread count, so the
     BLAS threads of concurrent tasks do not outnumber the CPUs, capped at
     ``n_tasks``. A shortest run of fewer than ``_MIN_CONCURRENT_EPISODES``
-    leave-one-out episodes, or a count that cannot be read, gives 1: the
-    tasks run one after another.
+    leave-one-out episodes, or a count that cannot be read, gives 1: one
+    thread runs the tasks one after another.
     """
     if n_tasks < 2 or episodes < _MIN_CONCURRENT_EPISODES:
         return 1
@@ -584,23 +600,20 @@ def training_workers(n_tasks: int, episodes: int) -> int:
 
 
 class _Schedule:
-    """Tasks run in the order they were added, by the calling thread and helper threads.
+    """Tasks run in the order they were added, on a pool of threads.
 
     A task may name tasks added before it, which finish before it starts.
-    Every thread takes the next task in order, so a task a thread waits for
-    has already been taken by another, which does not wait on anything
-    later: no worker count can deadlock. Once a task fails no thread starts
+    The pool's threads take tasks in order, so a task a thread waits for has
+    already been taken by another, which does not wait on anything later:
+    no worker count can deadlock. Once a task fails no thread starts
     another, and the tasks that need it never run.
     """
 
     def __init__(self) -> None:
         self._tasks: list[tuple[Callable[[], object], tuple[int, ...]]] = []
-        self._results: list = []
-        self._done: list[threading.Event] = []
-        self._errors: dict[int, BaseException] = {}
-        self._next, self._lock = 0, threading.Lock()
-        self._helpers: list[threading.Thread] = []
-        self._closed = False
+        self._futures: list[Future] = []
+        self._pool: ThreadPoolExecutor | None = None
+        self._stopped = False
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -610,59 +623,44 @@ class _Schedule:
         if any(not 0 <= i < len(self._tasks) for i in after):
             raise ValueError("a task can only wait for tasks queued before it")
         self._tasks.append((fn, tuple(after)))
-        self._results.append(None)
-        self._done.append(threading.Event())
         return len(self._tasks) - 1
 
     def start(self, workers: int) -> None:
-        """Start ``workers - 1`` helper threads on the queued tasks."""
-        self._helpers = [
-            threading.Thread(target=self._work, args=(len(self._tasks),))
-            for _ in range(min(workers, len(self._tasks)) - 1)
-        ]
-        for helper in self._helpers:
-            helper.start()
+        """Start ``workers`` threads on the queued tasks."""
+        self._pool = ThreadPoolExecutor(max(1, min(workers, len(self._tasks))))
+        for fn, after in self._tasks:
+            self._futures.append(
+                self._pool.submit(self._run, fn, [self._futures[i] for i in after])
+            )
 
-    def _work(self, stop: int) -> None:
-        """Run the next task, while one before ``stop`` is left and none has failed."""
-        while not (self._errors or self._closed):
-            with self._lock:
-                i = self._next
-                if i >= stop:
-                    return
-                self._next = i + 1
-            fn, after = self._tasks[i]
-            try:
-                for j in after:
-                    self._done[j].wait()
-                if not self._errors:
-                    self._results[i] = fn()
-            except BaseException as exc:  # re-raised on the calling thread by ``results``
-                self._errors[i] = exc
-            finally:
-                self._done[i].set()
+    def _run(self, fn: Callable[[], object], after: list[Future]):
+        """``fn()`` once the tasks ``after`` have finished, unless the schedule has stopped."""
+        wait(after)
+        if self._stopped:  # closed, or a task has failed, perhaps one of ``after``
+            return None
+        try:
+            return fn()
+        except BaseException:
+            self._stopped = True
+            raise
 
     def results(self, ids: Sequence[int]) -> list:
         """The results of tasks ``ids``, in that order, once they have finished.
 
-        Meanwhile the calling thread runs tasks, up to the last of ``ids``.
-        If a task has failed, the helpers are stopped and the first failure
+        If a task has failed, the threads are stopped and the first failure
         in task order is raised.
         """
-        self._work(max(ids) + 1)
-        if not self._errors:
-            for i in ids:
-                self._done[i].wait()
-        if self._errors:
+        wait([self._futures[i] for i in ids])
+        if self._stopped:
             self.close()
-            raise self._errors[min(self._errors)]
-        return [self._results[i] for i in ids]
+            raise next(exc for exc in map(Future.exception, self._futures) if exc is not None)
+        return [self._futures[i].result() for i in ids]
 
     def close(self) -> None:
-        """Start no more tasks and wait for the helper threads to stop."""
-        self._closed = True
-        for helper in self._helpers:
-            helper.join()
+        """Start no more tasks and wait for the threads to stop."""
+        self._stopped = True
+        if self._pool is not None:
+            self._pool.shutdown()
 
 
 class Trainer:
@@ -698,7 +696,6 @@ class Trainer:
         self.gate: GateParams | None = None
         self.log: list[LogRow] = []
         self.audit: list | None = [] if train.audit else None
-        self._queued: dict[str, Callable[[], object]] = {}
 
     # -- scheduling -------------------------------------------------------
 
@@ -804,152 +801,103 @@ class Trainer:
             seed=self.train.seed * 1000 + 500 + m,
         )
 
-    def _queue(self, schedule: _Schedule, stages: Sequence[str]) -> dict[str, Callable]:
-        """Add the tasks of ``stages`` to ``schedule``, each after the tasks it reads.
+    def _queue(self, schedule: _Schedule) -> tuple[Callable, Callable, Callable]:
+        """Queue a fit's tasks, each after the tasks it reads, and keep the models they train.
 
         In task order: one per teacher (m, d); one per expert m, after
         teachers (m, .); one per (gate round, dataset, expert m), the
-        expert's leave-one-out supports, after expert m. A stage not queued
-        is read from what this trainer already holds. Returns, per stage, a
-        function that waits for its tasks and gives what they made.
+        expert's leave-one-out supports, after expert m. Returns, per stage,
+        a function that waits for its tasks and gives its runs and their
+        epoch means, or the gate's prepared batches.
         """
         cfg, model, M, D = self.train, self.model, self.model.n_experts, len(self.stores)
-        waiters: dict[str, Callable] = {}
-        teachers, after_teachers = self.teachers, [()] * M
-        if "teacher" in stages:
-            teachers = [
-                [FixedAffineMap(model.context_dim, model.latent_dim,
-                                seed=cfg.seed * 1000 + m * 10 + d) for d in range(D)]
-                for m in range(M)
-            ]
-            teacher_runs = [
-                self._expert_run(teachers[m][d], cfg.teacher_lr, [store],
-                                 np.random.default_rng([cfg.seed, 11, m, d]), None, len(store), 0.0)
-                for m in range(M)
-                for d, store in enumerate(self.stores)
-            ]
-            ids = [schedule.add(partial(self._train, cfg.teacher_epochs, run))
-                   for run in teacher_runs]
-            after_teachers = [ids[m * D : (m + 1) * D] for m in range(M)]
-            waiters["teacher"] = lambda: (teachers, teacher_runs, schedule.results(ids))
-        experts, after_experts = self.experts, [()] * M
-        if "expert" in stages:
-            # made before any task runs: an encoder made between two runs took
-            # its place among their freed temporaries, which raised the peak
-            # RSS of a serving fit by 4 MB
-            experts = [
-                RetrievalExpert(encoder=self._make_encoder(m), config=model.expert_config())
-                for m in range(M)
-            ]
-            expert_runs = [None] * M
+        self.teachers = teachers = [
+            [FixedAffineMap(model.context_dim, model.latent_dim,
+                            seed=cfg.seed * 1000 + m * 10 + d) for d in range(D)]
+            for m in range(M)
+        ]
+        teacher_runs = [
+            self._expert_run(teachers[m][d], cfg.teacher_lr, [store],
+                             np.random.default_rng([cfg.seed, 11, m, d]), None, len(store), 0.0)
+            for m in range(M)
+            for d, store in enumerate(self.stores)
+        ]
+        teacher_ids = [schedule.add(partial(self._train, cfg.teacher_epochs, run))
+                       for run in teacher_runs]
+        # stacked before any task runs, so the experts train in the arrays that
+        # serve and save them; an encoder made between two runs took its place
+        # among their freed temporaries, which raised the peak RSS of a serving
+        # fit by 4 MB
+        self.experts = experts = ExpertStack.of([
+            RetrievalExpert(encoder=self._make_encoder(m), config=model.expert_config())
+            for m in range(M)
+        ])
 
-            def fit_expert(m: int) -> list:
-                maps = [t.as_arrays() for t in teachers[m]]
-                encoder = experts[m].encoder
-                encoder.start_at(np.mean([a for a, _ in maps], axis=0),
-                                 np.mean([b for _, b in maps], axis=0))
-                expert_runs[m] = self._expert_run(
-                    encoder, cfg.student_lr, self.stores, np.random.default_rng([cfg.seed, 22, m]),
-                    maps, model.top_k, cfg.lambda_anchor,
-                )
-                return self._train(cfg.epochs, expert_runs[m])
-
-            first = len(schedule)
-            after_experts = [
-                (schedule.add(partial(fit_expert, m), after_teachers[m]),) for m in range(M)
-            ]
-            # the supports read the experts' tensors, which stacking re-points,
-            # so the stage waits for them too
-            waiters["expert"] = lambda: (
-                experts, expert_runs, schedule.results(range(first, len(schedule)))[:M]
+        def fit_expert(m: int) -> tuple[_Run, list]:
+            maps = [t.as_arrays() for t in teachers[m]]
+            encoder = experts[m].encoder
+            encoder.start_at(np.mean([a for a, _ in maps], axis=0),
+                             np.mean([b for _, b in maps], axis=0))
+            run = self._expert_run(
+                encoder, cfg.student_lr, self.stores, np.random.default_rng([cfg.seed, 22, m]),
+                maps, model.top_k, cfg.lambda_anchor,
             )
-        if "gate" in stages:
-            rng = np.random.default_rng([cfg.seed, 33])
-            rounds = [
-                [
-                    (store, batch, [
-                        schedule.add(partial(_expert_support, expert, store, batch), after)
-                        for expert, after in zip(experts, after_experts)
-                    ])
-                    for store, batch in zip(self.stores, batches)
-                    if _valid_batch(batch)
-                ]
-                for batches in self._rounds(self.stores, rng)
+            return run, self._train(cfg.epochs, run)
+
+        expert_ids = [schedule.add(partial(fit_expert, m), teacher_ids[m * D : (m + 1) * D])
+                      for m in range(M)]
+        rng = np.random.default_rng([cfg.seed, 33])
+        rounds = [
+            [
+                (store, batch, [
+                    schedule.add(partial(_expert_support, expert, store, batch), (i,))
+                    for expert, i in zip(experts, expert_ids)
+                ])
+                for store, batch in zip(self.stores, batches)
+                if _valid_batch(batch)
             ]
-            waiters["gate"] = lambda: [
-                [(store, batch, schedule.results(ids)) for store, batch, ids in held]
+            for batches in self._rounds(self.stores, rng)
+        ]
+        return (
+            lambda: (teacher_runs, schedule.results(teacher_ids)),
+            lambda: tuple(zip(*schedule.results(expert_ids))),
+            lambda: [
+                [_prepare_gate_batch(store, batch, schedule.results(ids), self.audit)
+                 for store, batch, ids in held]
                 for held in rounds
                 if held
-            ]
-        return waiters
-
-    @contextmanager
-    def _scheduled(self, stages: Sequence[str]):
-        """Run the tasks of ``stages`` on one schedule while the block runs.
-
-        The worker count comes from the shortest run, a teacher's.
-        """
-        schedule = _Schedule()
-        self._queued = self._queue(schedule, stages)
-        episodes = self.train.teacher_epochs * min(len(store) for store in self.stores)
-        schedule.start(training_workers(len(schedule), episodes))
-        try:
-            yield
-        finally:
-            self._queued = {}
-            schedule.close()
-
-    def _results(self, stage: str):
-        """What the tasks of ``stage`` made: queued by ``run``, or scheduled alone now."""
-        if stage not in self._queued:
-            with self._scheduled((stage,)):
-                return self._queued.pop(stage)()
-        return self._queued.pop(stage)()
+            ],
+        )
 
     # -- stages -----------------------------------------------------------
 
-    def fit_teachers(self) -> None:
+    def fit_teachers(self, trained: Callable[[], tuple]) -> None:
         """One dense, unanchored affine teacher per (expert, dataset).
 
-        Under ``run`` the teachers' tasks are already queued, with the
-        experts' and the gate's behind them; called alone, this schedules
-        the teachers' tasks only. Either way it returns once they are
-        trained, logged and audited, in (expert, dataset) order.
+        ``trained`` waits for the teachers' tasks; this returns once they
+        are trained, logged and audited, in (expert, dataset) order.
         """
-        teachers, runs, per_run = self._results("teacher")
-        self._log_stage("teacher", self.train.teacher_epochs, runs, per_run)
-        self.teachers = teachers
+        self._log_stage("teacher", self.train.teacher_epochs, *trained())
 
-    def fit_experts(self) -> None:
+    def fit_experts(self, trained: Callable[[], tuple]) -> None:
         """One retrieval expert per teacher row, anchored to those teachers.
 
-        Expert m starts as soon as its own teachers are trained. Under
-        ``run`` this also waits for the gate's supports, which read the
-        experts' tensors, before ``ExpertStack.of`` re-points them.
+        ``trained`` waits for the experts' tasks. Expert m starts as soon as
+        its own teachers are trained, in the ``ExpertStack`` that serves it.
         """
-        if self.teachers is None:
-            raise RareCPError("experts cannot be trained before the teacher bank")
-        experts, runs, per_run = self._results("expert")
-        self._log_stage("expert", self.train.epochs, runs, per_run)
-        self.experts = ExpertStack.of(experts)
+        self._log_stage("expert", self.train.epochs, *trained())
 
-    def fit_gate(self) -> None:
+    def fit_gate(self, batches: Callable[[], list]) -> None:
         """The gate over the frozen experts, trained on one prepared batch partition.
 
-        The experts' supports for each batch come from the schedule's tasks;
-        this thread builds the batches from them in (round, dataset) order
-        and then trains the gate alone.
+        ``batches`` waits for the experts' supports of each batch and
+        builds the batches from them on this thread, in (round, dataset)
+        order; the gate then trains alone.
         """
-        if self.experts is None:
-            raise RareCPError("the gate cannot be trained before the experts")
         cfg = self.train
         # experts are frozen, so one fixed batch partition is prepared once
         # and its leave-one-out supports reused for every gate epoch
-        prepared_rounds = [
-            [_prepare_gate_batch(store, batch, supports, self.audit)
-             for store, batch, supports in held]
-            for held in self._results("gate")
-        ]
+        prepared_rounds = batches()
         if not prepared_rounds:
             raise DataError("no usable gate training batches")
         gate = GateParams(
@@ -976,10 +924,17 @@ class Trainer:
     def run(self) -> "Trainer":
         """All three stages on one schedule: a task starts as soon as what it reads is trained."""
         keep_freed_heap()
-        with self._scheduled(("teacher", "expert", "gate")):
-            self.fit_teachers()
-            self.fit_experts()
-            self.fit_gate()
+        schedule = _Schedule()
+        teachers, experts, gate_batches = self._queue(schedule)
+        # the shortest run, a teacher's, sets the worker count
+        episodes = self.train.teacher_epochs * min(len(store) for store in self.stores)
+        schedule.start(training_workers(len(schedule), episodes))
+        try:
+            self.fit_teachers(teachers)
+            self.fit_experts(experts)
+            self.fit_gate(gate_batches)
+        finally:
+            schedule.close()
         return self
 
 

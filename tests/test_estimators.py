@@ -203,6 +203,23 @@ class TestBadSettings:
                 rng.standard_normal((40, 7)), rng.standard_normal(40)
             )
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"lambda_anchor": float("nan")}, {"batch_size": 3.5}, {"epochs": 1.5},
+         {"latent_dim": 4.5}, {"seed": 1.5}, {"seed": -1}, {"top_k": 6.5}, {"n_cycles": 2.5},
+         {"hidden_dim": 0}, {"gate_hidden_dim": 0}],
+        ids=repr,
+    )
+    def test_rarecp_rejects_a_fractional_count_or_non_finite_weight_before_training(
+        self, setting, no_training
+    ):
+        """Unchecked, each would train without its term, be truncated, or fail inside numpy."""
+        rng = np.random.default_rng(4)
+        with pytest.raises(DataError):
+            RareCP(**{**SMALL, **setting}).fit(
+                rng.standard_normal((40, 7)), rng.standard_normal(40)
+            )
+
     def test_rarecp_zero_capacity_rejected_before_training(self, no_training):
         rng = np.random.default_rng(5)
         with pytest.raises(DataError, match="capacity"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rarecp.data import (
+    CalibrationStore,
     ForecastSource,
     NaiveForecast,
     PrecomputedForecast,
@@ -41,15 +42,22 @@ class TestChronologicalEval:
             assert r.covered
         assert all(r.winkler == 0.0 for r in records)
 
-    def test_one_insertion_per_test_point(self):
+    def test_one_insertion_per_test_point(self, monkeypatch):
+        appends = []  # (store, its length before the append)
+        append = CalibrationStore.append
+
+        def counting_append(store, entry):
+            appends.append((store, len(store)))
+            return append(store, entry)
+
+        monkeypatch.setattr(CalibrationStore, "append", counting_append)
         rng = np.random.default_rng(0)
         series = TimeSeries(values=rng.standard_normal(80))
         cfg = EvalConfig(window=4, capacity=500)
-        state = {}
-        records = run_chronological_eval(
-            series, SplitSpec(), NaiveForecast(), "uniform", cfg, debug_state=state
-        )
-        assert len(state["store"]) == state["seed_entries"] + len(records)
+        records = run_chronological_eval(series, SplitSpec(), NaiveForecast(), "uniform", cfg)
+        (store, seed_entries), *_ = appends
+        assert all(s is store for s, _ in appends) and len(appends) == len(records)
+        assert len(store) == seed_entries + len(records)
 
     def test_zero_capacity_rejected(self):
         series = TimeSeries(values=np.random.default_rng(2).standard_normal(80))

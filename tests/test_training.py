@@ -24,7 +24,7 @@ from rarecp.data import (
     descriptor_features,
     encoder_inputs,
 )
-from rarecp.errors import DataError, RareCPError
+from rarecp.errors import DataError, NumericError
 from rarecp.estimators import RareCP
 from rarecp.experts import ExpertConfig, FixedAffineMap, HypernetworkParams, RetrievalExpert
 from rarecp.training import (
@@ -246,7 +246,7 @@ class TestTeacherFitting:
         store = tiny_store(rng, n=60)
         trainer = Trainer([store], tiny_model(), TrainConfig(
             epochs=2, teacher_epochs=8, batch_size=30, seed=0))
-        trainer.fit_teachers()
+        trainer.run()
         rows = [r for r in trainer.log if r.stage == "teacher"]
         assert rows[-1].mean_loss < rows[0].mean_loss
 
@@ -255,7 +255,7 @@ class TestTeacherFitting:
         store = tiny_store(rng, n=40)
         trainer = Trainer([store], tiny_model(), TrainConfig(
             epochs=1, teacher_epochs=2, batch_size=20, seed=0))
-        trainer.fit_teachers()
+        trainer.run()
         a0, _ = trainer.teachers[0][0].as_arrays()
         a1, _ = trainer.teachers[1][0].as_arrays()
         assert not np.allclose(a0, a1)
@@ -269,7 +269,7 @@ class TestTeacherFitting:
             store = training_store(contexts, residuals)
             trainer = Trainer([store], tiny_model(), TrainConfig(
                 epochs=1, teacher_epochs=3, batch_size=16, seed=5))
-            trainer.fit_teachers()
+            trainer.run()
             return trainer.teachers[0][0].as_arrays()
 
         (a1, b1), (a2, b2) = fit(), fit()
@@ -362,23 +362,26 @@ def prepare_gate_batch(experts, store, batch, audit):
 
 class TestGateTraining:
     def _trained_experts(self, rng, store, model):
-        trainer = Trainer([store], model, TrainConfig(
-            epochs=2, teacher_epochs=1, batch_size=16, seed=0))
-        trainer.fit_teachers()
-        trainer.fit_experts()
-        return trainer
+        return Trainer([store], model, TrainConfig(
+            epochs=2, teacher_epochs=1, batch_size=16, seed=0)).run()
 
-    def test_experts_frozen_during_gate_training(self):
+    def test_experts_frozen_during_gate_training(self, monkeypatch):
+        snapshots = []
+        fit_gate = Trainer.fit_gate
+
+        def snapshot(trainer):
+            snapshots.append([p.data.tobytes() for e in trainer.experts for p in e.parameters()])
+
+        def snapshotting_fit_gate(trainer, *args):
+            snapshot(trainer)
+            fit_gate(trainer, *args)
+            snapshot(trainer)
+
+        monkeypatch.setattr(Trainer, "fit_gate", snapshotting_fit_gate)
         rng = np.random.default_rng(12)
         store = tiny_store(rng, n=24)
-        trainer = self._trained_experts(rng, store, tiny_model())
-        before = [
-            p.data.tobytes() for e in trainer.experts for p in e.parameters()
-        ]
-        trainer.fit_gate()
-        after = [
-            p.data.tobytes() for e in trainer.experts for p in e.parameters()
-        ]
+        self._trained_experts(rng, store, tiny_model())
+        before, after = snapshots
         assert before == after
 
     def test_large_entropy_weight_keeps_gate_uniform(self):
@@ -551,12 +554,13 @@ class TestStageRunnerLog:
         cfg = TrainConfig(epochs=1, teacher_epochs=3, batch_size=10, n_cycles=2, seed=3)
         trainer = Trainer([ds1, ds2], tiny_model(), cfg)
         with pytest.warns(UserWarning, match="fewer"):
-            trainer.fit_teachers()
+            trainer.run()
 
         # a run is known by its teacher's parameters: runs may step at the same time
         runs = {id(t.A): [] for row in trainer.teachers for t in row}
         for optimizer, loss in losses:
-            runs[id(optimizer.params[0])].append(loss)
+            if id(optimizer.params[0]) in runs:  # not an expert's or the gate's step
+                runs[id(optimizer.params[0])].append(loss)
         per_run = list(runs.values())
         steps = [2, 3, 2, 3]  # runs in (expert, dataset) order
         assert [len(run) for run in per_run] == [3 * s for s in steps]
@@ -575,16 +579,6 @@ class TestStageRunnerLog:
 
 
 class TestPipeline:
-    def test_stage_order_enforced(self):
-        rng = np.random.default_rng(14)
-        store = tiny_store(rng, n=20)
-        trainer = Trainer([store], tiny_model(), TrainConfig(
-            epochs=1, teacher_epochs=1, batch_size=10, seed=0))
-        with pytest.raises(RareCPError):
-            trainer.fit_gate()
-        with pytest.raises(RareCPError):
-            trainer.fit_experts()
-
     def test_loo_exclusion_audited(self):
         rng = np.random.default_rng(15)
         store = tiny_store(rng, n=20)
@@ -871,7 +865,47 @@ def test_a_task_waits_only_for_tasks_queued_before_it():
     for after in ((first + 1,), (-1,)):
         with pytest.raises(ValueError, match="queued before"):
             schedule.add(lambda: 2, after=after)
-    assert schedule.results([first]) == [1]
+    schedule.start(1)
+    try:
+        assert schedule.results([first]) == [1]
+    finally:
+        schedule.close()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_expert_run_stops_the_fit(monkeypatch, workers):
+    """An expert's ``NumericError`` leaves ``Trainer.run`` once every pool
+    thread has stopped, and the gate never starts."""
+    from rarecp import training
+
+    encoders, gate_losses = [], []
+    make_encoder = Trainer._make_encoder
+
+    def recording_make_encoder(trainer, m):
+        encoders.append(make_encoder(trainer, m))
+        return encoders[-1]
+
+    def failing_loss(encoder, *args, **kwargs):
+        if encoder is encoders[1]:
+            raise NumericError("expert 1 diverged")
+        return expert_batch_loss(encoder, *args, **kwargs)
+
+    def recording_gate_loss(*args):
+        gate_losses.append(args)
+        return gate_batch_loss(*args)
+
+    monkeypatch.setattr(Trainer, "_make_encoder", recording_make_encoder)
+    monkeypatch.setattr(training, "expert_batch_loss", failing_loss)
+    monkeypatch.setattr(training, "gate_batch_loss", recording_gate_loss)
+    monkeypatch.setattr(training, "training_workers", lambda n_tasks, episodes: workers)
+    rng = np.random.default_rng(25)
+    trainer = Trainer([tiny_store(rng, n=40)], tiny_model(), TrainConfig(
+        epochs=2, teacher_epochs=1, batch_size=20, seed=0))
+    threads_before = threading.active_count()
+    with pytest.raises(NumericError, match="expert 1 diverged"):
+        trainer.run()
+    assert threading.active_count() == threads_before
+    assert gate_losses == [] and trainer.gate is None
 
 
 _HELPER_FREES_SCRIPT = """
