@@ -33,16 +33,17 @@ schedule and step counter, every step taken through ``optimizer_step``.
 There is one run per (expert, dataset) for the teachers, one per expert for
 the students, one over the prepared rounds for the gate.
 
-A fit is one ordered task list (``Trainer._queue``, run by ``_Schedule`` on
-a thread pool): teacher (m, d); expert m, which starts once teachers (m, .)
-have finished and trains in the ``ExpertStack`` that serves it; then, per
-(gate round, dataset, expert m), expert m's forward-only leave-one-out
-supports, which start once expert m has. As many threads as the machine has
-CPUs per BLAS thread (``training_workers``) take the tasks in order. The
-calling thread waits for each stage's tasks in turn (``fit_teachers``,
-``fit_experts``, ``fit_gate``), merges their logs and audit buffers in stage
-and run order, builds the gate's batches from the supports and trains the
-gate: the outcome is the same bytes as running every task one after another.
+A fit is one ordered task list (``Trainer._queue``, run by ``_Schedule``):
+teacher (m, d); expert m, which starts once teachers (m, .) have finished
+and trains in the ``ExpertStack`` that serves it; then, per (gate round,
+dataset, expert m), expert m's forward-only leave-one-out supports, which
+start once expert m has. A pool of as many threads as the machine has CPUs
+per BLAS thread (``training_workers``), or else the calling thread, takes
+the tasks in order. The calling thread waits for each stage's tasks in turn
+(``fit_teachers``, ``fit_experts``, ``fit_gate``), merges their logs and
+audit buffers in stage and run order, builds the gate's batches from the
+supports and trains the gate: the outcome is the same bytes as running
+every task one after another.
 """
 
 from __future__ import annotations
@@ -584,8 +585,8 @@ def training_workers(n_tasks: int, episodes: int) -> int:
     The CPUs this process may use divided by the BLAS thread count, so the
     BLAS threads of concurrent tasks do not outnumber the CPUs, capped at
     ``n_tasks``. A shortest run of fewer than ``_MIN_CONCURRENT_EPISODES``
-    leave-one-out episodes, or a count that cannot be read, gives 1: one
-    thread runs the tasks one after another.
+    leave-one-out episodes, or a count that cannot be read, gives 1: the
+    calling thread runs the tasks one after another.
     """
     if n_tasks < 2 or episodes < _MIN_CONCURRENT_EPISODES:
         return 1
@@ -600,7 +601,7 @@ def training_workers(n_tasks: int, episodes: int) -> int:
 
 
 class _Schedule:
-    """Tasks run in the order they were added, on a pool of threads.
+    """Tasks run in the order they were added, on a pool of threads or the calling thread.
 
     A task may name tasks added before it, which finish before it starts.
     The pool's threads take tasks in order, so a task a thread waits for has
@@ -613,6 +614,7 @@ class _Schedule:
         self._tasks: list[tuple[Callable[[], object], tuple[int, ...]]] = []
         self._futures: list[Future] = []
         self._pool: ThreadPoolExecutor | None = None
+        self._next = 0  # with one worker, the next task ``results`` runs
         self._stopped = False
 
     def __len__(self) -> int:
@@ -626,23 +628,22 @@ class _Schedule:
         return len(self._tasks) - 1
 
     def start(self, workers: int) -> None:
-        """Start ``workers`` threads on the queued tasks."""
-        self._pool = ThreadPoolExecutor(max(1, min(workers, len(self._tasks))))
-        for fn, after in self._tasks:
-            self._futures.append(
-                self._pool.submit(self._run, fn, [self._futures[i] for i in after])
-            )
+        """Start ``workers`` threads on the queued tasks; with one, ``results`` runs them."""
+        self._futures = [Future() for _ in self._tasks]
+        if min(workers, len(self._tasks)) > 1:
+            self._pool = ThreadPoolExecutor(min(workers, len(self._tasks)))
+            for i in range(len(self._tasks)):
+                self._pool.submit(self._run, i)
 
-    def _run(self, fn: Callable[[], object], after: list[Future]):
-        """``fn()`` once the tasks ``after`` have finished, unless the schedule has stopped."""
-        wait(after)
-        if self._stopped:  # closed, or a task has failed, perhaps one of ``after``
-            return None
-        try:
-            return fn()
-        except BaseException:
+    def _run(self, i: int) -> None:
+        """Task ``i`` once the tasks it needs have finished, unless the schedule has stopped."""
+        fn, after = self._tasks[i]
+        wait([self._futures[j] for j in after])
+        try:  # stopped: closed, or a task has failed, perhaps one of ``after``
+            self._futures[i].set_result(None if self._stopped else fn())
+        except BaseException as exc:
             self._stopped = True
-            raise
+            self._futures[i].set_exception(exc)
 
     def results(self, ids: Sequence[int]) -> list:
         """The results of tasks ``ids``, in that order, once they have finished.
@@ -650,6 +651,9 @@ class _Schedule:
         If a task has failed, the threads are stopped and the first failure
         in task order is raised.
         """
+        while self._pool is None and self._next <= max(ids, default=-1):
+            self._run(self._next)
+            self._next += 1
         wait([self._futures[i] for i in ids])
         if self._stopped:
             self.close()

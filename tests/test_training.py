@@ -872,6 +872,23 @@ def test_a_task_waits_only_for_tasks_queued_before_it():
         schedule.close()
 
 
+def test_one_worker_runs_the_tasks_on_the_calling_thread_when_asked():
+    """A serial schedule starts no thread: ``results`` runs the tasks up to the last it needs."""
+    ran = []
+    schedule = _Schedule()
+    ids = [schedule.add(partial(ran.append, i)) for i in range(4)]
+    threads_before = threading.active_count()
+    schedule.start(1)
+    try:
+        assert ran == [] and threading.active_count() == threads_before
+        schedule.results(ids[1:2])
+        assert ran == [0, 1]
+        schedule.results(ids)
+        assert ran == [0, 1, 2, 3] and threading.active_count() == threads_before
+    finally:
+        schedule.close()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_failed_expert_run_stops_the_fit(monkeypatch, workers):
     """An expert's ``NumericError`` leaves ``Trainer.run`` once every pool
