@@ -17,7 +17,7 @@ from rarecp.errors import (
     ForecastMissingError,
     NonNumericCellError,
 )
-from rarecp.validation import check_finite, check_int, float_array
+from rarecp.validation import check_count, check_finite, check_int, float_array
 
 FRACTION_SUM_TOL = 1e-9
 DEFAULT_SIGMA_FLOOR = 1e-6
@@ -141,9 +141,9 @@ class CalibrationStore:
 
     ``sorted_residuals`` keeps the window in ascending order as well. It is
     built by one stable argsort on first request and from then on updated
-    by every ``append`` (one ``searchsorted`` and one slice shift each for
-    the evicted and the new value), so a store that never asks for it
-    never pays for it.
+    by every ``append`` (two ``searchsorted`` calls and one shift of the
+    span between the evicted and the new value's slots), so a store that
+    never asks for it never pays for it.
 
     ``condition`` fixes the dataset descriptor that training and retrieval
     read every context and query through, and whether contexts are z-scored
@@ -156,12 +156,8 @@ class CalibrationStore:
     """
 
     def __init__(self, capacity: int, context_dim: int):
-        if capacity < 1:
-            raise DataError("store capacity must be >= 1")
-        if context_dim < 1:
-            raise DataError("store context dimension must be >= 1")
-        self.capacity = int(capacity)
-        self._dim = int(context_dim)
+        self.capacity = check_count(capacity, "store capacity")
+        self._dim = check_count(context_dim, "store context dimension")
         self._contexts = np.zeros((self.capacity, self._dim))
         self._residuals = np.zeros(self.capacity)
         self._times = np.zeros(self.capacity, dtype=np.int64)
@@ -223,14 +219,16 @@ class CalibrationStore:
         """
         values, arrivals = self._sorted
         n = self._size
+        j = int(np.searchsorted(values[:n], residual, side="right"))
+        i = n  # while the window fills, the free slot past the end
         if n == self.capacity:
             i = int(np.searchsorted(values[:n], self._residuals[self._start], side="left"))
-            values[i : n - 1] = values[i + 1 : n]
-            arrivals[i : n - 1] = arrivals[i + 1 : n]
-            n -= 1
-        j = int(np.searchsorted(values[:n], residual, side="right"))
-        values[j + 1 : n + 1] = values[j:n]
-        arrivals[j + 1 : n + 1] = arrivals[j:n]
+            j -= i < j  # the evicted value was one of the j values <= residual
+        dst, src = slice(i, j), slice(i + 1, j + 1)  # what lies between the slots moves
+        if j <= i:
+            dst, src = slice(j + 1, i + 1), slice(j, i)
+        for arr in (values, arrivals):
+            arr[dst] = arr[src]
         values[j] = residual
         arrivals[j] = self._arrivals
 

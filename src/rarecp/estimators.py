@@ -37,6 +37,7 @@ from rarecp.errors import DataError
 from rarecp.gate import mixed_support, rarecp_interval
 from rarecp.training import ModelConfig, TrainConfig, Trainer, config_from
 from rarecp.validation import (
+    check_count,
     check_finite,
     check_fitted,
     check_int,
@@ -225,9 +226,9 @@ class RareCP(BaseEstimator):
                 f"X has {X.shape[1]} features but window={self.window} and "
                 f"include_forecast={self.include_forecast} imply {model.context_dim}"
             )
-        if self.capacity is not None and self.capacity < 1:
-            # seed_store refuses it too, but only once training is done
-            raise DataError("store capacity must be >= 1")
+        if self.capacity is not None:
+            # seed_store refuses a bad one too, but only once training is done
+            check_count(self.capacity, "store capacity")
         dataset_id = check_int(dataset_id, "dataset_id")
         store = CalibrationStore.from_arrays(X, y)
         store.condition(compute_descriptor(store.contexts(), dataset_id), model.normalize_contexts)

@@ -1,11 +1,11 @@
 """Chronological evaluation loop, metrics, consistency probe, and reports.
 
-The loop walks the test segment one step at a time: build the query
-context, form the interval at the current working miscoverage level,
-record the outcome, then (and only then) reveal the target — updating the
-online level and pushing the new (context, residual) pair into the FIFO
-window. No parameters are updated at test time, and nothing at time t can
-see data from t onwards.
+The loop walks the test segment one step at a time: form the interval at
+the current working miscoverage level (RareCP from the query context, the
+baselines from residuals alone), record the outcome, then (and only then)
+reveal the target — updating the online level and pushing the new residual
+(with its context, for RareCP) into the FIFO window. No parameters are
+updated at test time, and nothing at time t can see data from t onwards.
 """
 
 from __future__ import annotations
@@ -19,25 +19,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from rarecp.checkpoint import RareCPComponents, checkpoint_sha256, load_checkpoint
-from rarecp.conformal import (
-    AciState,
-    aci_update,
-    baseline_interval,
-    winkler_score,
-)
+from rarecp.conformal import AciState, aci_update, winkler_score
 from rarecp.data import (
-    CalibrationEntry,
-    CalibrationStore,
-    ForecastSource,
-    SplitIndices,
-    SplitSpec,
-    TimeSeries,
-    build_context,
-    chronological_split,
+    ForecastSource, SplitIndices, SplitSpec, TimeSeries, build_context, chronological_split,
 )
 from rarecp.errors import DataError, NumericError
-from rarecp.estimators import RareCP
+from rarecp.estimators import RareCP, SplitConformal
 from rarecp.experts import topk_retrieve
+from rarecp.validation import check_count, check_finite, check_unit_interval
 
 METHODS = ("uniform", "aci_uniform", "nexcp", "rarecp_checkpoint")
 
@@ -69,6 +58,12 @@ class MetricsSummary:
 
 @dataclass
 class EvalConfig:
+    """Settings of a chronological evaluation, checked when it is made.
+
+    ``window``, ``include_forecast``, ``checkpoint`` and ``dataset_id``
+    apply only to ``rarecp_checkpoint``; the baselines read residuals alone.
+    """
+
     alpha: float = 0.2
     aci_gamma: float = 0.01
     aci_alpha_min: float = 0.01
@@ -79,6 +74,31 @@ class EvalConfig:
     nexcp_lambda: float = 0.99
     checkpoint: str | Path | RareCPComponents | None = None
     dataset_id: int = 0
+
+    def __post_init__(self):
+        self.window = check_count(self.window, "window")
+        self.capacity = None if self.capacity is None else check_count(self.capacity, "capacity")
+        self.alpha = check_unit_interval(self.alpha, "alpha")
+        for name in ("aci_gamma", "aci_alpha_min", "aci_alpha_max", "nexcp_lambda"):
+            setattr(self, name, check_finite(getattr(self, name), name))
+        if not (0.0 < self.aci_alpha_min < self.aci_alpha_max < 1.0 and self.aci_gamma >= 0.0):
+            raise DataError("require 0 < aci_alpha_min < aci_alpha_max < 1 and aci_gamma >= 0")
+        if not 0.0 < self.nexcp_lambda <= 1.0:
+            raise DataError(f"nexcp_lambda must lie in (0, 1], got {self.nexcp_lambda}")
+
+
+def calibration_forecasts(
+    series: TimeSeries, indices, source: ForecastSource
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forecasts (n,), residuals (n,) and time indices (n,) for the given time indices.
+
+    The source is asked once per index, in order, with the values before it.
+    """
+    values, times = series.values, np.asarray(indices, dtype=np.int64)
+    if times.size and times.min() < 1:
+        raise DataError("calibration needs at least one past value per index")
+    forecasts = np.array([source.point_forecast(values[:i], i) for i in times.tolist()], float)
+    return forecasts, values[times] - forecasts, times
 
 
 def calibration_block(
@@ -91,19 +111,17 @@ def calibration_block(
     """Contexts (n, p), residuals (n,) and time indices (n,) for the given time indices.
 
     Row ``j`` equals ``build_context(values[:i], forecast, ...)`` for ``i =
-    indices[j]``; the forecast source is asked once per index, in order.
+    indices[j]``, with the forecasts of ``calibration_forecasts``.
     """
-    values, times = series.values, np.asarray(indices, dtype=np.int64)
-    if window < 1 or (times.size and times.min() < 1):
-        raise DataError("calibration needs window >= 1 and at least one past value per index")
-    forecasts = np.array([source.point_forecast(values[:i], i) for i in times.tolist()], float)
-    padded = np.concatenate([np.full(window, values[0]), values])
+    check_count(window, "window")
+    forecasts, residuals, times = calibration_forecasts(series, indices, source)
+    padded = np.concatenate([np.full(window, series.values[0]), series.values])
     contexts = sliding_window_view(padded, window)[times]
     if include_forecast:
         contexts = np.column_stack([contexts, forecasts])
     if not np.all(np.isfinite(contexts)):
         raise DataError("context contains non-finite values")
-    return contexts, values[times] - forecasts, times
+    return contexts, residuals, times
 
 
 def run_chronological_eval(
@@ -117,9 +135,10 @@ def run_chronological_eval(
 
     The calibration window is seeded from the calibration split's most
     recent entries; each test step inserts exactly one new entry after its
-    target is observed. The online miscoverage correction applies to
-    ``aci_uniform`` and ``rarecp_checkpoint``; ``uniform`` and ``nexcp``
-    run at fixed alpha.
+    target is observed. ``rarecp_checkpoint`` serves the checkpoint's
+    ``RareCP`` on query contexts; the baselines serve a ``SplitConformal`` on
+    residuals alone. ACI runs here only, for ``aci_uniform`` and
+    ``rarecp_checkpoint``; ``uniform`` and ``nexcp`` run at fixed alpha.
     """
     cfg = cfg or EvalConfig()
     method = "rarecp_checkpoint" if method == "rarecp" else method
@@ -127,8 +146,9 @@ def run_chronological_eval(
         raise DataError(f"unknown method {method!r}; expected one of {METHODS}")
 
     window, include_forecast = cfg.window, cfg.include_forecast
-    est = None
-    if method == "rarecp_checkpoint":
+    rarecp = method == "rarecp_checkpoint"
+    indices = split if isinstance(split, SplitIndices) else chronological_split(len(series), split)
+    if rarecp:
         if cfg.checkpoint is None:
             raise DataError("method rarecp_checkpoint requires a checkpoint")
         components = cfg.checkpoint
@@ -141,67 +161,39 @@ def run_chronological_eval(
                 f"{est.window}, include_forecast={est.include_forecast}) do not "
                 f"match eval config (window={window}, include_forecast={include_forecast})"
             )
-
-    indices = split if isinstance(split, SplitIndices) else chronological_split(len(series), split)
-    contexts, residuals, _ = calibration_block(
-        series, indices.cal, source, window, include_forecast
-    )
-    if est is not None:
+        contexts, residuals, _ = calibration_block(series, indices.cal, source, window,
+                                                   include_forecast)
         # the store is conditioned on the descriptor of THIS run's seeded
         # window, which then stays frozen for the whole pass
         est.set_params(capacity=cfg.capacity)
         est.seed_store(contexts, residuals, start_time=indices.cal.start)
-        store = est.store_
     else:
-        store = CalibrationStore.from_arrays(
-            contexts, residuals, cfg.capacity, start_time=indices.cal.start
-        )
+        _, residuals, _ = calibration_forecasts(series, indices.cal, source)
+        weighting = "nexcp" if method == "nexcp" else "uniform"
+        est = SplitConformal(alpha=cfg.alpha, weighting=weighting, nexcp_lambda=cfg.nexcp_lambda,
+                             capacity=cfg.capacity).fit(None, residuals)
 
-    aci: AciState | None = None
+    aci = None  # the online level, for aci_uniform and rarecp_checkpoint only
     if method in ("aci_uniform", "rarecp_checkpoint"):
-        aci = AciState.initial(
-            cfg.alpha, cfg.aci_gamma, cfg.aci_alpha_min, cfg.aci_alpha_max
-        )
+        aci = AciState.initial(cfg.alpha, cfg.aci_gamma, cfg.aci_alpha_min, cfg.aci_alpha_max)
 
     values = series.values
     records: list[EvalRecord] = []
     for t in indices.test:
         history = values[:t]
         forecast = source.point_forecast(history, t)
-        context = build_context(history, forecast, window, include_forecast)
+        # RareCP reads the query context first; the baselines take no context
+        x = (build_context(history, forecast, window, include_forecast),) if rarecp else ()
         alpha_t = aci.alpha_t if aci is not None else cfg.alpha
-
-        if est is not None:
-            interval = est.predict_interval(context, forecast, alpha_t)
-        else:
-            mode = "nexcp" if method == "nexcp" else "uniform"
-            interval = baseline_interval(
-                forecast, store, alpha_t, mode=mode, nexcp_lambda=cfg.nexcp_lambda
-            )
-
+        interval = est.predict_interval(*x, forecast, alpha_t)
         y = float(values[t])
         covered = interval.covers(y)
-        records.append(
-            EvalRecord(
-                time_index=int(t),
-                forecast=float(forecast),
-                lower=interval.lower,
-                upper=interval.upper,
-                y=y,
-                covered=covered,
-                winkler=winkler_score(interval.lower, interval.upper, y, alpha_t),
-                alpha_used=alpha_t,
-                method=method,
-            )
-        )
+        winkler = winkler_score(interval.lower, interval.upper, y, alpha_t)
+        records.append(EvalRecord(int(t), float(forecast), interval.lower, interval.upper, y,
+                                  covered, winkler, alpha_t, method))
         if aci is not None:
             aci = aci_update(aci, covered)
-        if est is not None:
-            est.observe(context, y - forecast, time_index=int(t))
-        else:
-            store.append(
-                CalibrationEntry(context=context, residual=y - forecast, time_index=int(t))
-            )
+        est.observe(*x, y - forecast, time_index=int(t))
     return records
 
 

@@ -69,6 +69,14 @@ def check_int(value, name: str) -> int:
     return ivalue
 
 
+def check_count(value, name: str) -> int:
+    """Require an integer (``check_int``) of at least 1."""
+    value = check_int(value, name)
+    if value < 1:
+        raise DataError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def check_fitted(obj, attribute: str) -> None:
     if getattr(obj, attribute, None) is None:
         raise NotFittedError(

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from rarecp.conformal import build_interval
+from rarecp.data import CalibrationStore, NaiveForecast, SplitSpec, TimeSeries
 from rarecp.errors import DataError, NotFittedError, NumericError
 from rarecp.estimators import RareCP, SplitConformal
+from rarecp.harness import EvalConfig, run_chronological_eval
 
 
 class TestSplitConformal:
@@ -228,6 +230,28 @@ class TestBadSettings:
     def test_split_conformal_zero_capacity_rejected(self):
         with pytest.raises(DataError, match="capacity"):
             SplitConformal(capacity=0).fit(None, np.arange(10.0))
+
+    @pytest.mark.parametrize("capacity", [2.5, 3.7, "4", float("nan")], ids=repr)
+    @pytest.mark.parametrize(
+        "entry_point", ["RareCP.fit", "SplitConformal.fit", "CalibrationStore.from_arrays",
+                        "run_chronological_eval"],
+    )
+    def test_non_integer_capacity_rejected(self, entry_point, capacity, no_training):
+        """Unchecked, a fractional capacity was truncated and "4" or nan escaped as
+        TypeError or ValueError."""
+        rng = np.random.default_rng(5)
+        X, y = rng.standard_normal((40, 7)), rng.standard_normal(40)
+        call = {
+            "RareCP.fit": lambda: RareCP(**SMALL, capacity=capacity).fit(X, y),
+            "SplitConformal.fit": lambda: SplitConformal(capacity=capacity).fit(None, y),
+            "CalibrationStore.from_arrays": lambda: CalibrationStore.from_arrays(X, y, capacity),
+            "run_chronological_eval": lambda: run_chronological_eval(
+                TimeSeries(values=rng.standard_normal(80)), SplitSpec(), NaiveForecast(),
+                "uniform", EvalConfig(window=4, capacity=capacity),
+            ),
+        }[entry_point]
+        with pytest.raises(DataError, match="capacity"):
+            call()
 
     def test_relu_activation_is_accepted(self):
         rng = np.random.default_rng(6)

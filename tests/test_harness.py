@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,15 @@ from rarecp.data import (
     TimeSeries,
     build_context,
 )
-from rarecp.conformal import AciState, aci_update, baseline_weights, build_interval
+from rarecp.conformal import (
+    AciState,
+    aci_update,
+    baseline_weights,
+    build_interval,
+    winkler_score,
+)
 from rarecp.errors import DataError, NumericError
+from rarecp.estimators import SplitConformal
 from rarecp.harness import (
     EvalConfig,
     EvalRecord,
@@ -155,6 +164,85 @@ class TestChronologicalEval:
                     expected.lower, expected.upper, alpha
                 )
                 aci = aci_update(aci, r.covered)
+
+    @pytest.mark.parametrize("capacity", [12, 30])  # below and equal to the calibration size
+    @pytest.mark.parametrize("method", ["uniform", "aci_uniform", "nexcp"])
+    def test_baseline_records_equal_the_library_loop(self, method, capacity):
+        """Every record, bit for bit, is what SplitConformal serves step by step (plus ACI)."""
+        rng = np.random.default_rng(8)
+        values = rng.choice([-1.0, -0.0, 0.0, 0.5, 2.0], size=90) + rng.choice([0.0, 0.25], 90)
+        forecasts = rng.choice([-0.0, 0.0, 0.5], size=90)
+        split = SplitIndices(train=range(0, 5), cal=range(5, 35), test=range(35, 90))
+        cfg = EvalConfig(window=3, capacity=capacity, alpha=0.3, aci_gamma=0.05,
+                         nexcp_lambda=0.9)
+        records = run_chronological_eval(
+            TimeSeries(values=values), split,
+            PrecomputedForecast(dict(enumerate(forecasts.tolist()))), method, cfg,
+        )
+
+        cal = slice(split.cal.start, split.cal.stop)
+        est = SplitConformal(
+            weighting="nexcp" if method == "nexcp" else "uniform",
+            nexcp_lambda=cfg.nexcp_lambda, capacity=capacity,
+        ).fit(None, values[cal] - forecasts[cal])
+        aci = AciState.initial(cfg.alpha, cfg.aci_gamma, cfg.aci_alpha_min, cfg.aci_alpha_max)
+        expected = []
+        for t in split.test:
+            forecast, y = float(forecasts[t]), float(values[t])
+            alpha = aci.alpha_t if method == "aci_uniform" else cfg.alpha
+            interval = est.predict_interval(forecast, alpha)
+            covered = interval.covers(y)
+            expected.append(EvalRecord(
+                t, forecast, interval.lower, interval.upper, y, covered,
+                winkler_score(interval.lower, interval.upper, y, alpha), alpha, method,
+            ))
+            if method == "aci_uniform":
+                aci = aci_update(aci, covered)
+            est.observe(y - forecast, time_index=t)
+
+        def bits(record):
+            return tuple(float(v).hex() if isinstance(v, float) else v for v in astuple(record))
+
+        assert [bits(r) for r in records] == [bits(r) for r in expected]
+
+
+class TestEvalConfig:
+    @pytest.mark.parametrize(
+        "setting",
+        [{"window": 0}, {"window": 2.5}, {"capacity": 0}, {"capacity": 2.5},
+         {"capacity": "4"}, {"capacity": float("nan")}, {"alpha": 0.0}, {"alpha": 1.0},
+         {"alpha": float("nan")}, {"aci_alpha_min": 0.0}, {"aci_alpha_max": 1.0},
+         {"aci_alpha_min": 0.5, "aci_alpha_max": 0.4}, {"aci_gamma": -0.01},
+         {"aci_gamma": float("inf")}, {"nexcp_lambda": 1.5}, {"nexcp_lambda": 0.0},
+         {"nexcp_lambda": "x"}],
+        ids=repr,
+    )
+    def test_bad_setting_rejected_when_made(self, setting):
+        with pytest.raises(DataError):
+            EvalConfig(**setting)
+
+    @pytest.mark.parametrize(
+        "setting", [{"nexcp_lambda": 1.5}, {"aci_gamma": -1.0}, {"capacity": 2.5},
+                    {"aci_alpha_min": 0.5, "aci_alpha_max": 0.4}],
+        ids=repr,
+    )
+    def test_uniform_run_no_longer_ignores_a_bad_setting(self, setting):
+        series = TimeSeries(values=np.random.default_rng(9).standard_normal(80))
+        with pytest.raises(DataError):
+            run_chronological_eval(series, SplitSpec(), NaiveForecast(), "uniform",
+                                   EvalConfig(window=4, **setting))
+
+    @pytest.mark.parametrize("method", ["uniform", "aci_uniform", "nexcp"])
+    def test_zero_window_still_rejected_for_the_baselines(self, method):
+        series = TimeSeries(values=np.arange(40.0))
+        with pytest.raises(DataError, match="window"):
+            run_chronological_eval(series, SplitSpec(), NaiveForecast(), method,
+                                   EvalConfig(window=0))
+
+    def test_checked_values_are_kept(self):
+        cfg = EvalConfig(window=4.0, capacity=np.int64(7), alpha=np.float64(0.25))
+        assert (cfg.window, cfg.capacity, cfg.alpha) == (4, 7, 0.25)
+        assert type(cfg.window) is int and type(cfg.capacity) is int
 
 
 class TestLeakageGuard:
