@@ -15,7 +15,7 @@ so the intervals are asymmetric whenever the residual distribution is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -91,30 +91,27 @@ def _sorted_cumulative(support: WeightedSupport) -> tuple[np.ndarray, np.ndarray
     return support.residuals[order], np.cumsum(support.weights[order])
 
 
-def _quantiles(values: np.ndarray, cum: np.ndarray, taus) -> np.ndarray:
-    """Smallest sorted value whose cumulative weight reaches each level.
+def _quantile(values: np.ndarray, cum: np.ndarray, tau: float) -> float:
+    """Smallest sorted value whose cumulative weight reaches ``tau``.
 
     The infimum over the discrete support is taken literally: an exact hit
     on a cumulative-weight boundary includes that item. If rounding leaves
     the total marginally below a level the largest residual is returned.
     """
-    idx = np.searchsorted(cum, taus, side="left")
-    return values[np.minimum(idx, cum.size - 1)]
+    return values.item(min(cum.searchsorted(tau), cum.size - 1))
 
 
 def _interval(
     forecast: float, values: np.ndarray, cum: np.ndarray, alpha: float
 ) -> PredictionInterval:
-    """Interval from sorted residuals and their cumulative weights.
-
-    Both quantile levels are found by one ``searchsorted``.
-    """
+    """Interval from sorted residuals and their cumulative weights."""
     alpha = check_unit_interval(alpha, "alpha")
-    taus = [check_unit_interval(tau, "tau") for tau in (alpha / 2.0, 1.0 - alpha / 2.0)]
+    tau_lo = check_unit_interval(alpha / 2.0, "tau")
+    tau_hi = check_unit_interval(1.0 - alpha / 2.0, "tau")
     if not math.isfinite(forecast):
         raise DataError(f"forecast must be finite, got {forecast}")
-    lo, hi = _quantiles(values, cum, taus).tolist()
-    lower, upper = forecast + lo, forecast + hi
+    lower = forecast + _quantile(values, cum, tau_lo)
+    upper = forecast + _quantile(values, cum, tau_hi)
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise NumericError(f"interval bounds overflow: [{lower}, {upper}]")
     return PredictionInterval(lower=lower, upper=upper, alpha_used=alpha)
@@ -123,7 +120,7 @@ def _interval(
 def weighted_quantile(support: WeightedSupport, tau: float) -> float:
     """Smallest support residual whose cumulative weight reaches ``tau``."""
     tau = check_unit_interval(tau, "tau")
-    return float(_quantiles(*_sorted_cumulative(support), tau))
+    return _quantile(*_sorted_cumulative(support), tau)
 
 
 def build_interval(
@@ -193,7 +190,7 @@ def aci_update(state: AciState, covered: bool) -> AciState:
     err = 0.0 if covered else 1.0
     alpha_next = state.alpha_t + state.gamma * (state.alpha_target - err)
     alpha_next = min(max(alpha_next, state.alpha_min), state.alpha_max)
-    return replace(state, alpha_t=alpha_next)
+    return AciState(alpha_next, state.alpha_target, state.gamma, state.alpha_min, state.alpha_max)
 
 
 def baseline_weights(
@@ -245,15 +242,15 @@ def baseline_interval(
     mode: str = "uniform",
     nexcp_lambda: float = 0.99,
 ) -> PredictionInterval:
-    """Uniform or NexCP interval over a calibration store's window, without a sort.
+    """Uniform or NexCP interval over a calibration store's window, without a sort or a copy.
 
     Equal, bit for bit, to ``build_interval(forecast, baseline_weights(
     store.residuals(), mode, nexcp_lambda), alpha)``. It reads the store's
-    incrementally sorted residual window: uniform cumulative weights depend
-    on the window length alone, and NexCP weights are gathered by
-    chronological position, so both cumulative sums match the full sort's.
+    sorted window in place: uniform searches cumulative weights cached by
+    window length and reads two residuals; NexCP gathers its weights by
+    chronological position (arrival minus oldest) before its cumulative sum.
     """
-    values, positions = store.sorted_residuals()
+    values, arrivals, oldest = store.sorted_window()
     n = values.size
     if n == 0:
         raise DataError("cannot build an interval from an empty store")
@@ -262,7 +259,7 @@ def baseline_interval(
     elif mode == "nexcp":
         if not 0.0 < nexcp_lambda <= 1.0:
             raise DataError("nexcp_lambda must lie in (0, 1]")
-        cum = np.cumsum(_nexcp_weights(n, float(nexcp_lambda))[positions])
+        cum = np.cumsum(_nexcp_weights(n, float(nexcp_lambda)).take(arrivals - oldest))
     else:
         raise DataError(f"unknown weighting mode {mode!r}")
     return _interval(forecast, values, cum, alpha)

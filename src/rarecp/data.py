@@ -139,11 +139,11 @@ class CalibrationStore:
     request and cached until the next mutation, so asking for residuals
     never copies the contexts.
 
-    ``sorted_residuals`` keeps the window in ascending order as well. It is
-    built by one stable argsort on first request and from then on updated
-    by every ``append`` (two ``searchsorted`` calls and one shift of the
-    span between the evicted and the new value's slots), so a store that
-    never asks for it never pays for it.
+    ``sorted_window`` keeps the window in ascending order as well, read in
+    place. It is built by one stable argsort on first request and from then
+    on updated by every ``append`` (two ``searchsorted`` calls and one shift
+    of the span between the evicted and the new value's slots), so a store
+    that never asks for it never pays for it.
 
     ``condition`` fixes the dataset descriptor that training and retrieval
     read every context and query through, and whether contexts are z-scored
@@ -219,10 +219,11 @@ class CalibrationStore:
         """
         values, arrivals = self._sorted
         n = self._size
-        j = int(np.searchsorted(values[:n], residual, side="right"))
+        window = values[:n]
+        j = int(window.searchsorted(residual, side="right"))
         i = n  # while the window fills, the free slot past the end
         if n == self.capacity:
-            i = int(np.searchsorted(values[:n], self._residuals[self._start], side="left"))
+            i = int(window.searchsorted(self._residuals[self._start], side="left"))
             j -= i < j  # the evicted value was one of the j values <= residual
         dst, src = slice(i, j), slice(i + 1, j + 1)  # what lies between the slots moves
         if j <= i:
@@ -252,24 +253,31 @@ class CalibrationStore:
     def time_indices(self) -> np.ndarray:
         return self._chronological("times", self._times)
 
-    def sorted_residuals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Residuals in ascending order and each one's chronological position.
+    def sorted_window(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Ascending residuals, each one's arrival number, and the oldest entry's.
 
-        Position 0 is the oldest entry. Ties keep arrival order, so this is
-        exactly ``residuals()[order], order`` for a stable argsort ``order``.
+        Read-only views of the buffers ``append`` keeps sorted (ties in arrival
+        order), changed by the next ``append``; arrival minus oldest is position.
+        """
+        n, oldest = self._size, self._arrivals - self._size
+        if self._sorted is None:
+            order, free = np.argsort(self.residuals(), kind="stable"), (0, self.capacity - n)
+            self._sorted = (np.pad(self.residuals()[order], free), np.pad(order + oldest, free))
+        values, arrivals = self._sorted[0][:n], self._sorted[1][:n]
+        values.flags.writeable = arrivals.flags.writeable = False
+        return values, arrivals, oldest
+
+    def sorted_residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        """A snapshot of ``sorted_window``: ascending residuals and their positions.
+
+        Position 0 is the oldest entry, so this is exactly ``residuals()[order],
+        order`` for a stable argsort ``order``. The read-only arrays are
+        copies, which later appends leave unchanged.
         """
         view = self._views.get("sorted")
         if view is None:
-            n = self._size
-            if self._sorted is None:
-                order = np.argsort(self.residuals(), kind="stable")
-                values = np.zeros(self.capacity)
-                arrivals = np.zeros(self.capacity, dtype=np.int64)
-                values[:n] = self.residuals()[order]
-                arrivals[:n] = order + (self._arrivals - n)
-                self._sorted = (values, arrivals)
-            values, arrivals = self._sorted
-            view = (values[:n].copy(), arrivals[:n] - (self._arrivals - n))
+            values, arrivals, oldest = self.sorted_window()
+            view = (values.copy(), arrivals - oldest)
             for arr in view:
                 arr.flags.writeable = False
             self._views["sorted"] = view

@@ -11,6 +11,7 @@ calibration window.
 from __future__ import annotations
 
 from dataclasses import asdict
+from functools import cache
 
 import numpy as np
 
@@ -47,6 +48,14 @@ from rarecp.validation import (
 )
 
 
+@cache
+def _zero_context(dim: int) -> np.ndarray:
+    """The read-only context ``SplitConformal.observe`` appends when given none."""
+    context = np.zeros(dim)
+    context.flags.writeable = False
+    return context
+
+
 class SplitConformal(BaseEstimator):
     """Split conformal intervals with uniform or recency-decayed weights.
 
@@ -72,8 +81,13 @@ class SplitConformal(BaseEstimator):
         """Seed the calibration window from contexts ``X`` and residuals ``y``.
 
         ``X`` may be ``None``; these baselines only use the residuals, but
-        contexts are accepted so all estimators share one surface.
+        contexts are accepted so all estimators share one surface. An unknown
+        ``weighting`` or a ``nexcp_lambda`` outside (0, 1] raises ``DataError``.
         """
+        if self.weighting not in ("uniform", "nexcp"):
+            raise DataError(f"unknown weighting {self.weighting!r}; expected 'uniform' or 'nexcp'")
+        if not 0.0 < check_finite(self.nexcp_lambda, "nexcp_lambda") <= 1.0:
+            raise DataError(f"nexcp_lambda must lie in (0, 1], got {self.nexcp_lambda}")
         y = check_vector(y, "y")
         if X is None:
             X = np.zeros((y.size, 1))
@@ -89,17 +103,16 @@ class SplitConformal(BaseEstimator):
 
     def predict_interval(self, forecast: float, alpha: float | None = None) -> PredictionInterval:
         check_fitted(self, "store_")
-        alpha = check_unit_interval(self.alpha if alpha is None else alpha, "alpha")
         return baseline_interval(
-            check_finite(forecast, "forecast"), self.store_, alpha, mode=self.weighting,
-            nexcp_lambda=self.nexcp_lambda,
+            check_finite(forecast, "forecast"), self.store_, self.alpha if alpha is None else alpha,
+            mode=self.weighting, nexcp_lambda=self.nexcp_lambda,
         )
 
     def observe(self, residual: float, context=None, time_index: int | None = None) -> None:
         """Append one observed residual to the FIFO window."""
         check_fitted(self, "store_")
         if context is None:
-            context = np.zeros(self.store_.context_dim)
+            context = _zero_context(self.store_.context_dim)
         if time_index is None:
             time_index = self._next_time
         self.store_.append(

@@ -56,9 +56,9 @@ class MetricsSummary:
     std_y: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalConfig:
-    """Settings of a chronological evaluation, checked when it is made.
+    """Settings of a chronological evaluation, checked when it is made and then fixed.
 
     ``window``, ``include_forecast``, ``checkpoint`` and ``dataset_id``
     apply only to ``rarecp_checkpoint``; the baselines read residuals alone.
@@ -76,11 +76,13 @@ class EvalConfig:
     dataset_id: int = 0
 
     def __post_init__(self):
-        self.window = check_count(self.window, "window")
-        self.capacity = None if self.capacity is None else check_count(self.capacity, "capacity")
-        self.alpha = check_unit_interval(self.alpha, "alpha")
+        fix = object.__setattr__  # keeps the checked value in the frozen instance
+        fix(self, "window", check_count(self.window, "window"))
+        if self.capacity is not None:
+            fix(self, "capacity", check_count(self.capacity, "capacity"))
+        fix(self, "alpha", check_unit_interval(self.alpha, "alpha"))
         for name in ("aci_gamma", "aci_alpha_min", "aci_alpha_max", "nexcp_lambda"):
-            setattr(self, name, check_finite(getattr(self, name), name))
+            fix(self, name, check_finite(getattr(self, name), name))
         if not (0.0 < self.aci_alpha_min < self.aci_alpha_max < 1.0 and self.aci_gamma >= 0.0):
             raise DataError("require 0 < aci_alpha_min < aci_alpha_max < 1 and aci_gamma >= 0")
         if not 0.0 < self.nexcp_lambda <= 1.0:

@@ -17,6 +17,7 @@ from rarecp.conformal import (
 )
 from rarecp.data import CalibrationEntry, CalibrationStore
 from rarecp.errors import DataError, NumericError
+from rarecp.estimators import SplitConformal
 
 
 def oracle_cdf(residuals, weights, rho):
@@ -285,6 +286,33 @@ class TestBaselineInterval:
                     expected.lower, expected.upper, expected.alpha_used
                 )
 
+    def test_matches_full_sort_at_the_bench_scale(self):
+        """300 online steps of a 4096-entry window with ties, -0.0 and 0.0, bit for bit."""
+        rng = np.random.default_rng(18)
+        tied = np.array([-2.0, -0.5, -0.0, 0.0, 0.25, 1.0])
+
+        def draw(n):  # half tied values and signed zeros, half distinct ones
+            return np.where(rng.random(n) < 0.5, rng.choice(tied, n), rng.standard_normal(n))
+
+        lam, online = 0.99, draw(300)
+        uniform = SplitConformal(capacity=4096).fit(None, draw(5000))
+        nexcp = SplitConformal(weighting="nexcp", nexcp_lambda=lam, capacity=4096)
+        nexcp.fit(None, uniform.store_.residuals())
+        aci = AciState.initial(0.2, 0.05)
+        for t, residual in enumerate(online):
+            forecast = (0.0, -0.0, float(rng.standard_normal()))[t % 3]
+            for est, mode, alpha in ((uniform, "uniform", 0.2), (uniform, "uniform", aci.alpha_t),
+                                     (nexcp, "nexcp", 0.2)):
+                got = est.predict_interval(forecast, alpha)
+                support = baseline_weights(est.store_.residuals(), mode, lam)
+                expected = build_interval(forecast, support, alpha)
+                assert np.array([got.lower, got.upper, got.alpha_used]).tobytes() == np.array(
+                    [expected.lower, expected.upper, expected.alpha_used]).tobytes()
+            aci = aci_update(aci, got.covers(forecast + residual))
+            for est in (uniform, nexcp):
+                est.observe(residual)
+        assert len(uniform.store_) == len(nexcp.store_) == 4096
+
     def test_rejects_bad_arguments(self):
         store = CalibrationStore(3, 1)
         with pytest.raises(DataError):
@@ -296,3 +324,16 @@ class TestBaselineInterval:
             baseline_interval(0.0, store, 0.2, mode="nexcp", nexcp_lambda=1.5)
         with pytest.raises(DataError):
             baseline_interval(float("inf"), store, 0.2)
+
+    def test_alpha_whose_upper_level_rounds_to_one_is_refused(self):
+        """1 - 1e-17 / 2 rounds to 1.0, outside (0, 1): the level check must stay."""
+        assert 1.0 - 1e-17 / 2.0 == 1.0
+        residuals = np.arange(4.0)
+        with pytest.raises(DataError, match="tau"):
+            build_interval(0.0, baseline_weights(residuals), 1e-17)
+        store = CalibrationStore.from_arrays(np.zeros((4, 1)), residuals)
+        for mode in ("uniform", "nexcp"):
+            with pytest.raises(DataError, match="tau"):
+                baseline_interval(0.0, store, 1e-17, mode=mode)
+        with pytest.raises(DataError, match="tau"):
+            SplitConformal().fit(None, residuals).predict_interval(0.0, 1e-17)

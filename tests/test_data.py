@@ -195,6 +195,23 @@ class TestCalibrationStore:
             with pytest.raises(ValueError):
                 view[0] = 99
 
+    def test_sorted_snapshot_is_kept_by_later_appends(self):
+        store = CalibrationStore.from_arrays(np.zeros((5, 1)), [3.0, -0.0, 1.0, 0.0, 1.0])
+        values, positions = store.sorted_residuals()
+        window, arrivals, oldest = store.sorted_window()
+        for view in (values, positions, window, arrivals):
+            assert not view.flags.writeable
+        np.testing.assert_array_equal(window.view(np.uint64), values.view(np.uint64))
+        np.testing.assert_array_equal(arrivals - oldest, positions)
+        kept = values.tobytes(), positions.tobytes()
+        store.append(CalibrationEntry(np.zeros(1), -4.0, 5))
+        store.append(CalibrationEntry(np.zeros(1), 2.0, 6))
+        assert (values.tobytes(), positions.tobytes()) == kept
+        # 3.0 and -0.0 were evicted
+        np.testing.assert_array_equal(store.sorted_residuals()[0].view(np.uint64),
+                                      np.array([-4.0, 0.0, 1.0, 1.0, 2.0]).view(np.uint64))
+        np.testing.assert_array_equal(store.sorted_residuals()[1], [3, 1, 0, 2, 4])
+
     def test_from_arrays_keeps_last_capacity_rows(self):
         X = np.arange(20.0).reshape(10, 2)
         y = np.arange(10.0) * 0.5

@@ -227,6 +227,18 @@ class TestBadSettings:
         with pytest.raises(DataError, match="capacity"):
             RareCP(**SMALL, capacity=0).fit(rng.standard_normal((40, 7)), rng.standard_normal(40))
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"weighting": "magic", "nexcp_lambda": 7.0}, {"weighting": "magic"},
+         {"nexcp_lambda": 7.0}, {"weighting": "nexcp", "nexcp_lambda": 0.0},
+         {"nexcp_lambda": float("nan")}, {"nexcp_lambda": "x"}],
+        ids=repr,
+    )
+    def test_split_conformal_rejects_a_bad_weighting_when_fitted(self, setting):
+        """These were accepted by fit, and a uniform window ignored a bad nexcp_lambda."""
+        with pytest.raises(DataError, match="weighting|nexcp_lambda"):
+            SplitConformal(**setting).fit(None, np.arange(10.0))
+
     def test_split_conformal_zero_capacity_rejected(self):
         with pytest.raises(DataError, match="capacity"):
             SplitConformal(capacity=0).fit(None, np.arange(10.0))

@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import FrozenInstanceError, astuple, replace
 
 import numpy as np
 import pytest
@@ -238,6 +238,17 @@ class TestEvalConfig:
         with pytest.raises(DataError, match="window"):
             run_chronological_eval(series, SplitSpec(), NaiveForecast(), method,
                                    EvalConfig(window=0))
+
+    def test_fields_cannot_be_set_after_the_checks(self):
+        """A field set after construction used to run uniform and ACI unchecked."""
+        cfg = EvalConfig(window=4)
+        for name, value in (("nexcp_lambda", 1.5), ("aci_gamma", -3.0), ("alpha", 0.3)):
+            with pytest.raises(FrozenInstanceError):
+                setattr(cfg, name, value)
+        assert (cfg.nexcp_lambda, cfg.aci_gamma, cfg.alpha) == (0.99, 0.01, 0.2)
+        with pytest.raises(DataError, match="nexcp_lambda"):
+            replace(cfg, nexcp_lambda=1.5)
+        assert replace(cfg, capacity=7.0).capacity == 7
 
     def test_checked_values_are_kept(self):
         cfg = EvalConfig(window=4.0, capacity=np.int64(7), alpha=np.float64(0.25))
