@@ -94,10 +94,11 @@ def save_checkpoint(components: RareCPComponents, path) -> None:
 
     The bytes go to a temporary file beside ``path``, which then replaces
     it, so a failed or interrupted save leaves any previous checkpoint whole.
+    Each array's buffer is written in place, so a save copies no weights.
     """
     stack = components.experts
     arrays = [t for layer in stack.layers for t in layer] if stack.layers else [stack.flat]
-    arrays += [t.data for layer in components.gate.layers for t in layer]
+    arrays += [a for layer in components.gate.layers for a in layer]
     table = _tensor_table(components.model)
     if [list(a.shape) for a in arrays] != [t["shape"] for t in table]:
         raise DataError("the components' tensors do not have the shapes their model implies")
@@ -111,11 +112,13 @@ def save_checkpoint(components: RareCPComponents, path) -> None:
         separators=(",", ":"),
     ).encode("utf-8")
     manifest += b" " * (-len(manifest) % 8)
-    blob = b"".join(np.ascontiguousarray(a, dtype=_F64).tobytes() for a in arrays)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(MAGIC + struct.pack("<Q", len(manifest)) + manifest + blob)
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<Q", len(manifest)) + manifest)
+            for a in arrays:
+                fh.write(np.ascontiguousarray(a, dtype=_F64).data)
         os.replace(tmp, path)
     except OSError as exc:
         raise DataError(f"cannot write checkpoint {path}: {exc}") from exc

@@ -134,8 +134,11 @@ def winkler_score(lower: float, upper: float, y: float, alpha: float) -> float:
     """Interval width plus (2/alpha)-scaled penalties for misses.
 
     Values exactly on an endpoint count as covered and incur no penalty.
+    A non-finite bound or target raises ``DataError``.
     """
     alpha = check_unit_interval(alpha, "alpha")
+    if not (math.isfinite(lower) and math.isfinite(upper) and math.isfinite(y)):
+        raise DataError(f"winkler_score needs finite bounds and target: [{lower}, {upper}], {y}")
     if lower > upper:
         raise DataError(f"interval bounds out of order: [{lower}, {upper}]")
     score = upper - lower
@@ -160,6 +163,8 @@ class AciState:
         if not 0.0 < self.alpha_min < self.alpha_max < 1.0:
             raise DataError("require 0 < alpha_min < alpha_max < 1")
         check_unit_interval(self.alpha_target, "alpha_target")
+        if not 0.0 <= self.gamma < math.inf:  # NaN fails too
+            raise DataError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not self.alpha_min <= self.alpha_t <= self.alpha_max:
             raise DataError("alpha_t must start inside the clip bounds")
 

@@ -56,6 +56,14 @@ def _zero_context(dim: int) -> np.ndarray:
     return context
 
 
+def _check_weighting(weighting, nexcp_lambda) -> None:
+    """Refuse an unknown ``weighting`` or a ``nexcp_lambda`` outside (0, 1] with ``DataError``."""
+    if weighting not in ("uniform", "nexcp"):
+        raise DataError(f"unknown weighting {weighting!r}; expected 'uniform' or 'nexcp'")
+    if not 0.0 < check_finite(nexcp_lambda, "nexcp_lambda") <= 1.0:
+        raise DataError(f"nexcp_lambda must lie in (0, 1], got {nexcp_lambda}")
+
+
 class SplitConformal(BaseEstimator):
     """Split conformal intervals with uniform or recency-decayed weights.
 
@@ -84,16 +92,20 @@ class SplitConformal(BaseEstimator):
         contexts are accepted so all estimators share one surface. An unknown
         ``weighting`` or a ``nexcp_lambda`` outside (0, 1] raises ``DataError``.
         """
-        if self.weighting not in ("uniform", "nexcp"):
-            raise DataError(f"unknown weighting {self.weighting!r}; expected 'uniform' or 'nexcp'")
-        if not 0.0 < check_finite(self.nexcp_lambda, "nexcp_lambda") <= 1.0:
-            raise DataError(f"nexcp_lambda must lie in (0, 1], got {self.nexcp_lambda}")
+        _check_weighting(self.weighting, self.nexcp_lambda)
         y = check_vector(y, "y")
         if X is None:
             X = np.zeros((y.size, 1))
         self.store_ = CalibrationStore.from_arrays(X, y, self.capacity)
         self._next_time = y.size
         return self
+
+    def set_params(self, **params) -> "SplitConformal":
+        """Set parameters; once fitted, settings ``fit`` refuses raise ``DataError``, unkept."""
+        if self.store_ is not None:
+            _check_weighting(params.get("weighting", self.weighting),
+                             params.get("nexcp_lambda", self.nexcp_lambda))
+        return super().set_params(**params)
 
     def weighted_support(self) -> WeightedSupport:
         check_fitted(self, "store_")

@@ -2,7 +2,9 @@
 
 Each expert turns a query context into an affine key map (A, b): either
 emitted per query by a small hypernetwork conditioned on the query and a
-dataset descriptor, or a fixed dataset-level affine map. Keys are
+dataset descriptor, or a fixed dataset-level affine map. Their weights are
+plain numpy arrays; only training wraps the arrays it steps as tape
+leaves (``training.leaves``). Keys are
 cosine-normalized, so retrieval is nearest-neighbor on the unit sphere:
 ``|u - v|^2 = 2 - 2 u.v``. The expert keeps the top-k calibration keys by
 cosine score and puts temperature-softmax weights on exactly that support.
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from rarecp import autodiff as ad
-from rarecp.autodiff import EPS_NORM, Tensor
+from rarecp.autodiff import EPS_NORM
 from rarecp.data import CalibrationStore, descriptor_feature_dim
 from rarecp.errors import DataError, NumericError
 
@@ -51,32 +53,15 @@ class ExpertConfig:
 # ---------------------------------------------------------------------------
 
 
-def _mlp_init(
-    sizes: list[int], rng: np.random.Generator, scale: float | None = None
-) -> list[tuple[Tensor, Tensor]]:
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        std = scale if scale is not None else 1.0 / np.sqrt(fan_in)
-        w = ad.parameter(rng.normal(0.0, std, size=(fan_out, fan_in)))
-        b = ad.parameter(np.zeros(fan_out))
-        layers.append((w, b))
-    return layers
+def _mlp_init(sizes: list[int], rng: np.random.Generator) -> list[tuple[np.ndarray, np.ndarray]]:
+    return [(rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_out, fan_in)), np.zeros(fan_out))
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
 
 
 def query_forward(layers, query_z: np.ndarray, feats: np.ndarray, activation: str) -> np.ndarray:
     """An MLP's output for one query, run as a one-column block: (out,), or (M, out) if stacked."""
     x = np.concatenate([query_z, feats])[:, None]
     return ad.mlp_forward(layers, x, activation)[-1][..., 0]
-
-
-def _wrap_layers(cls, layers, activation: str):
-    """A ``cls`` whose layers wrap given (weight, bias) arrays; nothing is drawn or copied."""
-    self = cls.__new__(cls)
-    self.layers = [
-        (Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)) for w, b in layers
-    ]
-    self.activation = activation
-    return self
 
 
 def identity_map(latent_dim: int, context_dim: int) -> np.ndarray:
@@ -107,7 +92,6 @@ class HypernetworkParams:
         hidden_layers: int = 2,
         activation: str = "tanh",
         seed: int = 0,
-        final_bias_map: tuple[np.ndarray, np.ndarray] | None = None,
         final_weight_scale: float = 1e-3,
     ):
         if hidden_layers < 1:
@@ -121,32 +105,27 @@ class HypernetworkParams:
         rng = np.random.default_rng([seed, 101])
         self.layers = _mlp_init(sizes, rng)
         # final layer starts near zero so the emitted map begins at the bias,
-        # ``final_bias_map`` or else the identity map on the freshest features
-        w_last, _ = self.layers[-1]
-        w_last.data = rng.normal(0.0, final_weight_scale, size=w_last.data.shape)
-        if final_bias_map is None:
-            final_bias_map = identity_map(latent_dim, context_dim), np.zeros(latent_dim)
-        self.start_at(*final_bias_map)
+        # the identity map on the freshest features until ``start_at`` moves it
+        w_last, b_last = self.layers[-1]
+        self.layers[-1] = rng.normal(0.0, final_weight_scale, size=w_last.shape), b_last
+        self.start_at(identity_map(latent_dim, context_dim), np.zeros(latent_dim))
 
     def start_at(self, A0: np.ndarray, b0: np.ndarray) -> None:
         """Make the emitted map start at ``(A0, b0)``: the final bias, written in place."""
-        self.layers[-1][1].data[:] = np.concatenate([np.asarray(A0).reshape(-1), np.asarray(b0)])
+        self.layers[-1][1][:] = np.concatenate([np.asarray(A0).reshape(-1), np.asarray(b0)])
 
     @classmethod
     def from_arrays(cls, layers, activation: str) -> "HypernetworkParams":
-        """A hypernetwork wrapping given (weight, bias) arrays, uncopied."""
-        self = _wrap_layers(cls, layers, activation)
-        self.context_dim = (layers[0][0].shape[1] - 2) // 2  # input: 2 p + 2
-        self.latent_dim = layers[-1][0].shape[0] // (self.context_dim + 1)
+        """A hypernetwork over given (weight, bias) arrays, uncopied."""
+        self = cls.__new__(cls)
+        self.layers, self.activation = list(layers), activation
+        self.context_dim = (self.layers[0][0].shape[1] - 2) // 2  # input: 2 p + 2
+        self.latent_dim = self.layers[-1][0].shape[0] // (self.context_dim + 1)
         return self
-
-    def parameters(self) -> list[Tensor]:
-        return [t for pair in self.layers for t in pair]
 
     def emit(self, query_z: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The affine map (A, b) for one query."""
-        layers = [(w.data, b.data) for w, b in self.layers]
-        out = query_forward(layers, query_z, feats, self.activation)
+        out = query_forward(self.layers, query_z, feats, self.activation)
         split = self.latent_dim * self.context_dim
         return out[:split].reshape(self.latent_dim, self.context_dim), out[split:]
 
@@ -154,40 +133,28 @@ class HypernetworkParams:
 class FixedAffineMap:
     """Dataset-level affine key map, the encoder family used for teachers."""
 
-    def __init__(
-        self,
-        context_dim: int,
-        latent_dim: int,
-        seed: int = 0,
-        init_noise: float = 0.05,
-    ):
+    def __init__(self, context_dim: int, latent_dim: int, seed: int = 0):
         self.context_dim = int(context_dim)
         self.latent_dim = int(latent_dim)
         rng = np.random.default_rng([seed, 202])
         A0 = identity_map(latent_dim, context_dim)
-        self.A = ad.parameter(A0 + init_noise * rng.standard_normal(A0.shape))
-        self.b = ad.parameter(init_noise * rng.standard_normal(latent_dim))
+        self.A = A0 + 0.05 * rng.standard_normal(A0.shape)
+        self.b = 0.05 * rng.standard_normal(latent_dim)
 
     @classmethod
     def from_arrays(cls, A: np.ndarray, b: np.ndarray) -> "FixedAffineMap":
-        """A fixed map wrapping the given (L, p) ``A`` and (L,) ``b``, uncopied."""
+        """A fixed map over the given (L, p) ``A`` and (L,) ``b``, uncopied."""
         self = cls.__new__(cls)
-        self.A, self.b = Tensor(A, requires_grad=True), Tensor(b, requires_grad=True)
+        self.A, self.b = A, b
         self.latent_dim, self.context_dim = A.shape
         return self
 
     def start_at(self, A0: np.ndarray, b0: np.ndarray) -> None:
         """Set the map to ``(A0, b0)``, written in place."""
-        self.A.data[:], self.b.data[:] = A0, b0
-
-    def parameters(self) -> list[Tensor]:
-        return [self.A, self.b]
+        self.A[:], self.b[:] = A0, b0
 
     def emit(self, query_z: np.ndarray, feats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.A.data, self.b.data
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.A.data.copy(), self.b.data.copy()
+        return self.A, self.b
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +234,6 @@ class RetrievalExpert:
     encoder: HypernetworkParams | FixedAffineMap
     config: ExpertConfig
 
-    def parameters(self) -> list[Tensor]:
-        return self.encoder.parameters()
-
 
 class ExpertStack(Sequence):
     """A model's M retrieval experts, with their weights stacked once for serving.
@@ -278,7 +242,7 @@ class ExpertStack(Sequence):
     architecture, and ``layers`` stacks each layer as (M, out, in) weights
     and (M, out) biases. For fixed-affine experts ``layers`` is empty and
     ``flat`` holds each expert's map ``[A.ravel(), b]`` as one row, in the
-    layout a hypernetwork emits. The experts' tensors are views of these
+    layout a hypernetwork emits. The experts' weights are views of these
     arrays. Indexing gives the experts.
     """
 
@@ -296,7 +260,7 @@ class ExpertStack(Sequence):
 
     @classmethod
     def of(cls, experts) -> "ExpertStack":
-        """Copy the weights of ``experts`` into a stack and point their tensors at it.
+        """Copy the weights of ``experts`` into a stack and point each expert at its slice.
 
         The experts must be of one encoder kind and share one key map shape,
         and hypernetworks one architecture.
@@ -310,18 +274,17 @@ class ExpertStack(Sequence):
             L, p = encoders[0].latent_dim, encoders[0].context_dim
             flat = np.zeros((len(encoders), L * (p + 1)))
             for row, enc in zip(flat, encoders):
-                row[: L * p], row[L * p :] = enc.A.data.reshape(-1), enc.b.data
-                enc.A.data, enc.b.data = row[: L * p].reshape(L, p), row[L * p :]
+                row[: L * p], row[L * p :] = enc.A.reshape(-1), enc.b
+                enc.A, enc.b = row[: L * p].reshape(L, p), row[L * p :]
             return cls(experts, [], flat)
         if len({(enc.activation, *(w.shape for w, _ in enc.layers)) for enc in encoders}) > 1:
             raise DataError("hypernetwork experts stacked together must share one architecture")
         layers = [
-            tuple(np.stack([t.data for t in tensors]) for tensors in zip(*pairs))
+            tuple(np.stack(arrays) for arrays in zip(*pairs))
             for pairs in zip(*(enc.layers for enc in encoders))
         ]
         for h, enc in enumerate(encoders):
-            for (w, b), (w_all, b_all) in zip(enc.layers, layers):
-                w.data, b.data = w_all[h], b_all[h]
+            enc.layers = [(w_all[h], b_all[h]) for w_all, b_all in layers]
         return cls(experts, layers)
 
     def maps(self, query_z: np.ndarray, feats: np.ndarray) -> np.ndarray:

@@ -4,14 +4,14 @@ The gate maps (query, descriptor) to simplex weights over the M experts.
 Mixing happens on residual weights, not on keys or logits: the final
 weight of calibration index i is ``sum_m pi_m * v_{m,i}`` over the experts
 whose support contains i, which preserves each expert's local neighborhood
-while letting the mixture switch between error regimes.
+while letting the mixture switch between error regimes. The gate's
+weights are plain numpy arrays, as the experts' are.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from rarecp.autodiff import Tensor
 from rarecp.conformal import PredictionInterval, WeightedSupport, build_interval
 from rarecp.data import CalibrationStore, descriptor_feature_dim
 from rarecp.errors import DataError
@@ -19,7 +19,6 @@ from rarecp.experts import (
     ExpertStack,
     RetrievalResult,
     _mlp_init,
-    _wrap_layers,
     query_forward,
     retrieve_supports,
     support_weights,
@@ -47,22 +46,18 @@ class GateParams:
         input_dim = context_dim + descriptor_feature_dim(context_dim)
         rng = np.random.default_rng([seed, 303])
         self.layers = _mlp_init([input_dim, hidden_dim, n_experts], rng)
-        w_last, b_last = self.layers[-1]
-        w_last.data = np.zeros_like(w_last.data)
-        b_last.data = np.zeros_like(b_last.data)
+        self.layers[-1] = tuple(np.zeros_like(a) for a in self.layers[-1])
 
     @classmethod
     def from_arrays(cls, layers, activation: str) -> "GateParams":
-        """A gate wrapping given (weight, bias) arrays, uncopied."""
-        return _wrap_layers(cls, layers, activation)
-
-    def parameters(self) -> list[Tensor]:
-        return [t for pair in self.layers for t in pair]
+        """A gate over given (weight, bias) arrays, uncopied."""
+        self = cls.__new__(cls)
+        self.layers, self.activation = list(layers), activation
+        return self
 
     def logits(self, query_z: np.ndarray, feats: np.ndarray) -> np.ndarray:
         """Expert logits for one query."""
-        layers = [(w.data, b.data) for w, b in self.layers]
-        return query_forward(layers, query_z, feats, self.activation)
+        return query_forward(self.layers, query_z, feats, self.activation)
 
 
 def gate_weights(params: GateParams, query_z: np.ndarray, feats: np.ndarray) -> np.ndarray:

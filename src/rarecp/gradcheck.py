@@ -22,6 +22,7 @@ from rarecp.training import (
     default_alpha_grid,
     expert_batch_loss,
     gate_batch_loss,
+    leaves,
 )
 
 PRIMITIVE_TOL = 1e-4
@@ -185,12 +186,14 @@ def expert_loss_check(
     )
     batch = np.arange(n_episodes)
     alphas = np.asarray(default_alpha_grid())
+    params = [leaves(encoder) for encoder in encoders]
 
     def f():
         total = None
-        for encoder, teacher in zip(encoders, teachers):
+        for encoder, encoder_params, teacher in zip(encoders, params, teachers):
             loss = expert_batch_loss(
                 encoder,
+                encoder_params,
                 [store],
                 [batch],
                 [teacher],
@@ -204,8 +207,7 @@ def expert_loss_check(
             total = loss if total is None else ad.add(total, loss)
         return total
 
-    params = [p for encoder in encoders for p in encoder.parameters()]
-    return finite_diff_check(f, params, h=h)
+    return finite_diff_check(f, [p for ps in params for p in ps], h=h)
 
 
 def teacher_loss_check(
@@ -222,12 +224,14 @@ def teacher_loss_check(
     """
     store, _, teachers = _gradcheck_instance(seed, n_episodes, 1, context_dim)
     encoder = FixedAffineMap(context_dim, 4, seed=seed)
+    params = leaves(encoder)
     batch = np.arange(n_episodes)
     alphas = np.asarray(default_alpha_grid())
 
     def objective(anchor):
         return lambda: expert_batch_loss(
             encoder,
+            params,
             [store],
             [batch],
             anchor,
@@ -240,7 +244,7 @@ def teacher_loss_check(
         )
 
     return max(
-        finite_diff_check(objective(anchor), encoder.parameters(), h=h)
+        finite_diff_check(objective(anchor), params, h=h)
         for anchor in (None, teachers)
     )
 
@@ -258,19 +262,18 @@ def gate_loss_check(
     config = ExpertConfig(top_k=4, beta=6.0)
     experts = [RetrievalExpert(encoder=e, config=config) for e in encoders]
     gate = GateParams(context_dim, n_experts, hidden_dim=4, seed=seed)
-    w_last, b_last = gate.layers[-1]
-    w_last.data = rng.normal(0.0, 0.5, size=w_last.data.shape)
-    b_last.data = rng.normal(0.0, 0.5, size=b_last.data.shape)
+    gate.layers[-1] = tuple(rng.normal(0.0, 0.5, size=a.shape) for a in gate.layers[-1])
 
     batch = np.arange(n_episodes)
     supports = [_expert_support(expert, store, batch) for expert in experts]
     prepared = [_prepare_gate_batch(store, batch, supports, None)]
     alphas = np.asarray(default_alpha_grid())
+    params = leaves(gate)
 
     def f():
-        return gate_batch_loss(gate, prepared, alphas, 0.05, 5e-3, 0.02)
+        return gate_batch_loss(gate, params, prepared, alphas, 0.05, 5e-3, 0.02)
 
-    return finite_diff_check(f, gate.parameters(), h=h)
+    return finite_diff_check(f, params, h=h)
 
 
 def run_all(seed: int = 0) -> list[tuple[str, float, float]]:

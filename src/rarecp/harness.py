@@ -269,6 +269,9 @@ def topk_consistency_probe(
     """
     if weight_mode not in ("uniform", "softmax"):
         raise DataError("weight_mode must be 'uniform' or 'softmax'")
+    counts = dict(n=n, n_queries=n_queries, grid_points=grid_points, context_dim=context_dim)
+    n, n_queries, grid_points, context_dim = (check_count(v, k) for k, v in counts.items())
+    k_values = [check_count(k, "k") for k in k_values]
     rng = np.random.default_rng(seed)
     contexts = rng.standard_normal((n, context_dim))
     residuals = rng.standard_normal(n)

@@ -27,9 +27,10 @@ Three stages: prefit affine teachers, then hypernetwork students anchored
 to their teachers in parameter space, then the gate (experts frozen) with
 an entropy bonus that discourages early collapse onto one expert.
 
-Every run is one loop, ``Trainer._train``: a set of parameters, a learning
-rate, the batches of an epoch and a loss, with its own Adam, cosine tau_q
-schedule and step counter, every step taken through ``optimizer_step``.
+Every run is one loop, ``Trainer._train``: a model's arrays as leaf tensors
+(``leaves``), a learning rate, the batches of an epoch and a loss, with its
+own Adam, cosine tau_q schedule and step counter, every step taken through
+``optimizer_step``.
 There is one run per (expert, dataset) for the teachers, one per expert for
 the students, one over the prepared rounds for the gate.
 
@@ -221,8 +222,21 @@ def _batch_contexts(store: CalibrationStore, batch: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(store.chronological(store.key_inputs())[:-1, batch])
 
 
+def _weights(model) -> list[np.ndarray]:
+    """A model's weight arrays: a fixed map's ``A, b``, or a network's ``w0, b0, w1, b1, ...``."""
+    if isinstance(model, FixedAffineMap):
+        return [model.A, model.b]
+    return [a for pair in model.layers for a in pair]
+
+
+def leaves(model) -> list[Tensor]:
+    """``_weights(model)`` as uncopied leaf tensors: in-place steps of them train the model."""
+    return [Tensor(a, requires_grad=True) for a in _weights(model)]
+
+
 def _expert_retrieval_batch(
     encoder,
+    params: Sequence,
     store: CalibrationStore,
     batch: np.ndarray,
     top_k: int,
@@ -230,26 +244,27 @@ def _expert_retrieval_batch(
 ):
     """Leave-one-out retrieval for every episode of a batch at once.
 
-    Each batch member is a query; its candidates are the other members.
+    ``params`` are the encoder's ``_weights``, or their ``leaves``. Each
+    batch member is a query; its candidates are the other members.
     Self-retrieval is excluded by masking the query's own score before the
     (constant) top-k selection, ``autodiff.loo_select``. Returns the
     selected candidate columns ``sel`` (B, k), the softmax weight rows
     (Tensor), and the emitted map stack for anchoring (the raw map output
-    for hypernetworks, the (A, b) tensors for a fixed affine encoder).
-    A hypernetwork's per-episode maps are scored by one fused primitive
-    that keeps only the selected and query columns for the backward pass.
+    for hypernetworks, ``params`` for a fixed affine encoder). A
+    hypernetwork's per-episode maps are scored by one fused primitive that
+    keeps only the selected and query columns for the backward pass.
     """
     contexts_t = _batch_contexts(store, batch)
     if isinstance(encoder, HypernetworkParams):
         inputs = encoder_inputs(contexts_t, store.features)
-        emitted = ad.mlp(encoder.layers, inputs, encoder.activation)
+        emitted = ad.mlp(zip(params[::2], params[1::2]), inputs, encoder.activation)
         sel, sel_scores = ad.loo_retrieval_scores(emitted, contexts_t, top_k)
     else:
-        keys2d = ad.l2_normalize(ad.affine(encoder.A, ad.constant(contexts_t), encoder.b))
+        A, b = emitted = params
+        keys2d = ad.l2_normalize(ad.affine(A, ad.constant(contexts_t), b))
         scores = ad.matmul(ad.transpose(keys2d), keys2d)
         sel = ad.loo_select(scores.data.copy(), top_k)
         sel_scores = ad.gather_rows(scores, sel)
-        emitted = (encoder.A, encoder.b)
     return sel, ad.softmax_rows(sel_scores, temperature), emitted
 
 
@@ -272,6 +287,7 @@ def _stack_mean(scalars: list[Tensor]) -> Tensor:
 
 def expert_batch_loss(
     encoder,
+    params: list[Tensor],
     stores: list[CalibrationStore],
     batches: list[np.ndarray],
     teachers: list[tuple[np.ndarray, np.ndarray]] | None,
@@ -283,7 +299,7 @@ def expert_batch_loss(
     lambda_anchor: float,
     audit: list | None = None,
 ) -> Tensor | None:
-    """Full expert objective on one round of batches.
+    """Full expert objective on one round of batches, in ``params``, ``leaves(encoder)``.
 
     The interval term averages leave-one-out losses per dataset, then over
     datasets, so each dataset carries equal weight; the anchor term pulls
@@ -298,7 +314,7 @@ def expert_batch_loss(
         if not _valid_batch(batch):
             continue
         sel, weights, emitted = _expert_retrieval_batch(
-            encoder, store, batch, top_k, temperature
+            encoder, params, store, batch, top_k, temperature
         )
         # taped before the interval loss, so the backward pass has released
         # the loss's temporaries by the time the anchor's gradient block exists
@@ -344,11 +360,12 @@ def _expert_support(
 ) -> tuple[np.ndarray, np.ndarray]:
     """A frozen expert's leave-one-out supports for a batch: (B, k) positions and weights.
 
-    Off the tape the expert emits through ``mlp_forward`` and retrieves
-    without keeping anything for a backward pass.
+    Off the tape the expert emits from its arrays through ``mlp_forward``
+    and retrieves without keeping anything for a backward pass.
     """
     sel, weights, _ = _expert_retrieval_batch(
-        expert.encoder, store, batch, expert.config.top_k, expert.config.weight_temperature
+        expert.encoder, _weights(expert.encoder), store, batch, expert.config.top_k,
+        expert.config.weight_temperature,
     )
     return batch[sel], weights.data
 
@@ -402,17 +419,18 @@ def _prepare_gate_batch(
 
 def gate_batch_loss(
     gate: GateParams,
+    params: list[Tensor],
     prepared: list[_PreparedGateBatch],
     alpha_grid: np.ndarray,
     tau_q: float,
     tau_p: float,
     lambda_entropy: float,
 ) -> Tensor:
-    """Gate objective: mixed-support interval loss minus the entropy bonus."""
+    """Gate objective in ``params``, ``leaves(gate)``: interval loss minus the entropy bonus."""
     per_ds_losses: list[Tensor] = []
     per_ds_entropy: list[Tensor] = []
     for prep in prepared:
-        logits = ad.mlp(gate.layers, prep.inputs, gate.activation)
+        logits = ad.mlp(zip(params[::2], params[1::2]), prep.inputs, gate.activation)
         pi = ad.softmax_rows(ad.transpose(logits), 1.0)
         mixed = ad.batched_mix(ad.constant(prep.weight_cube), pi)
         mixed_sorted = ad.gather_rows(mixed, prep.sort_perm)
@@ -475,6 +493,7 @@ class LogRow:
 class _Run:
     """One optimisation run of a stage.
 
+    ``params`` are the ``leaves`` of the model the run trains.
     ``epoch_batches()`` gives one epoch's batches, and ``loss(batch, tau_q)``
     builds the objective on one of them, or None to skip it, writing the
     supports it retrieves to the run's own ``audit`` buffer, if any. The
@@ -606,8 +625,9 @@ class _Schedule:
     A task may name tasks added before it, which finish before it starts.
     The pool's threads take tasks in order, so a task a thread waits for has
     already been taken by another, which does not wait on anything later:
-    no worker count can deadlock. Once a task fails no thread starts
-    another, and the tasks that need it never run.
+    no worker count can deadlock. Once a task fails no thread starts a
+    later one, so the tasks that need it never run, while earlier ones still
+    do: the first failure in task order is the same on any worker count.
     """
 
     def __init__(self) -> None:
@@ -615,7 +635,8 @@ class _Schedule:
         self._futures: list[Future] = []
         self._pool: ThreadPoolExecutor | None = None
         self._next = 0  # with one worker, the next task ``results`` runs
-        self._stopped = False
+        self._failed: list[int] = []  # the tasks that raised
+        self._closed = False
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -636,13 +657,14 @@ class _Schedule:
                 self._pool.submit(self._run, i)
 
     def _run(self, i: int) -> None:
-        """Task ``i`` once the tasks it needs have finished, unless the schedule has stopped."""
+        """Task ``i`` once the tasks it needs have finished, unless stopped before it."""
         fn, after = self._tasks[i]
         wait([self._futures[j] for j in after])
-        try:  # stopped: closed, or a task has failed, perhaps one of ``after``
-            self._futures[i].set_result(None if self._stopped else fn())
+        try:  # stopped: closed, or an earlier task has failed, perhaps one of ``after``
+            stopped = self._closed or any(j < i for j in self._failed)
+            self._futures[i].set_result(None if stopped else fn())
         except BaseException as exc:
-            self._stopped = True
+            self._failed.append(i)
             self._futures[i].set_exception(exc)
 
     def results(self, ids: Sequence[int]) -> list:
@@ -655,14 +677,14 @@ class _Schedule:
             self._run(self._next)
             self._next += 1
         wait([self._futures[i] for i in ids])
-        if self._stopped:
+        if self._failed:
             self.close()
             raise next(exc for exc in map(Future.exception, self._futures) if exc is not None)
         return [self._futures[i].result() for i in ids]
 
     def close(self) -> None:
         """Start no more tasks and wait for the threads to stop."""
-        self._stopped = True
+        self._closed = True
         if self._pool is not None:
             self._pool.shutdown()
 
@@ -779,15 +801,16 @@ class Trainer:
     def _expert_run(self, encoder, lr, stores, rng, teachers, top_k: int, lambda_anchor: float):
         """A run of ``expert_batch_loss`` on ``encoder`` over the rounds ``rng`` draws."""
         audit = None if self.audit is None else []
+        params = leaves(encoder)
 
         def loss(batches, tau_q):
             return expert_batch_loss(
-                encoder, stores, batches, teachers, top_k, 1.0 / self.model.beta,
+                encoder, params, stores, batches, teachers, top_k, 1.0 / self.model.beta,
                 self.alpha_grid, tau_q, self.train.tau_p, lambda_anchor, audit=audit,
             )
 
         return _Run(
-            encoder.parameters(), lr, self._steps_per_epoch(stores),
+            params, lr, self._steps_per_epoch(stores),
             partial(self._rounds, stores, rng), loss, audit,
         )
 
@@ -838,7 +861,7 @@ class Trainer:
         ])
 
         def fit_expert(m: int) -> tuple[_Run, list]:
-            maps = [t.as_arrays() for t in teachers[m]]
+            maps = [(t.A, t.b) for t in teachers[m]]
             encoder = experts[m].encoder
             encoder.start_at(np.mean([a for a, _ in maps], axis=0),
                              np.mean([b for _, b in maps], axis=0))
@@ -911,17 +934,16 @@ class Trainer:
             activation=self.model.activation,
             seed=cfg.seed * 1000 + 900,
         )
+        params = leaves(gate)
 
         def loss(prepared, tau_q):
             return gate_batch_loss(
-                gate, prepared, self.alpha_grid, tau_q, cfg.tau_p, cfg.lambda_entropy
+                gate, params, prepared, self.alpha_grid, tau_q, cfg.tau_p, cfg.lambda_entropy
             )
 
         # the gate steps only over the rounds that kept a usable batch, so
         # its tau_q schedule is sized by them
-        run = _Run(
-            gate.parameters(), cfg.gate_lr, len(prepared_rounds), lambda: prepared_rounds, loss,
-        )
+        run = _Run(params, cfg.gate_lr, len(prepared_rounds), lambda: prepared_rounds, loss)
         self._log_stage("gate", cfg.epochs, [run], [self._train(cfg.epochs, run)])
         self.gate = gate
 

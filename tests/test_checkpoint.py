@@ -1,11 +1,13 @@
 """The binary checkpoint: exact round trips, views of one read, loads of identical bytes
 shared, and every corruption refused."""
 
+import builtins
 import dataclasses
 import gc
 import json
 import shutil
 import struct
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -13,7 +15,13 @@ import numpy as np
 import pytest
 
 from rarecp import checkpoint
-from rarecp.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
+from rarecp.checkpoint import (
+    FORMAT_VERSION,
+    MAGIC,
+    RareCPComponents,
+    load_checkpoint,
+    save_checkpoint,
+)
 from rarecp.data import PrecomputedForecast, descriptor_features, normalize_context
 from rarecp.errors import DataError
 from rarecp.estimators import RareCP
@@ -24,9 +32,10 @@ from rarecp.experts import (
     HypernetworkParams,
     RetrievalExpert,
 )
-from rarecp.gate import gate_weights
+from rarecp.gate import GateParams, gate_weights
 from rarecp.harness import calibration_block
 from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
+from rarecp.training import ModelConfig
 
 WINDOW = 8
 FIT_N, SEED_N, STREAM_N = 60, 80, 200
@@ -81,8 +90,8 @@ def test_loaded_experts_are_views_of_the_stacked_weights(small_trained, tmp_path
     assert isinstance(stack, ExpertStack) and len(stack) == 2
     for m, expert in enumerate(stack):
         for (w, b), (w_all, b_all) in zip(expert.encoder.layers, stack.layers):
-            assert np.shares_memory(w.data, w_all) and np.shares_memory(b.data, b_all)
-            np.testing.assert_array_equal(w.data, w_all[m])
+            assert np.shares_memory(w, w_all) and np.shares_memory(b, b_all)
+            np.testing.assert_array_equal(w, w_all[m])
     assert sum(w.nbytes + b.nbytes for w, b in stack.layers) < path.stat().st_size
 
 
@@ -141,8 +150,11 @@ def _weights(components):
     arrays = [a for layer in stack.layers for a in layer]
     if stack.flat is not None:
         arrays += [stack.flat, *stack.flat]
-    arrays += [t.data for expert in stack for t in expert.parameters()]
-    return arrays + [t.data for layer in components.gate.layers for t in layer]
+    for expert in stack:
+        encoder = expert.encoder
+        arrays += [a for layer in encoder.layers for a in layer] if stack.layers else [
+            encoder.A, encoder.b]
+    return arrays + [a for layer in components.gate.layers for a in layer]
 
 
 def _serve(est, rows, start: int, steps: int):
@@ -393,6 +405,31 @@ def test_loading_a_directory_raises_data_error(tmp_path):
         RareCP.from_checkpoint(tmp_path)
 
 
+def test_a_save_copies_no_weights(tmp_path):
+    """A default-sized model's save peaks, under tracemalloc, below half its file size."""
+    model = ModelConfig()
+    experts = ExpertStack.of([
+        RetrievalExpert(HypernetworkParams(model.context_dim, model.latent_dim, seed=m),
+                        model.expert_config())
+        for m in range(model.n_experts)
+    ])
+    gate = GateParams(model.context_dim, model.n_experts, hidden_dim=model.gate_hidden_dim)
+    components = RareCPComponents(model, (0,), experts, gate)
+    path = tmp_path / "model.bin"
+    tracemalloc.start()
+    try:
+        save_checkpoint(components, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 5 << 20
+    assert peak < path.stat().st_size / 2
+    loaded = load_checkpoint(path)
+    for (w, b), (w_saved, b_saved) in zip(loaded.experts.layers + loaded.gate.layers,
+                                          experts.layers + gate.layers):
+        assert w.tobytes() == w_saved.tobytes() and b.tobytes() == b_saved.tobytes()
+
+
 def test_loading_a_missing_file_raises_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot read checkpoint"):
         load_checkpoint(tmp_path / "missing.bin")
@@ -408,13 +445,27 @@ def test_save_failing_midway_keeps_the_previous_checkpoint(small_trained, tmp_pa
     path = tmp_path / "model.bin"
     save_checkpoint(small_trained["components"], path)
     before = path.read_bytes()
-    real_write_bytes = Path.write_bytes
 
-    def write_half_then_fail(self, data):
-        real_write_bytes(self, data[: len(data) // 2])
-        raise OSError("no space left on device")
+    class FailingMidway:
+        """A file that takes the header and the first array, then fails."""
 
-    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 2:
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(checkpoint, "open", lambda file, mode: FailingMidway(
+        builtins.open(file, mode)), raising=False)
     with pytest.raises(DataError, match="cannot write checkpoint"):
         save_checkpoint(small_trained["components"], path)
     monkeypatch.undo()

@@ -229,6 +229,12 @@ class TestCliFlows:
         assert len(lines) == 3
 
 
+    @pytest.mark.parametrize("bad", [("--n", "0"), ("--k", "0"), ("--queries", "0")], ids=repr)
+    def test_probe_topk_refuses_zero_counts(self, bad):
+        """These ended in a ZeroDivisionError traceback, or printed nan and exited 0."""
+        assert run_cli("probe-topk", "--n", "400", "--k", "4", "--queries", "10", *bad) == 2
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert run_cli("eval") == 1  # missing required options

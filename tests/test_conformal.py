@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,16 @@ class TestWinklerScore:
             assert score > actual_width
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", range(3))
+def test_winkler_score_refuses_a_non_finite_bound_or_target(slot, bad):
+    """A NaN target scored as covered: ``winkler_score(0.0, 1.0, nan, 0.2)`` was 1.0."""
+    args = [0.0, 1.0, 0.5]
+    args[slot] = bad
+    with pytest.raises(DataError, match="finite"):
+        winkler_score(*args, 0.2)
+
+
 class TestAci:
     def test_miss_decreases_alpha(self):
         state = AciState.initial(0.2, 0.01)
@@ -216,6 +228,16 @@ class TestAci:
     def test_invalid_start(self):
         with pytest.raises(DataError):
             AciState(alpha_t=0.999, alpha_target=0.2, gamma=0.01)
+
+    @pytest.mark.parametrize("gamma", [-0.05, math.nan, math.inf, -math.inf])
+    def test_invalid_gamma(self, gamma):
+        """A negative gamma ran ACI backwards; a NaN one failed its first update."""
+        with pytest.raises(DataError, match="gamma"):
+            AciState.initial(0.2, gamma)
+
+    def test_zero_gamma_keeps_alpha(self):
+        state = AciState.initial(0.2, 0.0)
+        assert aci_update(state, covered=False).alpha_t == 0.2
 
 
 class TestBaselineWeights:

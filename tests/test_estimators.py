@@ -239,6 +239,21 @@ class TestBadSettings:
         with pytest.raises(DataError, match="weighting|nexcp_lambda"):
             SplitConformal(**setting).fit(None, np.arange(10.0))
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"nexcp_lambda": 7.0}, {"weighting": "magic"}, {"nexcp_lambda": float("nan")},
+         {"weighting": "nexcp", "nexcp_lambda": 0.0}],
+        ids=repr,
+    )
+    def test_split_conformal_set_params_rechecks_a_fitted_weighting(self, setting):
+        """A fitted window served [0, 9] after ``set_params(nexcp_lambda=7.0)``."""
+        est = SplitConformal().fit(None, np.arange(10.0))
+        with pytest.raises(DataError, match="weighting|nexcp_lambda"):
+            est.set_params(**setting)
+        assert (est.weighting, est.nexcp_lambda) == ("uniform", 0.99)
+        est.set_params(weighting="nexcp", nexcp_lambda=0.5)
+        assert (est.weighting, est.nexcp_lambda) == ("nexcp", 0.5)
+
     def test_split_conformal_zero_capacity_rejected(self):
         with pytest.raises(DataError, match="capacity"):
             SplitConformal(capacity=0).fit(None, np.arange(10.0))

@@ -210,8 +210,8 @@ class TestSupportWeights:
 class TestEmitExpertMap:
     def test_zero_final_layer_emits_zero_map(self):
         encoder = HypernetworkParams(5, 3, hidden_dim=8, hidden_layers=1, seed=0,
-                                     final_bias_map=(np.zeros((3, 5)), np.zeros(3)),
                                      final_weight_scale=0.0)
+        encoder.start_at(np.zeros((3, 5)), np.zeros(3))
         descriptor = compute_descriptor(np.random.default_rng(0).standard_normal((10, 5)))
         A, b = encoder.emit(np.ones(5), descriptor_features(descriptor))
         np.testing.assert_array_equal(A, 0.0)
@@ -301,7 +301,7 @@ class TestExpertSupport:
         descriptor = compute_descriptor(np.vstack([s.contexts() for s in stores]))
         expert = make_expert(4, k=3, kind="fixed_affine")
         query = rng.standard_normal(4)
-        A, b = expert.encoder.as_arrays()
+        A, b = expert.encoder.A, expert.encoder.b
         for store in stores:
             result = retrieve(expert, store, query, descriptor)
             keys = A @ normalize_context(store.contexts(), descriptor).T + b[:, None]
@@ -319,8 +319,8 @@ class TestExpertSupport:
         expert = make_expert(4, kind="fixed_affine")
         query = rng.standard_normal(4)
         before = retrieve(expert, store, query, descriptor)
-        expert.encoder.A.data *= 3.0
-        expert.encoder.b.data *= 3.0
+        expert.encoder.A *= 3.0
+        expert.encoder.b *= 3.0
         after = retrieve(expert, store, query, descriptor)
         np.testing.assert_array_equal(before.support_indices, after.support_indices)
         np.testing.assert_allclose(before.weights, after.weights, atol=1e-9)
@@ -411,8 +411,8 @@ class TestStackedRetrievalOracle:
         descriptor = compute_descriptor(rows[:n_seed])
         store.condition(descriptor, normalize)
         gate = GateParams(rows.shape[1], len(experts), hidden_dim=3, seed=1)
-        gate.layers[-1][0].data = np.random.default_rng(2).standard_normal(
-            gate.layers[-1][0].data.shape)
+        w_last = gate.layers[-1][0]
+        w_last[:] = np.random.default_rng(2).standard_normal(w_last.shape)
         for t in range(n_seed, rows.shape[0] + 1):
             if t > n_seed:
                 store.append(CalibrationEntry(rows[t - 1], float(residuals[t - 1]), t - 1))

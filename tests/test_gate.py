@@ -57,8 +57,8 @@ class TestGateWeights:
         gate = GateParams(4, 3, hidden_dim=4, seed=0)
         # force the final layer into a fixed dominant-logit configuration
         w_last, b_last = gate.layers[-1]
-        w_last.data = np.zeros_like(w_last.data)
-        b_last.data = np.array([10.0, 0.0, 0.0])
+        w_last[:] = 0.0
+        b_last[:] = [10.0, 0.0, 0.0]
         pi = gate_weights(gate, *read(contexts[0], descriptor))
         assert pi[0] > 0.9999
 
@@ -76,9 +76,9 @@ class TestGateWeights:
         descriptor = compute_descriptor(contexts)
         gate = GateParams(4, 3, hidden_dim=4, seed=1)
         w_last, b_last = gate.layers[-1]
-        b_last.data = np.array([0.3, -0.2, 0.8])
+        b_last[:] = [0.3, -0.2, 0.8]
         pi1 = gate_weights(gate, *read(contexts[0], descriptor))
-        b_last.data = b_last.data + 5.0
+        b_last += 5.0
         pi2 = gate_weights(gate, *read(contexts[0], descriptor))
         np.testing.assert_allclose(pi1, pi2, atol=1e-12)
 

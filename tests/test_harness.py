@@ -366,6 +366,17 @@ class TestTopkProbe:
         rows = dict(topk_consistency_probe(n=n, k_values=(n,), n_queries=10, seed=2))
         assert rows[n] < 3.0 / np.sqrt(n)
 
+    @pytest.mark.parametrize(
+        "bad", [{"n": 0}, {"k_values": (4, 0)}, {"n_queries": 0}, {"grid_points": 0},
+                {"context_dim": 0}, {"n": 2.5}],
+        ids=repr,
+    )
+    def test_counts_are_checked(self, bad):
+        """n=0 and k=0 divided by zero, n_queries=0 gave nan, grid_points=0 a numpy error."""
+        kwargs = {"n": 100, "k_values": (4,), "n_queries": 2, **bad}
+        with pytest.raises(DataError, match=">= 1|integer"):
+            topk_consistency_probe(**kwargs)
+
     def test_weight_mode_validation(self):
         with pytest.raises(DataError):
             topk_consistency_probe(n=100, k_values=(4,), n_queries=2, weight_mode="bad")

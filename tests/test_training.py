@@ -35,6 +35,7 @@ from rarecp.training import (
     default_alpha_grid,
     expert_batch_loss,
     gate_batch_loss,
+    leaves,
     optimizer_step,
     temperature_at,
     write_training_log,
@@ -43,6 +44,7 @@ from rarecp.training import (
     _expert_support,
     _prepare_gate_batch,
     _Schedule,
+    _weights,
     blas_threads,
 )
 
@@ -218,8 +220,8 @@ def tiny_store(rng, n=24, dim=5, regime=True):
     return training_store(contexts, residuals)
 
 
-def step_tape_records(monkeypatch, net, loss_fn) -> int:
-    """The tape records of one ``optimizer_step`` of ``net`` on ``loss_fn``."""
+def step_tape_records(monkeypatch, params, loss_fn) -> int:
+    """The tape records of one ``optimizer_step`` of the leaves ``params`` on ``loss_fn``."""
     recorded = []
     backward = ad.Tape.backward
 
@@ -228,7 +230,7 @@ def step_tape_records(monkeypatch, net, loss_fn) -> int:
         return backward(self, loss)
 
     monkeypatch.setattr(ad.Tape, "backward", counting_backward)
-    optimizer_step(Adam(net.parameters(), lr=1e-3), loss_fn)
+    optimizer_step(Adam(params, lr=1e-3), loss_fn)
     assert len(recorded) == 1
     return recorded[0]
 
@@ -256,9 +258,7 @@ class TestTeacherFitting:
         trainer = Trainer([store], tiny_model(), TrainConfig(
             epochs=1, teacher_epochs=2, batch_size=20, seed=0))
         trainer.run()
-        a0, _ = trainer.teachers[0][0].as_arrays()
-        a1, _ = trainer.teachers[1][0].as_arrays()
-        assert not np.allclose(a0, a1)
+        assert not np.allclose(trainer.teachers[0][0].A, trainer.teachers[1][0].A)
 
     def test_rerun_is_deterministic(self):
         rng_data = np.random.default_rng(8)
@@ -270,7 +270,8 @@ class TestTeacherFitting:
             trainer = Trainer([store], tiny_model(), TrainConfig(
                 epochs=1, teacher_epochs=3, batch_size=16, seed=5))
             trainer.run()
-            return trainer.teachers[0][0].as_arrays()
+            teacher = trainer.teachers[0][0]
+            return teacher.A, teacher.b
 
         (a1, b1), (a2, b2) = fit(), fit()
         assert a1.tobytes() == a2.tobytes()
@@ -283,20 +284,21 @@ class TestExpertTraining:
         store = tiny_store(rng, n=20)
         encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, seed=0)
         teacher = (rng.normal(0, 0.5, size=(4, 5)), rng.normal(0, 0.5, size=4))
-        opt = Adam(encoder.parameters(), lr=3e-3)
+        params = leaves(encoder)
+        opt = Adam(params, lr=3e-3)
         alphas = np.asarray(default_alpha_grid())
         batch = np.arange(20)
 
         def anchor_value():
             inputs = encoder_inputs(store.key_inputs()[:-1], store.features)
-            out = ad.mlp(encoder.layers, inputs, encoder.activation).data
+            out = ad.mlp_forward(encoder.layers, inputs, encoder.activation)[-1]
             flat = np.concatenate([teacher[0].reshape(-1), teacher[1]])
             return float(((out - flat[:, None]) ** 2).sum() / 20)
 
         initial = anchor_value()
         for _ in range(150):
             optimizer_step(opt, lambda: expert_batch_loss(
-                encoder, [store], [batch], [teacher],
+                encoder, params, [store], [batch], [teacher],
                 top_k=6, temperature=1 / 12, alpha_grid=alphas,
                 tau_q=0.05, tau_p=5e-4, lambda_anchor=1e5,
             ))
@@ -309,13 +311,14 @@ class TestExpertTraining:
         teacher = (np.ones((4, 5)), np.ones(4))
         alphas = np.asarray(default_alpha_grid())
         batch = np.arange(16)
+        params = leaves(encoder)
         with_teacher = expert_batch_loss(
-            encoder, [store], [batch], [teacher],
+            encoder, params, [store], [batch], [teacher],
             top_k=6, temperature=1 / 12, alpha_grid=alphas,
             tau_q=0.05, tau_p=5e-4, lambda_anchor=0.0,
         )
         without = expert_batch_loss(
-            encoder, [store], [batch], None,
+            encoder, params, [store], [batch], None,
             top_k=6, temperature=1 / 12, alpha_grid=alphas,
             tau_q=0.05, tau_p=5e-4, lambda_anchor=5.0,
         )
@@ -329,8 +332,9 @@ class TestExpertTraining:
         store = tiny_store(rng, n=40)
         encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=2, seed=0)
         teacher = (rng.normal(0, 0.5, size=(4, 5)), rng.normal(0, 0.5, size=4))
-        recorded = step_tape_records(monkeypatch, encoder, lambda: expert_batch_loss(
-            encoder, [store], [np.arange(40)], [teacher], top_k=8, temperature=1 / 12,
+        params = leaves(encoder)
+        recorded = step_tape_records(monkeypatch, params, lambda: expert_batch_loss(
+            encoder, params, [store], [np.arange(40)], [teacher], top_k=8, temperature=1 / 12,
             alpha_grid=np.asarray(default_alpha_grid()), tau_q=0.05, tau_p=5e-4,
             lambda_anchor=5.0,
         ))
@@ -348,7 +352,7 @@ class TestExpertTraining:
         alphas = np.asarray(default_alpha_grid())
         with pytest.warns(UserWarning, match="fewer"):
             loss = expert_batch_loss(
-                encoder, [store], [np.array([0, 1])], None,
+                encoder, leaves(encoder), [store], [np.array([0, 1])], None,
                 top_k=4, temperature=0.1, alpha_grid=alphas,
                 tau_q=0.05, tau_p=5e-4, lambda_anchor=0.0,
             )
@@ -370,7 +374,7 @@ class TestGateTraining:
         fit_gate = Trainer.fit_gate
 
         def snapshot(trainer):
-            snapshots.append([p.data.tobytes() for e in trainer.experts for p in e.parameters()])
+            snapshots.append([a.tobytes() for e in trainer.experts for a in _weights(e.encoder)])
 
         def snapshotting_fit_gate(trainer, *args):
             snapshot(trainer)
@@ -392,12 +396,14 @@ class TestGateTraining:
         from rarecp.gate import GateParams, gate_weights
 
         gate = GateParams(5, model.n_experts, hidden_dim=2, seed=3)
-        opt = Adam(gate.parameters(), lr=0.05)
+        params = leaves(gate)
+        opt = Adam(params, lr=0.05)
         alphas = np.asarray(default_alpha_grid())
         batch = np.arange(24)
         prepared = [prepare_gate_batch(trainer.experts, store, batch, None)]
         for _ in range(60):
-            optimizer_step(opt, lambda: gate_batch_loss(gate, prepared, alphas, 0.05, 5e-4, 50.0))
+            optimizer_step(opt, lambda: gate_batch_loss(gate, params, prepared, alphas, 0.05,
+                                                        5e-4, 50.0))
         entropies = []
         for i in range(24):
             pi = gate_weights(gate, *store.query(store.contexts()[i]))
@@ -416,8 +422,10 @@ class TestGateTraining:
         gate = GateParams(5, model.n_experts, hidden_dim=2, seed=3)
         prepared = [prepare_gate_batch(trainer.experts, store, np.arange(24), None)]
         alphas = np.asarray(default_alpha_grid())
+        params = leaves(gate)
         recorded = step_tape_records(
-            monkeypatch, gate, lambda: gate_batch_loss(gate, prepared, alphas, 0.05, 5e-4, 0.02)
+            monkeypatch, params,
+            lambda: gate_batch_loss(gate, params, prepared, alphas, 0.05, 5e-4, 0.02),
         )
         assert recorded <= 15
 
@@ -442,7 +450,7 @@ class TestGateTraining:
         positions, weights = [], []
         for expert in experts:
             sel, w, _ = _expert_retrieval_batch(
-                expert.encoder, store, batch, expert.config.top_k,
+                expert.encoder, _weights(expert.encoder), store, batch, expert.config.top_k,
                 expert.config.weight_temperature)
             positions.append(batch[sel])
             weights.append(w.data)
@@ -518,9 +526,9 @@ class TestStageRunnerLog:
 
         stepped = []
 
-        def recording_loss(gate, prepared, alpha_grid, tau_q, *args):
+        def recording_loss(gate, params, prepared, alpha_grid, tau_q, *args):
             stepped.append(tau_q)
-            return gate_batch_loss(gate, prepared, alpha_grid, tau_q, *args)
+            return gate_batch_loss(gate, params, prepared, alpha_grid, tau_q, *args)
 
         monkeypatch.setattr(training, "gate_batch_loss", recording_loss)
         rng = np.random.default_rng(21)
@@ -559,8 +567,9 @@ class TestStageRunnerLog:
         # a run is known by its teacher's parameters: runs may step at the same time
         runs = {id(t.A): [] for row in trainer.teachers for t in row}
         for optimizer, loss in losses:
-            if id(optimizer.params[0]) in runs:  # not an expert's or the gate's step
-                runs[id(optimizer.params[0])].append(loss)
+            leaf = optimizer.params[0].data  # the leaf wraps the teacher's array itself
+            if id(leaf) in runs:  # not an expert's or the gate's step
+                runs[id(leaf)].append(loss)
         per_run = list(runs.values())
         steps = [2, 3, 2, 3]  # runs in (expert, dataset) order
         assert [len(run) for run in per_run] == [3 * s for s in steps]
@@ -715,7 +724,8 @@ class TestBatchedEquivalence:
                                      final_weight_scale=0.2)
         batch = np.arange(14)
         k, temperature = 5, 0.2
-        sel, weights, _ = _expert_retrieval_batch(encoder, store, batch, k, temperature)
+        sel, weights, _ = _expert_retrieval_batch(encoder, _weights(encoder), store, batch, k,
+                                                  temperature)
 
         for j in batch:
             cand = batch[batch != j]
@@ -1057,7 +1067,7 @@ def step_peak_mb(params, loss_fn, steps: int = 2) -> float:
 class TestWhatAFitHolds:
     """At B = 256 and the default architecture (65 context features, 32-dim
     keys, top-k 32, two hidden layers of 96), a step holds no more than it
-    must, and a trained model holds no gradients."""
+    must, and a trained model holds plain arrays, which serving never wraps."""
 
     B, P = 256, 65
 
@@ -1067,36 +1077,66 @@ class TestWhatAFitHolds:
         contexts = rng.standard_normal((self.B, self.P))
         return training_store(contexts, rng.standard_normal(self.B) * (1.0 + 3.0 * (contexts[:, 0] > 0)))
 
-    def loss(self, encoder, store, top_k, teacher, lambda_anchor):
+    def loss(self, encoder, params, store, top_k, teacher, lambda_anchor):
         return lambda: expert_batch_loss(
-            encoder, [store], [np.arange(self.B)], teacher, top_k, 1 / 12,
+            encoder, params, [store], [np.arange(self.B)], teacher, top_k, 1 / 12,
             np.asarray(default_alpha_grid()), 0.0125, 5e-4, lambda_anchor,
         )
 
     def test_dense_teacher_step_peaks_at_10_mb(self, store):
         """The smooth loss over (256, 22, 256) edges runs in L2-sized blocks."""
         teacher = FixedAffineMap(self.P, 32, seed=1)
-        assert step_peak_mb(teacher.parameters(),
-                            self.loss(teacher, store, self.B, None, 0.0)) <= 10.0
+        params = leaves(teacher)
+        assert step_peak_mb(params, self.loss(teacher, params, store, self.B, None, 0.0)) <= 10.0
 
     def test_hypernetwork_expert_step_peaks_at_15_mb(self, store):
         """The anchor's and the leave-one-out retrieval's (2112, 256) gradient
         blocks are one block, and used VJPs let go of what they kept."""
         encoder = HypernetworkParams(self.P, 32, hidden_dim=96, hidden_layers=2, seed=0)
-        teacher = FixedAffineMap(self.P, 32, seed=1).as_arrays()
-        assert step_peak_mb(encoder.parameters(),
-                            self.loss(encoder, store, 32, [teacher], 5.0)) <= 15.0
+        teacher = FixedAffineMap(self.P, 32, seed=1)
+        params = leaves(encoder)
+        assert step_peak_mb(params,
+                            self.loss(encoder, params, store, 32, [(teacher.A, teacher.b)],
+                                      5.0)) <= 15.0
 
-    def test_a_fitted_model_holds_no_parameter_gradients(self):
+    def test_a_model_holds_plain_arrays_and_serving_builds_no_tensor(self, tmp_path,
+                                                                      monkeypatch):
+        """Every weight of a fitted and of a loaded model is a numpy array, the
+        loaded ones read-only; a load, a seed and 50 served steps construct no
+        ``Tensor``."""
         rng = np.random.default_rng(42)
-        X = rng.standard_normal((60, 7))
+        X = rng.standard_normal((110, 7))
+        y = rng.standard_normal(110) * (1.0 + 3.0 * (X[:, 0] > 0))
         est = RareCP(window=6, n_experts=2, latent_dim=4, top_k=6, hidden_dim=8, hidden_layers=1,
-                     gate_hidden_dim=2, epochs=2, teacher_epochs=1, seed=3)
-        est.fit(X, rng.standard_normal(60) * (1.0 + 3.0 * (X[:, 0] > 0)))
-        params = [p for e in est.components_.experts for p in e.encoder.parameters()]
-        params += est.components_.gate.parameters()
-        assert len(params) == 2 * 4 + 4
-        assert all(p.grad is None for p in params)
+                     gate_hidden_dim=2, epochs=2, teacher_epochs=1, seed=3).fit(X[:60], y[:60])
+        path = tmp_path / "model.bin"
+        est.save(path)
+        built = []
+        init = ad.Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", counting_init)
+        loaded = RareCP.from_checkpoint(path)
+        loaded.seed_store(X[:60], y[:60])
+        for i in range(60, 110):
+            loaded.predict_interval(X[i], 0.0)
+            loaded.observe(X[i], y[i])
+        monkeypatch.undo()
+        assert built == []
+
+        def weights(components):
+            stack = components.experts
+            arrays = [a for layer in stack.layers for a in layer]
+            arrays += [a for e in stack for layer in e.encoder.layers for a in layer]
+            return arrays + [a for layer in components.gate.layers for a in layer]
+
+        for components, writeable in ((est.components_, True), (loaded.components_, False)):
+            arrays = weights(components)
+            assert len(arrays) == 4 + 2 * 4 + 4
+            assert all(type(a) is np.ndarray and a.flags.writeable == writeable for a in arrays)
 
 
 def test_same_seed_training_logs_are_identical_and_carry_the_blas_threads(tmp_path):
