@@ -22,6 +22,7 @@ from rarecp.validation import check_count, check_finite, check_int, float_array
 FRACTION_SUM_TOL = 1e-9
 DEFAULT_SIGMA_FLOOR = 1e-6
 DEFAULT_WINDOW = 64
+KEY_PANEL = 64  # columns per block of ``CalibrationStore.key_panels``
 
 
 @dataclass(frozen=True)
@@ -147,12 +148,20 @@ class CalibrationStore:
 
     ``condition`` fixes the dataset descriptor that training and retrieval
     read every context and query through, and whether contexts are z-scored
-    with it. ``key_inputs`` then holds the contexts as the encoders see them,
-    laid out as (p + 1, capacity) columns in ring order, the last row a
-    constant 1 that folds a key map's bias into its GEMM. It follows the same
-    pattern: built on first request after ``condition``, then kept by every
-    ``append`` with the column's p key entries. ``query`` reads a query the
-    same way and attaches the descriptor's ``features``.
+    with it. The store then holds the contexts as the encoders see them, as
+    key-input columns in ring order above a constant 1 that folds a key map's
+    bias into its GEMM, cut into contiguous ``KEY_PANEL``-column blocks
+    (``key_panels``). It follows the same pattern: built on first request
+    after ``condition``, then kept by every ``append`` with the column's p
+    key entries. ``key_inputs`` reads the columns as one (p + 1, n) array.
+    ``query`` reads a query the same way and attaches the descriptor's
+    ``features``.
+
+    ``key_mirror`` keeps the key inputs rounded to float32 beside them, with
+    each column's float64 2-norm, for retrieval's float32 candidate filter
+    (``experts.normalize_keys``). It too is built on first request after
+    ``condition`` and then kept by every ``append``; it costs about
+    4 (p + 1) capacity bytes for the mirror and 8 capacity for the norms.
     """
 
     def __init__(self, capacity: int, context_dim: int):
@@ -173,7 +182,9 @@ class CalibrationStore:
         self._descriptor: DatasetDescriptor | None = None
         self._features: np.ndarray | None = None
         self._normalize = True
-        self._keys: np.ndarray | None = None
+        self._keys: np.ndarray | None = None  # (panels, p + 1, KEY_PANEL)
+        # float32 copy of ``_keys`` and its column norms; None until first requested
+        self._mirror: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return self._size
@@ -207,7 +218,13 @@ class CalibrationStore:
         self._residuals[pos] = residual
         self._times[pos] = time_index
         if self._keys is not None:
-            self._keys[:-1, pos] = column
+            panel, j = divmod(pos, KEY_PANEL)
+            self._keys[panel, :-1, j] = column
+        if self._mirror is not None:
+            keys32, norms = self._mirror
+            keys32[panel, :, j : j + 1], norms[panel, j : j + 1] = _mirror(
+                self._keys[panel, :, j : j + 1]
+            )
         self._arrivals += 1
         self._views.clear()
 
@@ -302,8 +319,8 @@ class CalibrationStore:
         """Key contexts and queries through ``descriptor`` from now on.
 
         With ``normalize`` they are z-scored with its statistics, otherwise
-        used raw; either way they carry its features. The key inputs are
-        rebuilt on their next request.
+        used raw; either way they carry its features. The key inputs and
+        their mirror are rebuilt on their next request.
         """
         if descriptor.dim != self._dim:
             raise DataError(
@@ -312,7 +329,8 @@ class CalibrationStore:
         features = descriptor_features(descriptor)
         features.flags.writeable = False
         self._descriptor, self._features = descriptor, features
-        self._normalize, self._keys = bool(normalize), None
+        self._normalize, self._keys, self._mirror = bool(normalize), None, None
+        self._views.pop("keys", None)
 
     def _keyed(self, contexts) -> np.ndarray:
         """Contexts (or one query) as ``condition`` keys them."""
@@ -332,26 +350,69 @@ class CalibrationStore:
         """A query context as encoders and the gate read it, and the descriptor features."""
         return self._keyed(x), self._features
 
-    def key_inputs(self) -> np.ndarray:
-        """Contexts as retrieval key inputs: one column per entry, in ring order.
+    def key_panels(self, ring: np.ndarray | None = None) -> np.ndarray:
+        """The contexts as retrieval key inputs, in (panels, p + 1, KEY_PANEL) blocks.
 
-        Columns are the contexts as ``condition`` keys them above a row of
-        ones, written once when the array is built, so ``[A | b] @
-        key_inputs`` keys every entry, bias included, in one GEMM. The
-        read-only result has shape (p + 1, len(store)). Ring position ``j``
-        holds chronological entry ``(j - start) % capacity``, and
-        ``chronological`` puts arrays laid out this way oldest first. The
-        array behind the view is built on first request after ``condition``
-        and then kept by ``append`` at O(p) each. Raises ``DataError``
-        before ``condition``.
+        Ring position ``j`` is column ``j % KEY_PANEL`` of block ``j //
+        KEY_PANEL``; the columns past the last entry are ones. Each column is
+        the context as ``condition`` keys it above a 1, written once when the
+        array is built, so ``[A | b] @ block`` keys a block, bias included, in
+        one GEMM. Ring position ``j`` holds chronological entry ``(j - oldest)
+        % capacity``. The read-only view is built on first request after
+        ``condition`` and then kept by ``append`` at O(p) each. Raises
+        ``DataError`` before ``condition``.
+
+        Given ``ring``, an array of ring positions, returns the columns at
+        those positions instead, in that order, copied into contiguous blocks
+        of the same shape; the last block is filled out with repeats of them.
         """
         if self._keys is None:
-            columns = np.ones((self._dim + 1, self.capacity))
+            columns = np.ones((self._dim + 1, -(-self.capacity // KEY_PANEL) * KEY_PANEL))
             columns[:-1, : self._size] = self._key_rows(self._contexts[: self._size]).T
-            self._keys = columns
-        view = self._keys[:, : self._size]
+            blocks = columns.reshape(self._dim + 1, -1, KEY_PANEL).transpose(1, 0, 2)
+            self._keys = np.ascontiguousarray(blocks)
+        if ring is not None:
+            index = np.resize(ring, (-(-len(ring) // KEY_PANEL), 1, KEY_PANEL))
+            rows = np.arange(self._dim + 1)[:, None]
+            return self._keys[index // KEY_PANEL, rows, index % KEY_PANEL]
+        view = self._keys[: -(-self._size // KEY_PANEL)]
         view.flags.writeable = False
         return view
+
+    def key_inputs(self) -> np.ndarray:
+        """The key-input columns of ``key_panels`` as one (p + 1, len(store)) array, in ring order.
+
+        ``chronological`` puts it oldest first. Read-only; a copy, cached until
+        the next ``append`` or ``condition``.
+        """
+        view = self._views.get("keys")
+        if view is None:
+            panels = self.key_panels()
+            view = panels.transpose(1, 0, 2).reshape(panels.shape[1], -1)[:, : self._size]
+            view.flags.writeable = False
+            self._views["keys"] = view
+        return view
+
+    def key_mirror(self) -> tuple[np.ndarray, np.ndarray]:
+        """``key_panels`` rounded to float32, and each column's float64 2-norm.
+
+        Read-only views of shapes (panels, p + 1, KEY_PANEL) and (panels,
+        KEY_PANEL), laid out like ``key_panels``; a value beyond float32's
+        range reads as an infinity there. Built on first request after
+        ``condition`` and then kept by ``append``.
+        """
+        panels = self.key_panels()
+        if self._mirror is None:
+            self._mirror = _mirror(self._keys)
+        keys32, norms = (part[: panels.shape[0]] for part in self._mirror)
+        keys32.flags.writeable = norms.flags.writeable = False
+        return keys32, norms
+
+    @property
+    def oldest(self) -> int:
+        """The ring position of the oldest entry: ring position ``j`` holds
+        chronological entry ``(j - oldest) % capacity``."""
+        return self._start
 
     def chronological(self, ring: np.ndarray) -> np.ndarray:
         """``ring``, laid out along its last axis like ``key_inputs``, oldest first."""
@@ -387,6 +448,17 @@ class CalibrationStore:
         store._times[:n] = start_time + np.arange(y.size - n, y.size)
         store._size = store._arrivals = n
         return store
+
+
+def _mirror(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Key-input columns (along the last axis) rounded to float32, and each one's 2-norm.
+
+    The squares are summed in row order, so a column's norm does not depend on
+    the columns beside it. A value beyond float32's range rounds to an
+    infinity, and a column whose squares overflow has an infinite norm.
+    """
+    with np.errstate(over="ignore"):
+        return block.astype(np.float32), np.sqrt(np.cumsum(block * block, axis=-2)[..., -1, :])
 
 
 @dataclass(frozen=True)

@@ -56,12 +56,15 @@ def _zero_context(dim: int) -> np.ndarray:
     return context
 
 
-def _check_weighting(weighting, nexcp_lambda) -> None:
-    """Refuse an unknown ``weighting`` or a ``nexcp_lambda`` outside (0, 1] with ``DataError``."""
+def _check_weighting(weighting, nexcp_lambda) -> float:
+    """``nexcp_lambda`` as a float; an unknown ``weighting`` or a ``nexcp_lambda``
+    outside (0, 1] raises ``DataError``."""
     if weighting not in ("uniform", "nexcp"):
         raise DataError(f"unknown weighting {weighting!r}; expected 'uniform' or 'nexcp'")
-    if not 0.0 < check_finite(nexcp_lambda, "nexcp_lambda") <= 1.0:
+    nexcp_lambda = check_finite(nexcp_lambda, "nexcp_lambda")
+    if not 0.0 < nexcp_lambda <= 1.0:
         raise DataError(f"nexcp_lambda must lie in (0, 1], got {nexcp_lambda}")
+    return nexcp_lambda
 
 
 class SplitConformal(BaseEstimator):
@@ -90,9 +93,10 @@ class SplitConformal(BaseEstimator):
 
         ``X`` may be ``None``; these baselines only use the residuals, but
         contexts are accepted so all estimators share one surface. An unknown
-        ``weighting`` or a ``nexcp_lambda`` outside (0, 1] raises ``DataError``.
+        ``weighting`` or a ``nexcp_lambda`` outside (0, 1] raises ``DataError``;
+        a numeric ``nexcp_lambda`` is kept as a float.
         """
-        _check_weighting(self.weighting, self.nexcp_lambda)
+        self.nexcp_lambda = _check_weighting(self.weighting, self.nexcp_lambda)
         y = check_vector(y, "y")
         if X is None:
             X = np.zeros((y.size, 1))
@@ -101,10 +105,13 @@ class SplitConformal(BaseEstimator):
         return self
 
     def set_params(self, **params) -> "SplitConformal":
-        """Set parameters; once fitted, settings ``fit`` refuses raise ``DataError``, unkept."""
+        """Set parameters; once fitted, settings ``fit`` refuses raise ``DataError``, unkept,
+        and a numeric ``nexcp_lambda`` is kept as a float."""
         if self.store_ is not None:
-            _check_weighting(params.get("weighting", self.weighting),
-                             params.get("nexcp_lambda", self.nexcp_lambda))
+            nexcp_lambda = _check_weighting(params.get("weighting", self.weighting),
+                                            params.get("nexcp_lambda", self.nexcp_lambda))
+            if "nexcp_lambda" in params:
+                params = {**params, "nexcp_lambda": nexcp_lambda}
         return super().set_params(**params)
 
     def weighted_support(self) -> WeightedSupport:

@@ -12,11 +12,25 @@ cosine score and puts temperature-softmax weights on exactly that support.
 ``retrieve_supports`` serves all M experts of a query at once, in plain
 numpy: an ``ExpertStack`` holds their weights stacked, so the M maps come
 from one batched matmul per layer, folded as ``[A | b]``. The store keeps
-its contexts, read through its descriptor, above a row of ones
-(``CalibrationStore.key_inputs``), so one GEMM keys it, bias included;
-``normalize_keys`` then scales the (M, n) scores, not the keys, by each
-key's inverse norm. Keys depend on the query's map, so they are
-recomputed for every query and never cached.
+its contexts, read through its descriptor, above a row of ones in blocks
+of ``KEY_PANEL`` columns (``CalibrationStore.key_panels``), so one GEMM per
+block keys them, bias included; ``normalize_keys`` then scales the scores,
+not the keys, by each key's inverse norm. Keys depend on the query's map,
+so they are recomputed for every query and never cached.
+
+On a store of at least ``_FILTER_MIN_ENTRIES`` entries, ``normalize_keys``
+first keys the store's float32 mirror (``CalibrationStore.key_mirror``,
+4 (p + 1) capacity bytes, with 8 capacity more for the column norms) and
+bounds each float32 score's distance from the entry's float64 score
+(``_candidates``). Only entries whose upper bound reaches an expert's k-th
+largest lower bound are keyed again and scored in float64, so each
+expert's top-k is exactly the float64 top-k over the whole store, ties
+included. Every entry is scored in float64 when the store is smaller (the
+filter then costs more than it saves), when some k reaches the store's
+size, or when float32 cannot hold the keys' range; that is the same code
+with every entry a candidate. The float64 GEMMs all have one shape, a
+``KEY_PANEL``-column block, so an entry's float64 score does not depend on
+which entries are scored beside it (``_scores``).
 """
 
 from __future__ import annotations
@@ -30,6 +44,10 @@ from rarecp import autodiff as ad
 from rarecp.autodiff import EPS_NORM
 from rarecp.data import CalibrationStore, descriptor_feature_dim
 from rarecp.errors import DataError, NumericError
+
+# A store below this size re-scores every entry in float64: the float32
+# filter then costs more than it saves
+_FILTER_MIN_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -162,28 +180,117 @@ class FixedAffineMap:
 # ---------------------------------------------------------------------------
 
 
-def normalize_keys(maps: np.ndarray, query_z: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Cosine scores of one query against every key input, under each of M maps.
+def _gamma(n: int, unit: float) -> float:
+    """Higham's gamma_n: the relative error bound of an n-term dot product."""
+    return n * unit / (1.0 - n * unit)
 
-    ``maps`` stacks M folded key maps ``[A | b]`` as (M, L, p + 1), and
-    ``columns`` is a (p + 1, n) block of key inputs whose last row is 1, so
-    one GEMM gives every key ``A x + b``. The query is keyed by the same
-    maps on ``[query_z; 1]`` and normalised; the keys are not: the (M, n)
-    scores ``q . k`` are scaled by each key's inverse norm instead. Raises
-    ``NumericError`` when a key's squared norm is not finite, so an
-    overflowing key never scores 0.
+
+def _candidates(
+    maps: np.ndarray, q: np.ndarray, store: CalibrationStore, ks: Sequence[int]
+) -> np.ndarray | None:
+    """Entries that can be in each expert's float64 top-k: an (M, n) mask in ring order.
+
+    Keys the store's float32 mirror and bounds each float32 score's distance
+    from the float64 score of the same entry. Entry i's exact key ``W x_i``
+    is within ``a = (gamma32_{p+4} + gamma64_{p+2}) |W|_F |x_i|`` of both its
+    float32 and its float64 key (the GEMMs, and the rounding of the map and
+    the column to float32), and the cosine score ``q . k / sqrt(|k|^2 + eps)``
+    moves by at most ``|q| a / r`` when its key moves that far through keys
+    whose ``sqrt(|k|^2 + eps)`` stays at least ``r``. ``r`` is the float32
+    key's such norm (after gamma32_{L+6} for its own rounding) less ``a``;
+    each score's own rounding adds 2.02 gamma_{L+4} in either precision. The
+    bound is capped at 3, the width of the cosine range with room to spare,
+    so an entry whose key may be near zero stays in. An entry is kept when
+    its upper bound reaches the k-th largest lower bound: at least k entries
+    outscore it otherwise, in any float64 evaluation.
+
+    Returns None, so that every entry is re-scored, when float32 cannot hold
+    the keys' range: a map norm below 2^-30 (whose underflow the bound does
+    not cover) or a key that may exceed 2^60 (whose square may overflow).
+    """
+    keys32, norms = store.key_mirror()
+    M, L, width = maps.shape
+    n = len(store)
+    omega = np.sqrt(np.einsum("mlj,mlj->m", maps, maps))
+    if not (omega.min() >= 2.0**-30 and omega.max() * norms.max() <= 2.0**60):
+        return None
+    u32, u64 = 2.0**-24, 2.0**-53
+    slack = 1.0 + 2.0**-16  # |q| <= 1 + 2^-50, and the bound's own float32 rounding
+    key_err = (_gamma(width + 3, u32) + _gamma(width + 1, u64)) * slack
+    score_err = 2.02 * (_gamma(L + 4, u32) + _gamma(L + 4, u64)) * slack + 2.0**-21
+    # every array below is (panels, M, panel width), laid out like the store's blocks
+    keys = np.matmul(maps.astype(np.float32).reshape(M * L, width), keys32)
+    keys = keys.reshape(len(keys32), M, L, -1)
+    norm = np.einsum("pmlb,pmlb->pmb", keys, keys)
+    norm += np.float32(EPS_NORM)
+    np.sqrt(norm, out=norm)
+    score = np.matmul(q.astype(np.float32)[:, None, :], keys)[:, :, 0]
+    score /= norm
+    a = (key_err * omega).astype(np.float32)[:, None] * norms.astype(np.float32)[:, None, :]
+    r = norm * np.float32(1.0 - _gamma(L + 6, u32)) - a
+    delta = a / np.maximum(r, a / 3.0, out=r)
+    delta += np.float32(score_err)
+    lower = score - delta
+    kth = [np.partition(lower[:, m].ravel()[:n], n - k)[n - k] for m, k in enumerate(ks)]
+    score += delta
+    keep = score >= np.array(kth, dtype=np.float32)[:, None]
+    return keep.transpose(1, 0, 2).reshape(M, -1)[:, :n]
+
+
+def _scores(maps: np.ndarray, q: np.ndarray, block: np.ndarray, c: int) -> np.ndarray:
+    """Float64 cosine scores (M, c) of the unit query keys ``q`` against ``block``'s first c keys.
+
+    ``block`` holds key-input columns as (panels, p + 1, panel width).
+    Keying it block by block gives every GEMM one shape, so an entry's bits
+    do not depend on which entries are keyed beside it. One GEMM over all of
+    them would not do: a BLAS rounds its edge columns differently from its
+    full-width ones, so two copies of a context could score apart.
     """
     M, L, width = maps.shape
-    keys = (maps.reshape(M * L, width) @ columns).reshape(M, L, columns.shape[1])
-    sq = np.einsum("mln,mln->mn", keys, keys)
+    keys = np.matmul(maps.reshape(M * L, width), block).reshape(len(block), M, L, -1)
+    sq = np.einsum("pmlb,pmlb->pmb", keys, keys)
+    if not np.all(np.isfinite(sq)):
+        raise NumericError("a retrieval key overflowed: its squared norm is not finite")
+    scores = np.matmul(q[:, None, :], keys)[:, :, 0]
+    scores *= 1.0 / np.sqrt(sq + EPS_NORM)
+    return scores.transpose(1, 0, 2).reshape(M, -1)[:, :c]
+
+
+def normalize_keys(
+    maps: np.ndarray, query_z: np.ndarray, store: CalibrationStore, ks: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine scores of one query under each of M maps, for the entries that can win.
+
+    ``maps`` stacks M folded key maps ``[A | b]`` as (M, L, p + 1), which key
+    the store's key inputs (whose last row is 1) as ``A x + b``; ``ks`` holds
+    each expert's k. Returns the chronological positions of the candidate
+    entries, ascending, and their (M, c) float64 scores ``q . k /
+    sqrt(|k|^2 + EPS_NORM)`` against the normalised query key ``q``. Every
+    entry is a candidate when the store holds fewer than
+    ``_FILTER_MIN_ENTRIES``, when some k reaches its size, or when the
+    float32 filter (``_candidates``) cannot bound the keys; otherwise only
+    the filter's union over the experts is scored in float64, and it
+    contains every expert's float64 top-k. Either way the scores come from
+    blocks of one shape (``_scores``), so an entry scores the same bits.
+    Raises ``NumericError`` when a scored key's squared norm is not finite;
+    such a key is beyond the filter's range, so every entry is scored and
+    an overflowing key never scores 0.
+    """
+    n = len(store)
     q = maps @ np.append(query_z, 1.0)
     q_sq = np.einsum("ml,ml->m", q, q)
-    if not (np.all(np.isfinite(sq)) and np.all(np.isfinite(q_sq))):
+    if not np.all(np.isfinite(q_sq)):
         raise NumericError("a retrieval key overflowed: its squared norm is not finite")
     q *= (1.0 / np.sqrt(q_sq + EPS_NORM))[:, None]
-    scores = np.matmul(q[:, None, :], keys)[:, 0]
-    scores *= 1.0 / np.sqrt(sq + EPS_NORM)
-    return scores
+    mask = None
+    if n >= _FILTER_MIN_ENTRIES and max(ks) < n:
+        mask = _candidates(maps, q, store, ks)
+    if mask is None:  # every entry, keyed in the store's own blocks
+        return np.arange(n), store.chronological(_scores(maps, q, store.key_panels(), n))
+    # ring position j holds chronological entry (j - oldest) % n
+    positions = np.sort((np.flatnonzero(mask.any(axis=0)) - store.oldest) % n)
+    block = store.key_panels((positions + store.oldest) % n)
+    return positions, _scores(maps, q, block, positions.size)
 
 
 def topk_retrieve(scores: np.ndarray, k: int) -> np.ndarray:
@@ -305,22 +412,21 @@ def retrieve_supports(
     """Every expert's top-k weighted support for one query, from one key pass.
 
     ``query_z`` and ``feats`` are the query as the encoders read it and the
-    descriptor features, as ``store.query`` gives them. The M
-    folded maps key the store's ring-order key inputs in one GEMM
-    (``normalize_keys``). Only the (M, n) scores are put in chronological
-    order, so ties still go to the older entry.
+    descriptor features, as ``store.query`` gives them. The M folded maps
+    score the entries that can win (``normalize_keys``), oldest first, so
+    ties still go to the older entry.
     """
     if len(store) == 0:
         raise DataError("cannot retrieve from an empty calibration store")
     if not np.all(np.isfinite(query_z)):
         raise NumericError("the z-scored query is not finite")
     maps = experts.maps(query_z, feats)
-    scores = store.chronological(normalize_keys(maps, query_z, store.key_inputs()))
+    positions, scores = normalize_keys(maps, query_z, store, [e.config.top_k for e in experts])
     residuals = store.residuals()
     results = []
     for expert, expert_scores in zip(experts, scores):
-        sel = topk_retrieve(expert_scores, expert.config.top_k)
-        top = expert_scores[sel]
+        pick = topk_retrieve(expert_scores, expert.config.top_k)
+        sel, top = positions[pick], expert_scores[pick]
         results.append(
             RetrievalResult(
                 support_indices=sel,

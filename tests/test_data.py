@@ -396,6 +396,72 @@ class TestKeyInputs:
             store.condition(compute_descriptor(np.zeros((4, 3))))
 
 
+def check_key_mirror(store):
+    """The store's float32 mirror equals its key inputs rounded, and its norms fresh ones."""
+    keys32, norms = store.key_mirror()
+    assert not keys32.flags.writeable and not norms.flags.writeable
+    n, width = len(store), store.context_dim + 1
+    columns = store.key_inputs()
+    mirror = keys32.transpose(1, 0, 2).reshape(width, -1)[:, :n]
+    assert mirror.tobytes() == columns.astype(np.float32).tobytes()
+    fresh = CalibrationStore.from_arrays(store.contexts(), store.residuals())
+    fresh.condition(store.descriptor, store.normalize)
+    norms = norms.reshape(-1)[:n]
+    assert store.chronological(norms).tobytes() == fresh.key_mirror()[1].reshape(-1)[:n].tobytes()
+    np.testing.assert_allclose(norms, np.linalg.norm(columns, axis=0), rtol=1e-15)
+
+
+class TestKeyMirror:
+    @given(
+        capacity=st.integers(1, 150), n_seed=st.integers(1, 150), n_appends=st.integers(0, 320),
+        first_request=st.integers(0, 320), recondition_at=st.integers(0, 320),
+        normalize=st.booleans(), seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kept_by_appends_and_rebuilt_by_condition(
+        self, capacity, n_seed, n_appends, first_request, recondition_at, normalize, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n_seed + n_appends, 3)) * 10.0 ** rng.uniform(-30, 30, 3)
+        store = CalibrationStore.from_arrays(X[:n_seed], np.zeros(n_seed), capacity)
+        store.condition(compute_descriptor(X[:n_seed]), normalize)
+        for t in range(n_seed, n_seed + n_appends + 1):
+            if t > n_seed:  # past capacity appends, the ring wraps
+                store.append(CalibrationEntry(X[t - 1], 0.0, t - 1))
+            if t - n_seed == recondition_at:
+                store.condition(compute_descriptor(2.0 * X[:t] + 1.0), not normalize)
+            if t - n_seed >= first_request:
+                check_key_mirror(store)
+
+    def test_seeded_store_mirrors_its_key_inputs(self, small_trained):
+        from rarecp.estimators import RareCP
+
+        store = small_trained["store"]
+        est = RareCP.from_components(small_trained["components"]).set_params(capacity=100)
+        est.seed_store(store.contexts(), store.residuals())
+        check_key_mirror(est.store_)
+        for t, x in enumerate(store.contexts()[:150]):  # wraps the 100-entry ring
+            est.observe(x, 0.5)
+        check_key_mirror(est.store_)
+
+    def test_a_value_beyond_float32_mirrors_as_an_infinity(self):
+        X = np.array([[1.0, 2.0], [1e300, -1e300]])
+        store = CalibrationStore.from_arrays(X, np.zeros(2), capacity=3)
+        store.condition(compute_descriptor(np.zeros((2, 2))), normalize=False)
+        keys32, norms = store.key_mirror()
+        np.testing.assert_array_equal(keys32[0, :, :2], [[1.0, np.inf], [2.0, -np.inf], [1.0, 1.0]])
+        assert norms[0, 0] == np.sqrt(6.0) and norms[0, 1] == np.inf
+        store.append(CalibrationEntry(np.array([-1e300, 0.0]), 0.0, 5))
+        assert store.key_mirror()[0][0, 0, 2] == -np.inf
+
+    def test_read_only(self):
+        store = CalibrationStore.from_arrays(np.zeros((4, 2)), np.zeros(4))
+        store.condition(compute_descriptor(np.zeros((4, 2))))
+        for view in store.key_mirror():
+            with pytest.raises(ValueError):
+                view[0] = 1.0
+
+
 class TestForecastSources:
     def test_naive(self):
         assert NaiveForecast().point_forecast(np.array([1.0, 7.5]), 2) == 7.5

@@ -122,6 +122,27 @@ class TestRareCP:
             with pytest.raises(DataError, match="expected 7"):
                 est.weighted_support(x)
 
+    @pytest.mark.parametrize("capacity", [120, 1500])
+    def test_a_query_keys_the_store_once_and_ranks_each_expert_once(
+        self, fitted, tmp_path, monkeypatch, capacity
+    ):
+        """The benchmark's tracer attributes retrieval through these two module globals."""
+        from rarecp import experts
+
+        est, X, y = fitted
+        est.save(tmp_path / "model.json")
+        served = RareCP.from_checkpoint(tmp_path / "model.json").set_params(capacity=capacity)
+        rows = np.random.default_rng(2).standard_normal((capacity, X.shape[1]))
+        served.seed_store(rows, np.resize(y, capacity))
+        calls = {"normalize_keys": 0, "topk_retrieve": 0}
+        for name in calls:
+            def counted(*args, _name=name, _call=getattr(experts, name)):
+                calls[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(experts, name, counted)
+        served.predict_interval(X[0], forecast=0.0)
+        assert calls == {"normalize_keys": 1, "topk_retrieve": est.n_experts}
+
     def test_overflowing_query_raises(self, fitted):
         # the query keys' squared norms overflow; the interval must not be
         # built from all-zero keys, i.e. from the k oldest entries
@@ -253,6 +274,27 @@ class TestBadSettings:
         assert (est.weighting, est.nexcp_lambda) == ("uniform", 0.99)
         est.set_params(weighting="nexcp", nexcp_lambda=0.5)
         assert (est.weighting, est.nexcp_lambda) == ("nexcp", 0.5)
+
+    def test_split_conformal_serves_a_numeric_string_nexcp_lambda_as_its_float(self):
+        """A fitted "0.5" raised a bare TypeError from ``baseline_interval`` when it served."""
+        y = np.arange(10.0)
+
+        def bounds(est):
+            interval = est.predict_interval(0.0)
+            return interval.lower, interval.upper
+
+        def nexcp(nexcp_lambda):
+            return SplitConformal(weighting="nexcp", nexcp_lambda=nexcp_lambda).fit(None, y)
+
+        est = nexcp("0.5")
+        assert bounds(est) == bounds(nexcp(0.5))
+        est.set_params(nexcp_lambda="0.25")
+        assert type(est.nexcp_lambda) is float
+        assert bounds(est) == bounds(nexcp(0.25))
+        with pytest.raises(DataError, match="nexcp_lambda"):
+            est.set_params(nexcp_lambda="half")
+        with pytest.raises(DataError, match="nexcp_lambda"):
+            SplitConformal(weighting="nexcp", nexcp_lambda="half").fit(None, y)
 
     def test_split_conformal_zero_capacity_rejected(self):
         with pytest.raises(DataError, match="capacity"):

@@ -1,14 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rarecp import experts
 from rarecp.autodiff import EPS_NORM
 from rarecp.checkpoint import load_checkpoint, save_checkpoint
 from rarecp.conformal import WeightedSupport, build_interval
 from rarecp.data import (
     CalibrationEntry,
     CalibrationStore,
+    DatasetDescriptor,
     compute_descriptor,
     descriptor_features,
     normalize_context,
@@ -64,16 +68,26 @@ def fold(A, b):
     return np.concatenate([A, b[:, None]], axis=1)[None]
 
 
-def with_ones(columns):
-    """A (p, n) block of key inputs with the store's constant row of ones below it."""
-    return np.vstack([columns, np.ones(columns.shape[1])])
+def keyed_store(columns):
+    """A store whose key inputs are the (p, n) ``columns``, oldest first, above a row of ones."""
+    p, n = columns.shape
+    store = CalibrationStore.from_arrays(columns.T, np.zeros(n))
+    store.condition(DatasetDescriptor(0, np.zeros(p), np.ones(p), 0.0), normalize=False)
+    return store
+
+
+def all_scores(maps, query, columns):
+    """Every column's float64 scores under each of the M ``maps``: (M, n), in column order."""
+    n = columns.shape[1]
+    positions, scores = normalize_keys(maps, query, keyed_store(columns), [n] * len(maps))
+    np.testing.assert_array_equal(positions, np.arange(n))
+    return scores
 
 
 class TestNormalizeKey:
     def test_identity_map_normalizes(self):
         # the query's key (3, 4) normalises to (0.6, 0.8): its scores against e1 and e2
-        scores = normalize_keys(fold(np.eye(2), np.zeros(2)), np.array([3.0, 4.0]),
-                                with_ones(np.eye(2)))[0]
+        scores = all_scores(fold(np.eye(2), np.zeros(2)), np.array([3.0, 4.0]), np.eye(2))[0]
         np.testing.assert_allclose(scores, [0.6, 0.8], atol=1e-9)
 
     def test_unit_norm_and_sphere_identity(self):
@@ -82,9 +96,9 @@ class TestNormalizeKey:
         b = rng.standard_normal(4)
         for _ in range(50):
             x, y = rng.standard_normal(6), rng.standard_normal(6)
-            columns = with_ones(np.column_stack([x, y]))
-            uu, uv = normalize_keys(fold(A, b), x, columns)[0]
-            vu, vv = normalize_keys(fold(A, b), y, columns)[0]
+            columns = np.column_stack([x, y])
+            uu, uv = all_scores(fold(A, b), x, columns)[0]
+            vu, vv = all_scores(fold(A, b), y, columns)[0]
             assert abs(np.sqrt(uu) - 1.0) < 1e-9 and abs(np.sqrt(vv) - 1.0) < 1e-9
             lhs = uu + vv - 2.0 * uv  # |u - v|^2
             rhs = 2.0 - 2.0 * vu
@@ -95,16 +109,16 @@ class TestNormalizeKey:
         A = rng.standard_normal((3, 5))
         b = rng.standard_normal(3)
         query = rng.standard_normal(5)
-        x = with_ones(rng.standard_normal((5, 1)))
-        u1 = normalize_keys(fold(A, b), query, x)[0]
-        u2 = normalize_keys(fold(5.0 * A, 5.0 * b), query, x)[0]
+        x = rng.standard_normal((5, 1))
+        u1 = all_scores(fold(A, b), query, x)[0]
+        u2 = all_scores(fold(5.0 * A, 5.0 * b), query, x)[0]
         np.testing.assert_allclose(u1, u2, atol=1e-12)
 
     def test_stacked_scores_are_unit_key_products(self):
         rng = np.random.default_rng(2)
         maps = rng.standard_normal((3, 4, 7))
         query, X = rng.standard_normal(6), rng.standard_normal((6, 50))
-        scores = normalize_keys(maps, query, with_ones(X))
+        scores = all_scores(maps, query, X)
         for m, (A, b) in enumerate(zip(maps[..., :-1], maps[..., -1])):
             keys = A @ X + b[:, None]
             keys /= np.sqrt(np.sum(keys**2, axis=0) + EPS_NORM)
@@ -115,9 +129,9 @@ class TestNormalizeKey:
     def test_overflowing_key_raises(self):
         maps = fold(np.eye(2), np.zeros(2))
         with pytest.raises(NumericError):
-            normalize_keys(maps, np.ones(2), with_ones(np.array([[1e200], [0.0]])))
+            all_scores(maps, np.ones(2), np.array([[1e200], [0.0]]))
         with pytest.raises(NumericError):
-            normalize_keys(maps, np.array([1e200, 0.0]), with_ones(np.eye(2)))
+            all_scores(maps, np.array([1e200, 0.0]), np.eye(2))
 
     def test_duplicate_contexts_score_bitwise_equal_anywhere_in_the_ring(self):
         # a context stored at ring positions 0, 699, 700, 1001 and 1499 (the
@@ -144,6 +158,109 @@ class TestNormalizeKey:
                                       descriptor_features(descriptor))
         np.testing.assert_array_equal(result.support_indices, positions)
         assert np.unique(result.scores.view(np.uint64)).size == 1
+
+
+def filtered_and_full(maps, query, store, ks):
+    """``normalize_keys`` with its float32 filter on whatever the store's size, and with it off."""
+    with mock.patch.object(experts, "_FILTER_MIN_ENTRIES", 1):
+        filtered = normalize_keys(maps, query, store, ks)
+    with mock.patch.object(experts, "_FILTER_MIN_ENTRIES", len(store) + 1):
+        full = normalize_keys(maps, query, store, ks)
+    return filtered, full
+
+
+@st.composite
+def filter_cases(draw):
+    """A ring-wrapped store, maps and a query, with ties, zeros or scales that stress the bound."""
+    n, p, L, M = (draw(st.integers(1, hi)) for hi in (160, 40, 33, 3))
+    ks = draw(st.lists(st.integers(1, n + 2), min_size=M, max_size=M))
+    appended = draw(st.integers(0, 2 * n))
+    kind = draw(st.sampled_from(["plain", "duplicates", "near-ties", "zero-keys", "signed-zeros"]))
+    # maps at 1e40 or 1e-40, and keys of 1e25 columns, leave float32's range;
+    # keys of 1e-30 columns all lie near the maps' bias, so they nearly tie
+    map_scale = draw(st.sampled_from([1.0, 1e-12, 1e12, 1e40, 1e-40]))
+    column_scale = draw(st.sampled_from([1.0, 1e-30, 1e25]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n + appended, p))
+    maps = rng.standard_normal((M, L, p + 1))
+    query = rng.standard_normal(p)
+    rows = rng.choice(n + appended, size=max(2, (n + appended) // 3))
+    if kind == "duplicates":  # exact ties, at the top when the query is the copied context
+        X[rows] = query
+    elif kind == "near-ties":  # apart in float64, not in float32
+        X[rows] = query + 1e-12 * rng.standard_normal((rows.size, p))
+    elif kind == "zero-keys":  # keys of norm 0 or about 1e-9
+        maps[..., -1] = -maps[..., :-1] @ X[rows[0]]
+        noise = 1e-9 * rng.standard_normal((rows.size, p))
+        X[rows] = X[rows[0]] + noise * (rng.random(rows.size) < 0.5)[:, None]
+    elif kind == "signed-zeros":
+        for a in (X, maps, query):
+            a[rng.random(a.shape) < 0.3] = -0.0
+            a[rng.random(a.shape) < 0.1] = 0.0
+    return X * column_scale, n, maps * map_scale, query * column_scale, ks
+
+
+class TestCandidateFilter:
+    @given(filter_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_selects_exactly_the_float64_top_k(self, case):
+        X, n, maps, query, ks = case
+        store = keyed_store(X[:n].T)
+        if X.shape[0] > n:
+            store.key_mirror()  # kept by the appends that wrap the ring
+        for t in range(n, X.shape[0]):
+            store.append(CalibrationEntry(X[t], 0.0, t))
+        (positions, scores), (every, full) = filtered_and_full(maps, query, store, ks)
+        assert every.tolist() == list(range(n))
+        assert np.all(np.diff(positions) > 0)
+        assert scores.tobytes() == np.ascontiguousarray(full[:, positions]).tobytes()
+        for m, k in enumerate(ks):
+            oracle = np.lexsort((np.arange(n), -full[m]))[:k]
+            np.testing.assert_array_equal(positions[topk_retrieve(scores[m], k)], oracle)
+
+    @pytest.mark.parametrize("where", ["map", "column"])
+    def test_a_float64_overflow_still_raises(self, where):
+        rng = np.random.default_rng(9)
+        X, maps = rng.standard_normal((1500, 4)), rng.standard_normal((2, 3, 5))
+        if where == "map":
+            maps[1] *= 1e200
+        else:
+            X[700] = 1e200
+        store = keyed_store(X.T)
+        for threshold in (1, 10**6):
+            with mock.patch.object(experts, "_FILTER_MIN_ENTRIES", threshold):
+                with pytest.raises(NumericError):
+                    normalize_keys(maps, rng.standard_normal(4), store, [5, 5])
+
+    def test_keeps_about_k_candidates_on_a_bench_sized_store(self, monkeypatch):
+        """Loosening the bound until every entry is re-scored would give the speed back."""
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        from rarecp import RareCP
+        from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
+
+        window, fit_n, store_n, steps = 64, 128, 4096, 100
+        cfg = two_regime_config(block_length=100, n_blocks=45)
+        series, _ = synth_regime_series(cfg, seed=7)
+        clean = clean_component(cfg)
+        X = np.column_stack([sliding_window_view(series.values, window)[:-1], clean[window:]])
+        forecast, y = clean[window:], series.values[window:]
+        est = RareCP(epochs=1, teacher_epochs=1).fit(X[:fit_n], (y - forecast)[:fit_n])
+        rows = slice(fit_n, fit_n + store_n)
+        est.set_params(capacity=store_n).seed_store(X[rows], (y - forecast)[rows])
+        counts = []
+
+        def counted(*args, _candidates=experts._candidates):
+            mask = _candidates(*args)
+            counts.append(mask.sum(axis=1))
+            return mask
+
+        monkeypatch.setattr(experts, "_candidates", counted)
+        for t in range(fit_n + store_n, fit_n + store_n + steps):
+            est.predict_interval(X[t], forecast[t])
+            est.observe(X[t], y[t] - forecast[t])
+        assert len(counts) == steps
+        assert np.all(np.median(counts, axis=0) <= 2 * est.top_k)
 
 
 class TestTopkRetrieve:

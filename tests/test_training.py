@@ -20,6 +20,7 @@ from rarecp.conformal import WeightedSupport, weighted_quantile, winkler_score
 from rarecp.data import (
     CalibrationEntry,
     CalibrationStore,
+    DatasetDescriptor,
     compute_descriptor,
     descriptor_features,
     encoder_inputs,
@@ -732,8 +733,11 @@ class TestBatchedEquivalence:
             query_z, feats = store.query(store.contexts()[j])
             A, b = encoder.emit(query_z, feats)
             maps = np.concatenate([A, b[:, None]], axis=1)[None]
-            columns = store.key_inputs()[:, cand]
-            scores = normalize_keys(maps, query_z, columns)[0]
+            keyed = CalibrationStore.from_arrays(store.key_inputs()[:-1, cand].T, np.zeros(13))
+            keyed.condition(DatasetDescriptor(0, np.zeros(5), np.ones(5), 0.0), normalize=False)
+            positions, scores = normalize_keys(maps, query_z, keyed, [13])
+            assert positions.tolist() == list(range(13))
+            scores = scores[0]
             naive_sel = cand[topk_retrieve(scores, k)]
             naive_weights = ad.softmax_rows(
                 scores[topk_retrieve(scores, k)][None], temperature
