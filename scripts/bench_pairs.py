@@ -8,8 +8,16 @@ other, parent first in even pairs and the change first in odd ones, so a
 slow phase of the machine falls on both sides. For every end-to-end metric
 in the change's ``BENCHMARK.json`` it prints the per-pair values, each
 side's median and quartiles, and the pairs the change won in the metric's
-``better`` direction. It refuses to summarise, with exit code 1, when any
-run fails or reports ``correct: false``.
+``better`` direction, then two verdicts:
+
+- ``claim``: met when the change won at least 9 in 10 of the pairs (a tie
+  counts for neither side) and its median is better than the parent's by
+  more than the parent's interquartile range;
+- ``bound``: within when the change's median is worse than the parent's
+  by no more than the metric's ``bound``, a fraction of the parent's median.
+
+It refuses to summarise, with exit code 1, when any run fails or reports
+``correct: false``.
 
 Only the standard library is used, and nothing is written into either
 checkout: runs write no bytecode, and the ``.bench_out`` directory a run
@@ -21,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -50,6 +59,27 @@ def require_correct(i: int, pair: tuple[dict, dict]) -> None:
                              f"({result.get('failed')} of {result.get('attempted')} failed)")
 
 
+def claim_verdict(rows: list[tuple[float, float]], lower: bool) -> str:
+    """Whether the change meets the claim rule over (parent, change) pairs."""
+    won = sum((c < p) if lower else (c > p) for p, c in rows)
+    q1, q3 = quartiles([p for p, _ in rows])
+    gain = statistics.median([p for p, _ in rows]) - statistics.median([c for _, c in rows])
+    gain = gain if lower else -gain
+    met = 10 * won >= 9 * len(rows) and gain > q3 - q1
+    return (f"claim {'met' if met else 'not met'}: won {won} of {len(rows)}, "
+            f"median better by {gain:.6g} against the parent's IQR {q3 - q1:.6g}")
+
+
+def bound_verdict(rows: list[tuple[float, float]], lower: bool, bound: float) -> str:
+    """Whether the change's median is worse than the parent's by at most ``bound`` of it."""
+    parent = statistics.median([p for p, _ in rows])
+    change = statistics.median([c for _, c in rows])
+    delta = change - parent if lower else parent - change
+    worse = delta / abs(parent) if parent else (math.inf if delta > 0 else 0.0)
+    return (f"bound {'within' if worse <= bound else 'beyond'}: median {100 * abs(worse):.1f}% "
+            f"{'worse' if worse >= 0 else 'better'}, against a bound of {100 * bound:g}%")
+
+
 def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> str:
     """A table per metric of (parent, change) results; ``ValueError`` if a run is not correct."""
     for i, pair in enumerate(pairs):
@@ -70,6 +100,8 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> str:
             q1, q3 = quartiles(values)
             out.append(f"  {label}: median {statistics.median(values):.6g} "
                        f"[q1 {q1:.6g}, q3 {q3:.6g}, IQR {q3 - q1:.3g}]")
+        out.append(f"  {claim_verdict(rows, lower)}")
+        out.append(f"  {bound_verdict(rows, lower, spec['bound'])}")
     return "\n".join(out)
 
 

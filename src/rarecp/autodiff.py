@@ -472,36 +472,31 @@ def _chunks(n: int, size: int) -> list[slice]:
     return [slice(j, k) for j, k in zip(starts, starts[1:] + [n])]
 
 
-def loo_select(scores: np.ndarray, top_k: int, first: int = 0) -> np.ndarray:
-    """Leave-one-out top-k columns of each row of an (n, B) score block.
+def topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """The k largest columns of each row of an (n, B) score block, largest first.
 
-    Row i is episode ``first + i``: its own column is masked (in place, to
-    -inf) and the ``min(top_k, B - 1)`` largest scores kept, largest first,
-    ties to the smaller column, exactly as ``np.argsort(-scores,
-    kind="stable")[:, :k]``. For k up to B/4 a partition finds each row's
-    k-th largest score, every column above it is kept and the leftmost
-    columns tied with it fill the remaining places, so only the k winners
-    are sorted; a wider selection (a dense teacher's) sorts whole rows,
-    which is then faster. The selection is a constant of the forward pass.
+    Ties go to the smaller column, exactly as ``np.argsort(-scores,
+    kind="stable")[:, :k]``; a k beyond B keeps every column. For k up to
+    B/4 a partition finds each row's k-th largest score, every column above
+    it is kept and the leftmost columns tied with it fill the remaining
+    places, so only the k winners are sorted; a wider selection (a dense
+    teacher's, or a small store's) sorts whole rows, which is then faster.
+    Leave-one-out callers mask each episode's own column to -inf first. The
+    selection is a constant of the forward pass.
     """
     n, B = scores.shape
-    rows = np.arange(n)
-    scores[rows, first + rows] = -np.inf
-    k = min(int(top_k), B - 1)
+    k = min(int(k), B)
     neg = np.negative(scores)
-    if 4 * k > B:
-        return np.argsort(neg, axis=1, kind="stable")[:, :k]
-    if k < 1:
-        return np.empty((n, 0), dtype=np.int64)
-    kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
-    if np.isnan(kth).any():  # NaN sorts last; leave such rows to the full sort
-        return np.argsort(neg, axis=1, kind="stable")[:, :k]
-    above = neg < kth
-    tied = neg == kth
-    tied &= np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)
-    cols = np.nonzero(above | tied)[1].reshape(n, k)
-    order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
+    if 0 < 4 * k <= B:
+        kth = np.partition(neg, k - 1, axis=1)[:, k - 1 : k]
+        if not np.isnan(kth).any():  # NaN sorts last; leave such rows to the full sort
+            above = neg < kth
+            tied = neg == kth
+            tied &= np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)
+            cols = np.nonzero(above | tied)[1].reshape(n, k)
+            order = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
+            return np.take_along_axis(cols, order, axis=1)
+    return np.argsort(neg, axis=1, kind="stable")[:, :k]
 
 
 def loo_retrieval_scores(maps, contexts_t, top_k: int) -> tuple[np.ndarray, Tensor]:
@@ -511,9 +506,9 @@ def loo_retrieval_scores(maps, contexts_t, top_k: int) -> tuple[np.ndarray, Tens
     ``contexts_t`` the constant (p, B) block whose column j is episode j's
     query and whose other columns are its candidates. Episode j keys every
     column with its own map, ``A_j @ contexts_t + b_j``, normalises each key
-    as ``l2_normalize`` does and scores it against its own query key; then
-    ``loo_select`` picks its top-k candidates. Returns ``sel`` (B, k) and the
-    (B, k) selected cosine scores.
+    as ``l2_normalize`` does and scores it against its own query key; then,
+    its own column masked, ``topk_rows`` picks its top-k candidates. Returns
+    ``sel`` (B, k) and the (B, k) selected cosine scores.
 
     Episodes are keyed, selected and differentiated ``_CHUNK`` at a time.
     Only when the scores are recorded on a tape are the selected and query
@@ -529,8 +524,11 @@ def loo_retrieval_scores(maps, contexts_t, top_k: int) -> tuple[np.ndarray, Tens
     L = D // (p + 1)
     if t_maps.data.shape != (L * (p + 1), B):
         raise ValueError(f"loo_retrieval_scores: maps {t_maps.data.shape} do not fit {C.shape}")
-    A_rows = t_maps.data[: L * p].T  # episode j's map A_j, row-major, is row j
+    A_maps = t_maps.data[: L * p]  # row l p + i of column j is episode j's A_j[l, i]
     bias = t_maps.data[L * p :].T[:, :, None]
+    chunks = _chunks(B, _CHUNK)
+    # one reused episode-major buffer of a block's maps, filled a latent row at a time
+    A_block = np.empty((max(c.stop - c.start for c in chunks), L, p))
     k = min(int(top_k), B - 1)
     sel = np.empty((B, k), dtype=np.int64)
     selected = np.empty((B, k))
@@ -540,15 +538,18 @@ def loo_retrieval_scores(maps, contexts_t, top_k: int) -> tuple[np.ndarray, Tens
         cols = np.empty((B, k + 1), dtype=np.int64)
         kept = np.empty((B, k + 1, L))
         kept_inv = np.empty((B, k + 1, 1))
-    for c in _chunks(B, _CHUNK):
+    for c in chunks:
         n = c.stop - c.start
         rows, own = np.arange(n), np.arange(c.start, c.stop)
-        keys = (A_rows[c].reshape(n * L, p) @ C).reshape(n, L, B)
+        for l in range(L):
+            A_block[:n, l] = A_maps[l * p : (l + 1) * p, c].T
+        keys = (A_block[:n].reshape(n * L, p) @ C).reshape(n, L, B)
         keys += bias[c]
         inv = 1.0 / np.sqrt(np.einsum("jdi,jdi->ji", keys, keys) + EPS_NORM)
         keys *= inv[:, None, :]  # unit keys from here on
         scores = np.einsum("jd,jdi->ji", keys[rows, :, own], keys)
-        sel[c] = loo_select(scores, top_k, c.start)
+        scores[rows, own] = -np.inf
+        sel[c] = topk_rows(scores, k)
         selected[c] = np.take_along_axis(scores, sel[c], axis=1)
         if recording:
             cols[c, 0], cols[c, 1:] = own, sel[c]
@@ -718,15 +719,20 @@ def gather_rows(x, indices) -> Tensor:
     return _finish(tx.data[rows, idx], (tx,), vjp)
 
 
-def softmax_rows(x, temperature: float) -> Tensor:
-    """Row-wise softmax of ``x / temperature`` with max-subtraction."""
+def softmax(x: np.ndarray, temperature: float) -> np.ndarray:
+    """Row-wise softmax of the plain array ``x / temperature``, with max-subtraction."""
     if temperature <= 0.0:
         raise ValueError("softmax temperature must be positive")
-    tx = as_tensor(x)
-    z = tx.data / temperature
+    z = x / temperature
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def softmax_rows(x, temperature: float) -> Tensor:
+    """``softmax`` of a tensor's rows, recorded on the tape."""
+    tx = as_tensor(x)
+    y = softmax(tx.data, temperature)
 
     def vjp(g):
         dots = np.einsum("ji,ji->j", g, y)

@@ -11,7 +11,10 @@ cosine score and puts temperature-softmax weights on exactly that support.
 
 ``retrieve_supports`` serves all M experts of a query at once, in plain
 numpy: an ``ExpertStack`` holds their weights stacked, so the M maps come
-from one batched matmul per layer, folded as ``[A | b]``. The store keeps
+from one batched matmul per layer, folded as ``[A | b]``. One row top-k
+ranks the (M, c) scores and one row softmax weighs the picks: the
+``autodiff.topk_rows`` and ``autodiff.softmax`` that training's
+leave-one-out episodes use. The store keeps
 its contexts, read through its descriptor, above a row of ones in blocks
 of ``KEY_PANEL`` columns (``CalibrationStore.key_panels``), so one GEMM per
 block keys them, bias included; ``normalize_keys`` then scales the scores,
@@ -186,7 +189,7 @@ def _gamma(n: int, unit: float) -> float:
 
 
 def _candidates(
-    maps: np.ndarray, q: np.ndarray, store: CalibrationStore, ks: Sequence[int]
+    maps: np.ndarray, q: np.ndarray, store: CalibrationStore, k: int
 ) -> np.ndarray | None:
     """Entries that can be in each expert's float64 top-k: an (M, n) mask in ring order.
 
@@ -231,9 +234,9 @@ def _candidates(
     delta = a / np.maximum(r, a / 3.0, out=r)
     delta += np.float32(score_err)
     lower = score - delta
-    kth = [np.partition(lower[:, m].ravel()[:n], n - k)[n - k] for m, k in enumerate(ks)]
+    kth = np.partition(lower.transpose(1, 0, 2).reshape(M, -1)[:, :n], n - k, axis=1)[:, n - k]
     score += delta
-    keep = score >= np.array(kth, dtype=np.float32)[:, None]
+    keep = score >= kth[:, None]
     return keep.transpose(1, 0, 2).reshape(M, -1)[:, :n]
 
 
@@ -257,17 +260,17 @@ def _scores(maps: np.ndarray, q: np.ndarray, block: np.ndarray, c: int) -> np.nd
 
 
 def normalize_keys(
-    maps: np.ndarray, query_z: np.ndarray, store: CalibrationStore, ks: Sequence[int]
+    maps: np.ndarray, query_z: np.ndarray, store: CalibrationStore, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cosine scores of one query under each of M maps, for the entries that can win.
 
     ``maps`` stacks M folded key maps ``[A | b]`` as (M, L, p + 1), which key
-    the store's key inputs (whose last row is 1) as ``A x + b``; ``ks`` holds
-    each expert's k. Returns the chronological positions of the candidate
+    the store's key inputs (whose last row is 1) as ``A x + b``; each expert
+    keeps the top ``k``. Returns the chronological positions of the candidate
     entries, ascending, and their (M, c) float64 scores ``q . k /
     sqrt(|k|^2 + EPS_NORM)`` against the normalised query key ``q``. Every
     entry is a candidate when the store holds fewer than
-    ``_FILTER_MIN_ENTRIES``, when some k reaches its size, or when the
+    ``_FILTER_MIN_ENTRIES``, when k reaches its size, or when the
     float32 filter (``_candidates``) cannot bound the keys; otherwise only
     the filter's union over the experts is scored in float64, and it
     contains every expert's float64 top-k. Either way the scores come from
@@ -283,8 +286,8 @@ def normalize_keys(
         raise NumericError("a retrieval key overflowed: its squared norm is not finite")
     q *= (1.0 / np.sqrt(q_sq + EPS_NORM))[:, None]
     mask = None
-    if n >= _FILTER_MIN_ENTRIES and max(ks) < n:
-        mask = _candidates(maps, q, store, ks)
+    if n >= _FILTER_MIN_ENTRIES and k < n:
+        mask = _candidates(maps, q, store, k)
     if mask is None:  # every entry, keyed in the store's own blocks
         return np.arange(n), store.chronological(_scores(maps, q, store.key_panels(), n))
     # ring position j holds chronological entry (j - oldest) % n
@@ -293,45 +296,8 @@ def normalize_keys(
     return positions, _scores(maps, q, block, positions.size)
 
 
-def topk_retrieve(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, largest first; ties go to the smaller index.
-
-    Exactly ``np.lexsort((np.arange(n), -scores))[:k]`` in O(n + k log k):
-    ``argpartition`` finds the k-th largest score, every index scoring above
-    it is kept, the smallest indices tied with it fill the remaining places,
-    and only the k winners are sorted. If fewer than k scores exist, all
-    indices are returned. The selection is a constant of the forward pass —
-    gradients never flow through it.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.size
-    k = min(int(k), n)
-    if 0 < k < n:
-        top = np.argpartition(scores, n - k)[n - k :]
-        kth = scores[top[0]]
-        above = top[scores[top] > kth]
-        tied = np.flatnonzero(scores == kth)[: k - above.size]
-        top = np.concatenate((above, tied))
-    else:
-        top = np.arange(k)
-    return top[np.lexsort((top, -scores[top]))]
-
-
-def support_weights(scores: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature softmax of one score row, as ``autodiff.softmax_rows`` computes it."""
-    z = np.asarray(scores, dtype=np.float64) / temperature
-    e = np.exp(z - z.max())
-    return e / e.sum()
-
-
-@dataclass
-class RetrievalResult:
-    """Sparse support for one (expert, query) pair."""
-
-    support_indices: np.ndarray
-    scores: np.ndarray
-    weights: np.ndarray
-    residuals: np.ndarray
+# serving ranks with training's row top-k; tracers patch it under this name
+topk_retrieve = ad.topk_rows
 
 
 @dataclass
@@ -350,11 +316,16 @@ class ExpertStack(Sequence):
     and (M, out) biases. For fixed-affine experts ``layers`` is empty and
     ``flat`` holds each expert's map ``[A.ravel(), b]`` as one row, in the
     layout a hypernetwork emits. The experts' weights are views of these
-    arrays. Indexing gives the experts.
+    arrays. Indexing gives the experts; ``config`` is the one
+    ``ExpertConfig`` they all share.
     """
 
     def __init__(self, experts, layers, flat: np.ndarray | None = None):
         self.experts, self.layers, self.flat = list(experts), list(layers), flat
+        configs = {e.config for e in self.experts}
+        if len(configs) != 1:
+            raise DataError("experts served together must share one ExpertConfig")
+        (self.config,) = configs
         first = self.experts[0].encoder
         self.activation = first.activation if self.layers else None
         self.shape = (len(self.experts), first.latent_dim, first.context_dim)
@@ -408,32 +379,24 @@ def retrieve_supports(
     store: CalibrationStore,
     query_z: np.ndarray,
     feats: np.ndarray,
-) -> list[RetrievalResult]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Every expert's top-k weighted support for one query, from one key pass.
 
     ``query_z`` and ``feats`` are the query as the encoders read it and the
     descriptor features, as ``store.query`` gives them. The M folded maps
     score the entries that can win (``normalize_keys``), oldest first, so
-    ties still go to the older entry.
+    ties go to the older entry. Returns the (M, k) chronological store
+    positions of each expert's support, best first, and their (M, k)
+    temperature-softmax weights; k is the shared ``top_k``, clipped to the
+    store's size.
     """
     if len(store) == 0:
         raise DataError("cannot retrieve from an empty calibration store")
     if not np.all(np.isfinite(query_z)):
         raise NumericError("the z-scored query is not finite")
+    config = experts.config
     maps = experts.maps(query_z, feats)
-    positions, scores = normalize_keys(maps, query_z, store, [e.config.top_k for e in experts])
-    residuals = store.residuals()
-    results = []
-    for expert, expert_scores in zip(experts, scores):
-        pick = topk_retrieve(expert_scores, expert.config.top_k)
-        sel, top = positions[pick], expert_scores[pick]
-        results.append(
-            RetrievalResult(
-                support_indices=sel,
-                scores=top,
-                weights=support_weights(top, expert.config.weight_temperature),
-                residuals=residuals[sel],
-            )
-        )
-    return results
-
+    positions, scores = normalize_keys(maps, query_z, store, config.top_k)
+    pick = topk_retrieve(scores, config.top_k)
+    top = np.take_along_axis(scores, pick, axis=1)
+    return positions[pick], ad.softmax(top, config.weight_temperature)

@@ -12,17 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from rarecp import autodiff as ad
 from rarecp.conformal import PredictionInterval, WeightedSupport, build_interval
 from rarecp.data import CalibrationStore, descriptor_feature_dim
 from rarecp.errors import DataError
-from rarecp.experts import (
-    ExpertStack,
-    RetrievalResult,
-    _mlp_init,
-    query_forward,
-    retrieve_supports,
-    support_weights,
-)
+from rarecp.experts import ExpertStack, _mlp_init, query_forward, retrieve_supports
 
 
 class GateParams:
@@ -66,34 +60,35 @@ def gate_weights(params: GateParams, query_z: np.ndarray, feats: np.ndarray) -> 
     ``query_z`` and ``feats`` are the query and descriptor features as the
     experts read them (see ``CalibrationStore.query``).
     """
-    return support_weights(params.logits(query_z, feats), 1.0)
+    return ad.softmax(params.logits(query_z, feats)[None], 1.0)[0]
 
 
 def mix_supports(
-    pi: np.ndarray, retrievals: list[RetrievalResult]
+    pi: np.ndarray, positions: np.ndarray, weights: np.ndarray, residuals: np.ndarray
 ) -> tuple[WeightedSupport, np.ndarray]:
     """Mix expert supports in residual-weight space.
 
-    A calibration index appearing in several expert supports has its
-    weights summed; total mass stays 1. Returns the merged support and the
-    union of calibration indices (sorted, deterministic).
+    ``positions`` and ``weights`` hold each expert's support as (M, k) store
+    positions and weights, ``residuals`` the store's residuals by position.
+    A position in several supports has its weights summed, in expert order;
+    total mass stays 1. Returns the merged support and the union of the
+    positions (sorted, deterministic).
     """
     pi = np.asarray(pi, dtype=np.float64)
-    if pi.ndim != 1 or pi.size != len(retrievals):
+    if pi.ndim != 1 or pi.size != len(positions):
         raise DataError("pi must assign one weight per expert support")
     if np.any(pi < 0) or abs(float(pi.sum()) - 1.0) > 1e-9:
         raise DataError("pi must be simplex weights")
-    all_indices = np.concatenate([r.support_indices for r in retrievals])
-    all_weights = np.concatenate(
-        [p * r.weights for p, r in zip(pi, retrievals)]
-    )
-    all_residuals = np.concatenate([r.residuals for r in retrievals])
-    union, inverse = np.unique(all_indices, return_inverse=True)
+    in_union = np.zeros(residuals.size, dtype=bool)
+    in_union[positions] = True
+    union = np.flatnonzero(in_union)
+    slot = np.empty(residuals.size, dtype=np.intp)
+    slot[union] = np.arange(union.size)
     merged = np.zeros(union.size)
-    np.add.at(merged, inverse, all_weights)
-    residuals = np.zeros(union.size)
-    residuals[inverse] = all_residuals
-    return WeightedSupport(residuals, merged), union
+    # an expert's k positions are distinct, so each add is a plain one
+    for p, slots, w in zip(pi, slot[positions], weights):
+        merged[slots] += p * w
+    return WeightedSupport(residuals[union], merged), union
 
 
 def mixed_support(
@@ -108,9 +103,9 @@ def mixed_support(
     (``CalibrationStore.query``), and the experts and the gate share it.
     """
     query_z, feats = store.query(query)
-    retrievals = retrieve_supports(experts, store, query_z, feats)
+    positions, weights = retrieve_supports(experts, store, query_z, feats)
     pi = gate_weights(gate, query_z, feats)
-    support, union = mix_supports(pi, retrievals)
+    support, union = mix_supports(pi, positions, weights, store.residuals())
     return support, union, pi
 
 

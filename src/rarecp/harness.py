@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from rarecp import autodiff as ad
 from rarecp.checkpoint import RareCPComponents, checkpoint_sha256, load_checkpoint
 from rarecp.conformal import AciState, aci_update, winkler_score
 from rarecp.data import (
@@ -25,7 +26,6 @@ from rarecp.data import (
 )
 from rarecp.errors import DataError, NumericError
 from rarecp.estimators import RareCP, SplitConformal
-from rarecp.experts import topk_retrieve
 from rarecp.validation import check_count, check_finite, check_unit_interval
 
 METHODS = ("uniform", "aci_uniform", "nexcp", "rarecp_checkpoint")
@@ -289,14 +289,11 @@ def topk_consistency_probe(
             q = queries[qi]
             q = q / np.sqrt(float(q @ q) + 1e-12)
             scores = keys @ q
-            sel = topk_retrieve(scores, k)
+            sel = ad.topk_rows(scores[None], k)[0]
             if weight_mode == "uniform":
                 weights = np.full(k, 1.0 / k)
-            else:
-                z = scores[sel] * beta
-                z -= z.max()
-                e = np.exp(z)
-                weights = e / e.sum()
+            else:  # an expert's support weights at temperature 1 / beta
+                weights = ad.softmax(scores[sel][None], 1.0 / beta)[0]
             cdf = _weighted_cdf_on_grid(residuals[sel], weights, grid)
             deltas[qi] = np.abs(cdf - truth).max()
         rows.append((k, float(deltas.mean())))

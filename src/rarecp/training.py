@@ -247,7 +247,7 @@ def _expert_retrieval_batch(
     ``params`` are the encoder's ``_weights``, or their ``leaves``. Each
     batch member is a query; its candidates are the other members.
     Self-retrieval is excluded by masking the query's own score before the
-    (constant) top-k selection, ``autodiff.loo_select``. Returns the
+    (constant) top-k selection, ``autodiff.topk_rows``. Returns the
     selected candidate columns ``sel`` (B, k), the softmax weight rows
     (Tensor), and the emitted map stack for anchoring (the raw map output
     for hypernetworks, ``params`` for a fixed affine encoder). A
@@ -263,7 +263,9 @@ def _expert_retrieval_batch(
         A, b = emitted = params
         keys2d = ad.l2_normalize(ad.affine(A, ad.constant(contexts_t), b))
         scores = ad.matmul(ad.transpose(keys2d), keys2d)
-        sel = ad.loo_select(scores.data.copy(), top_k)
+        masked = scores.data.copy()
+        np.fill_diagonal(masked, -np.inf)
+        sel = ad.topk_rows(masked, min(top_k, len(batch) - 1))
         sel_scores = ad.gather_rows(scores, sel)
     return sel, ad.softmax_rows(sel_scores, temperature), emitted
 
@@ -528,10 +530,11 @@ def keep_freed_heap() -> bool:
     One fit allocates and frees gigabytes of short-lived arrays of 0.5 to
     17 MB. Under glibc's adaptive defaults the freed top of the heap is
     handed back to the OS over and over and faulted in again on the next
-    allocation: about 230 000 page faults per fit of 600 rows, whose cost
-    follows the host's load. Fixing the mmap threshold at 32 MiB and the
-    trim threshold at 256 MiB keeps that memory for reuse; peak RSS does
-    not change. A single malloc arena serves every thread, so what a
+    allocation: 15 000 to 25 000 minor page faults per 600-row fit at the
+    bench's budget, against under 1 000 with these settings, at a cost
+    that follows the host's load. Fixing the mmap threshold at 32 MiB and
+    the trim threshold at 256 MiB keeps that memory for reuse; peak RSS
+    does not grow. A single malloc arena serves every thread, so what a
     training pool thread frees is reused by whichever thread allocates
     next, serving included, instead of staying held in the pool thread's
     arena.

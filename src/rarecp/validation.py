@@ -10,9 +10,12 @@ from rarecp.errors import DataError, NotFittedError
 
 
 def float_array(x, name: str) -> np.ndarray:
-    """``np.asarray(x, dtype=np.float64)``, raising ``DataError`` for non-numeric input."""
+    """``np.asarray(x, dtype=np.float64)``; ``DataError`` for non-numeric or complex input."""
     try:
-        return np.asarray(x, dtype=np.float64)
+        arr = np.asarray(x)
+        if arr.dtype.kind == "c":  # a cast would keep only the real part
+            raise DataError(f"{name} must be real, got complex values")
+        return arr.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise DataError(f"{name} must be numeric: {exc}") from None
 
@@ -40,11 +43,13 @@ def check_matrix(x, name: str = "X") -> np.ndarray:
 
 
 def check_finite(value, name: str) -> float:
-    """Coerce to a finite float."""
+    """Coerce to a finite float; a complex number is refused, not cast."""
     try:
+        if not isinstance(value, (float, int)) and np.asarray(value).dtype.kind == "c":
+            raise TypeError  # numpy's float() would keep only the real part
         value = float(value)
     except (TypeError, ValueError):
-        raise DataError(f"{name} must be a number, got {value!r}") from None
+        raise DataError(f"{name} must be a real number, got {value!r}") from None
     if not math.isfinite(value):
         raise DataError(f"{name} must be finite, got {value}")
     return value

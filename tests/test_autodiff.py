@@ -310,9 +310,26 @@ class TestPrimitiveValues:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((4, 6))
         batched = ad.softmax_rows(ad.constant(x), 0.7).data
+        assert batched.tobytes() == ad.softmax(x, 0.7).tobytes()
         for j in range(4):
             e = np.exp(x[j] / 0.7 - (x[j] / 0.7).max())
             np.testing.assert_allclose(batched[j], e / e.sum(), atol=1e-12)
+
+    def test_softmax_single_element(self):
+        np.testing.assert_allclose(ad.softmax(np.array([[0.3]]), 0.1), [[1.0]])
+
+    def test_softmax_equal_scores(self):
+        np.testing.assert_allclose(ad.softmax(np.array([[0.7, 0.7]]), 0.5), [[0.5, 0.5]])
+
+    def test_softmax_sharp_temperature(self):
+        assert ad.softmax(np.array([[1.0, 0.0]]), 0.1)[0, 0] > 0.9999
+
+    @given(st.floats(-3, 3))
+    @settings(max_examples=50, deadline=None)
+    def test_softmax_shift_invariance(self, shift):
+        scores = np.array([[0.1, -0.4, 0.9]])
+        np.testing.assert_allclose(ad.softmax(scores, 0.3), ad.softmax(scores + shift, 0.3),
+                                   atol=1e-12)
 
 
 def textbook_adam(x, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):

@@ -66,3 +66,36 @@ def test_output_without_a_result_line_is_refused():
         bench_pairs.parse_result("")
     with pytest.raises(ValueError):
         bench_pairs.parse_result("Traceback (most recent call last):\n  boom\n")
+
+
+def test_claim_verdict_needs_nine_in_ten_wins_and_a_gap_beyond_the_parent_iqr():
+    parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+    faster = [(p, p - 1.0) for p in parent]
+    faster[3] = (parent[3], parent[3] + 1.0)  # one pair lost: 9 of 10 still won
+    assert bench_pairs.claim_verdict(faster, lower=True).startswith("claim met: won 9 of 10")
+    slower_step = [(p, p + 1.0) for p in parent]  # higher is better here
+    assert bench_pairs.claim_verdict(slower_step, lower=False).startswith("claim met")
+    tied = [(p, p) if i < 2 else (p, p - 1.0) for i, p in enumerate(parent)]
+    assert bench_pairs.claim_verdict(tied, lower=True).startswith("claim not met: won 8 of 10")
+    narrow = [(p, p - 0.05) for p in parent]  # every pair won, by less than the IQR
+    assert bench_pairs.claim_verdict(narrow, lower=True).startswith("claim not met: won 10 of 10")
+
+
+def test_bound_verdict_allows_the_bound_in_the_worse_direction_only():
+    def rows(change):
+        return [(100.0, change)] * 3
+
+    assert bench_pairs.bound_verdict(rows(124.0), True, 0.25).startswith("bound within")
+    assert bench_pairs.bound_verdict(rows(126.0), True, 0.25).startswith("bound beyond")
+    assert bench_pairs.bound_verdict(rows(76.0), False, 0.25).startswith("bound within")
+    assert bench_pairs.bound_verdict(rows(74.0), False, 0.25).startswith("bound beyond")
+    assert bench_pairs.bound_verdict(rows(10.0), True, 0.25) == (
+        "bound within: median 90.0% better, against a bound of 25%")
+
+
+def test_summary_prints_both_verdicts_for_each_metric():
+    pair = (bench_pairs.parse_result(bench_stdout(100.0, 0.05)),
+            bench_pairs.parse_result(bench_stdout(90.0, 0.05)))
+    text = bench_pairs.summarise([pair], END_TO_END)
+    assert "  claim not met: won 0 of 1, median better by -10" in text
+    assert "  bound within: median 10.0% worse, against a bound of 25%" in text

@@ -123,7 +123,7 @@ class TestRareCP:
                 est.weighted_support(x)
 
     @pytest.mark.parametrize("capacity", [120, 1500])
-    def test_a_query_keys_the_store_once_and_ranks_each_expert_once(
+    def test_a_query_keys_the_store_once_and_ranks_it_once(
         self, fitted, tmp_path, monkeypatch, capacity
     ):
         """The benchmark's tracer attributes retrieval through these two module globals."""
@@ -141,7 +141,7 @@ class TestRareCP:
                 return _call(*args)
             monkeypatch.setattr(experts, name, counted)
         served.predict_interval(X[0], forecast=0.0)
-        assert calls == {"normalize_keys": 1, "topk_retrieve": est.n_experts}
+        assert calls == {"normalize_keys": 1, "topk_retrieve": 1}
 
     def test_overflowing_query_raises(self, fitted):
         # the query keys' squared norms overflow; the interval must not be
@@ -368,6 +368,32 @@ def test_non_numeric_input_raises_data_error(fitted, tmp_path, no_training, case
     store, state, next_time = est.store_, _store_state(est.store_), est._next_time
     with pytest.raises(DataError):
         NON_NUMERIC_INPUTS[case](est, X, y, path)
+    assert est.store_ is store and _store_state(store) == state and est._next_time == next_time
+
+
+COMPLEX_INPUTS = {
+    "fit X": lambda est, X, y: RareCP(**SMALL).fit(X.astype(complex), y),
+    "fit y": lambda est, X, y: RareCP(**SMALL).fit(X, y.astype(complex)),
+    "predict_interval x": lambda est, X, y: est.predict_interval(X[0].astype(complex), 0.0),
+    "predict_interval forecast":
+        lambda est, X, y: est.predict_interval(X[0], np.complex128(0.5)),
+    "observe x": lambda est, X, y: est.observe(X[0].astype(complex), 0.5),
+    "observe residual": lambda est, X, y: est.observe(X[0], np.complex128(0.5)),
+    "seed_store X": lambda est, X, y: est.seed_store(X[:10].astype(complex), y[:10]),
+    "seed_store y": lambda est, X, y: est.seed_store(X[:10], y[:10].astype(complex)),
+    "SplitConformal.fit y": lambda est, X, y: SplitConformal().fit(None, y.astype(complex)),
+    "CalibrationStore.from_arrays X":
+        lambda est, X, y: CalibrationStore.from_arrays(X.astype(complex), y),
+}
+
+
+@pytest.mark.parametrize("case", list(COMPLEX_INPUTS))
+def test_complex_input_raises_data_error(fitted, no_training, case):
+    """Complex input, even with no imaginary part, is refused rather than cast to its real part."""
+    est, X, y = fitted
+    store, state, next_time = est.store_, _store_state(est.store_), est._next_time
+    with pytest.raises(DataError, match="real"):
+        COMPLEX_INPUTS[case](est, X, y)
     assert est.store_ is store and _store_state(store) == state and est._next_time == next_time
 
 

@@ -27,10 +27,9 @@ from rarecp.experts import (
     identity_map,
     normalize_keys,
     retrieve_supports,
-    support_weights,
     topk_retrieve,
 )
-from rarecp.gate import GateParams, mixed_support, rarecp_interval
+from rarecp.gate import GateParams, gate_weights, mix_supports, mixed_support, rarecp_interval
 
 
 def make_store(rng, n=40, dim=6, residuals=None):
@@ -53,14 +52,14 @@ def make_expert(dim, latent=4, k=8, beta=12.0, seed=0, kind="hypernetwork", **kw
 
 
 def retrieve(expert, store, query, descriptor, normalize=True):
-    """One expert's support for one query, as ``mixed_support`` retrieves it with M = 1.
+    """One expert's (k,) support positions and weights, as ``mixed_support`` gets them at M = 1.
 
     The store is conditioned on ``descriptor`` first, unless it already is.
     """
     if store.descriptor is not descriptor:
         store.condition(descriptor, normalize)
-    (result,) = retrieve_supports(ExpertStack.of([expert]), store, *store.query(query))
-    return result
+    positions, weights = retrieve_supports(ExpertStack.of([expert]), store, *store.query(query))
+    return positions[0], weights[0]
 
 
 def fold(A, b):
@@ -79,7 +78,7 @@ def keyed_store(columns):
 def all_scores(maps, query, columns):
     """Every column's float64 scores under each of the M ``maps``: (M, n), in column order."""
     n = columns.shape[1]
-    positions, scores = normalize_keys(maps, query, keyed_store(columns), [n] * len(maps))
+    positions, scores = normalize_keys(maps, query, keyed_store(columns), n)
     np.testing.assert_array_equal(positions, np.arange(n))
     return scores
 
@@ -153,19 +152,20 @@ class TestNormalizeKey:
         times = store.time_indices()
         positions = np.flatnonzero(np.isin(times, at))
         assert times[positions].tolist() == [700, 1001, 1499, 1500, 2199]
-        (result,) = retrieve_supports(ExpertStack.of([expert]), store,
-                                      normalize_context(dup, descriptor),
-                                      descriptor_features(descriptor))
-        np.testing.assert_array_equal(result.support_indices, positions)
-        assert np.unique(result.scores.view(np.uint64)).size == 1
+        query_z, feats = normalize_context(dup, descriptor), descriptor_features(descriptor)
+        stack = ExpertStack.of([expert])
+        sel, _ = retrieve_supports(stack, store, query_z, feats)
+        np.testing.assert_array_equal(sel[0], positions)
+        _, scores = normalize_keys(stack.maps(query_z, feats), query_z, store, len(store))
+        assert np.unique(scores[0, positions].view(np.uint64)).size == 1
 
 
-def filtered_and_full(maps, query, store, ks):
+def filtered_and_full(maps, query, store, k):
     """``normalize_keys`` with its float32 filter on whatever the store's size, and with it off."""
     with mock.patch.object(experts, "_FILTER_MIN_ENTRIES", 1):
-        filtered = normalize_keys(maps, query, store, ks)
+        filtered = normalize_keys(maps, query, store, k)
     with mock.patch.object(experts, "_FILTER_MIN_ENTRIES", len(store) + 1):
-        full = normalize_keys(maps, query, store, ks)
+        full = normalize_keys(maps, query, store, k)
     return filtered, full
 
 
@@ -173,7 +173,7 @@ def filtered_and_full(maps, query, store, ks):
 def filter_cases(draw):
     """A ring-wrapped store, maps and a query, with ties, zeros or scales that stress the bound."""
     n, p, L, M = (draw(st.integers(1, hi)) for hi in (160, 40, 33, 3))
-    ks = draw(st.lists(st.integers(1, n + 2), min_size=M, max_size=M))
+    k = draw(st.integers(1, n + 2))
     appended = draw(st.integers(0, 2 * n))
     kind = draw(st.sampled_from(["plain", "duplicates", "near-ties", "zero-keys", "signed-zeros"]))
     # maps at 1e40 or 1e-40, and keys of 1e25 columns, leave float32's range;
@@ -197,26 +197,26 @@ def filter_cases(draw):
         for a in (X, maps, query):
             a[rng.random(a.shape) < 0.3] = -0.0
             a[rng.random(a.shape) < 0.1] = 0.0
-    return X * column_scale, n, maps * map_scale, query * column_scale, ks
+    return X * column_scale, n, maps * map_scale, query * column_scale, k
 
 
 class TestCandidateFilter:
     @given(filter_cases())
     @settings(max_examples=300, deadline=None)
     def test_selects_exactly_the_float64_top_k(self, case):
-        X, n, maps, query, ks = case
+        X, n, maps, query, k = case
         store = keyed_store(X[:n].T)
         if X.shape[0] > n:
             store.key_mirror()  # kept by the appends that wrap the ring
         for t in range(n, X.shape[0]):
             store.append(CalibrationEntry(X[t], 0.0, t))
-        (positions, scores), (every, full) = filtered_and_full(maps, query, store, ks)
+        (positions, scores), (every, full) = filtered_and_full(maps, query, store, k)
         assert every.tolist() == list(range(n))
         assert np.all(np.diff(positions) > 0)
         assert scores.tobytes() == np.ascontiguousarray(full[:, positions]).tobytes()
-        for m, k in enumerate(ks):
-            oracle = np.lexsort((np.arange(n), -full[m]))[:k]
-            np.testing.assert_array_equal(positions[topk_retrieve(scores[m], k)], oracle)
+        for picks, row in zip(topk_retrieve(scores, k), full):
+            oracle = np.lexsort((np.arange(n), -row))[:k]
+            np.testing.assert_array_equal(positions[picks], oracle)
 
     @pytest.mark.parametrize("where", ["map", "column"])
     def test_a_float64_overflow_still_raises(self, where):
@@ -230,7 +230,7 @@ class TestCandidateFilter:
         for threshold in (1, 10**6):
             with mock.patch.object(experts, "_FILTER_MIN_ENTRIES", threshold):
                 with pytest.raises(NumericError):
-                    normalize_keys(maps, rng.standard_normal(4), store, [5, 5])
+                    normalize_keys(maps, rng.standard_normal(4), store, 5)
 
     def test_keeps_about_k_candidates_on_a_bench_sized_store(self, monkeypatch):
         """Loosening the bound until every entry is re-scored would give the speed back."""
@@ -263,21 +263,20 @@ class TestCandidateFilter:
         assert np.all(np.median(counts, axis=0) <= 2 * est.top_k)
 
 
+def top(scores, k):
+    """``topk_retrieve`` of one score row."""
+    return topk_retrieve(np.asarray(scores, dtype=np.float64)[None], k)[0]
+
+
 class TestTopkRetrieve:
     def test_basic(self):
-        np.testing.assert_array_equal(
-            topk_retrieve(np.array([0.9, 0.1, 0.5]), 2), [0, 2]
-        )
+        np.testing.assert_array_equal(top([0.9, 0.1, 0.5], 2), [0, 2])
 
     def test_tie_break_smaller_index(self):
-        np.testing.assert_array_equal(
-            topk_retrieve(np.array([0.5, 0.5, 0.5]), 2), [0, 1]
-        )
+        np.testing.assert_array_equal(top([0.5, 0.5, 0.5], 2), [0, 1])
 
     def test_k_clamped_to_size(self):
-        np.testing.assert_array_equal(
-            sorted(topk_retrieve(np.array([3.0, 1.0, 2.0]), 10)), [0, 1, 2]
-        )
+        np.testing.assert_array_equal(sorted(top([3.0, 1.0, 2.0], 10)), [0, 1, 2])
 
     @given(
         st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), min_size=1, max_size=60),
@@ -290,38 +289,16 @@ class TestTopkRetrieve:
     def test_equals_lexsort_under_heavy_ties(self, values, k):
         scores = np.array(values)
         oracle = np.lexsort((np.arange(scores.size), -scores))[:k]
-        np.testing.assert_array_equal(topk_retrieve(scores, k), oracle)
+        np.testing.assert_array_equal(top(scores, k), oracle)
 
-    def test_matches_full_sort_oracle(self):
+    def test_ranks_every_row_of_a_block_as_alone(self):
         rng = np.random.default_rng(2)
-        for _ in range(10_000):
-            n = int(rng.integers(1, 30))
-            scores = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=n)  # force ties
-            k = int(rng.integers(1, n + 1))
-            oracle = sorted(range(n), key=lambda i: (-scores[i], i))[:k]
+        for _ in range(2_000):
+            M, n = int(rng.integers(1, 11)), int(rng.integers(1, 30))
+            scores = rng.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(M, n))  # force ties
+            k = int(rng.integers(1, n + 3))
+            oracle = [sorted(range(n), key=lambda i: (-row[i], i))[:k] for row in scores]
             np.testing.assert_array_equal(topk_retrieve(scores, k), oracle)
-
-
-class TestSupportWeights:
-    def test_single_element(self):
-        np.testing.assert_allclose(support_weights(np.array([0.3]), 0.1), [1.0])
-
-    def test_equal_scores(self):
-        np.testing.assert_allclose(
-            support_weights(np.array([0.7, 0.7]), 0.5), [0.5, 0.5]
-        )
-
-    def test_sharp_temperature(self):
-        w = support_weights(np.array([1.0, 0.0]), 0.1)
-        assert w[0] > 0.9999
-
-    @given(st.floats(-3, 3))
-    @settings(max_examples=50, deadline=None)
-    def test_shift_invariance(self, shift):
-        scores = np.array([0.1, -0.4, 0.9])
-        a = support_weights(scores, 0.3)
-        b = support_weights(scores + shift, 0.3)
-        np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestEmitExpertMap:
@@ -373,8 +350,8 @@ class TestExpertSupport:
         store.append(CalibrationEntry(np.array([1.0, 2.0, 3.0]), 2.0, 0))
         descriptor = compute_descriptor(store.contexts())
         expert = make_expert(3)
-        result = retrieve(expert, store, np.array([1.0, 2.0, 3.0]), descriptor)
-        support = WeightedSupport(result.residuals, result.weights)
+        positions, weights = retrieve(expert, store, np.array([1.0, 2.0, 3.0]), descriptor)
+        support = WeightedSupport(store.residuals()[positions], weights)
         np.testing.assert_array_equal(support.residuals, [2.0])
         np.testing.assert_array_equal(support.weights, [1.0])
 
@@ -383,9 +360,8 @@ class TestExpertSupport:
         store = make_store(rng, n=30, dim=4)
         descriptor = compute_descriptor(store.contexts())
         sharp = make_expert(4, latent=4, k=8, beta=1e6, seed=1)
-        result = retrieve(sharp, store, rng.standard_normal(4), descriptor)
-        top = np.argmax(result.scores)
-        assert result.weights[top] > 0.999
+        _, weights = retrieve(sharp, store, rng.standard_normal(4), descriptor)
+        assert weights[0] > 0.999  # the support is ranked best first
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -394,10 +370,10 @@ class TestExpertSupport:
         store = make_store(rng, n=int(rng.integers(1, 25)), dim=4)
         descriptor = compute_descriptor(store.contexts())
         expert = make_expert(4, seed=seed % 5)
-        result = retrieve(expert, store, rng.standard_normal(4), descriptor)
-        assert abs(result.weights.sum() - 1.0) < 1e-9
-        assert len(result.support_indices) == min(8, len(store))
-        assert len(np.unique(result.support_indices)) == len(result.support_indices)
+        positions, weights = retrieve(expert, store, rng.standard_normal(4), descriptor)
+        assert abs(weights.sum() - 1.0) < 1e-9
+        assert len(positions) == min(8, len(store))
+        assert len(np.unique(positions)) == len(positions)
 
     def test_empty_store_rejected(self):
         store = CalibrationStore(4, 3)
@@ -420,13 +396,12 @@ class TestExpertSupport:
         query = rng.standard_normal(4)
         A, b = expert.encoder.A, expert.encoder.b
         for store in stores:
-            result = retrieve(expert, store, query, descriptor)
+            positions, _ = retrieve(expert, store, query, descriptor)
             keys = A @ normalize_context(store.contexts(), descriptor).T + b[:, None]
             keys /= np.linalg.norm(keys, axis=0)
             q = A @ normalize_context(query, descriptor) + b
             brute = np.argsort(-(q @ keys), kind="stable")[:3]
-            np.testing.assert_array_equal(result.support_indices, brute)
-            np.testing.assert_array_equal(result.residuals, store.residuals()[brute])
+            np.testing.assert_array_equal(positions, brute)
 
     def test_scale_invariance_of_supports(self):
         # scaling (A, b) jointly by c > 0 leaves keys, hence supports, unchanged
@@ -439,8 +414,8 @@ class TestExpertSupport:
         expert.encoder.A *= 3.0
         expert.encoder.b *= 3.0
         after = retrieve(expert, store, query, descriptor)
-        np.testing.assert_array_equal(before.support_indices, after.support_indices)
-        np.testing.assert_allclose(before.weights, after.weights, atol=1e-9)
+        np.testing.assert_array_equal(before[0], after[0])
+        np.testing.assert_allclose(before[1], after[1], atol=1e-9)
 
 
 GEMM_TIE = 1e-12  # oracle score gap the stacked GEMM's rounding may reorder
@@ -468,22 +443,21 @@ def _oracle_retrieval(expert, contexts, query, descriptor, normalize):
     return scores, sel, weights / weights.sum(), tied
 
 
-def _check_retrieval(result, oracle, residuals):
+def _check_retrieval(retrieved, oracle):
+    positions, got_weights = retrieved
     scores, sel, weights, tied = oracle
-    np.testing.assert_array_equal(result.residuals, residuals[result.support_indices])
     if tied:
         # a GEMM-rounding tie at the k-th place: any of the tied entries may win
         np.testing.assert_allclose(
-            np.sort(scores[result.support_indices]), np.sort(scores[sel]),
-            rtol=0, atol=GEMM_TIE,
+            np.sort(scores[positions]), np.sort(scores[sel]), rtol=0, atol=GEMM_TIE,
         )
         return False
     # GEMM rounding may also reorder exact ties inside the support, so the
     # support is compared as a set (by index) and must be ranked by score
-    assert np.all(np.diff(result.scores) <= 0.0)
-    got, want = np.argsort(result.support_indices), np.argsort(sel)
-    np.testing.assert_array_equal(result.support_indices[got], sel[want])
-    np.testing.assert_allclose(result.weights[got], weights[want], rtol=1e-12, atol=0)
+    assert np.all(np.diff(scores[positions]) <= GEMM_TIE)
+    got, want = np.argsort(positions), np.argsort(sel)
+    np.testing.assert_array_equal(positions[got], sel[want])
+    np.testing.assert_allclose(got_weights[got], weights[want], rtol=1e-12, atol=0)
     return True
 
 
@@ -504,12 +478,11 @@ def retrieval_cases(draw):
         rows[:n_seed, 0] = 2.5  # seeded constant: sigma sits at the floor
         rows[n_seed:, 0] = 2.5 + 1e-3 * rng.integers(-1, 2, size=n_rows - n_seed)
     residuals = rng.choice([-1.0, 0.0, 0.5, 2.0], size=n_rows) + 0.01 * np.arange(n_rows)
-    experts = []
     encoder = draw(st.sampled_from(["hypernetwork", "fixed_affine"]))  # one kind per model
-    for m in range(draw(st.integers(1, 3))):
-        k = draw(st.integers(1, 6))  # capacity < k is common
-        experts.append(make_expert(dim, latent=3, k=k, beta=draw(st.sampled_from([1.0, 12.0])),
-                                   seed=m, kind=encoder))
+    k = draw(st.integers(1, 6))  # capacity < k is common
+    beta = draw(st.sampled_from([1.0, 12.0]))
+    experts = [make_expert(dim, latent=3, k=k, beta=beta, seed=m, kind=encoder)
+               for m in range(draw(st.integers(1, 3)))]
     return dict(rows=rows, residuals=residuals, capacity=capacity, n_seed=n_seed,
                 experts=experts, normalize=draw(st.booleans()),
                 first_request=draw(st.integers(0, n_rows - n_seed)),
@@ -540,7 +513,7 @@ class TestStackedRetrievalOracle:
             oracles = [_oracle_retrieval(e, contexts, query, descriptor, normalize)
                        for e in experts]
             exact = [
-                _check_retrieval(retrieve(e, store, query, descriptor, normalize), oracle, stored)
+                _check_retrieval(retrieve(e, store, query, descriptor, normalize), oracle)
                 for e, oracle in zip(experts, oracles)
             ]
             support, union, pi = mixed_support(store, experts, gate, query)
@@ -565,6 +538,107 @@ class TestStackedRetrievalOracle:
             want = build_interval(0.0, WeightedSupport(stored[union], merged[union]), alpha)
             np.testing.assert_allclose([got.lower, got.upper], [want.lower, want.upper],
                                        rtol=1e-12, atol=0)
+
+
+def old_serving_tail(positions, scores, config, logits):
+    """The per-expert serving tail that one batched pass replaced, kept as an oracle.
+
+    Each expert ranks its own score row by ``np.lexsort`` and weighs its
+    picks with a 1-D softmax; the gate's logits get the same softmax; the
+    supports merge through ``np.unique`` and ``np.add.at``.
+    """
+    def softmax(z):
+        e = np.exp(z - z.max())
+        return e / e.sum()
+
+    sel = [positions[np.lexsort((np.arange(row.size), -row))[: config.top_k]] for row in scores]
+    weights = [softmax(row[np.lexsort((np.arange(row.size), -row))[: config.top_k]]
+                       / config.weight_temperature) for row in scores]
+    pi = softmax(logits / 1.0)
+    union, inverse = np.unique(np.concatenate(sel), return_inverse=True)
+    merged = np.zeros(union.size)
+    np.add.at(merged, inverse, np.concatenate([p * w for p, w in zip(pi, weights)]))
+    return np.array(sel), np.array(weights), pi, union, merged
+
+
+def check_serving_tail(store, stack, gate, query):
+    """One query's batched tail against ``old_serving_tail``, bit for bit; the stacked supports."""
+    query_z, feats = store.query(query)
+    every, scores = normalize_keys(stack.maps(query_z, feats), query_z, store, stack.config.top_k)
+    sel, weights = retrieve_supports(stack, store, query_z, feats)
+    pi = gate_weights(gate, query_z, feats)
+    support, union = mix_supports(pi, sel, weights, store.residuals())
+    want = old_serving_tail(every, scores, stack.config, gate.logits(query_z, feats))
+    for got, oracle in zip((sel, weights, pi, union, support.weights), want):
+        assert got.dtype == oracle.dtype and got.shape == oracle.shape
+        assert got.tobytes() == oracle.tobytes()
+    assert support.residuals.tobytes() == store.residuals()[want[3]].tobytes()
+    return sel
+
+
+@st.composite
+def serving_tail_cases(draw):
+    """A wrapped ring, up to 10 experts of one config, ties and duplicated contexts."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, capacity = draw(st.integers(2, 5)), draw(st.integers(1, 40))
+    n_rows = capacity + draw(st.integers(0, 2 * capacity))  # appends wrap the ring
+    kind = draw(st.sampled_from(["random", "duplicates", "tied"]))
+    rows = rng.standard_normal((n_rows, dim))
+    if kind == "duplicates":  # exact score ties among the copies
+        rows = rows[rng.integers(0, min(3, n_rows), size=n_rows)]
+    encoder = "fixed_affine" if kind == "tied" else draw(st.sampled_from(
+        ["hypernetwork", "fixed_affine"]))
+    k = draw(st.integers(1, capacity + 3))  # k >= n is common
+    beta = draw(st.sampled_from([1.0, 12.0, 1e3]))
+    experts = [make_expert(dim, latent=3, k=k, beta=beta, seed=m, kind=encoder)
+               for m in range(draw(st.integers(1, 10)))]
+    if kind == "tied":  # every key is the bias: every score ties
+        for e in experts:
+            e.encoder.A[:] = 0.0
+    queries = np.vstack([rows[rng.integers(0, n_rows, size=2)], rng.standard_normal((2, dim))])
+    return dict(rows=rows, residuals=rng.standard_normal(n_rows), capacity=capacity,
+                experts=experts, queries=queries, normalize=draw(st.booleans()),
+                filtered=draw(st.booleans()))
+
+
+class TestServingTailOracle:
+    """One row top-k, one row softmax and one merge give the per-expert tail's bits."""
+
+    @given(serving_tail_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_expert_tail_bit_for_bit(self, case):
+        rows, capacity = case["rows"], case["capacity"]
+        store = CalibrationStore.from_arrays(rows[:capacity], case["residuals"][:capacity])
+        store.condition(compute_descriptor(rows[:capacity]), case["normalize"])
+        store.key_mirror()  # kept by the appends that wrap the ring
+        for t in range(capacity, rows.shape[0]):
+            store.append(CalibrationEntry(rows[t], float(case["residuals"][t]), t))
+        stack = ExpertStack.of(case["experts"])
+        gate = GateParams(rows.shape[1], len(stack), hidden_dim=3, seed=1)
+        gate.layers[-1][0][:] = np.random.default_rng(2).standard_normal(gate.layers[-1][0].shape)
+        # the float32 filter on whatever the store's size, or every entry scored
+        threshold = 1 if case["filtered"] else len(store) + 1
+        with mock.patch.object(experts, "_FILTER_MIN_ENTRIES", threshold):
+            for query in case["queries"]:
+                check_serving_tail(store, stack, gate, query)
+
+    def test_a_position_in_all_ten_supports_merges_exactly(self):
+        """More than 8 adds to one position: a pairwise sum would regroup them."""
+        rng = np.random.default_rng(4)
+        store = CalibrationStore.from_arrays(rng.standard_normal((6, 3)), rng.standard_normal(6))
+        store.condition(compute_descriptor(store.contexts()))
+        stack = ExpertStack.of([make_expert(3, latent=3, k=8, beta=3.0, seed=m)
+                                for m in range(10)])
+        gate = GateParams(3, 10, hidden_dim=3, seed=1)
+        gate.layers[-1][0][:] = rng.standard_normal(gate.layers[-1][0].shape)
+        sel = check_serving_tail(store, stack, gate, rng.standard_normal(3))
+        assert np.bincount(sel.ravel()).min() == 10
+
+    def test_a_stack_refuses_experts_of_mixed_configs(self):
+        experts_ = [make_expert(3, k=4), make_expert(3, k=5, seed=1)]
+        with pytest.raises(DataError, match="one ExpertConfig"):
+            ExpertStack.of(experts_)
+        assert ExpertStack.of([make_expert(3, k=4), make_expert(3, k=4, seed=1)]).config.top_k == 4
 
 
 class TestDescriptorFeatures:
@@ -602,12 +676,10 @@ class TestCheckpointRoundtrip:
             )
         store.condition(compute_descriptor(store.contexts()))
         query_z, feats = store.query(rng.standard_normal(components.model.context_dim))
-        for r1, r2 in zip(
-            retrieve_supports(components.experts, store, query_z, feats),
-            retrieve_supports(loaded.experts, store, query_z, feats),
-        ):
-            np.testing.assert_array_equal(r1.support_indices, r2.support_indices)
-            np.testing.assert_allclose(r1.weights, r2.weights, atol=0)
+        positions, weights = retrieve_supports(components.experts, store, query_z, feats)
+        loaded_positions, loaded_weights = retrieve_supports(loaded.experts, store, query_z, feats)
+        assert positions.tobytes() == loaded_positions.tobytes()
+        assert weights.tobytes() == loaded_weights.tobytes()
 
     def test_save_is_byte_deterministic(self, small_trained, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

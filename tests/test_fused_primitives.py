@@ -446,7 +446,7 @@ class TestLooRetrievalScores:
         assert len(tape.records) == 1
 
 
-class TestLooSelect:
+class TestTopkRows:
     @pytest.mark.parametrize("B,top_k", [(3, 1), (3, 5), (16, 4), (16, 15), (50, 10)])
     def test_equals_stable_argsort_with_ties(self, B, top_k):
         rng = np.random.default_rng([B, top_k])
@@ -455,39 +455,34 @@ class TestLooSelect:
                 scores = rng.integers(0, levels, (B, B)) / 4.0
             else:
                 scores = rng.standard_normal((B, B))
-            expected_scores = scores.copy()
-            np.fill_diagonal(expected_scores, -np.inf)
-            expected = np.argsort(-expected_scores, axis=1, kind="stable")[:, : min(top_k, B - 1)]
-            assert np.array_equal(ad.loo_select(scores, top_k), expected)
+            np.fill_diagonal(scores, -np.inf)  # as a leave-one-out caller masks them
+            expected = np.argsort(-scores, axis=1, kind="stable")[:, : min(top_k, B)]
+            assert np.array_equal(ad.topk_rows(scores, top_k), expected)
 
 
     @given(
-        n=st.integers(1, 12), extra=st.integers(0, 12), first_frac=st.floats(0, 1),
-        top_k=st.integers(1, 30), levels=st.integers(0, 6), neg_inf=st.booleans(),
-        seed=st.integers(0, 2**16),
+        n=st.integers(1, 12), B=st.integers(1, 24), top_k=st.integers(0, 30),
+        levels=st.integers(0, 6), neg_inf=st.booleans(), seed=st.integers(0, 2**16),
     )
     @settings(max_examples=300, deadline=None)
     def test_partial_selection_equals_full_stable_sort(
-        self, n, extra, first_frac, top_k, levels, neg_inf, seed
+        self, n, B, top_k, levels, neg_inf, seed
     ):
-        """Any (n, B) block with its own columns at ``first``: ties, -inf scores, k >= B - 1."""
+        """Any (n, B) block: ties, -inf scores, k of 0 and k >= B; the scores stay as given."""
         rng = np.random.default_rng(seed)
-        B = n + extra
-        first = int(first_frac * (B - n))
         if levels:  # few distinct values: ties everywhere
             scores = rng.integers(0, levels, (n, B)) / 4.0
         else:
             scores = rng.standard_normal((n, B))
-        if neg_inf:  # candidates that score -inf tie with the masked own column
+        if neg_inf:  # -inf scores tie with each other, as masked own columns do
             scores[rng.random((n, B)) < 0.3] = -np.inf
-        expected = scores.copy()
-        expected[np.arange(n), first + np.arange(n)] = -np.inf
-        k = min(top_k, B - 1)
-        want = np.argsort(-expected, axis=1, kind="stable")[:, :k]
-        got = ad.loo_select(scores, top_k, first)
+        given_scores = scores.copy()
+        k = min(top_k, B)
+        want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        got = ad.topk_rows(scores, top_k)
         assert got.shape == (n, k) and got.dtype == np.int64
         assert np.array_equal(got, want)
-        assert np.array_equal(scores, expected)  # the own columns are masked in place
+        assert np.array_equal(scores, given_scores)
 
 
 # ---------------------------------------------------------------------------

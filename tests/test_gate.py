@@ -6,23 +6,22 @@ from hypothesis import strategies as st
 from rarecp.conformal import WeightedSupport, baseline_weights, build_interval
 from rarecp.data import CalibrationEntry, CalibrationStore, compute_descriptor
 from rarecp.errors import DataError
-from rarecp.experts import (
-    ExpertConfig,
-    ExpertStack,
-    FixedAffineMap,
-    RetrievalExpert,
-    RetrievalResult,
-)
+from rarecp.experts import ExpertConfig, ExpertStack, FixedAffineMap, RetrievalExpert
 from rarecp.gate import GateParams, gate_weights, mix_supports, rarecp_interval
 
 
-def make_result(indices, weights, residuals):
-    return RetrievalResult(
-        support_indices=np.asarray(indices),
-        scores=np.zeros(len(indices)),
-        weights=np.asarray(weights, dtype=np.float64),
-        residuals=np.asarray(residuals, dtype=np.float64),
-    )
+def mix(pi, positions, weights, residuals):
+    """``mix_supports`` of (M, k) supports given as nested lists."""
+    return mix_supports(np.asarray(pi, dtype=np.float64), np.asarray(positions),
+                        np.asarray(weights, dtype=np.float64),
+                        np.asarray(residuals, dtype=np.float64))
+
+
+def random_supports(rng, m, k, n):
+    """``m`` experts' supports of ``k`` distinct positions each among ``n``, weights summing to 1."""
+    positions = np.array([rng.choice(n, size=k, replace=False) for _ in range(m)])
+    weights = rng.random((m, k)) + 1e-3
+    return positions, weights / weights.sum(axis=1, keepdims=True)
 
 
 def make_store(rng, n, dim, residuals=None):
@@ -85,60 +84,47 @@ class TestGateWeights:
 
 class TestMixSupports:
     def test_all_mass_on_one_expert(self):
-        r1 = make_result([0, 2], [0.7, 0.3], [1.0, -1.0])
-        r2 = make_result([1], [1.0], [5.0])
-        support, union = mix_supports(np.array([1.0, 0.0]), [r1, r2])
-        np.testing.assert_array_equal(union, [0, 1, 2])
-        # expert 2's index receives zero weight
-        np.testing.assert_allclose(support.weights, [0.7, 0.0, 0.3])
+        support, union = mix([1.0, 0.0], [[0, 2], [1, 3]], [[0.7, 0.3], [0.6, 0.4]],
+                             [1.0, 5.0, -1.0, 7.0])
+        np.testing.assert_array_equal(union, [0, 1, 2, 3])
+        # expert 2's positions receive zero weight
+        np.testing.assert_allclose(support.weights, [0.7, 0.0, 0.3, 0.0])
+        np.testing.assert_array_equal(support.residuals, [1.0, 5.0, -1.0, 7.0])
 
     def test_overlap_weights_sum(self):
-        r1 = make_result([4], [1.0], [2.5])
-        r2 = make_result([4], [1.0], [2.5])
-        support, union = mix_supports(np.array([0.5, 0.5]), [r1, r2])
+        support, union = mix([0.5, 0.5], [[4], [4]], [[1.0], [1.0]], [0, 0, 0, 0, 2.5])
         np.testing.assert_array_equal(union, [4])
         np.testing.assert_allclose(support.weights, [1.0])
         np.testing.assert_allclose(support.residuals, [2.5])
 
     def test_disjoint_supports_halved(self):
-        r1 = make_result([0, 1], [0.5, 0.5], [1.0, 2.0])
-        r2 = make_result([2, 3], [0.5, 0.5], [3.0, 4.0])
-        support, _ = mix_supports(np.array([0.5, 0.5]), [r1, r2])
+        support, _ = mix([0.5, 0.5], [[0, 1], [2, 3]], [[0.5, 0.5], [0.5, 0.5]],
+                         [1.0, 2.0, 3.0, 4.0])
         np.testing.assert_allclose(support.weights, [0.25] * 4)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_total_weight_one(self, seed):
         rng = np.random.default_rng(seed)
-        m = int(rng.integers(1, 5))
-        results = []
-        for _ in range(m):
-            k = int(rng.integers(1, 8))
-            idx = rng.choice(20, size=k, replace=False)
-            w = rng.random(k) + 1e-3
-            w /= w.sum()
-            results.append(make_result(idx, w, rng.standard_normal(k)))
+        m, k = int(rng.integers(1, 5)), int(rng.integers(1, 8))
+        positions, weights = random_supports(rng, m, k, 20)
         pi = rng.random(m) + 1e-3
         pi /= pi.sum()
-        support, union = mix_supports(pi, results)
+        support, union = mix_supports(pi, positions, weights, rng.standard_normal(20))
         assert abs(support.weights.sum() - 1.0) < 1e-9
-        assert len(union) <= sum(len(r.support_indices) for r in results)
+        assert len(union) <= positions.size
+        np.testing.assert_array_equal(union, np.unique(positions))
 
     def test_mixed_cdf_error_bounded_by_worst_expert(self):
         # sup |mixed CDF - reference CDF| <= max over experts of their distance
         rng = np.random.default_rng(11)
         for _ in range(30):
-            m = int(rng.integers(2, 4))
-            results = []
-            for _ in range(m):
-                k = int(rng.integers(2, 10))
-                idx = rng.choice(30, size=k, replace=False)
-                w = rng.random(k)
-                w /= w.sum()
-                results.append(make_result(idx, w, rng.standard_normal(k)))
+            m, k = int(rng.integers(2, 4)), int(rng.integers(2, 10))
+            positions, weights = random_supports(rng, m, k, 30)
+            residuals = rng.standard_normal(30)
             pi = rng.random(m)
             pi /= pi.sum()
-            mixed, _ = mix_supports(pi, results)
+            mixed, _ = mix_supports(pi, positions, weights, residuals)
             grid = np.linspace(-3, 3, 41)
             ref = 0.5 * (1.0 + np.tanh(grid))  # arbitrary reference CDF
 
@@ -148,15 +134,14 @@ class TestMixSupports:
                 )
                 return np.abs(vals - ref).max()
 
-            supports = [WeightedSupport(r.residuals, r.weights) for r in results]
+            supports = [WeightedSupport(residuals[pos], w) for pos, w in zip(positions, weights)]
             assert sup_dist(mixed) <= max(sup_dist(s) for s in supports) + 1e-12
 
     def test_pi_validation(self):
-        r = make_result([0], [1.0], [0.0])
         with pytest.raises(DataError):
-            mix_supports(np.array([0.5, 0.4]), [r, r])
+            mix([0.5, 0.4], [[0], [0]], [[1.0], [1.0]], [0.0])
         with pytest.raises(DataError):
-            mix_supports(np.array([1.0]), [r, r])
+            mix([1.0], [[0], [0]], [[1.0], [1.0]], [0.0])
 
 
 class TestRarecpInterval:

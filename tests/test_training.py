@@ -735,13 +735,11 @@ class TestBatchedEquivalence:
             maps = np.concatenate([A, b[:, None]], axis=1)[None]
             keyed = CalibrationStore.from_arrays(store.key_inputs()[:-1, cand].T, np.zeros(13))
             keyed.condition(DatasetDescriptor(0, np.zeros(5), np.ones(5), 0.0), normalize=False)
-            positions, scores = normalize_keys(maps, query_z, keyed, [13])
+            positions, scores = normalize_keys(maps, query_z, keyed, 13)
             assert positions.tolist() == list(range(13))
-            scores = scores[0]
-            naive_sel = cand[topk_retrieve(scores, k)]
-            naive_weights = ad.softmax_rows(
-                scores[topk_retrieve(scores, k)][None], temperature
-            ).data[0]
+            (pick,) = topk_retrieve(scores, k)
+            naive_sel = cand[pick]
+            naive_weights = ad.softmax(scores[:, pick], temperature)[0]
             row = list(batch).index(j)
             np.testing.assert_array_equal(np.sort(batch[sel[row]]), np.sort(naive_sel))
             order_batched = np.argsort(batch[sel[row]], kind="stable")
