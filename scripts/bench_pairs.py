@@ -3,6 +3,10 @@
     python3 scripts/bench_pairs.py PARENT CHANGE --workload eval_baselines \\
         --seed 11 --seconds 18 --pairs 10
 
+``--workload`` may be given more than once, and ``--workload all`` stands
+for every workload in the change's ``BENCHMARK.json``. The workloads run in
+turn, each through all its pairs, and each gets its own summary.
+
 Each pair runs ``python3 bench/run.py`` once in each checkout, one after the
 other, parent first in even pairs and the change first in odd ones, so a
 slow phase of the machine falls on both sides. For every end-to-end metric
@@ -125,28 +129,50 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
                          f"{proc.stderr.strip()[-500:]}") from None
 
 
+def workload_names(requested: list[str], spec: dict) -> list[str]:
+    """The requested workloads in order, each once, with ``all`` for every one in ``spec``."""
+    known = [w["name"] for w in spec["workloads"]]
+    names: list[str] = []
+    for name in requested:
+        for one in known if name == "all" else [name]:
+            if one not in known:
+                raise ValueError(f"unknown workload {one!r}; BENCHMARK.json has {known}")
+            if one not in names:
+                names.append(one)
+    return names
+
+
+def run_pairs(checkouts: tuple[Path, Path], workload: str, seed: int, seconds: float,
+              n_pairs: int) -> list[tuple[dict, dict]]:
+    """``n_pairs`` alternated (parent, change) runs; ``ValueError`` at the first incorrect one."""
+    pairs = []
+    for i in range(n_pairs):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        results = {side: run_once(checkouts[side], workload, seed, seconds) for side in order}
+        pairs.append((results[0], results[1]))
+        require_correct(i, pairs[-1])
+        print(f"{workload} pair {i} done", file=sys.stderr, flush=True)
+    return pairs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True,
+                        help="a workload of BENCHMARK.json, or all; may repeat")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=18.0)
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     checkouts = (args.parent.resolve(), args.change.resolve())
     spec = json.loads((checkouts[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    pairs = []
     try:
-        for i in range(args.pairs):
-            order = (0, 1) if i % 2 == 0 else (1, 0)
-            results = {side: run_once(checkouts[side], args.workload, args.seed, args.seconds)
-                       for side in order}
-            pairs.append((results[0], results[1]))
-            require_correct(i, pairs[-1])
-            print(f"pair {i} done", file=sys.stderr, flush=True)
-        print(f"{args.workload} seed={args.seed} seconds={args.seconds:g} pairs={args.pairs}")
-        print(summarise(pairs, spec["end_to_end"]))
+        for workload in workload_names(args.workload, spec):
+            pairs = run_pairs(checkouts, workload, args.seed, args.seconds, args.pairs)
+            print(f"{workload} seed={args.seed} seconds={args.seconds:g} pairs={args.pairs}",
+                  flush=True)
+            print(summarise(pairs, spec["end_to_end"]), flush=True)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

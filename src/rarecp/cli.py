@@ -60,6 +60,14 @@ def _split_spec(cfg: RunConfig) -> SplitSpec:
     return SplitSpec(cfg.train_frac, cfg.cal_frac, cfg.test_frac)
 
 
+def _write_lines(path: Path, lines: list[str]) -> None:
+    """Write ``lines`` to ``path``, one per line; an OS failure raises ``DataError``."""
+    try:
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+
+
 @cli.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", "out_dir", type=click.Path(), required=True)
@@ -79,17 +87,16 @@ def synth(config_path, out_dir, seed):
     clean = clean_component(synth_config)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {out}: {exc}") from exc
     series_lines = ["y,regime"]
     series_lines += [f"{float(v)!r},{int(l)}" for v, l in zip(series.values, labels)]
-    (out / "series.csv").write_text(
-        "\n".join(series_lines) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_lines(out / "series.csv", series_lines)
     forecast_lines = ["time_index,forecast"]
     forecast_lines += [f"{i},{float(v)!r}" for i, v in enumerate(clean)]
-    (out / "forecasts.csv").write_text(
-        "\n".join(forecast_lines) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_lines(out / "forecasts.csv", forecast_lines)
     click.echo(f"wrote {out / 'series.csv'} ({len(series)} rows) and forecasts.csv")
 
 
@@ -236,7 +243,7 @@ def probe_topk(n, k_values, queries, seed, out_path):
         click.echo(f"k={k:6d} mean sup-norm CDF distance={delta:.5f}")
         lines.append(f"{k},{delta!r}")
     if out_path:
-        Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        _write_lines(Path(out_path), lines)
         click.echo(f"wrote {out_path}")
 
 

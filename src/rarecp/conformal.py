@@ -21,7 +21,9 @@ from functools import lru_cache
 import numpy as np
 
 from rarecp.errors import DataError, NumericError
-from rarecp.validation import check_unit_interval
+from rarecp.validation import (
+    check_fields, check_finite, check_unit_interval, check_vector, check_weighting, float_array,
+)
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -34,8 +36,8 @@ class WeightedSupport:
     weights: np.ndarray
 
     def __post_init__(self):
-        residuals = np.asarray(self.residuals, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
+        residuals = float_array(self.residuals, "support residuals")
+        weights = float_array(self.weights, "support weights")
         object.__setattr__(self, "residuals", residuals)
         object.__setattr__(self, "weights", weights)
         if residuals.ndim != 1 or weights.ndim != 1:
@@ -65,10 +67,13 @@ class PredictionInterval:
     alpha_used: float
 
     def __post_init__(self):
-        if not self.lower <= self.upper:
-            raise DataError(
-                f"interval bounds out of order: [{self.lower}, {self.upper}]"
-            )
+        try:
+            ordered = self.lower <= self.upper
+        except TypeError:  # a bound that is not a number: convert both (or refuse), then compare
+            check_fields(self)
+            ordered = self.lower <= self.upper
+        if not ordered:
+            raise DataError(f"interval bounds out of order: [{self.lower}, {self.upper}]")
         check_unit_interval(self.alpha_used, "alpha_used")
 
     def covers(self, y: float) -> bool:
@@ -82,6 +87,7 @@ class PredictionInterval:
 
 def weighted_cdf(support: WeightedSupport, rho: float) -> float:
     """Right-continuous step CDF value at ``rho``."""
+    rho = check_finite(rho, "rho")
     return float(support.weights[support.residuals <= rho].sum())
 
 
@@ -108,7 +114,11 @@ def _interval(
     alpha = check_unit_interval(alpha, "alpha")
     tau_lo = check_unit_interval(alpha / 2.0, "tau")
     tau_hi = check_unit_interval(1.0 - alpha / 2.0, "tau")
-    if not math.isfinite(forecast):
+    try:
+        finite = math.isfinite(forecast)
+    except TypeError:  # not a number: check_finite converts it or refuses it
+        forecast, finite = check_finite(forecast, "forecast"), True
+    if not finite:
         raise DataError(f"forecast must be finite, got {forecast}")
     lower = forecast + _quantile(values, cum, tau_lo)
     upper = forecast + _quantile(values, cum, tau_hi)
@@ -137,7 +147,12 @@ def winkler_score(lower: float, upper: float, y: float, alpha: float) -> float:
     A non-finite bound or target raises ``DataError``.
     """
     alpha = check_unit_interval(alpha, "alpha")
-    if not (math.isfinite(lower) and math.isfinite(upper) and math.isfinite(y)):
+    try:
+        finite = math.isfinite(lower) and math.isfinite(upper) and math.isfinite(y)
+    except TypeError:  # not a number: check_finite converts each or refuses it
+        lower, upper = check_finite(lower, "lower"), check_finite(upper, "upper")
+        y, finite = check_finite(y, "y"), True
+    if not finite:
         raise DataError(f"winkler_score needs finite bounds and target: [{lower}, {upper}], {y}")
     if lower > upper:
         raise DataError(f"interval bounds out of order: [{lower}, {upper}]")
@@ -160,13 +175,17 @@ class AciState:
     alpha_max: float = 0.99
 
     def __post_init__(self):
-        if not 0.0 < self.alpha_min < self.alpha_max < 1.0:
-            raise DataError("require 0 < alpha_min < alpha_max < 1")
-        check_unit_interval(self.alpha_target, "alpha_target")
-        if not 0.0 <= self.gamma < math.inf:  # NaN fails too
-            raise DataError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not self.alpha_min <= self.alpha_t <= self.alpha_max:
-            raise DataError("alpha_t must start inside the clip bounds")
+        try:
+            if not 0.0 < self.alpha_min < self.alpha_max < 1.0:
+                raise DataError("require 0 < alpha_min < alpha_max < 1")
+            check_unit_interval(self.alpha_target, "alpha_target")
+            if not 0.0 <= self.gamma < math.inf:  # NaN fails too
+                raise DataError(f"gamma must be finite and >= 0, got {self.gamma}")
+            if not self.alpha_min <= self.alpha_t <= self.alpha_max:
+                raise DataError("alpha_t must start inside the clip bounds")
+        except TypeError:  # a field that is not a number: convert them all (or refuse), again
+            check_fields(self)
+            self.__post_init__()
 
     @classmethod
     def initial(
@@ -207,20 +226,15 @@ def baseline_weights(
     age (the last residual is the most recent, age 0), normalized to sum
     to one; ``nexcp_lambda = 1`` recovers uniform.
     """
-    residuals = np.asarray(residuals, dtype=np.float64)
-    if residuals.ndim != 1 or residuals.size == 0:
-        raise DataError("baseline_weights needs a non-empty 1-D residual array")
+    nexcp_lambda = check_weighting(mode, nexcp_lambda)
+    residuals = check_vector(residuals, "residuals")
     n = residuals.size
     if mode == "uniform":
         weights = np.full(n, 1.0 / n)
-    elif mode == "nexcp":
-        if not 0.0 < nexcp_lambda <= 1.0:
-            raise DataError("nexcp_lambda must lie in (0, 1]")
+    else:
         ages = np.arange(n - 1, -1, -1, dtype=np.float64)
         raw = nexcp_lambda**ages
         weights = raw / raw.sum()
-    else:
-        raise DataError(f"unknown weighting mode {mode!r}")
     return WeightedSupport(residuals, weights)
 
 
@@ -255,16 +269,13 @@ def baseline_interval(
     window length and reads two residuals; NexCP gathers its weights by
     chronological position (arrival minus oldest) before its cumulative sum.
     """
+    nexcp_lambda = check_weighting(mode, nexcp_lambda)
     values, arrivals, oldest = store.sorted_window()
     n = values.size
     if n == 0:
         raise DataError("cannot build an interval from an empty store")
     if mode == "uniform":
         cum = _uniform_cumulative(n)
-    elif mode == "nexcp":
-        if not 0.0 < nexcp_lambda <= 1.0:
-            raise DataError("nexcp_lambda must lie in (0, 1]")
-        cum = np.cumsum(_nexcp_weights(n, float(nexcp_lambda)).take(arrivals - oldest))
     else:
-        raise DataError(f"unknown weighting mode {mode!r}")
+        cum = np.cumsum(_nexcp_weights(n, nexcp_lambda).take(arrivals - oldest))
     return _interval(forecast, values, cum, alpha)

@@ -17,7 +17,9 @@ from rarecp.errors import (
     ForecastMissingError,
     NonNumericCellError,
 )
-from rarecp.validation import check_count, check_finite, check_int, float_array
+from rarecp.validation import (
+    check_count, check_fields, check_finite, check_int, check_matrix, check_vector, float_array,
+)
 
 FRACTION_SUM_TOL = 1e-9
 DEFAULT_SIGMA_FLOOR = 1e-6
@@ -34,12 +36,7 @@ class TimeSeries:
     frequency_tag: str = ""
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        if values.ndim != 1 or values.size < 1:
-            raise DataError("a series needs at least one value")
-        if not np.all(np.isfinite(values)):
-            raise DataError(f"series {self.name!r} contains non-finite values")
+        object.__setattr__(self, "values", check_vector(self.values, f"series {self.name!r}"))
 
     def __len__(self) -> int:
         return int(self.values.size)
@@ -52,6 +49,7 @@ class SplitSpec:
     test_frac: float = 0.25
 
     def __post_init__(self):
+        check_fields(self)
         fracs = (self.train_frac, self.cal_frac, self.test_frac)
         if any(f <= 0.0 for f in fracs):
             raise DataError("split fractions must all be positive")
@@ -74,8 +72,7 @@ def chronological_split(n: int, spec: SplitSpec) -> SplitIndices:
     Train and calibration get floor(frac * n) rows; the remainder goes to
     the test segment so earlier segments never exceed their fractions.
     """
-    if n < 1:
-        raise DataError("cannot split an empty series")
+    n = check_count(n, "series length")
     n_train = int(np.floor(spec.train_frac * n))
     n_cal = int(np.floor(spec.cal_frac * n))
     n_test = n - n_train - n_cal
@@ -102,13 +99,8 @@ def build_context(
     Shorter histories are left-padded with their earliest value ("edge"
     padding) so the feature dimension stays fixed for early time steps.
     """
-    history = np.asarray(history, dtype=np.float64)
-    if history.ndim != 1:
-        raise DataError("history must be 1-D")
-    if history.size == 0:
-        raise DataError("cannot build a context from an empty history")
-    if window < 1:
-        raise DataError("window must be >= 1")
+    history = check_vector(history, "history")
+    window = check_count(window, "window")
     if history.size >= window:
         feats = history[-window:]
     else:
@@ -117,11 +109,8 @@ def build_context(
     if include_forecast:
         if forecast is None:
             raise DataError("include_forecast=True requires a forecast value")
-        feats = np.concatenate([feats, [float(forecast)]])
-    feats = np.array(feats, dtype=np.float64, copy=True)
-    if not np.all(np.isfinite(feats)):
-        raise DataError("context contains non-finite values")
-    return feats
+        feats = np.concatenate([feats, [check_finite(forecast, "forecast")]])
+    return np.array(feats, copy=True)
 
 
 @dataclass(frozen=True)
@@ -430,17 +419,13 @@ class CalibrationStore:
         to the number of rows. Input is validated once, then the most recent
         rows are written into the ring.
         """
-        y = float_array(y, "y")
+        y = check_vector(y, "y")
         start_time = check_int(start_time, "start_time")
-        X = float_array(X, "X")
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
+        X = check_matrix(X, "X")
+        if X.shape[0] != y.size:
             raise DataError(
                 f"store needs (n, p) contexts and n residuals, got shapes {X.shape} and {y.shape}"
             )
-        if y.size == 0:
-            raise DataError("cannot build a store from zero entries")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise DataError("store contexts and residuals must be finite")
         store = cls(y.size if capacity is None else capacity, X.shape[1])
         n = min(y.size, store.capacity)
         store._contexts[:n] = X[-n:]
@@ -471,13 +456,11 @@ class DatasetDescriptor:
     log_n: float
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        if mu.shape != sigma.shape or mu.ndim != 1:
+        for name in ("mu", "sigma"):
+            object.__setattr__(self, name, check_vector(getattr(self, name), f"descriptor {name}"))
+        if self.mu.shape != self.sigma.shape:
             raise DataError("descriptor mu and sigma must be matching 1-D vectors")
-        if np.any(sigma <= 0.0):
+        if np.any(self.sigma <= 0.0):
             raise DataError("descriptor sigma must be strictly positive (floored)")
 
     @property
@@ -525,14 +508,14 @@ def compute_descriptor(contexts: np.ndarray, dataset_id: int = 0) -> DatasetDesc
     ``sigma`` is floored componentwise at ``DEFAULT_SIGMA_FLOOR`` so constant
     features never divide by zero downstream.
     """
-    contexts = np.asarray(contexts, dtype=np.float64)
-    if contexts.ndim != 2 or contexts.shape[0] == 0:
+    contexts = check_matrix(contexts, "contexts")
+    if contexts.shape[0] == 0:
         raise DataError("compute_descriptor needs a non-empty (n, p) context matrix")
     mu = contexts.mean(axis=0)
     sigma = contexts.std(axis=0)
     sigma = np.maximum(sigma, DEFAULT_SIGMA_FLOOR)
     return DatasetDescriptor(
-        dataset_id=int(dataset_id),
+        dataset_id=check_int(dataset_id, "dataset_id"),
         mu=mu,
         sigma=sigma,
         log_n=float(np.log(contexts.shape[0])),
@@ -558,23 +541,11 @@ class ForecastSource(ABC):
         ...
 
 
-class NaiveForecast(ForecastSource):
-    """Last observed value."""
-
-    def point_forecast(self, history: np.ndarray, time_index: int) -> float:
-        history = np.asarray(history, dtype=np.float64)
-        if history.size == 0:
-            raise DataError("naive forecast needs at least one past value")
-        return float(history[-1])
-
-
 class SeasonalNaiveForecast(ForecastSource):
     """Value one season (``period`` steps) back; falls back to the earliest value."""
 
     def __init__(self, period: int):
-        if period < 1:
-            raise DataError("seasonal period must be >= 1")
-        self.period = int(period)
+        self.period = check_count(period, "seasonal period")
 
     def point_forecast(self, history: np.ndarray, time_index: int) -> float:
         history = np.asarray(history, dtype=np.float64)
@@ -585,13 +556,20 @@ class SeasonalNaiveForecast(ForecastSource):
         return float(history[-self.period])
 
 
+class NaiveForecast(SeasonalNaiveForecast):
+    """Last observed value: the seasonal naive forecast of period 1."""
+
+    def __init__(self):
+        super().__init__(1)
+
+
 class PrecomputedForecast(ForecastSource):
     """Forecasts cached by time index; a missing index fails loudly."""
 
     def __init__(self, forecasts: dict[int, float]):
-        self._forecasts = {int(k): float(v) for k, v in forecasts.items()}
-        if any(not np.isfinite(v) for v in self._forecasts.values()):
-            raise DataError("precomputed forecasts must be finite")
+        self._forecasts = {
+            check_int(k, "time_index"): check_finite(v, "forecast") for k, v in forecasts.items()
+        }
 
     def point_forecast(self, history: np.ndarray, time_index: int) -> float:
         try:
@@ -610,7 +588,7 @@ def make_forecast_source(kind: str, path: str | None = None) -> ForecastSource:
     if kind == "naive":
         return NaiveForecast()
     if kind.startswith("seasonal:"):
-        return SeasonalNaiveForecast(int(kind.split(":", 1)[1]))
+        return SeasonalNaiveForecast(check_finite(kind.split(":", 1)[1], "seasonal period"))
     if kind == "file":
         if path is None:
             raise DataError("forecast kind 'file' needs a forecast CSV path")
@@ -623,6 +601,21 @@ def make_forecast_source(kind: str, path: str | None = None) -> ForecastSource:
 # ---------------------------------------------------------------------------
 
 
+def _lines(path: Path, what: str):
+    """The lines of the UTF-8 text file ``path``, read lazily for ``csv``.
+
+    A missing file raises ``FileMissingError``; one that cannot be read as
+    text (a directory, a binary file) raises ``DataError``.
+    """
+    if not path.exists():
+        raise FileMissingError(f"{what} file not found: {path}")
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            yield from fh
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from None
+
+
 def load_series_csv(path: str | Path, column: str) -> TimeSeries:
     """Load one numeric column (selected by header name) as a series.
 
@@ -630,32 +623,27 @@ def load_series_csv(path: str | Path, column: str) -> TimeSeries:
     column, non-numeric cell (reported with its row number), empty series.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileMissingError(f"series file not found: {path}")
     values: list[float] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or column not in header:
-            raise ColumnMissingError(
-                f"column {column!r} not found in {path} (columns: {header})"
+    reader = csv.reader(_lines(path, "series"))
+    header = next(reader, None)
+    if header is None or column not in header:
+        raise ColumnMissingError(f"column {column!r} not found in {path} (columns: {header})")
+    col = header.index(column)
+    # plain csv.reader keeps blank lines visible (as empty rows), so a
+    # blank value row fails loudly instead of being skipped
+    for row_number, row in enumerate(reader, start=1):
+        cell = row[col] if len(row) > col else None
+        try:
+            value = float(cell)
+        except (TypeError, ValueError):
+            raise NonNumericCellError(
+                f"non-numeric cell at row {row_number} in column {column!r}: {cell!r}"
+            ) from None
+        if not np.isfinite(value):
+            raise NonNumericCellError(
+                f"non-finite value at row {row_number} in column {column!r}"
             )
-        col = header.index(column)
-        # plain csv.reader keeps blank lines visible (as empty rows), so a
-        # blank value row fails loudly instead of being skipped
-        for row_number, row in enumerate(reader, start=1):
-            cell = row[col] if len(row) > col else None
-            try:
-                value = float(cell)
-            except (TypeError, ValueError):
-                raise NonNumericCellError(
-                    f"non-numeric cell at row {row_number} in column {column!r}: {cell!r}"
-                ) from None
-            if not np.isfinite(value):
-                raise NonNumericCellError(
-                    f"non-finite value at row {row_number} in column {column!r}"
-                )
-            values.append(value)
+        values.append(value)
     if not values:
         raise EmptySeriesError(f"no data rows in {path}")
     return TimeSeries(values=np.asarray(values), name=path.stem)
@@ -664,25 +652,18 @@ def load_series_csv(path: str | Path, column: str) -> TimeSeries:
 def load_forecast_csv(path: str | Path) -> PrecomputedForecast:
     """Load a (time_index, forecast) CSV into a precomputed source."""
     path = Path(path)
-    if not path.exists():
-        raise FileMissingError(f"forecast file not found: {path}")
     forecasts: dict[int, float] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"time_index", "forecast"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ColumnMissingError(
-                f"forecast CSV {path} must have columns {sorted(required)}"
-            )
-        for row_number, row in enumerate(reader, start=1):
-            try:
-                idx = int(row["time_index"])
-                value = float(row["forecast"])
-            except (TypeError, ValueError):
-                raise NonNumericCellError(
-                    f"bad forecast row {row_number} in {path}: {row!r}"
-                ) from None
-            forecasts[idx] = value
+    reader = csv.DictReader(_lines(path, "forecast"))
+    required = {"time_index", "forecast"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise ColumnMissingError(f"forecast CSV {path} must have columns {sorted(required)}")
+    for row_number, row in enumerate(reader, start=1):
+        try:
+            idx = int(row["time_index"])
+            value = float(row["forecast"])
+        except (TypeError, ValueError):
+            raise NonNumericCellError(f"bad forecast row {row_number} in {path}: {row!r}") from None
+        forecasts[idx] = value
     if not forecasts:
         raise EmptySeriesError(f"no forecast rows in {path}")
     return PrecomputedForecast(forecasts)

@@ -38,13 +38,8 @@ from rarecp.errors import DataError
 from rarecp.gate import mixed_support, rarecp_interval
 from rarecp.training import ModelConfig, TrainConfig, Trainer, config_from
 from rarecp.validation import (
-    check_count,
-    check_finite,
-    check_fitted,
-    check_int,
-    check_matrix,
-    check_unit_interval,
-    check_vector,
+    check_count, check_finite, check_fitted, check_int, check_unit_interval, check_vector,
+    check_weighting,
 )
 
 
@@ -54,17 +49,6 @@ def _zero_context(dim: int) -> np.ndarray:
     context = np.zeros(dim)
     context.flags.writeable = False
     return context
-
-
-def _check_weighting(weighting, nexcp_lambda) -> float:
-    """``nexcp_lambda`` as a float; an unknown ``weighting`` or a ``nexcp_lambda``
-    outside (0, 1] raises ``DataError``."""
-    if weighting not in ("uniform", "nexcp"):
-        raise DataError(f"unknown weighting {weighting!r}; expected 'uniform' or 'nexcp'")
-    nexcp_lambda = check_finite(nexcp_lambda, "nexcp_lambda")
-    if not 0.0 < nexcp_lambda <= 1.0:
-        raise DataError(f"nexcp_lambda must lie in (0, 1], got {nexcp_lambda}")
-    return nexcp_lambda
 
 
 class SplitConformal(BaseEstimator):
@@ -96,7 +80,7 @@ class SplitConformal(BaseEstimator):
         ``weighting`` or a ``nexcp_lambda`` outside (0, 1] raises ``DataError``;
         a numeric ``nexcp_lambda`` is kept as a float.
         """
-        self.nexcp_lambda = _check_weighting(self.weighting, self.nexcp_lambda)
+        self.nexcp_lambda = check_weighting(self.weighting, self.nexcp_lambda)
         y = check_vector(y, "y")
         if X is None:
             X = np.zeros((y.size, 1))
@@ -108,8 +92,8 @@ class SplitConformal(BaseEstimator):
         """Set parameters; once fitted, settings ``fit`` refuses raise ``DataError``, unkept,
         and a numeric ``nexcp_lambda`` is kept as a float."""
         if self.store_ is not None:
-            nexcp_lambda = _check_weighting(params.get("weighting", self.weighting),
-                                            params.get("nexcp_lambda", self.nexcp_lambda))
+            nexcp_lambda = check_weighting(params.get("weighting", self.weighting),
+                                           params.get("nexcp_lambda", self.nexcp_lambda))
             if "nexcp_lambda" in params:
                 params = {**params, "nexcp_lambda": nexcp_lambda}
         return super().set_params(**params)
@@ -248,21 +232,17 @@ class RareCP(BaseEstimator):
         Training reads them through a store conditioned as ``seed_store``
         conditions the window, which it then seeds, as a reloaded model would.
         """
-        X = check_matrix(X, "X")
-        y = check_vector(y, "y")
-        if X.shape[0] != y.size:
-            raise DataError("X and y must have the same number of rows")
+        store = CalibrationStore.from_arrays(X, y)
         model = self.model_config()
-        if X.shape[1] != model.context_dim:
+        if store.context_dim != model.context_dim:
             raise DataError(
-                f"X has {X.shape[1]} features but window={self.window} and "
+                f"X has {store.context_dim} features but window={self.window} and "
                 f"include_forecast={self.include_forecast} imply {model.context_dim}"
             )
         if self.capacity is not None:
             # seed_store refuses a bad one too, but only once training is done
             check_count(self.capacity, "store capacity")
         dataset_id = check_int(dataset_id, "dataset_id")
-        store = CalibrationStore.from_arrays(X, y)
         store.condition(compute_descriptor(store.contexts(), dataset_id), model.normalize_contexts)
         trainer = Trainer([store], model, self.train_config()).run()
         self.components_ = components_from_trainer(trainer)
@@ -308,7 +288,6 @@ class RareCP(BaseEstimator):
         ``set_params(capacity=...)`` after fitting takes effect.
         """
         model = self._trained_components().model
-        y = check_vector(y, "y")
         store = CalibrationStore.from_arrays(X, y, self.capacity, start_time)
         if store.context_dim != model.context_dim:
             raise DataError(
@@ -318,7 +297,7 @@ class RareCP(BaseEstimator):
             compute_descriptor(store.contexts(), self._dataset_id), model.normalize_contexts
         )
         self.store_ = store
-        self._next_time = int(start_time) + y.size
+        self._next_time = int(start_time) + len(y)
 
     @property
     def descriptor_(self) -> DatasetDescriptor | None:

@@ -26,7 +26,9 @@ from rarecp.data import (
 )
 from rarecp.errors import DataError, NumericError
 from rarecp.estimators import RareCP, SplitConformal
-from rarecp.validation import check_count, check_finite, check_unit_interval
+from rarecp.validation import (
+    check_count, check_fields, check_finite, check_int, check_unit_interval, check_weighting,
+)
 
 METHODS = ("uniform", "aci_uniform", "nexcp", "rarecp_checkpoint")
 
@@ -76,17 +78,14 @@ class EvalConfig:
     dataset_id: int = 0
 
     def __post_init__(self):
-        fix = object.__setattr__  # keeps the checked value in the frozen instance
-        fix(self, "window", check_count(self.window, "window"))
+        check_fields(self)
+        check_count(self.window, "window")
         if self.capacity is not None:
-            fix(self, "capacity", check_count(self.capacity, "capacity"))
-        fix(self, "alpha", check_unit_interval(self.alpha, "alpha"))
-        for name in ("aci_gamma", "aci_alpha_min", "aci_alpha_max", "nexcp_lambda"):
-            fix(self, name, check_finite(getattr(self, name), name))
+            object.__setattr__(self, "capacity", check_count(self.capacity, "capacity"))
+        check_unit_interval(self.alpha, "alpha")
         if not (0.0 < self.aci_alpha_min < self.aci_alpha_max < 1.0 and self.aci_gamma >= 0.0):
             raise DataError("require 0 < aci_alpha_min < aci_alpha_max < 1 and aci_gamma >= 0")
-        if not 0.0 < self.nexcp_lambda <= 1.0:
-            raise DataError(f"nexcp_lambda must lie in (0, 1], got {self.nexcp_lambda}")
+        check_weighting("nexcp", self.nexcp_lambda)
 
 
 def calibration_forecasts(
@@ -209,6 +208,7 @@ def compute_metrics(records: list[EvalRecord], std_y: float) -> MetricsSummary:
     """Mean Winkler / width (both normalized by std_y) and empirical coverage."""
     if not records:
         raise DataError("cannot summarize zero evaluation records")
+    std_y = check_finite(std_y, "std_y")
     if not std_y > 0.0:
         raise NumericError("degenerate evaluation split: std(y) must be positive")
     winklers = np.array([r.winkler for r in records])
@@ -272,7 +272,12 @@ def topk_consistency_probe(
     counts = dict(n=n, n_queries=n_queries, grid_points=grid_points, context_dim=context_dim)
     n, n_queries, grid_points, context_dim = (check_count(v, k) for k, v in counts.items())
     k_values = [check_count(k, "k") for k in k_values]
-    rng = np.random.default_rng(seed)
+    beta = check_finite(beta, "beta")
+    if not beta > 0.0:
+        raise DataError(f"beta must be positive, got {beta}")
+    if check_int(seed, "seed") < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(int(seed))
     contexts = rng.standard_normal((n, context_dim))
     residuals = rng.standard_normal(n)
     queries = rng.standard_normal((n_queries, context_dim))
@@ -313,6 +318,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv(rows) -> str:
+    return "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+
+
 def emit_report(
     summaries: list[MetricsSummary],
     records: dict[str, list[EvalRecord]],
@@ -322,63 +331,38 @@ def emit_report(
     """Write summary.csv, records.csv and manifest.json under ``out_dir``.
 
     Output is plot-ready and byte-deterministic: floats use shortest
-    round-trip formatting and rows follow method then time order.
+    round-trip formatting and rows follow method then time order. A manifest
+    value JSON cannot hold, or an OS failure, raises ``DataError``; the
+    manifest is checked before any file is written.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    summary = [("method", "n_points", "mean_winkler", "nwink", "mean_width", "nw", "coverage",
+                "std_y")]
+    summary += [(s.method, s.n_points, s.mean_winkler, s.nwink, s.mean_width, s.nw, s.coverage,
+                 s.std_y) for s in summaries]
+    rows = [("method", "time_index", "forecast", "lower", "upper", "y", "covered", "winkler",
+             "alpha_used")]
+    rows += [(r.method, r.time_index, r.forecast, r.lower, r.upper, r.y, r.covered, r.winkler,
+              r.alpha_used) for method in sorted(records) for r in records[method]]
 
-    summary_path = out / "summary.csv"
-    lines = ["method,n_points,mean_winkler,nwink,mean_width,nw,coverage,std_y"]
-    for s in summaries:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    s.method,
-                    s.n_points,
-                    s.mean_winkler,
-                    s.nwink,
-                    s.mean_width,
-                    s.nw,
-                    s.coverage,
-                    s.std_y,
-                )
-            )
-        )
-    summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-    records_path = out / "records.csv"
-    lines = ["method,time_index,forecast,lower,upper,y,covered,winkler,alpha_used"]
-    for method in sorted(records):
-        for r in records[method]:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        r.method,
-                        r.time_index,
-                        r.forecast,
-                        r.lower,
-                        r.upper,
-                        r.y,
-                        r.covered,
-                        r.winkler,
-                        r.alpha_used,
-                    )
-                )
-            )
-    records_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-    manifest_path = out / "manifest.json"
     payload = dict(manifest or {})
     if "checkpoint" in payload and payload["checkpoint"] is not None:
         ckpt = Path(payload["checkpoint"])
         if ckpt.exists():
             payload["checkpoint_sha256"] = checkpoint_sha256(ckpt)
         payload["checkpoint"] = str(payload["checkpoint"])
-    manifest_path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
-    return {"summary": summary_path, "records": records_path, "manifest": manifest_path}
+    try:
+        manifest_text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"the report manifest cannot be written as JSON: {exc}") from None
+
+    out = Path(out_dir)
+    paths = {"summary": out / "summary.csv", "records": out / "records.csv",
+             "manifest": out / "manifest.json"}
+    texts = {"summary": _csv(summary), "records": _csv(rows), "manifest": manifest_text}
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, path in paths.items():
+            path.write_text(texts[name], encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise DataError(f"cannot write the report under {out}: {exc}") from exc
+    return paths

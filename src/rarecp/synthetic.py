@@ -14,6 +14,7 @@ import numpy as np
 
 from rarecp.data import TimeSeries
 from rarecp.errors import DataError
+from rarecp.validation import check_count, check_fields, check_int
 
 
 @dataclass(frozen=True)
@@ -24,6 +25,7 @@ class RegimeSpec:
     period: int = 24
 
     def __post_init__(self):
+        check_fields(self)
         if self.noise_scale < 0.0:
             raise DataError("regime noise_scale must be >= 0")
         if self.period < 1:
@@ -40,8 +42,10 @@ class RegimeSeriesConfig:
     def __post_init__(self):
         if not self.regimes:
             raise DataError("need at least one regime")
-        if not self.segment_lengths or any(n < 1 for n in self.segment_lengths):
-            raise DataError("segment lengths must be positive")
+        if not self.segment_lengths:
+            raise DataError("need at least one segment")
+        lengths = tuple(check_count(n, "segment length") for n in self.segment_lengths)
+        object.__setattr__(self, "segment_lengths", lengths)
         regimes = self.resolved_segment_regimes()
         if any(not 0 <= j < len(self.regimes) for j in regimes):
             raise DataError("segment regime index out of range")
@@ -51,7 +55,7 @@ class RegimeSeriesConfig:
         if self.segment_regimes is not None:
             if len(self.segment_regimes) != len(self.segment_lengths):
                 raise DataError("segment_regimes must match segment_lengths")
-            return tuple(int(j) for j in self.segment_regimes)
+            return tuple(check_int(j, "segment regime") for j in self.segment_regimes)
         m = len(self.regimes)
         return tuple(i % m for i in range(len(self.segment_lengths)))
 
@@ -93,7 +97,9 @@ def synth_regime_series(
     """Generate the series and aligned regime labels, bit-reproducibly per seed."""
     labels = regime_labels(config)
     clean = clean_component(config)
-    rng = np.random.default_rng(seed)
+    if check_int(seed, "seed") < 0:
+        raise DataError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(int(seed))
     noise = rng.standard_normal(config.total_length)
     scales = np.array([r.noise_scale for r in config.regimes])[labels]
     values = clean + scales * noise

@@ -73,7 +73,7 @@ from rarecp.experts import (
     RetrievalExpert,
 )
 from rarecp.gate import GateParams
-from rarecp.validation import check_finite, check_int
+from rarecp.validation import check_fields
 
 
 def default_alpha_grid(center: float = 0.20, step: float = 0.02, spread: int = 5):
@@ -110,14 +110,6 @@ def temperature_at(step: int, schedule: TemperatureSchedule) -> float:
     return schedule.tau_end + (schedule.tau_start - schedule.tau_end) * w
 
 
-def _check_numbers(config) -> None:
-    """Check and keep each int (``check_int``) and float (``check_finite``) field of ``config``."""
-    for f in fields(config):
-        check = {"int": check_int, "float": check_finite}.get(f.type)
-        if check is not None:
-            object.__setattr__(config, f.name, check(getattr(config, f.name), f.name))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     lambda_anchor: float = 5.0
@@ -136,7 +128,7 @@ class TrainConfig:
     audit: bool = False
 
     def __post_init__(self):
-        _check_numbers(self)
+        check_fields(self)
         if self.lambda_anchor < 0 or self.lambda_entropy < 0:
             raise DataError("regularization weights must be >= 0")
         if min(self.student_lr, self.gate_lr, self.teacher_lr) <= 0:
@@ -169,7 +161,7 @@ class ModelConfig:
     normalize_contexts: bool = True
 
     def __post_init__(self):
-        _check_numbers(self)
+        check_fields(self)
         counts = ("n_experts", "latent_dim", "top_k", "hidden_dim", "hidden_layers",
                   "gate_hidden_dim", "window")
         if min(getattr(self, name) for name in counts) < 1:
@@ -972,7 +964,8 @@ def write_training_log(rows: list[LogRow], path) -> None:
 
     The last column is ``blas_threads()`` when the log is written, empty
     where it cannot be read: checkpoint bytes can depend on it (see the
-    README), so a log says which thread count its run had.
+    README), so a log says which thread count its run had. An OS failure
+    raises ``DataError``.
     """
     threads = blas_threads()
     threads = "" if threads is None else threads
@@ -981,5 +974,8 @@ def write_training_log(rows: list[LogRow], path) -> None:
         lines.append(
             f"{row.stage},{row.epoch},{row.mean_loss!r},{row.tau_q!r},{threads}"
         )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise DataError(f"cannot write training log {path}: {exc}") from exc

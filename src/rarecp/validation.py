@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -80,6 +81,28 @@ def check_count(value, name: str) -> int:
     if value < 1:
         raise DataError(f"{name} must be >= 1, got {value}")
     return value
+
+
+def check_fields(config) -> None:
+    """Check and keep each ``int`` (``check_int``) and ``float`` (``check_finite``) field
+    of the dataclass instance ``config``, frozen or not."""
+    for f in fields(config):
+        check = {"int": check_int, "float": check_finite}.get(getattr(f.type, "__name__", f.type))
+        if check is not None:
+            object.__setattr__(config, f.name, check(getattr(config, f.name), f.name))
+
+
+def check_weighting(mode, nexcp_lambda) -> float:
+    """``nexcp_lambda`` as a number in (0, 1]; an unknown weighting ``mode``
+    (``uniform`` or ``nexcp``) or any other ``nexcp_lambda`` raises ``DataError``."""
+    if mode not in ("uniform", "nexcp"):
+        raise DataError(f"unknown weighting {mode!r}; expected 'uniform' or 'nexcp'")
+    if isinstance(nexcp_lambda, float) and 0.0 < nexcp_lambda <= 1.0:
+        return nexcp_lambda
+    nexcp_lambda = check_finite(nexcp_lambda, "nexcp_lambda")
+    if not 0.0 < nexcp_lambda <= 1.0:
+        raise DataError(f"nexcp_lambda must lie in (0, 1], got {nexcp_lambda}")
+    return nexcp_lambda
 
 
 def check_fitted(obj, attribute: str) -> None:

@@ -99,3 +99,72 @@ def test_summary_prints_both_verdicts_for_each_metric():
     text = bench_pairs.summarise([pair], END_TO_END)
     assert "  claim not met: won 0 of 1, median better by -10" in text
     assert "  bound within: median 10.0% worse, against a bound of 25%" in text
+
+
+def _checkouts(tmp_path):
+    spec = {"workloads": [{"name": "fit"}, {"name": "eval_baselines"}], "end_to_end": END_TO_END}
+    sides = []
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec), encoding="utf-8")
+        sides.append(str(tmp_path / side))
+    return sides
+
+
+def _stub_runs(monkeypatch, incorrect=None):
+    """Stub ``run_once``: the change is faster; ``incorrect`` = (checkout name, workload)."""
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload))
+        faster = checkout.name == "change"
+        correct = (checkout.name, workload) != incorrect
+        return bench_pairs.parse_result(
+            bench_stdout(120.0 if faster else 100.0, 0.04 if faster else 0.05, correct))
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return calls
+
+
+def test_all_runs_every_workload_in_turn_with_one_summary_each(tmp_path, monkeypatch, capsys):
+    calls = _stub_runs(monkeypatch)
+    parent, change = _checkouts(tmp_path)
+    assert bench_pairs.main([parent, change, "--workload", "all", "--seed", "3",
+                             "--pairs", "2"]) == 0
+    # each workload's pairs run before the next workload's, parent first in even pairs
+    assert calls == [("parent", "fit"), ("change", "fit"), ("change", "fit"), ("parent", "fit"),
+                     ("parent", "eval_baselines"), ("change", "eval_baselines"),
+                     ("change", "eval_baselines"), ("parent", "eval_baselines")]
+    out = capsys.readouterr().out
+    assert out.index("fit seed=3 seconds=18 pairs=2") < out.index(
+        "eval_baselines seed=3 seconds=18 pairs=2")
+    assert out.count("steps_per_s (steps/s, higher is better): change won 2 of 2 pairs") == 2
+
+
+def test_repeated_workloads_run_in_the_order_given_and_once_each(tmp_path, monkeypatch, capsys):
+    calls = _stub_runs(monkeypatch)
+    parent, change = _checkouts(tmp_path)
+    argv = [parent, change, "--workload", "eval_baselines", "--workload", "fit",
+            "--workload", "eval_baselines", "--seed", "3", "--pairs", "1"]
+    assert bench_pairs.main(argv) == 0
+    assert [w for _, w in calls] == ["eval_baselines"] * 2 + ["fit"] * 2
+
+
+def test_an_incorrect_run_in_a_later_workload_refuses_with_exit_1(tmp_path, monkeypatch, capsys):
+    calls = _stub_runs(monkeypatch, incorrect=("change", "eval_baselines"))
+    parent, change = _checkouts(tmp_path)
+    assert bench_pairs.main([parent, change, "--workload", "all", "--seed", "3",
+                             "--pairs", "3"]) == 1
+    assert calls[-1] == ("change", "eval_baselines")  # no run after the incorrect one
+    captured = capsys.readouterr()
+    assert "fit seed=3" in captured.out and "eval_baselines seed=3" not in captured.out
+    assert "pair 0: the change run is not correct" in captured.err
+
+
+def test_an_unknown_workload_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    calls = _stub_runs(monkeypatch)
+    parent, change = _checkouts(tmp_path)
+    assert bench_pairs.main([parent, change, "--workload", "fit", "--workload", "serve",
+                             "--seed", "3"]) == 1
+    assert calls == []
+    assert "unknown workload 'serve'" in capsys.readouterr().err

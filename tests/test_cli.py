@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from rarecp.checkpoint import MAGIC
@@ -8,7 +9,7 @@ from rarecp.config import SEED_ENV_VAR, RunConfig, load_config, parse_config_tex
 from rarecp.data import SplitSpec, chronological_split, load_forecast_csv, load_series_csv
 from rarecp.errors import DataError
 from rarecp.estimators import RareCP
-from rarecp.harness import calibration_block
+from rarecp.harness import calibration_block, emit_report
 from rarecp.training import write_training_log
 
 
@@ -269,3 +270,49 @@ class TestExitCodes:
             run_cli("synth", "--config", str(tmp_path / "nope.cfg"),
                     "--out", str(tmp_path / "o")) == 2
         )
+
+    @pytest.mark.parametrize("command", ["synth", "probe-topk"])
+    def test_an_output_path_that_cannot_be_written_is_two(self, tmp_path, capsys, command):
+        """synth raised NotADirectoryError and probe-topk FileNotFoundError out of main."""
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        if command == "synth":
+            args = ("synth", "--out", str(blocker / "out"))
+        else:
+            args = ("probe-topk", "--n", "50", "--k", "4", "--queries", "2",
+                    "--out", str(tmp_path / "missing" / "probe.csv"))
+        assert run_cli(*args) == 2
+        assert "data error: cannot" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    """Files that cannot be read or written raise ``DataError``, as checkpoints do."""
+
+    @pytest.fixture
+    def binary(self, tmp_path):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"\x80\x81\xff\x00\n")
+        return path
+
+    @pytest.mark.parametrize("load", [lambda p: load_series_csv(p, "y"), load_forecast_csv],
+                             ids=["series", "forecast"])
+    def test_a_directory_or_a_binary_file_is_a_data_error(self, tmp_path, binary, load):
+        for path in (tmp_path, binary):
+            with pytest.raises(DataError, match="cannot read"):
+                load(path)
+
+    def test_a_training_log_in_a_missing_directory_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot write training log"):
+            write_training_log([], tmp_path / "missing" / "log.csv")
+
+    def test_a_report_that_cannot_be_written_is_a_data_error(self, tmp_path):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        for out in (blocker, blocker / "report"):
+            with pytest.raises(DataError, match="cannot write the report"):
+                emit_report([], {}, out)
+
+    def test_a_manifest_value_json_cannot_hold_is_refused_before_any_file(self, tmp_path):
+        with pytest.raises(DataError, match="JSON"):
+            emit_report([], {}, tmp_path / "report", manifest={"seed": np.int64(3)})
+        assert not (tmp_path / "report").exists()

@@ -507,3 +507,48 @@ def test_every_config_field_is_a_run_key_and_a_rarecp_parameter():
     assert (est.train_config().epochs, est.model_config().top_k) == (7, 5)
     assert est.model_config().normalize_contexts is False
     assert config_from(TrainConfig, RunConfig(seed=9)) == TrainConfig(seed=9)
+
+
+def _defaults(declaration) -> dict:
+    """The defaults a dataclass or a callable declares, by parameter name."""
+    import dataclasses
+    import inspect
+
+    if dataclasses.is_dataclass(declaration):
+        return {f.name: f.default for f in dataclasses.fields(declaration)
+                if f.default is not dataclasses.MISSING}
+    return {name: p.default for name, p in inspect.signature(declaration).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+def test_every_default_declared_twice_has_the_same_value():
+    """The same settings are declared in eight places; each shared one must agree."""
+    from rarecp.config import RunConfig
+    from rarecp.experts import ExpertConfig, HypernetworkParams
+    from rarecp.gate import GateParams
+    from rarecp.training import ModelConfig, TrainConfig
+
+    run = _defaults(RunConfig)
+    assert run["capacity"] == 0  # a run config's 0 stands for None: the calibration size
+    gate = _defaults(GateParams)
+    gate["gate_hidden_dim"] = gate.pop("hidden_dim")  # the gate's width is gate_hidden_dim
+    declared = {
+        "RareCP": {**_defaults(RareCP), **_defaults(RareCP.fit)},
+        "ModelConfig": _defaults(ModelConfig),
+        "TrainConfig": _defaults(TrainConfig),
+        "RunConfig": {**run, "capacity": None},
+        "EvalConfig": _defaults(EvalConfig),
+        "SplitConformal": _defaults(SplitConformal),
+        "ExpertConfig": _defaults(ExpertConfig),
+        "HypernetworkParams": _defaults(HypernetworkParams),
+        "GateParams": gate,
+    }
+    by_name: dict[str, dict] = {}
+    for where, defaults in declared.items():
+        for name, value in defaults.items():
+            by_name.setdefault(name, {})[where] = value
+    shared = {name: values for name, values in by_name.items() if len(values) > 1}
+    for name, values in shared.items():
+        assert len({repr(v) for v in values.values()}) == 1, f"{name} defaults differ: {values}"
+    assert {"alpha", "nexcp_lambda", "capacity", "window", "top_k", "beta", "hidden_dim",
+            "gate_hidden_dim", "activation", "epochs", "aci_gamma", "dataset_id"} <= set(shared)
