@@ -229,6 +229,10 @@ def affine(weight: Tensor, x, bias: Tensor) -> Tensor:
     return _finish(W @ X + b[:, None], (tw, tx, tb), lambda g: (g @ X.T, W.T @ g, g.sum(axis=1)))
 
 
+# the activations ``mlp_forward`` applies after hidden layers; encoders refuse any other
+ACTIVATIONS = ("tanh", "relu")
+
+
 def mlp_forward(layers, x: np.ndarray, activation: str) -> list[np.ndarray]:
     """Every layer's output of an MLP on an (in, B) block, tanh or relu after hidden layers.
 

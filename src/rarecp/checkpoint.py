@@ -233,8 +233,7 @@ def _components_from_bytes(data: bytes) -> RareCPComponents:
     else:
         stacked, flat = [], tensors["experts.maps"]
         encoders = [FixedAffineMap.from_arrays(r[: L * p].reshape(L, p), r[L * p :]) for r in flat]
-    config = model.expert_config()
-    experts = [RetrievalExpert(encoder=encoder, config=config) for encoder in encoders]
+    experts = [RetrievalExpert(encoder=encoder, config=model) for encoder in encoders]
     return RareCPComponents(
         model=model,
         dataset_ids=tuple(dataset_ids),

@@ -31,7 +31,7 @@ from rarecp.harness import (
     calibration_block,
 )
 from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
-from rarecp.training import blas_threads, write_training_log
+from rarecp.training import blas_threads, config_from, write_training_log
 
 
 @click.group()
@@ -39,11 +39,9 @@ def cli():
     """Regime-aware retrieval conformal prediction."""
 
 
-def _run_config(config_path, seed) -> RunConfig:
-    overrides = {}
-    if seed is not None:
-        overrides["seed"] = seed
-    return load_config(config_path, overrides)
+def _run_config(config_path, **options) -> RunConfig:
+    """Defaults, then the config file, then the command-line ``options`` given (not None)."""
+    return load_config(config_path, options)
 
 
 def _load_series(cfg: RunConfig) -> TimeSeries:
@@ -54,10 +52,6 @@ def _load_series(cfg: RunConfig) -> TimeSeries:
 
 def _forecast_source(cfg: RunConfig):
     return make_forecast_source(cfg.forecast, cfg.forecast_csv or None)
-
-
-def _split_spec(cfg: RunConfig) -> SplitSpec:
-    return SplitSpec(cfg.train_frac, cfg.cal_frac, cfg.test_frac)
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -74,7 +68,7 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 @click.option("--seed", type=int, default=None)
 def synth(config_path, out_dir, seed):
     """Generate a two-regime synthetic dataset (series + exact forecasts)."""
-    cfg = _run_config(config_path, seed)
+    cfg = _run_config(config_path, seed=seed)
     synth_config = two_regime_config(
         block_length=cfg.synth_block_length,
         n_blocks=cfg.synth_blocks,
@@ -109,14 +103,11 @@ def synth(config_path, out_dir, seed):
 @click.option("--seed", type=int, default=None)
 def train(config_path, series_path, column, checkpoint_path, log_path, seed):
     """Fit teachers, retrieval experts, and the gate on the calibration split."""
-    cfg = _run_config(config_path, seed)
-    if series_path:
-        cfg.series_csv = series_path
-    if column:
-        cfg.target_column = column
+    cfg = _run_config(config_path, seed=seed, series_csv=series_path or None,
+                      target_column=column or None)
     series = _load_series(cfg)
     source = _forecast_source(cfg)
-    split = chronological_split(len(series), _split_spec(cfg))
+    split = chronological_split(len(series), config_from(SplitSpec, cfg))
     contexts, residuals, _ = calibration_block(
         series, split.cal, source, cfg.window, cfg.include_forecast
     )
@@ -154,35 +145,17 @@ def train(config_path, series_path, column, checkpoint_path, log_path, seed):
 def eval_cmd(config_path, series_path, column, methods, alpha, aci_gamma,
              checkpoint_path, out_dir, seed):
     """Chronological evaluation with FIFO calibration (and ACI where enabled)."""
-    cfg = _run_config(config_path, seed)
-    if series_path:
-        cfg.series_csv = series_path
-    if column:
-        cfg.target_column = column
-    if alpha is not None:
-        cfg.alpha = alpha
-    if aci_gamma is not None:
-        cfg.aci_gamma = aci_gamma
+    cfg = _run_config(config_path, seed=seed, series_csv=series_path or None,
+                      target_column=column or None, alpha=alpha, aci_gamma=aci_gamma)
     series = _load_series(cfg)
     source = _forecast_source(cfg)
-    split = chronological_split(len(series), _split_spec(cfg))
+    split = chronological_split(len(series), config_from(SplitSpec, cfg))
     capacity = cfg.capacity or None
     if cfg.strict_split and capacity is None:
         # seed the store only from the residual half the learner never saw
         cal_size = len(split.cal)
         capacity = cal_size - cal_size // 2
-    eval_cfg = EvalConfig(
-        alpha=cfg.alpha,
-        aci_gamma=cfg.aci_gamma,
-        aci_alpha_min=cfg.aci_alpha_min,
-        aci_alpha_max=cfg.aci_alpha_max,
-        window=cfg.window,
-        include_forecast=cfg.include_forecast,
-        capacity=capacity,
-        nexcp_lambda=cfg.nexcp_lambda,
-        checkpoint=checkpoint_path,
-        dataset_id=cfg.dataset_id,
-    )
+    eval_cfg = config_from(EvalConfig, cfg, capacity=capacity, checkpoint=checkpoint_path)
     std_y = eval_split_std(series, split)
     summaries, all_records = [], {}
     for method in methods:

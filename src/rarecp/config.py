@@ -1,71 +1,44 @@
 """Flat key=value run configuration shared by the CLI commands.
 
-Every default in this table is overridable from a config file; the
-environment variable ``RARECP_SEED`` overrides the configured seed.
+``RunConfig`` declares only the keys that no other class does. Every other
+key is a field of ``ModelConfig``, ``TrainConfig`` (but ``audit``),
+``SplitSpec`` or one of ``EvalConfig``'s evaluation settings, and takes its
+name, type and default from there. Every default is overridable from a
+config file; the environment variable ``RARECP_SEED`` overrides the
+configured seed.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
+from rarecp.data import SplitSpec
 from rarecp.errors import DataError
+from rarecp.harness import EvalConfig
+from rarecp.training import ModelConfig, TrainConfig
 
 SEED_ENV_VAR = "RARECP_SEED"
 
+# the keys of ``EvalConfig`` a run configures; the rest come from the run or the command line
+_EVAL_KEYS = ("alpha", "aci_gamma", "aci_alpha_min", "aci_alpha_max", "nexcp_lambda", "dataset_id")
+
 
 @dataclass
-class RunConfig:
+class _RunKeys:
+    """The keys of a ``RunConfig`` that no other settings class declares."""
+
     # data
     series_csv: str = ""
     target_column: str = "y"
     forecast: str = "naive"  # naive | seasonal:<period> | file
     forecast_csv: str = ""
-    train_frac: float = 0.60
-    cal_frac: float = 0.15
-    test_frac: float = 0.25
-    window: int = 64
-    include_forecast: bool = True
-    normalize_contexts: bool = True
     capacity: int = 0  # 0 means "size of the calibration split"
-    dataset_id: int = 0
     # data-efficient protocol reuses the calibration split for learning and
     # for conformal residuals; strict_split learns on the first half only
     # and leaves the second half as untouched residuals
     strict_split: bool = False
-
-    # model
-    n_experts: int = 3
-    top_k: int = 32
-    beta: float = 12.0
-    latent_dim: int = 32
-    hidden_dim: int = 96
-    hidden_layers: int = 2
-    activation: str = "tanh"
-    encoder_kind: str = "hypernetwork"
-    gate_hidden_dim: int = 4
-
-    # training
-    lambda_anchor: float = 5.0
-    lambda_entropy: float = 0.02
-    student_lr: float = 1e-3
-    gate_lr: float = 4e-3
-    teacher_lr: float = 1e-3
-    epochs: int = 100
-    teacher_epochs: int = 20
-    batch_size: int = 256
-    tau_start: float = 0.05
-    tau_end: float = 1e-4
-    tau_p: float = 5e-4
-    n_cycles: int = 4
-
-    # evaluation
-    alpha: float = 0.2
-    aci_gamma: float = 0.01
-    aci_alpha_min: float = 0.01
-    aci_alpha_max: float = 0.99
-    nexcp_lambda: float = 0.99
 
     # synthetic generation
     synth_block_length: int = 500
@@ -77,8 +50,6 @@ class RunConfig:
     synth_amplitude: float = 0.0
     synth_period: int = 24
 
-    seed: int = 0
-
     def apply_env(self) -> "RunConfig":
         raw = os.environ.get(SEED_ENV_VAR)
         if raw is not None:
@@ -87,6 +58,19 @@ class RunConfig:
             except ValueError:
                 raise DataError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
         return self
+
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [
+        (f.name, f.type, field(default=f.default))
+        for f in (*fields(ModelConfig), *fields(TrainConfig), *fields(SplitSpec),
+                  *(e for e in fields(EvalConfig) if e.name in _EVAL_KEYS))
+        if f.name != "audit"
+    ],
+    bases=(_RunKeys,),
+    namespace={"__module__": __name__, "__doc__": "Every key of a run, with its default."},
+)
 
 
 def _coerce(raw: str, target_type):

@@ -211,6 +211,8 @@ def aci_update(state: AciState, covered: bool) -> AciState:
     interval and covers tighten it. The interval at time t is built from
     the pre-update level; the update is applied after observing coverage.
     """
+    if not isinstance(state, AciState):
+        raise DataError(f"state must be an AciState, got {state!r}")
     err = 0.0 if covered else 1.0
     alpha_next = state.alpha_t + state.gamma * (state.alpha_target - err)
     alpha_next = min(max(alpha_next, state.alpha_min), state.alpha_max)
@@ -230,12 +232,8 @@ def baseline_weights(
     residuals = check_vector(residuals, "residuals")
     n = residuals.size
     if mode == "uniform":
-        weights = np.full(n, 1.0 / n)
-    else:
-        ages = np.arange(n - 1, -1, -1, dtype=np.float64)
-        raw = nexcp_lambda**ages
-        weights = raw / raw.sum()
-    return WeightedSupport(residuals, weights)
+        return WeightedSupport(residuals, np.full(n, 1.0 / n))
+    return WeightedSupport(residuals, _nexcp_weights(n, nexcp_lambda))
 
 
 @lru_cache(maxsize=8)

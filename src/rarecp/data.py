@@ -273,22 +273,6 @@ class CalibrationStore:
         values.flags.writeable = arrivals.flags.writeable = False
         return values, arrivals, oldest
 
-    def sorted_residuals(self) -> tuple[np.ndarray, np.ndarray]:
-        """A snapshot of ``sorted_window``: ascending residuals and their positions.
-
-        Position 0 is the oldest entry, so this is exactly ``residuals()[order],
-        order`` for a stable argsort ``order``. The read-only arrays are
-        copies, which later appends leave unchanged.
-        """
-        view = self._views.get("sorted")
-        if view is None:
-            values, arrivals, oldest = self.sorted_window()
-            view = (values.copy(), arrivals - oldest)
-            for arr in view:
-                arr.flags.writeable = False
-            self._views["sorted"] = view
-        return view
-
     @property
     def descriptor(self) -> DatasetDescriptor | None:
         """The descriptor set by ``condition``, or None before it."""

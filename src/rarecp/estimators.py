@@ -10,7 +10,8 @@ calibration window.
 
 from __future__ import annotations
 
-from dataclasses import asdict
+import inspect
+from dataclasses import asdict, fields
 from functools import cache
 
 import numpy as np
@@ -124,6 +125,20 @@ class SplitConformal(BaseEstimator):
         self._next_time = int(time_index) + 1
 
 
+# ``RareCP``'s settings: the fields of ``ModelConfig`` and ``TrainConfig`` but ``audit``
+_SETTINGS = tuple(f for cls in (ModelConfig, TrainConfig) for f in fields(cls) if f.name != "audit")
+
+
+def _with_settings(init):
+    """``init`` with its ``**settings`` shown as the keyword-only ``_SETTINGS``, defaulted."""
+    signature = inspect.signature(init)
+    settings = [inspect.Parameter(f.name, inspect.Parameter.KEYWORD_ONLY, default=f.default,
+                                  annotation=f.type) for f in _SETTINGS]
+    init.__signature__ = signature.replace(
+        parameters=[*list(signature.parameters.values())[:-1], *settings])
+    return init
+
+
 class RareCP(BaseEstimator):
     """Regime-aware retrieval conformal predictor.
 
@@ -133,65 +148,23 @@ class RareCP(BaseEstimator):
     retrieves each expert's top-k residual support under the current
     query-conditioned key map, mixes the supports through the gate, and
     reads off the weighted residual quantiles.
+
+    Besides the miscoverage ``alpha`` and the window ``capacity`` (None:
+    the size of the seeded window), every parameter is a keyword-only
+    setting: a field of ``ModelConfig`` or ``TrainConfig`` (but ``audit``),
+    which declares its default and checks it when ``fit`` builds the
+    configs (``model_config``, ``train_config``). An unknown name raises
+    ``TypeError``.
     """
 
-    def __init__(
-        self,
-        alpha: float = 0.2,
-        n_experts: int = 3,
-        top_k: int = 32,
-        beta: float = 12.0,
-        latent_dim: int = 32,
-        hidden_dim: int = 96,
-        hidden_layers: int = 2,
-        activation: str = "tanh",
-        encoder_kind: str = "hypernetwork",
-        gate_hidden_dim: int = 4,
-        window: int = 64,
-        include_forecast: bool = True,
-        normalize_contexts: bool = True,
-        lambda_anchor: float = 5.0,
-        lambda_entropy: float = 0.02,
-        student_lr: float = 1e-3,
-        gate_lr: float = 4e-3,
-        teacher_lr: float = 1e-3,
-        epochs: int = 100,
-        teacher_epochs: int = 20,
-        batch_size: int = 256,
-        tau_start: float = 0.05,
-        tau_end: float = 1e-4,
-        tau_p: float = 5e-4,
-        n_cycles: int = 4,
-        capacity: int | None = None,
-        seed: int = 0,
-    ):
+    @_with_settings
+    def __init__(self, alpha: float = 0.2, capacity: int | None = None, **settings):
+        if unknown := sorted(settings.keys() - {f.name for f in _SETTINGS}):
+            raise TypeError(f"RareCP() got an unexpected keyword argument {unknown[0]!r}")
         self.alpha = alpha
-        self.n_experts = n_experts
-        self.top_k = top_k
-        self.beta = beta
-        self.latent_dim = latent_dim
-        self.hidden_dim = hidden_dim
-        self.hidden_layers = hidden_layers
-        self.activation = activation
-        self.encoder_kind = encoder_kind
-        self.gate_hidden_dim = gate_hidden_dim
-        self.window = window
-        self.include_forecast = include_forecast
-        self.normalize_contexts = normalize_contexts
-        self.lambda_anchor = lambda_anchor
-        self.lambda_entropy = lambda_entropy
-        self.student_lr = student_lr
-        self.gate_lr = gate_lr
-        self.teacher_lr = teacher_lr
-        self.epochs = epochs
-        self.teacher_epochs = teacher_epochs
-        self.batch_size = batch_size
-        self.tau_start = tau_start
-        self.tau_end = tau_end
-        self.tau_p = tau_p
-        self.n_cycles = n_cycles
         self.capacity = capacity
-        self.seed = seed
+        for f in _SETTINGS:
+            setattr(self, f.name, settings.get(f.name, f.default))
         self.components_: RareCPComponents | None = None
         self.store_ = None
         self.train_log_ = None

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -47,26 +48,14 @@ from rarecp import autodiff as ad
 from rarecp.autodiff import EPS_NORM
 from rarecp.data import CalibrationStore, descriptor_feature_dim
 from rarecp.errors import DataError, NumericError
+from rarecp.validation import check_choice
+
+if TYPE_CHECKING:
+    from rarecp.training import ModelConfig
 
 # A store below this size re-scores every entry in float64: the float32
 # filter then costs more than it saves
 _FILTER_MIN_ENTRIES = 1024
-
-
-@dataclass(frozen=True)
-class ExpertConfig:
-    top_k: int = 32
-    beta: float = 12.0  # inverse temperature; softmax temperature is 1/beta
-
-    def __post_init__(self):
-        if self.top_k < 1:
-            raise DataError("top_k must be >= 1")
-        if self.beta <= 0.0:
-            raise DataError("beta must be positive")
-
-    @property
-    def weight_temperature(self) -> float:
-        return 1.0 / self.beta
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +98,9 @@ class HypernetworkParams:
         self,
         context_dim: int,
         latent_dim: int,
-        hidden_dim: int = 96,
-        hidden_layers: int = 2,
-        activation: str = "tanh",
+        hidden_dim: int,
+        hidden_layers: int,
+        activation: str,
         seed: int = 0,
         final_weight_scale: float = 1e-3,
     ):
@@ -119,7 +108,7 @@ class HypernetworkParams:
             raise DataError("hypernetwork needs at least one hidden layer")
         self.context_dim = int(context_dim)
         self.latent_dim = int(latent_dim)
-        self.activation = activation
+        self.activation = check_choice(activation, ad.ACTIVATIONS, "activation")
         input_dim = context_dim + descriptor_feature_dim(context_dim)
         out_dim = latent_dim * (context_dim + 1)
         sizes = [input_dim] + [hidden_dim] * hidden_layers + [out_dim]
@@ -139,7 +128,8 @@ class HypernetworkParams:
     def from_arrays(cls, layers, activation: str) -> "HypernetworkParams":
         """A hypernetwork over given (weight, bias) arrays, uncopied."""
         self = cls.__new__(cls)
-        self.layers, self.activation = list(layers), activation
+        self.layers = list(layers)
+        self.activation = check_choice(activation, ad.ACTIVATIONS, "activation")
         self.context_dim = (self.layers[0][0].shape[1] - 2) // 2  # input: 2 p + 2
         self.latent_dim = self.layers[-1][0].shape[0] // (self.context_dim + 1)
         return self
@@ -302,10 +292,10 @@ topk_retrieve = ad.topk_rows
 
 @dataclass
 class RetrievalExpert:
-    """One retrieval head: an encoder plus its retrieval hyperparameters."""
+    """One retrieval head: an encoder and the model whose ``top_k`` and ``beta`` it retrieves by."""
 
     encoder: HypernetworkParams | FixedAffineMap
-    config: ExpertConfig
+    config: ModelConfig
 
 
 class ExpertStack(Sequence):
@@ -317,14 +307,14 @@ class ExpertStack(Sequence):
     ``flat`` holds each expert's map ``[A.ravel(), b]`` as one row, in the
     layout a hypernetwork emits. The experts' weights are views of these
     arrays. Indexing gives the experts; ``config`` is the one
-    ``ExpertConfig`` they all share.
+    ``ModelConfig`` they all share.
     """
 
     def __init__(self, experts, layers, flat: np.ndarray | None = None):
         self.experts, self.layers, self.flat = list(experts), list(layers), flat
         configs = {e.config for e in self.experts}
         if len(configs) != 1:
-            raise DataError("experts served together must share one ExpertConfig")
+            raise DataError("experts served together must share one ModelConfig")
         (self.config,) = configs
         first = self.experts[0].encoder
         self.activation = first.activation if self.layers else None
@@ -387,8 +377,8 @@ def retrieve_supports(
     score the entries that can win (``normalize_keys``), oldest first, so
     ties go to the older entry. Returns the (M, k) chronological store
     positions of each expert's support, best first, and their (M, k)
-    temperature-softmax weights; k is the shared ``top_k``, clipped to the
-    store's size.
+    softmax weights at temperature ``1 / beta``; k is the shared ``top_k``,
+    clipped to the store's size.
     """
     if len(store) == 0:
         raise DataError("cannot retrieve from an empty calibration store")
@@ -399,4 +389,4 @@ def retrieve_supports(
     positions, scores = normalize_keys(maps, query_z, store, config.top_k)
     pick = topk_retrieve(scores, config.top_k)
     top = np.take_along_axis(scores, pick, axis=1)
-    return positions[pick], ad.softmax(top, config.weight_temperature)
+    return positions[pick], ad.softmax(top, 1.0 / config.beta)

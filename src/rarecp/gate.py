@@ -17,6 +17,7 @@ from rarecp.conformal import PredictionInterval, WeightedSupport, build_interval
 from rarecp.data import CalibrationStore, descriptor_feature_dim
 from rarecp.errors import DataError
 from rarecp.experts import ExpertStack, _mlp_init, query_forward, retrieve_supports
+from rarecp.validation import check_choice
 
 
 class GateParams:
@@ -30,13 +31,13 @@ class GateParams:
         self,
         context_dim: int,
         n_experts: int,
-        hidden_dim: int = 4,
-        activation: str = "tanh",
+        hidden_dim: int,
+        activation: str,
         seed: int = 0,
     ):
         if n_experts < 1:
             raise DataError("gate needs at least one expert")
-        self.activation = activation
+        self.activation = check_choice(activation, ad.ACTIVATIONS, "activation")
         input_dim = context_dim + descriptor_feature_dim(context_dim)
         rng = np.random.default_rng([seed, 303])
         self.layers = _mlp_init([input_dim, hidden_dim, n_experts], rng)
@@ -46,7 +47,8 @@ class GateParams:
     def from_arrays(cls, layers, activation: str) -> "GateParams":
         """A gate over given (weight, bias) arrays, uncopied."""
         self = cls.__new__(cls)
-        self.layers, self.activation = list(layers), activation
+        self.layers = list(layers)
+        self.activation = check_choice(activation, ad.ACTIVATIONS, "activation")
         return self
 
     def logits(self, query_z: np.ndarray, feats: np.ndarray) -> np.ndarray:

@@ -14,9 +14,10 @@ import numpy as np
 from rarecp import autodiff as ad
 from rarecp.autodiff import finite_diff_check
 from rarecp.data import CalibrationStore, compute_descriptor
-from rarecp.experts import ExpertConfig, FixedAffineMap, HypernetworkParams, RetrievalExpert
+from rarecp.experts import FixedAffineMap, HypernetworkParams, RetrievalExpert
 from rarecp.gate import GateParams
 from rarecp.training import (
+    ModelConfig,
     _expert_support,
     _prepare_gate_batch,
     default_alpha_grid,
@@ -159,6 +160,7 @@ def _gradcheck_instance(seed: int, n_episodes: int, n_experts: int, context_dim:
             latent_dim=4,
             hidden_dim=8,
             hidden_layers=1,
+            activation="tanh",
             seed=seed + 10 * m,
             final_weight_scale=0.05,
         )
@@ -259,9 +261,9 @@ def gate_loss_check(
     """Gate objective (mixed-support loss minus entropy) vs central differences."""
     store, encoders, _ = _gradcheck_instance(seed, n_episodes, n_experts, context_dim)
     rng = np.random.default_rng(seed + 77)
-    config = ExpertConfig(top_k=4, beta=6.0)
+    config = ModelConfig(top_k=4, beta=6.0)
     experts = [RetrievalExpert(encoder=e, config=config) for e in encoders]
-    gate = GateParams(context_dim, n_experts, hidden_dim=4, seed=seed)
+    gate = GateParams(context_dim, n_experts, hidden_dim=4, activation="tanh", seed=seed)
     gate.layers[-1] = tuple(rng.normal(0.0, 0.5, size=a.shape) for a in gate.layers[-1])
 
     batch = np.arange(n_episodes)

@@ -40,11 +40,16 @@ class RegimeSeriesConfig:
     name: str = "synthetic"
 
     def __post_init__(self):
-        if not self.regimes:
-            raise DataError("need at least one regime")
-        if not self.segment_lengths:
+        try:
+            specs, lengths = tuple(self.regimes), tuple(self.segment_lengths)
+        except TypeError:
+            raise DataError("regimes and segment_lengths must be sequences") from None
+        if not specs or not all(isinstance(r, RegimeSpec) for r in specs):
+            raise DataError("need at least one regime, each a RegimeSpec")
+        if not lengths:
             raise DataError("need at least one segment")
-        lengths = tuple(check_count(n, "segment length") for n in self.segment_lengths)
+        lengths = tuple(check_count(n, "segment length") for n in lengths)
+        object.__setattr__(self, "regimes", specs)
         object.__setattr__(self, "segment_lengths", lengths)
         regimes = self.resolved_segment_regimes()
         if any(not 0 <= j < len(self.regimes) for j in regimes):

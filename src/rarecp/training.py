@@ -29,8 +29,9 @@ an entropy bonus that discourages early collapse onto one expert.
 
 Every run is one loop, ``Trainer._train``: a model's arrays as leaf tensors
 (``leaves``), a learning rate, the batches of an epoch and a loss, with its
-own Adam, cosine tau_q schedule and step counter, every step taken through
-``optimizer_step``.
+own Adam and step counter, every step taken through ``optimizer_step``.
+Its tau_q falls from ``tau_start`` to ``tau_end`` and back along a cosine
+(``temperature_at``), ``n_cycles`` times over the run's steps.
 There is one run per (expert, dataset) for the teachers, one per expert for
 the students, one over the prepared rounds for the gate.
 
@@ -45,6 +46,12 @@ the tasks in order. The calling thread waits for each stage's tasks in turn
 audit buffers in stage and run order, builds the gate's batches from the
 supports and trains the gate: the outcome is the same bytes as running
 every task one after another.
+
+Each model setting is a field of ``ModelConfig`` and each training setting
+one of ``TrainConfig``, which gives its default and checks it. ``RareCP``'s
+parameters and ``RunConfig``'s keys are read off these fields, experts
+retrieve by their ``ModelConfig``'s ``top_k`` and ``beta``, and
+``config_from`` builds a config from a ``RareCP`` or a ``RunConfig``.
 """
 
 from __future__ import annotations
@@ -65,15 +72,9 @@ from rarecp import autodiff as ad
 from rarecp.autodiff import Adam, Tape, Tensor
 from rarecp.data import CalibrationStore, encoder_inputs
 from rarecp.errors import DataError, NumericError
-from rarecp.experts import (
-    ExpertConfig,
-    ExpertStack,
-    FixedAffineMap,
-    HypernetworkParams,
-    RetrievalExpert,
-)
+from rarecp.experts import ExpertStack, FixedAffineMap, HypernetworkParams, RetrievalExpert
 from rarecp.gate import GateParams
-from rarecp.validation import check_fields
+from rarecp.validation import check_choice, check_fields
 
 
 def default_alpha_grid(center: float = 0.20, step: float = 0.02, spread: int = 5):
@@ -84,30 +85,19 @@ def default_alpha_grid(center: float = 0.20, step: float = 0.02, spread: int = 5
     return tuple(levels)
 
 
-@dataclass(frozen=True)
-class TemperatureSchedule:
-    """Cyclic quantile temperature: cosine from tau_start down to tau_end."""
+def temperature_at(step: int, cycle_steps: int, tau_start: float, tau_end: float) -> float:
+    """The cyclic quantile temperature at a training step, exact at cycle peaks and troughs.
 
-    tau_start: float = 0.05
-    tau_end: float = 1e-4
-    cycle_steps: int = 100
-
-    def __post_init__(self):
-        if self.tau_start <= 0 or self.tau_end <= 0:
-            raise DataError("temperatures must be positive")
-        if self.cycle_steps < 1:
-            raise DataError("cycle_steps must be >= 1")
-
-
-def temperature_at(step: int, schedule: TemperatureSchedule) -> float:
-    """Temperature at a training step; exact at cycle peaks and troughs."""
-    phase = (step % schedule.cycle_steps) / schedule.cycle_steps
+    Each cycle of ``cycle_steps`` steps falls along a cosine from
+    ``tau_start`` to ``tau_end`` at its middle and rises back.
+    """
+    phase = (step % cycle_steps) / cycle_steps
     w = 0.5 * (1.0 + math.cos(2.0 * math.pi * phase))
     if w < 1e-12:
         w = 0.0
     elif w > 1.0 - 1e-12:
         w = 1.0
-    return schedule.tau_end + (schedule.tau_start - schedule.tau_end) * w
+    return tau_end + (tau_start - tau_end) * w
 
 
 @dataclass(frozen=True)
@@ -168,26 +158,22 @@ class ModelConfig:
             raise DataError(f"{', '.join(counts)} must be >= 1")
         if not (0.0 < self.beta < math.inf):
             raise DataError(f"beta must be positive and finite, got {self.beta!r}")
-        if self.activation not in ("tanh", "relu"):
-            raise DataError(f"unknown activation {self.activation!r}: use 'tanh' or 'relu'")
-        if self.encoder_kind not in ("hypernetwork", "fixed_affine"):
-            raise DataError(f"unknown encoder kind {self.encoder_kind!r}")
+        check_choice(self.activation, ad.ACTIVATIONS, "activation")
+        check_choice(self.encoder_kind, ("hypernetwork", "fixed_affine"), "encoder kind")
 
     @property
     def context_dim(self) -> int:
         return self.window + (1 if self.include_forecast else 0)
 
-    def expert_config(self) -> ExpertConfig:
-        return ExpertConfig(top_k=self.top_k, beta=self.beta)
 
+def config_from(cls, source, **given):
+    """The dataclass ``cls`` with the fields ``given``, every other one read off ``source``.
 
-def config_from(cls, source):
-    """A ``ModelConfig`` or ``TrainConfig`` read field by field off ``source``.
-
-    ``source`` (a ``RunConfig`` or a ``RareCP``) has an attribute for every
-    field except ``audit``, which keeps its default.
+    ``source`` (a ``RunConfig`` or a ``RareCP``) has an attribute for each
+    of them, except ``TrainConfig.audit``, which keeps its default.
     """
-    return cls(**{f.name: getattr(source, f.name) for f in fields(cls) if f.name != "audit"})
+    return cls(**{f.name: given[f.name] if f.name in given else getattr(source, f.name)
+                  for f in fields(cls) if f.name != "audit"})
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +345,7 @@ def _expert_support(
     """
     sel, weights, _ = _expert_retrieval_batch(
         expert.encoder, _weights(expert.encoder), store, batch, expert.config.top_k,
-        expert.config.weight_temperature,
+        1.0 / expert.config.beta,
     )
     return batch[sel], weights.data
 
@@ -720,13 +706,10 @@ class Trainer:
 
     # -- scheduling -------------------------------------------------------
 
-    def _schedule(self, total_steps: int) -> TemperatureSchedule:
-        cycle = max(1, total_steps // self.train.n_cycles)
-        return TemperatureSchedule(
-            tau_start=self.train.tau_start,
-            tau_end=self.train.tau_end,
-            cycle_steps=cycle,
-        )
+    def _tau_q(self, step: int, total_steps: int) -> float:
+        """``temperature_at`` a step of a run of ``total_steps`` steps in ``n_cycles`` cycles."""
+        cfg = self.train
+        return temperature_at(step, max(1, total_steps // cfg.n_cycles), cfg.tau_start, cfg.tau_end)
 
     def _steps_per_epoch(self, stores: list[CalibrationStore]) -> int:
         # one optimizer step per round; a round takes one batch per dataset
@@ -761,12 +744,11 @@ class Trainer:
         epoch of skipped batches has the mean None.
         """
         optimizer = Adam(run.params, lr=run.lr)
-        schedule = self._schedule(epochs * run.steps_per_epoch)
         step, means = 0, []
         for _ in range(epochs):
             losses = []
             for batch in run.epoch_batches():
-                tau_q = temperature_at(step, schedule)
+                tau_q = self._tau_q(step, epochs * run.steps_per_epoch)
                 loss = optimizer_step(optimizer, partial(run.loss, batch, tau_q))
                 if math.isfinite(loss):
                     losses.append(loss)
@@ -786,11 +768,10 @@ class Trainer:
             if run.audit:
                 self.audit.extend(run.audit)
         steps_per_epoch = runs[0].steps_per_epoch
-        schedule = self._schedule(epochs * steps_per_epoch)
         for epoch in range(epochs):
             means = [run_means[epoch] for run_means in per_run if run_means[epoch] is not None]
             if means:
-                tau_q = temperature_at(epoch * steps_per_epoch, schedule)
+                tau_q = self._tau_q(epoch * steps_per_epoch, epochs * steps_per_epoch)
                 self.log.append(LogRow(stage, epoch, float(np.mean(means)), tau_q))
 
     def _expert_run(self, encoder, lr, stores, rng, teachers, top_k: int, lambda_anchor: float):
@@ -851,7 +832,7 @@ class Trainer:
         # among their freed temporaries, which raised the peak RSS of a serving
         # fit by 4 MB
         self.experts = experts = ExpertStack.of([
-            RetrievalExpert(encoder=self._make_encoder(m), config=model.expert_config())
+            RetrievalExpert(encoder=self._make_encoder(m), config=model)
             for m in range(M)
         ])
 

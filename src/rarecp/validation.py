@@ -30,10 +30,10 @@ def _finite_array(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-def check_vector(x, name: str = "x", allow_empty: bool = False) -> np.ndarray:
-    """Coerce to a finite 1-D float64 array."""
+def check_vector(x, name: str = "x") -> np.ndarray:
+    """Coerce to a finite non-empty 1-D float64 array."""
     arr = _finite_array(x, name, 1)
-    if arr.size == 0 and not allow_empty:
+    if arr.size == 0:
         raise DataError(f"{name} must not be empty")
     return arr
 
@@ -80,6 +80,13 @@ def check_count(value, name: str) -> int:
     value = check_int(value, name)
     if value < 1:
         raise DataError(f"{name} must be >= 1, got {value}")
+    return value
+
+
+def check_choice(value, choices: tuple[str, ...], name: str) -> str:
+    """Require one of the strings ``choices``."""
+    if not (isinstance(value, str) and value in choices):
+        raise DataError(f"unknown {name} {value!r}: use {' or '.join(map(repr, choices))}")
     return value
 
 

@@ -25,13 +25,7 @@ from rarecp.checkpoint import (
 from rarecp.data import PrecomputedForecast, descriptor_features, normalize_context
 from rarecp.errors import DataError
 from rarecp.estimators import RareCP
-from rarecp.experts import (
-    ExpertConfig,
-    ExpertStack,
-    FixedAffineMap,
-    HypernetworkParams,
-    RetrievalExpert,
-)
+from rarecp.experts import ExpertStack, FixedAffineMap, HypernetworkParams, RetrievalExpert
 from rarecp.gate import GateParams, gate_weights
 from rarecp.harness import calibration_block
 from rarecp.synthetic import clean_component, synth_regime_series, two_regime_config
@@ -97,7 +91,7 @@ def test_loaded_experts_are_views_of_the_stacked_weights(small_trained, tmp_path
 
 def test_stacking_rejects_hypernetworks_of_two_architectures():
     experts = [
-        RetrievalExpert(HypernetworkParams(4, 3, hidden_dim=h, hidden_layers=1), ExpertConfig())
+        RetrievalExpert(HypernetworkParams(4, 3, h, 1, "tanh"), ModelConfig())
         for h in (8, 9)
     ]
     with pytest.raises(DataError, match="one architecture"):
@@ -105,8 +99,8 @@ def test_stacking_rejects_hypernetworks_of_two_architectures():
 
 
 def test_stacking_rejects_experts_of_two_encoder_kinds():
-    config = ExpertConfig()
-    experts = [RetrievalExpert(HypernetworkParams(4, 3, hidden_dim=8, hidden_layers=1), config),
+    config = ModelConfig()
+    experts = [RetrievalExpert(HypernetworkParams(4, 3, 8, 1, "tanh"), config),
                RetrievalExpert(FixedAffineMap(4, 3), config)]
     with pytest.raises(DataError, match="one encoder kind"):
         ExpertStack.of(experts)
@@ -409,11 +403,12 @@ def test_a_save_copies_no_weights(tmp_path):
     """A default-sized model's save peaks, under tracemalloc, below half its file size."""
     model = ModelConfig()
     experts = ExpertStack.of([
-        RetrievalExpert(HypernetworkParams(model.context_dim, model.latent_dim, seed=m),
-                        model.expert_config())
+        RetrievalExpert(HypernetworkParams(model.context_dim, model.latent_dim, model.hidden_dim,
+                                           model.hidden_layers, model.activation, seed=m),
+                        model)
         for m in range(model.n_experts)
     ])
-    gate = GateParams(model.context_dim, model.n_experts, hidden_dim=model.gate_hidden_dim)
+    gate = GateParams(model.context_dim, model.n_experts, model.gate_hidden_dim, model.activation)
     components = RareCPComponents(model, (0,), experts, gate)
     path = tmp_path / "model.bin"
     tracemalloc.start()

@@ -259,6 +259,16 @@ class TestBaselineWeights:
         with pytest.raises(DataError):
             baseline_weights(np.arange(3.0), "magic")
 
+    @pytest.mark.parametrize("n", [1, 2, 600, 4096])
+    @pytest.mark.parametrize("nexcp_lambda", [0.5, 0.99, 1.0])
+    def test_nexcp_weights_are_the_normalised_powers_bit_for_bit(self, n, nexcp_lambda):
+        residuals = np.random.default_rng(n).standard_normal(n)
+        raw = nexcp_lambda ** np.arange(n - 1, -1, -1, dtype=np.float64)
+        expected = (raw / raw.sum()).tobytes()
+        assert baseline_weights(residuals, "nexcp", nexcp_lambda).weights.tobytes() == expected
+        est = SplitConformal(weighting="nexcp", nexcp_lambda=nexcp_lambda).fit(None, residuals)
+        assert est.weighted_support().weights.tobytes() == expected
+
 
 class TestWeightedSupportValidation:
     def test_empty_forbidden(self):

@@ -189,28 +189,27 @@ class TestCalibrationStore:
     def test_views_are_read_only(self):
         store = CalibrationStore.from_arrays(np.zeros((4, 2)), np.arange(4.0))
         store.condition(compute_descriptor(np.zeros((4, 2))))
-        views = (store.contexts(), store.residuals(), *store.sorted_residuals(),
+        views = (store.contexts(), store.residuals(), *store.sorted_window()[:2],
                  store.key_inputs())
         for view in views:
             with pytest.raises(ValueError):
                 view[0] = 99
 
-    def test_sorted_snapshot_is_kept_by_later_appends(self):
+    def test_sorted_window_follows_appends(self):
         store = CalibrationStore.from_arrays(np.zeros((5, 1)), [3.0, -0.0, 1.0, 0.0, 1.0])
-        values, positions = store.sorted_residuals()
-        window, arrivals, oldest = store.sorted_window()
-        for view in (values, positions, window, arrivals):
+        values, arrivals, oldest = store.sorted_window()
+        for view in (values, arrivals):
             assert not view.flags.writeable
-        np.testing.assert_array_equal(window.view(np.uint64), values.view(np.uint64))
-        np.testing.assert_array_equal(arrivals - oldest, positions)
-        kept = values.tobytes(), positions.tobytes()
+        np.testing.assert_array_equal(values.view(np.uint64),
+                                      np.array([-0.0, 0.0, 1.0, 1.0, 3.0]).view(np.uint64))
+        np.testing.assert_array_equal(arrivals - oldest, [1, 3, 2, 4, 0])
         store.append(CalibrationEntry(np.zeros(1), -4.0, 5))
         store.append(CalibrationEntry(np.zeros(1), 2.0, 6))
-        assert (values.tobytes(), positions.tobytes()) == kept
         # 3.0 and -0.0 were evicted
-        np.testing.assert_array_equal(store.sorted_residuals()[0].view(np.uint64),
+        values, arrivals, oldest = store.sorted_window()
+        np.testing.assert_array_equal(values.view(np.uint64),
                                       np.array([-4.0, 0.0, 1.0, 1.0, 2.0]).view(np.uint64))
-        np.testing.assert_array_equal(store.sorted_residuals()[1], [3, 1, 0, 2, 4])
+        np.testing.assert_array_equal(arrivals - oldest, [3, 1, 0, 2, 4])
 
     def test_from_arrays_keeps_last_capacity_rows(self):
         X = np.arange(20.0).reshape(10, 2)
@@ -263,8 +262,8 @@ class TestCalibrationStore:
                 continue  # the view is built lazily on its first request
             residuals = store.residuals()
             order = np.argsort(residuals, kind="stable")
-            sorted_values, positions = store.sorted_residuals()
-            np.testing.assert_array_equal(positions, order)
+            sorted_values, arrivals, oldest = store.sorted_window()
+            np.testing.assert_array_equal(arrivals - oldest, order)
             # bitwise, so -0.0 and 0.0 keep their own places
             np.testing.assert_array_equal(
                 sorted_values.view(np.uint64), residuals[order].view(np.uint64)

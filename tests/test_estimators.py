@@ -522,26 +522,15 @@ def _defaults(declaration) -> dict:
 
 
 def test_every_default_declared_twice_has_the_same_value():
-    """The same settings are declared in eight places; each shared one must agree."""
-    from rarecp.config import RunConfig
-    from rarecp.experts import ExpertConfig, HypernetworkParams
-    from rarecp.gate import GateParams
-    from rarecp.training import ModelConfig, TrainConfig
+    """Settings that ``ModelConfig`` and ``TrainConfig`` do not own are declared in
+    several places; each shared one must agree."""
+    from rarecp.training import ModelConfig
 
-    run = _defaults(RunConfig)
-    assert run["capacity"] == 0  # a run config's 0 stands for None: the calibration size
-    gate = _defaults(GateParams)
-    gate["gate_hidden_dim"] = gate.pop("hidden_dim")  # the gate's width is gate_hidden_dim
     declared = {
         "RareCP": {**_defaults(RareCP), **_defaults(RareCP.fit)},
         "ModelConfig": _defaults(ModelConfig),
-        "TrainConfig": _defaults(TrainConfig),
-        "RunConfig": {**run, "capacity": None},
         "EvalConfig": _defaults(EvalConfig),
         "SplitConformal": _defaults(SplitConformal),
-        "ExpertConfig": _defaults(ExpertConfig),
-        "HypernetworkParams": _defaults(HypernetworkParams),
-        "GateParams": gate,
     }
     by_name: dict[str, dict] = {}
     for where, defaults in declared.items():
@@ -550,5 +539,66 @@ def test_every_default_declared_twice_has_the_same_value():
     shared = {name: values for name, values in by_name.items() if len(values) > 1}
     for name, values in shared.items():
         assert len({repr(v) for v in values.values()}) == 1, f"{name} defaults differ: {values}"
-    assert {"alpha", "nexcp_lambda", "capacity", "window", "top_k", "beta", "hidden_dim",
-            "gate_hidden_dim", "activation", "epochs", "aci_gamma", "dataset_id"} <= set(shared)
+    assert {"alpha", "nexcp_lambda", "capacity", "window", "include_forecast",
+            "dataset_id"} <= set(shared)
+
+
+# every public setting and its default, as released: a key dropped, renamed,
+# retyped or re-defaulted must fail here
+RARECP_PARAMS = {
+    "alpha": 0.2, "n_experts": 3, "top_k": 32, "beta": 12.0, "latent_dim": 32,
+    "hidden_dim": 96, "hidden_layers": 2, "activation": "tanh", "encoder_kind": "hypernetwork",
+    "gate_hidden_dim": 4, "window": 64, "include_forecast": True, "normalize_contexts": True,
+    "lambda_anchor": 5.0, "lambda_entropy": 0.02, "student_lr": 0.001, "gate_lr": 0.004,
+    "teacher_lr": 0.001, "epochs": 100, "teacher_epochs": 20, "batch_size": 256,
+    "tau_start": 0.05, "tau_end": 0.0001, "tau_p": 0.0005, "n_cycles": 4, "capacity": None,
+    "seed": 0,
+}
+RUN_KEYS = {
+    "series_csv": ("str", ""), "target_column": ("str", "y"), "forecast": ("str", "naive"),
+    "forecast_csv": ("str", ""), "train_frac": ("float", 0.6), "cal_frac": ("float", 0.15),
+    "test_frac": ("float", 0.25), "window": ("int", 64), "include_forecast": ("bool", True),
+    "normalize_contexts": ("bool", True), "capacity": ("int", 0), "dataset_id": ("int", 0),
+    "strict_split": ("bool", False), "n_experts": ("int", 3), "top_k": ("int", 32),
+    "beta": ("float", 12.0), "latent_dim": ("int", 32), "hidden_dim": ("int", 96),
+    "hidden_layers": ("int", 2), "activation": ("str", "tanh"),
+    "encoder_kind": ("str", "hypernetwork"), "gate_hidden_dim": ("int", 4),
+    "lambda_anchor": ("float", 5.0), "lambda_entropy": ("float", 0.02),
+    "student_lr": ("float", 0.001), "gate_lr": ("float", 0.004), "teacher_lr": ("float", 0.001),
+    "epochs": ("int", 100), "teacher_epochs": ("int", 20), "batch_size": ("int", 256),
+    "tau_start": ("float", 0.05), "tau_end": ("float", 0.0001), "tau_p": ("float", 0.0005),
+    "n_cycles": ("int", 4), "alpha": ("float", 0.2), "aci_gamma": ("float", 0.01),
+    "aci_alpha_min": ("float", 0.01), "aci_alpha_max": ("float", 0.99),
+    "nexcp_lambda": ("float", 0.99), "synth_block_length": ("int", 500),
+    "synth_blocks": ("int", 8), "synth_level_low": ("float", 0.0),
+    "synth_level_high": ("float", 20.0), "synth_sigma_low": ("float", 1.0),
+    "synth_sigma_high": ("float", 5.0), "synth_amplitude": ("float", 0.0),
+    "synth_period": ("int", 24), "seed": ("int", 0),
+}
+
+
+def test_the_public_settings_keep_their_names_types_and_defaults(tmp_path, monkeypatch):
+    import inspect
+    from dataclasses import fields
+
+    from rarecp.config import SEED_ENV_VAR, RunConfig, load_config
+
+    params = RareCP().get_params()
+    assert params == RARECP_PARAMS
+    assert {name: type(value) for name, value in params.items()} == {
+        name: type(value) for name, value in RARECP_PARAMS.items()}
+    signature = inspect.signature(RareCP)
+    assert {name: p.default for name, p in signature.parameters.items()} == RARECP_PARAMS
+    with pytest.raises(TypeError, match="foo"):
+        RareCP(foo=1)
+    est = RareCP().set_params(top_k=5, alpha=0.1, capacity=40, tau_p=1e-3)
+    assert est.get_params() == {**RARECP_PARAMS, "top_k": 5, "alpha": 0.1, "capacity": 40,
+                                "tau_p": 1e-3}
+    assert RareCP(**est.get_params()).get_params() == est.get_params()
+
+    assert {f.name: (f.type, f.default) for f in fields(RunConfig)} == RUN_KEYS
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert RunConfig() == load_config() == RunConfig(**{k: d for k, (_, d) in RUN_KEYS.items()})
+    path = tmp_path / "every.cfg"
+    path.write_text("".join(f"{key} = {default}\n" for key, (_, default) in RUN_KEYS.items()))
+    assert load_config(path) == RunConfig()

@@ -19,7 +19,6 @@ from rarecp.data import (
 )
 from rarecp.errors import DataError, NumericError
 from rarecp.experts import (
-    ExpertConfig,
     ExpertStack,
     FixedAffineMap,
     HypernetworkParams,
@@ -30,6 +29,7 @@ from rarecp.experts import (
     topk_retrieve,
 )
 from rarecp.gate import GateParams, gate_weights, mix_supports, mixed_support, rarecp_interval
+from rarecp.training import ModelConfig
 
 
 def make_store(rng, n=40, dim=6, residuals=None):
@@ -42,10 +42,10 @@ def make_store(rng, n=40, dim=6, residuals=None):
 
 
 def make_expert(dim, latent=4, k=8, beta=12.0, seed=0, kind="hypernetwork", **kw):
-    config = ExpertConfig(top_k=k, beta=beta)
+    config = ModelConfig(top_k=k, beta=beta)
     if kind == "hypernetwork":
         encoder = HypernetworkParams(dim, latent, hidden_dim=16, hidden_layers=1,
-                                     seed=seed, **kw)
+                                     **{"activation": "tanh", "seed": seed, **kw})
         return RetrievalExpert(encoder=encoder, config=config)
     return RetrievalExpert(encoder=FixedAffineMap(dim, latent, seed=seed),
                            config=config, **kw)
@@ -303,8 +303,8 @@ class TestTopkRetrieve:
 
 class TestEmitExpertMap:
     def test_zero_final_layer_emits_zero_map(self):
-        encoder = HypernetworkParams(5, 3, hidden_dim=8, hidden_layers=1, seed=0,
-                                     final_weight_scale=0.0)
+        encoder = HypernetworkParams(5, 3, hidden_dim=8, hidden_layers=1, activation="tanh",
+                                     seed=0, final_weight_scale=0.0)
         encoder.start_at(np.zeros((3, 5)), np.zeros(3))
         descriptor = compute_descriptor(np.random.default_rng(0).standard_normal((10, 5)))
         A, b = encoder.emit(np.ones(5), descriptor_features(descriptor))
@@ -317,13 +317,14 @@ class TestEmitExpertMap:
         query = rng.standard_normal(5)
         maps = []
         for _ in range(2):
-            encoder = HypernetworkParams(5, 3, hidden_dim=8, hidden_layers=1, seed=42)
+            encoder = HypernetworkParams(5, 3, hidden_dim=8, hidden_layers=1, activation="tanh",
+                                         seed=42)
             A, b = encoder.emit(query, descriptor_features(descriptor))
             maps.append((A.tobytes(), b.tobytes()))
         assert maps[0] == maps[1]
 
     def test_output_dimensions(self):
-        encoder = HypernetworkParams(7, 4, hidden_dim=8, hidden_layers=2, seed=1)
+        encoder = HypernetworkParams(7, 4, hidden_dim=8, hidden_layers=2, activation="tanh", seed=1)
         descriptor = compute_descriptor(np.random.default_rng(1).standard_normal((10, 7)))
         A, b = encoder.emit(np.zeros(7), descriptor_features(descriptor))
         assert A.shape == (4, 7)
@@ -336,7 +337,7 @@ class TestEmitExpertMap:
         rng = np.random.default_rng(4)
         dim, latent = 6, 6
         encoder = HypernetworkParams(dim, latent, hidden_dim=8, hidden_layers=1,
-                                     seed=2, final_weight_scale=1e-6)
+                                     activation="tanh", seed=2, final_weight_scale=1e-6)
         contexts = rng.standard_normal((30, dim))
         descriptor = compute_descriptor(contexts)
         A, b = encoder.emit(contexts[0], descriptor_features(descriptor))
@@ -500,7 +501,7 @@ class TestStackedRetrievalOracle:
         store = CalibrationStore.from_arrays(rows[:n_seed], residuals[:n_seed], case["capacity"])
         descriptor = compute_descriptor(rows[:n_seed])
         store.condition(descriptor, normalize)
-        gate = GateParams(rows.shape[1], len(experts), hidden_dim=3, seed=1)
+        gate = GateParams(rows.shape[1], len(experts), hidden_dim=3, activation="tanh", seed=1)
         w_last = gate.layers[-1][0]
         w_last[:] = np.random.default_rng(2).standard_normal(w_last.shape)
         for t in range(n_seed, rows.shape[0] + 1):
@@ -553,7 +554,7 @@ def old_serving_tail(positions, scores, config, logits):
 
     sel = [positions[np.lexsort((np.arange(row.size), -row))[: config.top_k]] for row in scores]
     weights = [softmax(row[np.lexsort((np.arange(row.size), -row))[: config.top_k]]
-                       / config.weight_temperature) for row in scores]
+                       / (1.0 / config.beta)) for row in scores]
     pi = softmax(logits / 1.0)
     union, inverse = np.unique(np.concatenate(sel), return_inverse=True)
     merged = np.zeros(union.size)
@@ -614,7 +615,7 @@ class TestServingTailOracle:
         for t in range(capacity, rows.shape[0]):
             store.append(CalibrationEntry(rows[t], float(case["residuals"][t]), t))
         stack = ExpertStack.of(case["experts"])
-        gate = GateParams(rows.shape[1], len(stack), hidden_dim=3, seed=1)
+        gate = GateParams(rows.shape[1], len(stack), hidden_dim=3, activation="tanh", seed=1)
         gate.layers[-1][0][:] = np.random.default_rng(2).standard_normal(gate.layers[-1][0].shape)
         # the float32 filter on whatever the store's size, or every entry scored
         threshold = 1 if case["filtered"] else len(store) + 1
@@ -629,14 +630,14 @@ class TestServingTailOracle:
         store.condition(compute_descriptor(store.contexts()))
         stack = ExpertStack.of([make_expert(3, latent=3, k=8, beta=3.0, seed=m)
                                 for m in range(10)])
-        gate = GateParams(3, 10, hidden_dim=3, seed=1)
+        gate = GateParams(3, 10, hidden_dim=3, activation="tanh", seed=1)
         gate.layers[-1][0][:] = rng.standard_normal(gate.layers[-1][0].shape)
         sel = check_serving_tail(store, stack, gate, rng.standard_normal(3))
         assert np.bincount(sel.ravel()).min() == 10
 
     def test_a_stack_refuses_experts_of_mixed_configs(self):
         experts_ = [make_expert(3, k=4), make_expert(3, k=5, seed=1)]
-        with pytest.raises(DataError, match="one ExpertConfig"):
+        with pytest.raises(DataError, match="one ModelConfig"):
             ExpertStack.of(experts_)
         assert ExpertStack.of([make_expert(3, k=4), make_expert(3, k=4, seed=1)]).config.top_k == 4
 

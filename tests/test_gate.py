@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from rarecp.conformal import WeightedSupport, baseline_weights, build_interval
 from rarecp.data import CalibrationEntry, CalibrationStore, compute_descriptor
 from rarecp.errors import DataError
-from rarecp.experts import ExpertConfig, ExpertStack, FixedAffineMap, RetrievalExpert
+from rarecp.experts import ExpertStack, FixedAffineMap, RetrievalExpert
 from rarecp.gate import GateParams, gate_weights, mix_supports, rarecp_interval
+from rarecp.training import ModelConfig
 
 
 def mix(pi, positions, weights, residuals):
@@ -45,7 +46,7 @@ class TestGateWeights:
         rng = np.random.default_rng(0)
         contexts = rng.standard_normal((20, 5))
         descriptor = compute_descriptor(contexts)
-        gate = GateParams(5, 3, hidden_dim=4, seed=0)
+        gate = GateParams(5, 3, hidden_dim=4, activation="tanh", seed=0)
         pi = gate_weights(gate, *read(contexts[0], descriptor))
         np.testing.assert_allclose(pi, [1 / 3, 1 / 3, 1 / 3], atol=1e-12)
 
@@ -53,7 +54,7 @@ class TestGateWeights:
         rng = np.random.default_rng(1)
         contexts = rng.standard_normal((20, 4))
         descriptor = compute_descriptor(contexts)
-        gate = GateParams(4, 3, hidden_dim=4, seed=0)
+        gate = GateParams(4, 3, hidden_dim=4, activation="tanh", seed=0)
         # force the final layer into a fixed dominant-logit configuration
         w_last, b_last = gate.layers[-1]
         w_last[:] = 0.0
@@ -65,7 +66,7 @@ class TestGateWeights:
         rng = np.random.default_rng(2)
         contexts = rng.standard_normal((10, 4))
         descriptor = compute_descriptor(contexts)
-        gate = GateParams(4, 1, hidden_dim=2, seed=0)
+        gate = GateParams(4, 1, hidden_dim=2, activation="tanh", seed=0)
         pi = gate_weights(gate, *read(contexts[0], descriptor))
         np.testing.assert_allclose(pi, [1.0])
 
@@ -73,7 +74,7 @@ class TestGateWeights:
         rng = np.random.default_rng(3)
         contexts = rng.standard_normal((10, 4))
         descriptor = compute_descriptor(contexts)
-        gate = GateParams(4, 3, hidden_dim=4, seed=1)
+        gate = GateParams(4, 3, hidden_dim=4, activation="tanh", seed=1)
         w_last, b_last = gate.layers[-1]
         b_last[:] = [0.3, -0.2, 0.8]
         pi1 = gate_weights(gate, *read(contexts[0], descriptor))
@@ -156,9 +157,9 @@ class TestRarecpInterval:
         store.append(CalibrationEntry(np.array([1.0, 0.0, 2.0]), 1.5, 0))
         store.condition(compute_descriptor(store.contexts()))
         experts = ExpertStack.of([RetrievalExpert(
-            encoder=FixedAffineMap(3, 3, seed=0), config=ExpertConfig()
+            encoder=FixedAffineMap(3, 3, seed=0), config=ModelConfig()
         )])
-        gate = GateParams(3, 1, hidden_dim=2, seed=0)
+        gate = GateParams(3, 1, hidden_dim=2, activation="tanh", seed=0)
         interval = rarecp_interval(10.0, np.array([1.0, 0.0, 2.0]), store, experts, gate, 0.2)
         assert interval.lower == pytest.approx(11.5)
         assert interval.upper == pytest.approx(11.5)
@@ -171,9 +172,9 @@ class TestRarecpInterval:
         store = self._setup(rng, n=n)
         experts = ExpertStack.of([RetrievalExpert(
             encoder=FixedAffineMap(4, 4, seed=0),
-            config=ExpertConfig(top_k=n, beta=1e-9),
+            config=ModelConfig(top_k=n, beta=1e-9),
         )])
-        gate = GateParams(4, 1, hidden_dim=2, seed=0)
+        gate = GateParams(4, 1, hidden_dim=2, activation="tanh", seed=0)
         query = rng.standard_normal(4)
         got = rarecp_interval(2.0, query, store, experts, gate, 0.2)
         expected = build_interval(2.0, baseline_weights(store.residuals()), 0.2)
@@ -187,9 +188,9 @@ class TestRarecpInterval:
         store = self._setup(rng, n=80, residuals=residuals)
         experts = ExpertStack.of([RetrievalExpert(
             encoder=FixedAffineMap(4, 4, seed=1),
-            config=ExpertConfig(top_k=80, beta=1e-9),
+            config=ModelConfig(top_k=80, beta=1e-9),
         )])
-        gate = GateParams(4, 1, hidden_dim=2, seed=0)
+        gate = GateParams(4, 1, hidden_dim=2, activation="tanh", seed=0)
         interval = rarecp_interval(0.0, rng.standard_normal(4), store, experts, gate, 0.2)
         # symmetric support: quantile granularity bounds the asymmetry
         gap = np.abs(np.sort(residuals))
@@ -215,9 +216,9 @@ class TestRarecpInterval:
     def test_empty_store_rejected(self):
         store = CalibrationStore(3, 2)
         store.condition(compute_descriptor(np.ones((2, 2))))
-        gate = GateParams(2, 1, hidden_dim=2, seed=0)
+        gate = GateParams(2, 1, hidden_dim=2, activation="tanh", seed=0)
         experts = ExpertStack.of([RetrievalExpert(
-            encoder=FixedAffineMap(2, 2, seed=0), config=ExpertConfig()
+            encoder=FixedAffineMap(2, 2, seed=0), config=ModelConfig()
         )])
         with pytest.raises(DataError):
             rarecp_interval(0.0, np.ones(2), store, experts, gate, 0.2)

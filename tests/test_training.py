@@ -27,10 +27,9 @@ from rarecp.data import (
 )
 from rarecp.errors import DataError, NumericError
 from rarecp.estimators import RareCP
-from rarecp.experts import ExpertConfig, FixedAffineMap, HypernetworkParams, RetrievalExpert
+from rarecp.experts import FixedAffineMap, HypernetworkParams, RetrievalExpert
 from rarecp.training import (
     ModelConfig,
-    TemperatureSchedule,
     TrainConfig,
     Trainer,
     default_alpha_grid,
@@ -188,22 +187,18 @@ class TestAlphaGridLoss:
 
 class TestTemperatureSchedule:
     def test_start_peak(self):
-        schedule = TemperatureSchedule(0.05, 1e-4, 100)
-        assert temperature_at(0, schedule) == 0.05
+        assert temperature_at(0, 100, 0.05, 1e-4) == 0.05
 
     def test_trough_exact(self):
-        schedule = TemperatureSchedule(0.05, 1e-4, 100)
-        assert temperature_at(50, schedule) == 1e-4
+        assert temperature_at(50, 100, 0.05, 1e-4) == 1e-4
 
     def test_periodic(self):
-        schedule = TemperatureSchedule(0.05, 1e-4, 64)
         for step in (0, 3, 17, 40):
-            assert temperature_at(step, schedule) == temperature_at(step + 64, schedule)
+            assert temperature_at(step, 64, 0.05, 1e-4) == temperature_at(step + 64, 64, 0.05, 1e-4)
 
     def test_between_bounds(self):
-        schedule = TemperatureSchedule(0.05, 1e-4, 10)
         for step in range(25):
-            tau = temperature_at(step, schedule)
+            tau = temperature_at(step, 10, 0.05, 1e-4)
             assert 1e-4 <= tau <= 0.05
 
 
@@ -283,7 +278,7 @@ class TestExpertTraining:
     def test_strong_anchor_pulls_to_teacher(self):
         rng = np.random.default_rng(9)
         store = tiny_store(rng, n=20)
-        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, seed=0)
+        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, activation="tanh", seed=0)
         teacher = (rng.normal(0, 0.5, size=(4, 5)), rng.normal(0, 0.5, size=4))
         params = leaves(encoder)
         opt = Adam(params, lr=3e-3)
@@ -308,7 +303,7 @@ class TestExpertTraining:
     def test_zero_anchor_is_pure_interval_term(self):
         rng = np.random.default_rng(10)
         store = tiny_store(rng, n=16)
-        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, seed=1)
+        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, activation="tanh", seed=1)
         teacher = (np.ones((4, 5)), np.ones(4))
         alphas = np.asarray(default_alpha_grid())
         batch = np.arange(16)
@@ -331,7 +326,7 @@ class TestExpertTraining:
         level records over 500."""
         rng = np.random.default_rng(19)
         store = tiny_store(rng, n=40)
-        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=2, seed=0)
+        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=2, activation="tanh", seed=0)
         teacher = (rng.normal(0, 0.5, size=(4, 5)), rng.normal(0, 0.5, size=4))
         params = leaves(encoder)
         recorded = step_tape_records(monkeypatch, params, lambda: expert_batch_loss(
@@ -349,7 +344,7 @@ class TestExpertTraining:
     def test_small_batches_skipped_with_warning(self):
         rng = np.random.default_rng(11)
         store = tiny_store(rng, n=8)
-        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, seed=0)
+        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, activation="tanh", seed=0)
         alphas = np.asarray(default_alpha_grid())
         with pytest.warns(UserWarning, match="fewer"):
             loss = expert_batch_loss(
@@ -396,7 +391,7 @@ class TestGateTraining:
         trainer = self._trained_experts(rng, store, model)
         from rarecp.gate import GateParams, gate_weights
 
-        gate = GateParams(5, model.n_experts, hidden_dim=2, seed=3)
+        gate = GateParams(5, model.n_experts, hidden_dim=2, activation="tanh", seed=3)
         params = leaves(gate)
         opt = Adam(params, lr=0.05)
         alphas = np.asarray(default_alpha_grid())
@@ -420,7 +415,7 @@ class TestGateTraining:
         trainer = self._trained_experts(rng, store, model)
         from rarecp.gate import GateParams
 
-        gate = GateParams(5, model.n_experts, hidden_dim=2, seed=3)
+        gate = GateParams(5, model.n_experts, hidden_dim=2, activation="tanh", seed=3)
         prepared = [prepare_gate_batch(trainer.experts, store, np.arange(24), None)]
         alphas = np.asarray(default_alpha_grid())
         params = leaves(gate)
@@ -439,7 +434,7 @@ class TestGateTraining:
         store = tiny_store(rng, n=40)
         experts = self._trained_experts(rng, store, tiny_model()).experts
         if top_ks is not None:  # supports of different sizes
-            experts = [RetrievalExpert(e.encoder, ExpertConfig(top_k=k, beta=12.0))
+            experts = [RetrievalExpert(e.encoder, ModelConfig(top_k=k, beta=12.0))
                        for e, k in zip(experts, top_ks)]
         batch = rng.permutation(40)[:30]
         audit = []
@@ -452,7 +447,7 @@ class TestGateTraining:
         for expert in experts:
             sel, w, _ = _expert_retrieval_batch(
                 expert.encoder, _weights(expert.encoder), store, batch, expert.config.top_k,
-                expert.config.weight_temperature)
+                1.0 / expert.config.beta)
             positions.append(batch[sel])
             weights.append(w.data)
         unions = [np.unique(np.concatenate([p[row] for p in positions]))
@@ -517,9 +512,10 @@ class TestStageRunnerLog:
             rows = [r for r in trainer.log if r.stage == stage]
             assert [r.epoch for r in rows] == list(range(epochs))
             assert all(np.isfinite(r.mean_loss) for r in rows)
-            schedule = TemperatureSchedule(cfg.tau_start, cfg.tau_end, epochs * steps_per_epoch)
+            cycle = epochs * steps_per_epoch  # n_cycles=1
             for row in rows:
-                assert row.tau_q == temperature_at(row.epoch * steps_per_epoch, schedule)
+                assert row.tau_q == temperature_at(row.epoch * steps_per_epoch, cycle,
+                                                   cfg.tau_start, cfg.tau_end)
         assert len({r.tau_q for r in trainer.log if r.stage == "expert"}) == 3
 
     def test_gate_logs_the_tau_q_it_steps_at(self, monkeypatch):
@@ -539,8 +535,8 @@ class TestStageRunnerLog:
         with pytest.warns(UserWarning, match="fewer"):
             trainer.run()
         # two steps per epoch over one full cosine cycle, ending back near tau_start
-        schedule = TemperatureSchedule(cfg.tau_start, cfg.tau_end, 3 * 2)
-        assert stepped == [temperature_at(step, schedule) for step in range(6)]
+        assert stepped == [temperature_at(step, 3 * 2, cfg.tau_start, cfg.tau_end)
+                           for step in range(6)]
         assert stepped[3] == cfg.tau_end
         rows = [r for r in trainer.log if r.stage == "gate"]
         assert [r.tau_q for r in rows] == stepped[::2]
@@ -584,8 +580,8 @@ class TestStageRunnerLog:
             assert row.mean_loss == pytest.approx(np.mean(means), rel=1e-14)
             assert row.mean_loss != pytest.approx(means[0], rel=1e-6)
             # the first run's schedule: 3 epochs of 2 steps in 2 cycles
-            schedule = TemperatureSchedule(cfg.tau_start, cfg.tau_end, 3 * 2 // 2)
-            assert row.tau_q == temperature_at(row.epoch * 2, schedule)
+            assert row.tau_q == temperature_at(row.epoch * 2, 3 * 2 // 2, cfg.tau_start,
+                                               cfg.tau_end)
 
 
 class TestPipeline:
@@ -721,8 +717,8 @@ class TestBatchedEquivalence:
 
         rng = np.random.default_rng(20)
         store = tiny_store(rng, n=14)
-        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, seed=3,
-                                     final_weight_scale=0.2)
+        encoder = HypernetworkParams(5, 4, hidden_dim=8, hidden_layers=1, activation="tanh",
+                                     seed=3, final_weight_scale=0.2)
         batch = np.arange(14)
         k, temperature = 5, 0.2
         sel, weights, _ = _expert_retrieval_batch(encoder, _weights(encoder), store, batch, k,
@@ -1094,7 +1090,8 @@ class TestWhatAFitHolds:
     def test_hypernetwork_expert_step_peaks_at_15_mb(self, store):
         """The anchor's and the leave-one-out retrieval's (2112, 256) gradient
         blocks are one block, and used VJPs let go of what they kept."""
-        encoder = HypernetworkParams(self.P, 32, hidden_dim=96, hidden_layers=2, seed=0)
+        encoder = HypernetworkParams(self.P, 32, hidden_dim=96, hidden_layers=2,
+                                     activation="tanh", seed=0)
         teacher = FixedAffineMap(self.P, 32, seed=1)
         params = leaves(encoder)
         assert step_peak_mb(params,

@@ -20,6 +20,7 @@ from rarecp import (
     SplitSpec,
     TimeSeries,
     WeightedSupport,
+    aci_update,
     baseline_interval,
     baseline_weights,
     build_context,
@@ -34,7 +35,10 @@ from rarecp import (
 )
 from rarecp.data import SeasonalNaiveForecast, make_forecast_source
 from rarecp.errors import DataError, RareCPError
+from rarecp.experts import HypernetworkParams
+from rarecp.gate import GateParams
 from rarecp.harness import EvalRecord
+from rarecp.training import ModelConfig
 
 nan, inf = math.nan, math.inf
 
@@ -73,6 +77,9 @@ BAD_CALLS = {
     "regime_string_noise": lambda: RegimeSpec(0.0, "a"),
     "regime_nan_noise": lambda: RegimeSpec(0.0, nan),
     "regime_fractional_segment": lambda: RegimeSeriesConfig((RegimeSpec(0.0, 1.0),), (2.5,)),
+    "regime_number_for_regimes": lambda: RegimeSeriesConfig(2.5, (5,)),
+    "regime_number_for_segments": lambda: RegimeSeriesConfig((RegimeSpec(0.0, 1.0),), 5),
+    "aci_update_number_for_state": lambda: aci_update(0.2, True),
     "aci_string_gamma": lambda: AciState.initial(0.2, "a"),
     "support_of_strings": lambda: WeightedSupport(["a"], [1.0]),
     "build_interval_string_forecast": lambda: build_interval("x", _support(), 0.2),
@@ -126,4 +133,21 @@ NON_NUMBER_LAMBDA = {
 @pytest.mark.parametrize("call", NON_NUMBER_LAMBDA.values(), ids=NON_NUMBER_LAMBDA.keys())
 def test_a_non_number_nexcp_lambda_is_refused_everywhere(call):
     with pytest.raises(DataError, match="nexcp_lambda"):
+        call()
+
+
+UNKNOWN_ACTIVATION = {
+    "model_config": lambda: ModelConfig(activation="sigmoid"),
+    "hypernetwork": lambda: HypernetworkParams(4, 3, 8, 1, activation="sigmoid"),
+    "gate": lambda: GateParams(4, 2, 4, activation="gelu"),
+    "not_a_string": lambda: GateParams(4, 2, 4, activation=["tanh"]),
+    "hypernetwork_from_arrays": lambda: HypernetworkParams.from_arrays(
+        HypernetworkParams(4, 3, 8, 1, "tanh").layers, "sigmoid"),
+    "gate_from_arrays": lambda: GateParams.from_arrays(GateParams(4, 2, 4, "tanh").layers, "gelu"),
+}
+
+
+@pytest.mark.parametrize("call", UNKNOWN_ACTIVATION.values(), ids=UNKNOWN_ACTIVATION.keys())
+def test_an_unknown_activation_is_refused_not_served_as_relu(call):
+    with pytest.raises(DataError, match="unknown activation"):
         call()
