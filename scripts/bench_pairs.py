@@ -20,7 +20,9 @@ side's median and quartiles, and the pairs the change won in the metric's
 - ``bound``: within when the change's median is worse than the parent's
   by no more than the metric's ``bound``, a fraction of the parent's median.
 
-It refuses to summarise, with exit code 1, when any run fails or reports
+Once every workload has run, it ends with one line per (workload, metric):
+both medians, the pairs the change won and the ``bound`` verdict. It
+refuses to summarise, with exit code 1, when any run fails or reports
 ``correct: false``.
 
 Only the standard library is used, and nothing is written into either
@@ -63,9 +65,20 @@ def require_correct(i: int, pair: tuple[dict, dict]) -> None:
                              f"({result.get('failed')} of {result.get('attempted')} failed)")
 
 
+def metric_rows(pairs: list[tuple[dict, dict]], name: str) -> list[tuple[float, float]]:
+    """The (parent, change) values of metric ``name`` in the pairs where both runs report it."""
+    return [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
+            if name in p["metrics"] and name in c["metrics"]]
+
+
+def wins(rows: list[tuple[float, float]], lower: bool) -> int:
+    """The (parent, change) pairs the change won; a tie counts for neither side."""
+    return sum((c < p) if lower else (c > p) for p, c in rows)
+
+
 def claim_verdict(rows: list[tuple[float, float]], lower: bool) -> str:
     """Whether the change meets the claim rule over (parent, change) pairs."""
-    won = sum((c < p) if lower else (c > p) for p, c in rows)
+    won = wins(rows, lower)
     q1, q3 = quartiles([p for p, _ in rows])
     gain = statistics.median([p for p, _ in rows]) - statistics.median([c for _, c in rows])
     gain = gain if lower else -gain
@@ -91,11 +104,10 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> str:
     out = []
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
-        rows = [(p["metrics"][name]["value"], c["metrics"][name]["value"]) for p, c in pairs
-                if name in p["metrics"] and name in c["metrics"]]
+        rows = metric_rows(pairs, name)
         if not rows:
             continue
-        won = sum((c < p) if lower else (c > p) for p, c in rows)
+        won = wins(rows, lower)
         tied = sum(c == p for p, c in rows)
         out.append(f"{name} ({spec['unit']}, {spec['better']} is better): "
                    f"change won {won} of {len(rows)} pairs" + (f" ({tied} tied)" if tied else ""))
@@ -107,6 +119,20 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> str:
         out.append(f"  {claim_verdict(rows, lower)}")
         out.append(f"  {bound_verdict(rows, lower, spec['bound'])}")
     return "\n".join(out)
+
+
+def summary_lines(workload: str, pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[str]:
+    """Per metric of ``workload``: both medians, the pairs the change won and the bound verdict."""
+    out = []
+    for spec in end_to_end:
+        rows = metric_rows(pairs, spec["name"])
+        if rows:
+            lower = spec["better"] == "lower"
+            parent, change = (statistics.median(side) for side in zip(*rows))
+            out.append(f"{workload} {spec['name']}: {parent:.6g} -> {change:.6g} {spec['unit']}, "
+                       f"won {wins(rows, lower)} of {len(rows)}, "
+                       f"{bound_verdict(rows, lower, spec['bound'])}")
+    return out
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -167,15 +193,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     checkouts = (args.parent.resolve(), args.change.resolve())
     spec = json.loads((checkouts[1] / "BENCHMARK.json").read_text(encoding="utf-8"))
+    summary = []
     try:
         for workload in workload_names(args.workload, spec):
             pairs = run_pairs(checkouts, workload, args.seed, args.seconds, args.pairs)
             print(f"{workload} seed={args.seed} seconds={args.seconds:g} pairs={args.pairs}",
                   flush=True)
             print(summarise(pairs, spec["end_to_end"]), flush=True)
+            summary += summary_lines(workload, pairs, spec["end_to_end"])
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print("summary: medians parent -> change, pairs the change won, bound verdict")
+    print("\n".join(summary), flush=True)
     return 0
 
 

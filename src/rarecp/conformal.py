@@ -110,18 +110,20 @@ def _quantile(values: np.ndarray, cum: np.ndarray, tau: float) -> float:
 def _interval(
     forecast: float, values: np.ndarray, cum: np.ndarray, alpha: float
 ) -> PredictionInterval:
-    """Interval from sorted residuals and their cumulative weights."""
+    """Interval from sorted residuals and their cumulative weights.
+
+    An ``alpha`` of at most 2**-53 puts the upper level at 1.0, so the
+    interval reads the support's extreme residuals.
+    """
     alpha = check_unit_interval(alpha, "alpha")
-    tau_lo = check_unit_interval(alpha / 2.0, "tau")
-    tau_hi = check_unit_interval(1.0 - alpha / 2.0, "tau")
     try:
         finite = math.isfinite(forecast)
     except TypeError:  # not a number: check_finite converts it or refuses it
         forecast, finite = check_finite(forecast, "forecast"), True
     if not finite:
         raise DataError(f"forecast must be finite, got {forecast}")
-    lower = forecast + _quantile(values, cum, tau_lo)
-    upper = forecast + _quantile(values, cum, tau_hi)
+    lower = forecast + _quantile(values, cum, alpha / 2.0)
+    upper = forecast + _quantile(values, cum, 1.0 - alpha / 2.0)
     if not (math.isfinite(lower) and math.isfinite(upper)):
         raise NumericError(f"interval bounds overflow: [{lower}, {upper}]")
     return PredictionInterval(lower=lower, upper=upper, alpha_used=alpha)

@@ -188,6 +188,8 @@ class CalibrationStore:
             raise DataError(
                 f"entry context has shape {context.shape}, expected ({self._dim},)"
             )
+        if not np.isfinite(context).all():
+            raise DataError("entry context is not finite")
         residual = check_finite(entry.residual, "entry residual")
         time_index = check_int(entry.time_index, "time_index")
         if self._size > 0:

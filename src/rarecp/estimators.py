@@ -108,7 +108,7 @@ class SplitConformal(BaseEstimator):
     def predict_interval(self, forecast: float, alpha: float | None = None) -> PredictionInterval:
         check_fitted(self, "store_")
         return baseline_interval(
-            check_finite(forecast, "forecast"), self.store_, self.alpha if alpha is None else alpha,
+            forecast, self.store_, self.alpha if alpha is None else alpha,
             mode=self.weighting, nexcp_lambda=self.nexcp_lambda,
         )
 
@@ -317,6 +317,6 @@ class RareCP(BaseEstimator):
         if time_index is None:
             time_index = self._next_time
         self.store_.append(
-            CalibrationEntry(context=check_vector(x, "x"), residual=residual, time_index=time_index)
+            CalibrationEntry(context=x, residual=residual, time_index=time_index)
         )
         self._next_time = int(time_index) + 1

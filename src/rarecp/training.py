@@ -35,17 +35,19 @@ Its tau_q falls from ``tau_start`` to ``tau_end`` and back along a cosine
 There is one run per (expert, dataset) for the teachers, one per expert for
 the students, one over the prepared rounds for the gate.
 
-A fit is one ordered task list (``Trainer._queue``, run by ``_Schedule``):
-teacher (m, d); expert m, which starts once teachers (m, .) have finished
-and trains in the ``ExpertStack`` that serves it; then, per (gate round,
-dataset, expert m), expert m's forward-only leave-one-out supports, which
-start once expert m has. A pool of as many threads as the machine has CPUs
-per BLAS thread (``training_workers``), or else the calling thread, takes
-the tasks in order. The calling thread waits for each stage's tasks in turn
-(``fit_teachers``, ``fit_experts``, ``fit_gate``), merges their logs and
-audit buffers in stage and run order, builds the gate's batches from the
-supports and trains the gate: the outcome is the same bytes as running
-every task one after another.
+A fit is one task graph, submitted in task order (``Trainer._submit``):
+teacher (m, d); expert m, which reads teachers (m, .) and trains in the
+``ExpertStack`` that serves it; then, per (gate round, dataset, expert m),
+expert m's forward-only leave-one-out supports, which read expert m. A task
+first waits for the futures it reads (``_after``). A ``ThreadPoolExecutor``
+of as many threads as the machine has CPUs per BLAS thread
+(``training_workers``) takes the tasks in order; a serial fit instead
+defers each task until its stage asks for it (``_Deferred``). The calling
+thread collects each stage's results in turn (``fit_teachers``,
+``fit_experts``, ``fit_gate``), merges their logs and audit buffers in
+stage and run order, builds the gate's batches from the supports and
+trains the gate: the outcome is the same bytes as running every task one
+after another.
 
 Each model setting is a field of ``ModelConfig`` and each training setting
 one of ``TrainConfig``, which gives its default and checks it. ``RareCP``'s
@@ -61,7 +63,8 @@ import math
 import os
 import warnings
 from collections.abc import Callable, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, partial
 from pathlib import Path
@@ -572,10 +575,11 @@ def blas_threads() -> int | None:
 
 
 # A fit whose teachers train on fewer leave-one-out episodes than this runs
-# its tasks one after another. On 128-row, one-epoch fits, two tasks at a
-# time took a fifth to a quarter less time but raised peak RSS by 10 to 19%:
-# two runs hold two working sets, and leave the one malloc arena more
-# fragmented. Longer fits gain more.
+# its tasks one after another. At one BLAS thread, two tasks at a time took
+# a sixth to a third less time on 128-row, one-epoch fits but raised the
+# process's peak RSS from 56 to 70 MB: two runs hold two working sets, and
+# leave the one malloc arena more fragmented. Longer fits gain more: at 256
+# rows, a third less time in 8 of 8 pairs.
 _MIN_CONCURRENT_EPISODES = 256
 
 
@@ -600,74 +604,56 @@ def training_workers(n_tasks: int, episodes: int) -> int:
     return max(1, min(n_tasks, cpus // threads))
 
 
-class _Schedule:
-    """Tasks run in the order they were added, on a pool of threads or the calling thread.
+class _Deferred(Future):
+    """A serial fit's task: it runs on the thread that first asks for its result.
 
-    A task may name tasks added before it, which finish before it starts.
-    The pool's threads take tasks in order, so a task a thread waits for has
-    already been taken by another, which does not wait on anything later:
-    no worker count can deadlock. Once a task fails no thread starts a
-    later one, so the tasks that need it never run, while earlier ones still
-    do: the first failure in task order is the same on any worker count.
+    Each stage then runs its own tasks, inside its own ``fit_*`` call.
     """
 
-    def __init__(self) -> None:
-        self._tasks: list[tuple[Callable[[], object], tuple[int, ...]]] = []
-        self._futures: list[Future] = []
-        self._pool: ThreadPoolExecutor | None = None
-        self._next = 0  # with one worker, the next task ``results`` runs
-        self._failed: list[int] = []  # the tasks that raised
-        self._closed = False
+    def __init__(self, fn: Callable, *args) -> None:
+        super().__init__()
+        self._task = partial(fn, *args)
 
-    def __len__(self) -> int:
-        return len(self._tasks)
+    def result(self, timeout=None):
+        task, self._task = self._task, None
+        if task is not None:
+            try:
+                self.set_result(task())
+            except BaseException as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
 
-    def add(self, fn: Callable[[], object], after: Sequence[int] = ()) -> int:
-        """Queue ``fn`` to run once the tasks ``after`` have finished; returns its index."""
-        if any(not 0 <= i < len(self._tasks) for i in after):
-            raise ValueError("a task can only wait for tasks queued before it")
-        self._tasks.append((fn, tuple(after)))
-        return len(self._tasks) - 1
 
-    def start(self, workers: int) -> None:
-        """Start ``workers`` threads on the queued tasks; with one, ``results`` runs them."""
-        self._futures = [Future() for _ in self._tasks]
-        if min(workers, len(self._tasks)) > 1:
-            self._pool = ThreadPoolExecutor(min(workers, len(self._tasks)))
-            for i in range(len(self._tasks)):
-                self._pool.submit(self._run, i)
+def _results(futures: Sequence[Future]) -> list:
+    """The results of ``futures`` in order; the first failure among them is raised."""
+    return [future.result() for future in futures]
 
-    def _run(self, i: int) -> None:
-        """Task ``i`` once the tasks it needs have finished, unless stopped before it."""
-        fn, after = self._tasks[i]
-        wait([self._futures[j] for j in after])
-        try:  # stopped: closed, or an earlier task has failed, perhaps one of ``after``
-            stopped = self._closed or any(j < i for j in self._failed)
-            self._futures[i].set_result(None if stopped else fn())
-        except BaseException as exc:
-            self._failed.append(i)
-            self._futures[i].set_exception(exc)
 
-    def results(self, ids: Sequence[int]) -> list:
-        """The results of tasks ``ids``, in that order, once they have finished.
+def _after(futures: Sequence[Future], fn: Callable, *args):
+    """``fn(*args)`` once ``futures`` have finished; a failure among them is raised instead."""
+    _results(futures)
+    return fn(*args)
 
-        If a task has failed, the threads are stopped and the first failure
-        in task order is raised.
-        """
-        while self._pool is None and self._next <= max(ids, default=-1):
-            self._run(self._next)
-            self._next += 1
-        wait([self._futures[i] for i in ids])
-        if self._failed:
-            self.close()
-            raise next(exc for exc in map(Future.exception, self._futures) if exc is not None)
-        return [self._futures[i].result() for i in ids]
 
-    def close(self) -> None:
-        """Start no more tasks and wait for the threads to stop."""
-        self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown()
+@contextmanager
+def _task_pool(workers: int):
+    """A ``submit(fn, *args) -> Future`` for a fit's tasks, on ``workers`` threads.
+
+    With one worker, each task is ``_Deferred``. Otherwise a
+    ``ThreadPoolExecutor`` takes the tasks in the order they are submitted,
+    so a task that reads only futures submitted before it (``_after``)
+    waits only for tasks already taken: no worker count can deadlock.
+    Leaving the block cancels the tasks not yet started and waits for the
+    running ones, so an error leaves it with no thread running.
+    """
+    if workers < 2:
+        yield _Deferred
+        return
+    pool = ThreadPoolExecutor(workers)
+    try:
+        yield pool.submit
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class Trainer:
@@ -804,14 +790,15 @@ class Trainer:
             seed=self.train.seed * 1000 + 500 + m,
         )
 
-    def _queue(self, schedule: _Schedule) -> tuple[Callable, Callable, Callable]:
-        """Queue a fit's tasks, each after the tasks it reads, and keep the models they train.
+    def _submit(self, submit: Callable[..., Future], rounds: list[list[tuple]]) -> tuple:
+        """Submit a fit's tasks in task order, each after the futures it reads.
 
-        In task order: one per teacher (m, d); one per expert m, after
+        In task order: one per teacher (m, d); one per expert m, which reads
         teachers (m, .); one per (gate round, dataset, expert m), the
-        expert's leave-one-out supports, after expert m. Returns, per stage,
-        a function that waits for its tasks and gives its runs and their
-        epoch means, or the gate's prepared batches.
+        expert's leave-one-out supports of a (store, batch) of ``rounds``,
+        which reads expert m. Keeps the models the tasks train, and returns
+        the teachers' runs and futures, the experts' futures, and ``rounds``
+        with each batch's support futures.
         """
         cfg, model, M, D = self.train, self.model, self.model.n_experts, len(self.stores)
         self.teachers = teachers = [
@@ -825,8 +812,6 @@ class Trainer:
             for m in range(M)
             for d, store in enumerate(self.stores)
         ]
-        teacher_ids = [schedule.add(partial(self._train, cfg.teacher_epochs, run))
-                       for run in teacher_runs]
         # stacked before any task runs, so the experts train in the arrays that
         # serve and save them; an encoder made between two runs took its place
         # among their freed temporaries, which raised the peak RSS of a serving
@@ -835,6 +820,7 @@ class Trainer:
             RetrievalExpert(encoder=self._make_encoder(m), config=model)
             for m in range(M)
         ])
+        trained = [submit(self._train, cfg.teacher_epochs, run) for run in teacher_runs]
 
         def fit_expert(m: int) -> tuple[_Run, list]:
             maps = [(t.A, t.b) for t in teachers[m]]
@@ -847,60 +833,51 @@ class Trainer:
             )
             return run, self._train(cfg.epochs, run)
 
-        expert_ids = [schedule.add(partial(fit_expert, m), teacher_ids[m * D : (m + 1) * D])
-                      for m in range(M)]
-        rng = np.random.default_rng([cfg.seed, 33])
-        rounds = [
-            [
-                (store, batch, [
-                    schedule.add(partial(_expert_support, expert, store, batch), (i,))
-                    for expert, i in zip(experts, expert_ids)
-                ])
-                for store, batch in zip(self.stores, batches)
-                if _valid_batch(batch)
-            ]
-            for batches in self._rounds(self.stores, rng)
+        fitted = [submit(_after, trained[m * D : (m + 1) * D], fit_expert, m) for m in range(M)]
+        supports = [
+            [(store, batch, [submit(_after, [done], _expert_support, expert, store, batch)
+                             for expert, done in zip(experts, fitted)])
+             for store, batch in held]
+            for held in rounds
         ]
-        return (
-            lambda: (teacher_runs, schedule.results(teacher_ids)),
-            lambda: tuple(zip(*schedule.results(expert_ids))),
-            lambda: [
-                [_prepare_gate_batch(store, batch, schedule.results(ids), self.audit)
-                 for store, batch, ids in held]
-                for held in rounds
-                if held
-            ],
-        )
+        return teacher_runs, trained, fitted, supports
 
     # -- stages -----------------------------------------------------------
 
-    def fit_teachers(self, trained: Callable[[], tuple]) -> None:
+    def fit_teachers(self, runs: list[_Run], trained: list[Future]) -> None:
         """One dense, unanchored affine teacher per (expert, dataset).
 
-        ``trained`` waits for the teachers' tasks; this returns once they
-        are trained, logged and audited, in (expert, dataset) order.
+        ``trained`` are the futures of the teachers' ``runs``, each giving
+        its epoch means; this returns once they are trained, logged and
+        audited, in (expert, dataset) order.
         """
-        self._log_stage("teacher", self.train.teacher_epochs, *trained())
+        self._log_stage("teacher", self.train.teacher_epochs, runs, _results(trained))
 
-    def fit_experts(self, trained: Callable[[], tuple]) -> None:
+    def fit_experts(self, trained: list[Future]) -> None:
         """One retrieval expert per teacher row, anchored to those teachers.
 
-        ``trained`` waits for the experts' tasks. Expert m starts as soon as
-        its own teachers are trained, in the ``ExpertStack`` that serves it.
+        ``trained`` are the experts' futures, each giving its run and epoch
+        means. Expert m starts as soon as its own teachers are trained, in
+        the ``ExpertStack`` that serves it.
         """
-        self._log_stage("expert", self.train.epochs, *trained())
+        self._log_stage("expert", self.train.epochs, *zip(*_results(trained)))
 
-    def fit_gate(self, batches: Callable[[], list]) -> None:
+    def fit_gate(self, rounds: list[list[tuple]]) -> None:
         """The gate over the frozen experts, trained on one prepared batch partition.
 
-        ``batches`` waits for the experts' supports of each batch and
-        builds the batches from them on this thread, in (round, dataset)
-        order; the gate then trains alone.
+        ``rounds`` holds, per gate round, each usable (store, batch) with the
+        futures of the experts' supports of it. The batches are built from
+        them on this thread, in (round, dataset) order; the gate then trains
+        alone.
         """
         cfg = self.train
         # experts are frozen, so one fixed batch partition is prepared once
         # and its leave-one-out supports reused for every gate epoch
-        prepared_rounds = batches()
+        prepared_rounds = [
+            [_prepare_gate_batch(store, batch, _results(supports), self.audit)
+             for store, batch, supports in held]
+            for held in rounds
+        ]
         if not prepared_rounds:
             raise DataError("no usable gate training batches")
         gate = GateParams(
@@ -924,19 +901,22 @@ class Trainer:
         self.gate = gate
 
     def run(self) -> "Trainer":
-        """All three stages on one schedule: a task starts as soon as what it reads is trained."""
+        """All three stages on one task graph: a task starts as soon as what it reads is trained."""
         keep_freed_heap()
-        schedule = _Schedule()
-        teachers, experts, gate_batches = self._queue(schedule)
+        cfg = self.train
+        # the gate's rounds that keep a usable batch, with their usable (store, batch) pairs
+        rng = np.random.default_rng([cfg.seed, 33])
+        rounds = [[(store, batch) for store, batch in zip(self.stores, batches)
+                   if _valid_batch(batch)] for batches in self._rounds(self.stores, rng)]
+        rounds = [held for held in rounds if held]
+        n_tasks = self.model.n_experts * (len(self.stores) + 1 + sum(map(len, rounds)))
         # the shortest run, a teacher's, sets the worker count
-        episodes = self.train.teacher_epochs * min(len(store) for store in self.stores)
-        schedule.start(training_workers(len(schedule), episodes))
-        try:
-            self.fit_teachers(teachers)
+        episodes = cfg.teacher_epochs * min(len(store) for store in self.stores)
+        with _task_pool(training_workers(n_tasks, episodes)) as submit:
+            teacher_runs, teachers, experts, supports = self._submit(submit, rounds)
+            self.fit_teachers(teacher_runs, teachers)
             self.fit_experts(experts)
-            self.fit_gate(gate_batches)
-        finally:
-            schedule.close()
+            self.fit_gate(supports)
         return self
 
 

@@ -141,6 +141,25 @@ def test_all_runs_every_workload_in_turn_with_one_summary_each(tmp_path, monkeyp
     assert out.count("steps_per_s (steps/s, higher is better): change won 2 of 2 pairs") == 2
 
 
+def test_the_output_ends_with_one_line_per_workload_and_metric(tmp_path, monkeypatch, capsys):
+    _stub_runs(monkeypatch)
+    parent, change = _checkouts(tmp_path)
+    assert bench_pairs.main([parent, change, "--workload", "all", "--seed", "3",
+                             "--pairs", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-5] == "summary: medians parent -> change, pairs the change won, bound verdict"
+    assert lines[-4:] == [
+        "fit steps_per_s: 100 -> 120 steps/s, won 2 of 2, "
+        "bound within: median 20.0% better, against a bound of 25%",
+        "fit step_p50_ms: 0.05 -> 0.04 ms, won 2 of 2, "
+        "bound within: median 20.0% better, against a bound of 25%",
+        "eval_baselines steps_per_s: 100 -> 120 steps/s, won 2 of 2, "
+        "bound within: median 20.0% better, against a bound of 25%",
+        "eval_baselines step_p50_ms: 0.05 -> 0.04 ms, won 2 of 2, "
+        "bound within: median 20.0% better, against a bound of 25%",
+    ]
+
+
 def test_repeated_workloads_run_in_the_order_given_and_once_each(tmp_path, monkeypatch, capsys):
     calls = _stub_runs(monkeypatch)
     parent, change = _checkouts(tmp_path)

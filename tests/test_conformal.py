@@ -357,15 +357,18 @@ class TestBaselineInterval:
         with pytest.raises(DataError):
             baseline_interval(float("inf"), store, 0.2)
 
-    def test_alpha_whose_upper_level_rounds_to_one_is_refused(self):
-        """1 - 1e-17 / 2 rounds to 1.0, outside (0, 1): the level check must stay."""
+    def test_alpha_whose_upper_level_rounds_to_one_reads_the_extreme_residuals(self):
+        """1 - 1e-17 / 2 rounds to 1.0: the levels are not checked again, and
+        the interval spans the window's smallest and largest residuals."""
         assert 1.0 - 1e-17 / 2.0 == 1.0
-        residuals = np.arange(4.0)
-        with pytest.raises(DataError, match="tau"):
-            build_interval(0.0, baseline_weights(residuals), 1e-17)
-        store = CalibrationStore.from_arrays(np.zeros((4, 1)), residuals)
+        residuals = np.array([2.0, -1.0, 5.0, 0.0])
+        expected = (9.0, 15.0, 1e-17)
         for mode in ("uniform", "nexcp"):
-            with pytest.raises(DataError, match="tau"):
-                baseline_interval(0.0, store, 1e-17, mode=mode)
-        with pytest.raises(DataError, match="tau"):
-            SplitConformal().fit(None, residuals).predict_interval(0.0, 1e-17)
+            interval = build_interval(10.0, baseline_weights(residuals, mode), 1e-17)
+            assert (interval.lower, interval.upper, interval.alpha_used) == expected
+            store = CalibrationStore.from_arrays(np.zeros((4, 1)), residuals)
+            interval = baseline_interval(10.0, store, 1e-17, mode=mode)
+            assert (interval.lower, interval.upper, interval.alpha_used) == expected
+            interval = SplitConformal(weighting=mode).fit(None, residuals).predict_interval(
+                10.0, 1e-17)
+            assert (interval.lower, interval.upper, interval.alpha_used) == expected

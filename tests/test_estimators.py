@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rarecp.conformal import build_interval
-from rarecp.data import CalibrationStore, NaiveForecast, SplitSpec, TimeSeries
+from rarecp.data import CalibrationEntry, CalibrationStore, NaiveForecast, SplitSpec, TimeSeries
 from rarecp.errors import DataError, NotFittedError, NumericError
 from rarecp.estimators import RareCP, SplitConformal
 from rarecp.harness import EvalConfig, run_chronological_eval
@@ -369,6 +369,18 @@ def test_non_numeric_input_raises_data_error(fitted, tmp_path, no_training, case
     with pytest.raises(DataError):
         NON_NUMERIC_INPUTS[case](est, X, y, path)
     assert est.store_ is store and _store_state(store) == state and est._next_time == next_time
+
+
+def test_a_non_finite_context_is_refused_before_the_store_changes():
+    est = SplitConformal().fit(None, [1.0, 2.0])
+    state = _store_state(est.store_)
+    with pytest.raises(DataError, match="not finite"):
+        est.observe(1.0, context=[np.nan])
+    assert _store_state(est.store_) == state and est._next_time == 2
+    store = CalibrationStore(3, 2)
+    with pytest.raises(DataError, match="not finite"):
+        store.append(CalibrationEntry([np.inf, 1.0], 0.5, 0))
+    assert len(store) == 0
 
 
 COMPLEX_INPUTS = {

@@ -39,11 +39,14 @@ from rarecp.training import (
     optimizer_step,
     temperature_at,
     write_training_log,
+    _after,
     _batch_contexts,
+    _Deferred,
     _expert_retrieval_batch,
     _expert_support,
     _prepare_gate_batch,
-    _Schedule,
+    _results,
+    _task_pool,
     _weights,
     blas_threads,
 )
@@ -439,8 +442,8 @@ class TestGateTraining:
         batch = rng.permutation(40)[:30]
         audit = []
         # the supports come from concurrent tasks, as in a fit
-        supports = run_schedule([(partial(_expert_support, e, store, batch), ()) for e in experts],
-                                workers)
+        supports = run_tasks([(partial(_expert_support, e, store, batch), ()) for e in experts],
+                             workers)
         got = _prepare_gate_batch(store, batch, supports, audit)
 
         positions, weights = [], []
@@ -780,21 +783,20 @@ def fast_switching():
         sys.setswitchinterval(interval)
 
 
-def run_schedule(tasks, workers):
-    """Queue ``(fn, after)`` pairs, run them on ``workers`` threads and return the results."""
-    schedule = _Schedule()
-    ids = [schedule.add(fn, after) for fn, after in tasks]
-    schedule.start(workers)
-    try:
-        return schedule.results(ids)
-    finally:
-        schedule.close()
+def run_tasks(tasks, workers):
+    """Submit ``(fn, after)`` pairs in order, each after the tasks ``after`` names,
+    to a ``_task_pool`` of ``workers`` threads, and return their results in order."""
+    with _task_pool(workers) as submit:
+        futures = []
+        for fn, after in tasks:
+            futures.append(submit(_after, [futures[j] for j in after], fn))
+        return _results(futures)
 
 
 @pytest.mark.usefixtures("fast_switching")
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
-class TestSchedule:
-    """``training._Schedule``: tasks in order on several threads, each after what it needs."""
+class TestTaskPool:
+    """``training._task_pool``: tasks in order on several threads, each after what it needs."""
 
     def test_every_task_runs_once_and_results_come_in_task_order(self, workers):
         calls, lock = [], threading.Lock()
@@ -806,7 +808,7 @@ class TestSchedule:
 
         threads_before = threading.active_count()
         tasks = [(partial(task, i), ()) for i in range(500)]
-        assert run_schedule(tasks, workers) == [i * i for i in range(500)]
+        assert run_tasks(tasks, workers) == [i * i for i in range(500)]
         assert sorted(calls) == list(range(500))
         assert threading.active_count() == threads_before  # every helper was joined
 
@@ -826,7 +828,7 @@ class TestSchedule:
             return i, total
 
         tasks = [(partial(task, i), needs[i]) for i in range(n)]
-        assert run_schedule(tasks, workers) == [(i, sum(range(200))) for i in range(n)]
+        assert run_tasks(tasks, workers) == [(i, sum(range(200))) for i in range(n)]
         assert early == []
 
     def test_the_first_failure_in_task_order_is_raised_once_every_thread_has_stopped(
@@ -834,8 +836,8 @@ class TestSchedule:
     ):
         """Task 5 fails after task 6 has failed; every later task needs task 5.
 
-        No task starts after the first failure, no task needing a failed one
-        runs, and no task is still running when the error is raised.
+        No task needing a failed one runs, and no task is still running when
+        the error is raised.
         """
         later_failed = threading.Event()
         ran, running, lock = [], [0], threading.Lock()
@@ -860,41 +862,47 @@ class TestSchedule:
         threads_before = threading.active_count()
         tasks = [(partial(task, i), () if i < 7 else (5,)) for i in range(40)]
         with pytest.raises(ValueError, match="task 5"):
-            run_schedule(tasks, workers)
+            run_tasks(tasks, workers)
         assert running == [0]
         assert threading.active_count() == threads_before
         assert sorted(ran) == list(range(7 if workers > 1 else 6))
 
 
-def test_a_task_waits_only_for_tasks_queued_before_it():
-    """A task cannot wait for itself or a later task, which could deadlock."""
-    schedule = _Schedule()
-    first = schedule.add(lambda: 1)
-    for after in ((first + 1,), (-1,)):
-        with pytest.raises(ValueError, match="queued before"):
-            schedule.add(lambda: 2, after=after)
-    schedule.start(1)
-    try:
-        assert schedule.results([first]) == [1]
-    finally:
-        schedule.close()
-
-
-def test_one_worker_runs_the_tasks_on_the_calling_thread_when_asked():
-    """A serial schedule starts no thread: ``results`` runs the tasks up to the last it needs."""
+def test_one_worker_runs_each_task_on_the_calling_thread_when_its_result_is_asked():
+    """A serial pool starts no thread: a result runs its own task, and the
+    tasks it reads, once, on the thread that asks."""
     ran = []
-    schedule = _Schedule()
-    ids = [schedule.add(partial(ran.append, i)) for i in range(4)]
+
+    def task(i):
+        ran.append((i, threading.get_ident()))
+        return i
+
     threads_before = threading.active_count()
-    schedule.start(1)
-    try:
+    with _task_pool(1) as submit:
+        assert submit is _Deferred
+        first = submit(task, 0)
+        futures = [first] + [submit(_after, [first], task, i) for i in (1, 2)]
         assert ran == [] and threading.active_count() == threads_before
-        schedule.results(ids[1:2])
-        assert ran == [0, 1]
-        schedule.results(ids)
-        assert ran == [0, 1, 2, 3] and threading.active_count() == threads_before
-    finally:
-        schedule.close()
+        assert futures[2].result() == 2
+        assert [i for i, _ in ran] == [0, 2]
+        assert _results(futures) == [0, 1, 2]
+    assert [i for i, _ in ran] == [0, 2, 1]
+    assert {ident for _, ident in ran} == {threading.get_ident()}
+    assert threading.active_count() == threads_before
+
+
+def test_a_deferred_failure_is_raised_to_every_caller_and_its_task_runs_once():
+    calls = []
+
+    def fail():
+        calls.append(1)
+        raise NumericError("diverged")
+
+    future = _Deferred(fail)
+    for _ in range(2):
+        with pytest.raises(NumericError, match="diverged"):
+            future.result()
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -931,6 +939,45 @@ def test_a_failed_expert_run_stops_the_fit(monkeypatch, workers):
         trainer.run()
     assert threading.active_count() == threads_before
     assert gate_losses == [] and trainer.gate is None
+
+
+def test_a_serial_fit_runs_each_task_inside_the_stage_that_reads_it(monkeypatch):
+    """At one worker, every ``Trainer._train`` and ``_expert_support`` call
+    falls inside ``fit_teachers``, ``fit_experts`` or ``fit_gate``, the stage
+    that reads its result, so each stage's span times its own work."""
+    from rarecp import training
+
+    stage, calls = [None], {}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[stage[0], name] = calls.get((stage[0], name), 0) + 1
+            return fn(*args)
+        return call
+
+    def staged(name, fit):
+        def call(trainer, *args):
+            stage[0] = name
+            try:
+                return fit(trainer, *args)
+            finally:
+                stage[0] = None
+        return call
+
+    monkeypatch.setattr(Trainer, "_train", counted("_train", Trainer._train))
+    monkeypatch.setattr(training, "_expert_support",
+                        counted("_expert_support", training._expert_support))
+    for name in ("fit_teachers", "fit_experts", "fit_gate"):
+        monkeypatch.setattr(Trainer, name, staged(name, getattr(Trainer, name)))
+    monkeypatch.setattr(training, "training_workers", lambda n_tasks, episodes: 1)
+    rng = np.random.default_rng(26)
+    stores = [training_store(rng.standard_normal((n, 5)), rng.standard_normal(n), dataset_id=d)
+              for d, n in enumerate((40, 30))]
+    Trainer(stores, tiny_model(), TrainConfig(epochs=2, teacher_epochs=1, batch_size=16,
+                                              seed=0)).run()
+    # 2 experts; the gate's batches: 16, 16 and 8 rows of the first store, 16 and 14 of the second
+    assert calls == {("fit_teachers", "_train"): 2 * 2, ("fit_experts", "_train"): 2,
+                     ("fit_gate", "_expert_support"): 2 * 5, ("fit_gate", "_train"): 1}
 
 
 _HELPER_FREES_SCRIPT = """
